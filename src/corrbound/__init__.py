@@ -2,12 +2,9 @@
 correlated process and measurement noise, with a brute-force full-horizon
 reference for verification."""
 
-from .blockmatrix import BlockMatrix
 from .blocks import (
     BlockProvider,
-    DBlocks,
     ExpectationEstimator,
-    assemble_step_blocks,
     measurement_blocks,
     transition_blocks,
 )
@@ -41,9 +38,7 @@ from .models import (
 from .oracle import (
     JointInformation,
     build_joint,
-    contract_through_inverse,
     information_sequence,
-    partitioned_inverse,
     schur_submatrix,
     verify_recursion,
 )
@@ -56,34 +51,18 @@ from .profiles import (
     required_prior_window,
     select_case,
 )
-from .recursion import (
-    PCRBTrace,
-    RecursionState,
-    TraceEntry,
-    classical_step,
-    init_state,
-    initial_information,
-    run,
-    step,
-    step_autocorrelated_measurement,
-    step_autocorrelated_measurement_state,
-    step_autocorrelated_process,
-    step_cross_correlated,
-    step_process_lag2,
-)
+from .recursion import PCRBTrace, RecursionState, TraceEntry, init_state, run, step
 from .selection import SensorSweepResult, SweepPoint, min_sensors, replicated_family, sweep
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ArApproximation",
-    "BlockMatrix",
     "BlockProvider",
     "CaseTag",
     "ConfigError",
     "CorrboundError",
     "CorrelationProfile",
-    "DBlocks",
     "ExpectationEstimator",
     "FactorizationSignature",
     "GaussianPrior",
@@ -101,24 +80,19 @@ __all__ = [
     "SystemModel",
     "TraceEntry",
     "TrajectoryBatch",
-    "assemble_step_blocks",
     "build_example1",
     "build_example1_stacked",
     "build_example2",
     "build_joint",
     "build_linear_model",
-    "classical_step",
-    "contract_through_inverse",
     "default_prior",
     "effective_lags",
     "factorization_signature",
     "init_state",
-    "initial_information",
     "information_sequence",
     "measurement_blocks",
     "min_sensors",
     "model_from_config",
-    "partitioned_inverse",
     "pcrb_augmented",
     "pcrb_ignore_correlation",
     "pcrb_prewhiten",
@@ -130,11 +104,6 @@ __all__ = [
     "select_case",
     "simple_scalar_model",
     "step",
-    "step_autocorrelated_measurement",
-    "step_autocorrelated_measurement_state",
-    "step_autocorrelated_process",
-    "step_cross_correlated",
-    "step_process_lag2",
     "sweep",
     "transition_blocks",
     "verify_recursion",

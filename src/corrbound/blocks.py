@@ -1,8 +1,9 @@
-"""Expected negative-log-density curvature blocks and their assembly.
+"""Expected negative-log-density curvature blocks and their overlay on the
+recursion frame.
 
-For a factor at time ``k`` the transition grid covers the states
-``x[k-l2'+1] .. x[k+1]`` (slot ``l2'+1`` is ``x[k+1]``) and the measurement
-grid covers ``x[k-l3'+2] .. x[k+1]`` (slot ``l3'``).  Expectations are taken
+Each factor's curvature is a dense square array made of ``state_dim``-sized
+blocks, one block row and column per state the factor touches;
+:func:`factor_frame` states which states those are.  Expectations are taken
 over the joint trajectory distribution induced by the model sampler;
 Monte-Carlo estimation partitions samples into fixed-size chunks with one
 dedicated RNG substream per chunk so results are bit-identical regardless of
@@ -12,15 +13,14 @@ worker count.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .blockmatrix import BlockMatrix
 from .errors import ConfigError, InvariantViolationError, ModelBuildError
 from .linalg import finite_difference_hessian, symmetrize
 from .models import SystemModel, TrajectoryBatch
-from .profiles import CaseTag, CorrelationProfile
+from .profiles import CorrelationProfile
 
 ESTIMATOR_MODES = ("analytic", "monte_carlo", "finite_difference_mc")
 
@@ -84,7 +84,7 @@ def _chunk_rng(seed: int, purpose: int, *key: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
-def transition_blocks(model: SystemModel, k: int, est: ExpectationEstimator) -> BlockMatrix:
+def transition_blocks(model: SystemModel, k: int, est: ExpectationEstimator) -> np.ndarray:
     """Expected curvature of the transition factor at time ``k``.
 
     Returns an ``(l2'+1) x (l2'+1)`` symmetric block grid.
@@ -113,14 +113,21 @@ def _check_time(model: SystemModel, k: int) -> None:
         )
 
 
-def _validated(grid: BlockMatrix, size: int, block_dim: int, what: str) -> BlockMatrix:
-    if grid.rows != size or grid.cols != size or grid.block_dim != block_dim:
+def _validated(grid: np.ndarray, size: int, block_dim: int, what: str) -> np.ndarray:
+    grid = np.asarray(grid, dtype=float)
+    n = size * block_dim
+    if grid.shape != (n, n):
         raise ModelBuildError(
-            f"{what}: expected a {size}x{size} grid of {block_dim}-blocks, "
-            f"got {grid.rows}x{grid.cols} of {grid.block_dim}"
+            f"{what}: expected a {size}x{size} grid of {block_dim}-blocks "
+            f"({n}x{n}), got shape {grid.shape}"
         )
-    grid.require_finite(what)
+    _require_finite(grid, what)
     return grid
+
+
+def _require_finite(grid: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(grid)):
+        raise InvariantViolationError(f"{what} contains non-finite entries")
 
 
 def _transition_point_hessian(model: SystemModel, batch: TrajectoryBatch,
@@ -137,7 +144,7 @@ def _transition_point_hessian(model: SystemModel, batch: TrajectoryBatch,
     )
     shift = batch.trans_shift[sample, k]
 
-    # Stacked layout: slot i (1-based) is x[k - l2' + i]; the last slot is x[k+1].
+    # Stacked in the transition grid's slot order (oldest first, x[k+1] last).
     def f(stacked: np.ndarray) -> float:
         parts = stacked.reshape(l2e + 1, r)
         xs_hist = parts[:l2e][::-1]  # newest first
@@ -170,7 +177,7 @@ def _measurement_point_hessian(model: SystemModel, batch: TrajectoryBatch,
 
 
 def _fd_mc_grid(model: SystemModel, k: int, est: ExpectationEstimator,
-                point_hessian, grid_size: int) -> BlockMatrix:
+                point_hessian, grid_size: int) -> np.ndarray:
     r = model.state_dim
     dim = grid_size * r
     total = np.zeros((dim, dim))
@@ -187,11 +194,10 @@ def _fd_mc_grid(model: SystemModel, k: int, est: ExpectationEstimator,
                 )
             total += h
         done += size
-    mean = symmetrize(total / done)
-    return BlockMatrix.from_dense(mean, r)
+    return symmetrize(total / done)
 
 
-def _fd_mc_transition(model: SystemModel, k: int, est: ExpectationEstimator) -> BlockMatrix:
+def _fd_mc_transition(model: SystemModel, k: int, est: ExpectationEstimator) -> np.ndarray:
     return _fd_mc_grid(model, k, est, _transition_point_hessian,
                        model.profile.l2_eff + 1)
 
@@ -201,7 +207,7 @@ def _fd_mc_transition(model: SystemModel, k: int, est: ExpectationEstimator) -> 
 # ---------------------------------------------------------------------------
 
 
-def measurement_blocks(model: SystemModel, k: int, est: ExpectationEstimator) -> BlockMatrix:
+def measurement_blocks(model: SystemModel, k: int, est: ExpectationEstimator) -> np.ndarray:
     """Expected curvature of the measurement factor at time ``k`` (``l3' x l3'``)."""
     grid, _, _ = measurement_blocks_detailed(model, k, est)
     return grid
@@ -209,7 +215,7 @@ def measurement_blocks(model: SystemModel, k: int, est: ExpectationEstimator) ->
 
 def measurement_blocks_detailed(
     model: SystemModel, k: int, est: ExpectationEstimator
-) -> tuple[BlockMatrix, np.ndarray | None, McReport]:
+) -> tuple[np.ndarray, np.ndarray | None, McReport]:
     """As :func:`measurement_blocks`, plus entrywise standard errors and MC stats."""
     _check_time(model, k)
     l3e = model.profile.l3_eff
@@ -234,15 +240,15 @@ def measurement_blocks_detailed(
     return _scaled(grid, model.sensor_count), None, report
 
 
-def _scaled(grid: BlockMatrix, factor: int) -> BlockMatrix:
+def _scaled(grid: np.ndarray, factor: int) -> np.ndarray:
     if factor == 1:
         return grid
-    return BlockMatrix.from_dense(grid.dense() * factor, grid.block_dim)
+    return grid * factor
 
 
 def _sampled_measurement_info(
     model: SystemModel, ks: list[int], horizon: int, est: ExpectationEstimator
-) -> tuple[dict[int, BlockMatrix], dict[int, np.ndarray], McReport]:
+) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray], McReport]:
     """Sample-mean measurement information at each requested time.
 
     Uses the measurement Jacobian at the sampled state, contracted through
@@ -306,9 +312,8 @@ def _sampled_measurement_info(
             ses[k] = np.sqrt(var / n)
         else:
             ses[k] = np.full((r, r), np.inf)
-        grid = BlockMatrix.from_dense(mean, r)
-        grid.require_finite("sampled measurement information")
-        blocks[k] = grid
+        _require_finite(mean, "sampled measurement information")
+        blocks[k] = mean
     return blocks, ses, report
 
 
@@ -339,61 +344,36 @@ def _resample_singular(model: SystemModel, states: np.ndarray, k: int,
 
 
 # ---------------------------------------------------------------------------
-# Step-block assembly
+# Frame overlay
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DBlocks:
-    """Partition of the one-step information contribution.
+def factor_frame(b: np.ndarray, c: np.ndarray, profile: CorrelationProfile) -> np.ndarray:
+    """Dense overlay of both time-``k`` factor grids on the recursion frame.
 
-    ``d11`` couples the carried past states among themselves, ``d12``/``d21``
-    couple them to the new state, and ``d22`` is the new state's own block.
-    """
+    This is the one statement of the slot layout.  With ``m = window``,
+    ``l2' = max(l2, 1)`` and ``l3' = max(l3, 1)``, slots counted from 0:
 
-    d11: BlockMatrix
-    d12: BlockMatrix
-    d21: BlockMatrix
-    d22: np.ndarray
-    case: CaseTag = field(default=CaseTag.EQUAL)
+    * the frame has ``m + 1`` slots; slot ``s`` is state ``x[k+1-m+s]``, so
+      slots ``0 .. m-1`` are the carried states and slot ``m`` is ``x[k+1]``;
+    * the transition grid ``b`` has ``l2' + 1`` slots; slot ``i`` is
+      ``x[k-l2'+1+i]`` and lands on frame slot ``m - l2' + i``;
+    * the measurement grid ``c`` has ``l3'`` slots; slot ``j`` is
+      ``x[k+2-l3'+j]`` and lands on frame slot ``m + 1 - l3' + j``.
 
-
-def factor_frame(b: BlockMatrix, c: BlockMatrix, profile: CorrelationProfile) -> np.ndarray:
-    """Dense overlay of both factor grids on the ``window+1`` state frame.
-
-    Slot ``s`` (1-based) of the frame is state ``x[k+1-(window+1)+s]``; the
-    last slot is ``x[k+1]``.  Grid indices falling outside a stored grid
-    contribute the zero block.
+    Both grids end at ``x[k+1]``, so each fills the trailing corner of the
+    frame, and frame slots before a grid's first slot get nothing from it.
     """
     m = profile.window
-    r = b.block_dim
-    b_off = profile.l2_eff - m
-    c_off = profile.l3_eff - 1 - m
+    r = b.shape[0] // (profile.l2_eff + 1)
+    b = _validated(b, profile.l2_eff + 1, r, "transition blocks")
+    c = _validated(c, profile.l3_eff, r, "measurement blocks")
     frame = np.zeros(((m + 1) * r, (m + 1) * r))
-    for s in range(1, m + 2):
-        for t in range(1, m + 2):
-            blk = b.block(s + b_off, t + b_off) + c.block(s + c_off, t + c_off)
-            frame[(s - 1) * r : s * r, (t - 1) * r : t * r] = blk
+    b_at = (m - profile.l2_eff) * r
+    c_at = (m + 1 - profile.l3_eff) * r
+    frame[b_at:, b_at:] += b
+    frame[c_at:, c_at:] += c
     return frame
-
-
-def assemble_step_blocks(case: CaseTag, b: BlockMatrix, c: BlockMatrix,
-                         profile: CorrelationProfile) -> DBlocks:
-    """Arrange factor grids into the step partition for the given layout case."""
-    if case is not profile.case:
-        raise ValueError(
-            f"case {case} does not match the profile's case {profile.case}"
-        )
-    r = b.block_dim
-    _validated(b, profile.l2_eff + 1, r, "transition blocks")
-    _validated(c, profile.l3_eff, r, "measurement blocks")
-    m = profile.window
-    frame = factor_frame(b, c, profile)
-    d11 = BlockMatrix.from_dense(frame[: m * r, : m * r], r)
-    d12 = BlockMatrix.from_dense(frame[: m * r, m * r :], r)
-    d21 = d12.blockwise_transpose()
-    d22 = frame[m * r :, m * r :].copy()
-    return DBlocks(d11=d11, d12=d12, d21=d21, d22=d22, case=case)
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +384,10 @@ def assemble_step_blocks(case: CaseTag, b: BlockMatrix, c: BlockMatrix,
 class BlockProvider:
     """Caches factor blocks for a run over ``[start, stop)``.
 
-    Time-invariant closed-form blocks are computed once; sampled measurement
-    blocks for the whole horizon come from a single trajectory batch.
+    Factor curvature is treated as time-invariant: transition blocks, and
+    measurement blocks of models without a measurement Jacobian, are
+    evaluated once at ``start``.  Sampled measurement blocks for the whole
+    horizon come from a single trajectory batch.
     """
 
     def __init__(self, model: SystemModel, est: ExpectationEstimator,
@@ -417,8 +399,8 @@ class BlockProvider:
         self.start = start
         self.stop = stop
         self.report = McReport()
-        self._b_cache: dict[int, BlockMatrix] = {}
-        self._c_cache: dict[int, BlockMatrix] = {}
+        self._b: np.ndarray | None = None
+        self._c_cache: dict[int, np.ndarray] = {}
         self._c_se: dict[int, np.ndarray] = {}
 
         sampled_c = est.mode == "monte_carlo" and model.meas_jacobian is not None
@@ -430,21 +412,19 @@ class BlockProvider:
                 self._c_cache[k] = _scaled(blocks[k], model.sensor_count)
                 self._c_se[k] = ses[k] * model.sensor_count
 
-    def blocks(self, k: int) -> tuple[BlockMatrix, BlockMatrix]:
+    def blocks(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         return self.transition(k), self.measurement(k)
 
-    def transition(self, k: int) -> BlockMatrix:
-        key = self.start if self.model.time_invariant else k
-        if key not in self._b_cache:
-            self._b_cache[key] = transition_blocks(self.model, key, self.est)
-        return self._b_cache[key]
+    def transition(self, k: int) -> np.ndarray:
+        del k  # time-invariant
+        if self._b is None:
+            self._b = transition_blocks(self.model, self.start, self.est)
+        return self._b
 
-    def measurement(self, k: int) -> BlockMatrix:
+    def measurement(self, k: int) -> np.ndarray:
         if k in self._c_cache:
             return self._c_cache[k]
-        key = k
-        if self.model.time_invariant and self.model.meas_jacobian is None:
-            key = self.start
+        key = self.start if self.model.meas_jacobian is None else k
         if key not in self._c_cache:
             grid, se, report = measurement_blocks_detailed(self.model, key, self.est)
             self.report.merge(report)

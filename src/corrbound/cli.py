@@ -271,7 +271,11 @@ def cmd_oracle_verify(args: argparse.Namespace) -> int:
     from .oracle import MAX_ORACLE_HORIZON
 
     depth = min(config.horizon, args.max_k or config.horizon)
-    k_max = min(model.start_time + depth, MAX_ORACLE_HORIZON)
+    requested = model.start_time + depth
+    k_max = min(requested, MAX_ORACLE_HORIZON)
+    if k_max < requested:
+        print(f"note: verifying up to time index {k_max} (brute-force cap), "
+              f"not the requested {requested}", file=sys.stderr)
     deviations = _oracle.verify_recursion(model, config.estimator, k_max)
     worst = 0.0
     for k in sorted(deviations):

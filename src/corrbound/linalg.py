@@ -16,6 +16,11 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
+def block_slice(slot: int, block_dim: int) -> slice:
+    """Rows (or columns) of 0-based block ``slot`` in a grid of ``block_dim`` blocks."""
+    return slice(slot * block_dim, (slot + 1) * block_dim)
+
+
 def reciprocal_condition(a: np.ndarray) -> float:
     if a.size == 0:
         return 1.0
@@ -61,12 +66,6 @@ def check_psd(a: np.ndarray, *, rel_tol: float = 1e-10, context: str = "matrix")
             f"{context} lost positive semidefiniteness "
             f"(min eigenvalue {eigs[0]:.3e}, max {eigs[-1]:.3e})"
         )
-
-
-def is_psd(a: np.ndarray, rel_tol: float = 1e-10) -> bool:
-    eigs = np.linalg.eigvalsh(symmetrize(a))
-    scale = max(float(eigs[-1]), 0.0)
-    return bool(eigs[0] >= -rel_tol * max(scale, 1.0))
 
 
 def psd_dominates(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> bool:

@@ -22,9 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from .blockmatrix import BlockMatrix
 from .errors import ConfigError, ModelBuildError
-from .linalg import psd_inverse, symmetrize
+from .linalg import block_slice, psd_inverse, symmetrize
 from .profiles import CorrelationProfile, required_prior_window
 
 Array = np.ndarray
@@ -168,15 +167,14 @@ class SystemModel:
     trans_logpdf: LogDensity
     meas_logpdf: LogDensity
     simulate: Simulator
-    analytic_b: Callable[[int], BlockMatrix] | None = None
-    analytic_c: Callable[[int], BlockMatrix] | None = None
+    analytic_b: Callable[[int], Array] | None = None
+    analytic_c: Callable[[int], Array] | None = None
     meas_jacobian: Callable[[Array], Array] | None = None
     meas_noise_information: Array | None = None
     singular_states: Callable[[Array], Array] | None = None
     linear: LinearModelInfo | None = None
     ar_model: ArApproximation | None = None
     sensor_count: int = 1
-    time_invariant: bool = True
 
     def __post_init__(self):
         expected = required_prior_window(self.profile)
@@ -277,11 +275,8 @@ class LinearConditionalSpec:
 
 
 def _transition_coefficient_grid(spec: LinearConditionalSpec) -> list[Array]:
-    """Residual gradient of the transition factor per block slot.
-
-    Slot ``i`` (1-based) corresponds to state ``x[k - l2' + i]``; the last
-    slot is ``x[k+1]`` itself.
-    """
+    """Residual gradient of the transition factor per block slot, oldest
+    state first (slot order as in :func:`corrbound.blocks.factor_frame`)."""
     l2e = spec.profile.l2_eff
     r = spec.state_dim
     coefs = []
@@ -292,11 +287,8 @@ def _transition_coefficient_grid(spec: LinearConditionalSpec) -> list[Array]:
 
 
 def _measurement_coefficient_grid(spec: LinearConditionalSpec) -> list[Array]:
-    """Residual gradient of the measurement factor per block slot.
-
-    Slot ``i`` corresponds to state ``x[k+1 - l3' + i]``; the last slot is
-    ``x[k+1]``.
-    """
+    """Residual gradient of the measurement factor per block slot, oldest
+    state first (slot order as in :func:`corrbound.blocks.factor_frame`)."""
     l3e = spec.profile.l3_eff
     coefs = []
     for i in range(1, l3e + 1):
@@ -304,26 +296,24 @@ def _measurement_coefficient_grid(spec: LinearConditionalSpec) -> list[Array]:
     return coefs
 
 
-def linear_transition_blocks(spec: LinearConditionalSpec) -> BlockMatrix:
-    coefs = _transition_coefficient_grid(spec)
+def _curvature_grid(coefs: list[Array], noise_info: Array, r: int) -> Array:
+    """Block ``(i, j)`` is ``coefs[i].T @ noise_info @ coefs[j]``."""
+    size = len(coefs)
+    grid = np.zeros((size * r, size * r))
+    for i in range(size):
+        for j in range(size):
+            grid[block_slice(i, r), block_slice(j, r)] = coefs[i].T @ noise_info @ coefs[j]
+    return grid
+
+
+def linear_transition_blocks(spec: LinearConditionalSpec) -> Array:
     q_inv = psd_inverse(np.asarray(spec.process_cov, dtype=float), context="process covariance")
-    size = len(coefs)
-    grid = BlockMatrix.zeros(size, size, spec.state_dim)
-    for i in range(size):
-        for j in range(size):
-            grid.set_block(i + 1, j + 1, coefs[i].T @ q_inv @ coefs[j])
-    return grid
+    return _curvature_grid(_transition_coefficient_grid(spec), q_inv, spec.state_dim)
 
 
-def linear_measurement_blocks(spec: LinearConditionalSpec) -> BlockMatrix:
-    coefs = _measurement_coefficient_grid(spec)
+def linear_measurement_blocks(spec: LinearConditionalSpec) -> Array:
     r_inv = psd_inverse(np.asarray(spec.meas_cov, dtype=float), context="measurement covariance")
-    size = len(coefs)
-    grid = BlockMatrix.zeros(size, size, spec.state_dim)
-    for i in range(size):
-        for j in range(size):
-            grid.set_block(i + 1, j + 1, coefs[i].T @ r_inv @ coefs[j])
-    return grid
+    return _curvature_grid(_measurement_coefficient_grid(spec), r_inv, spec.state_dim)
 
 
 def _gaussian_logpdf(residual: Array, cov_inv: Array, log_norm: float) -> float:

@@ -14,13 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import BlockProvider, ExpectationEstimator
-from .blockmatrix import BlockMatrix
 from .errors import InvariantViolationError
-from .linalg import (
-    check_psd,
-    schur_complement_keep_last,
-    symmetrize,
-)
+from .linalg import block_slice, check_psd, schur_complement_keep_last, symmetrize
 from .models import SystemModel
 
 # Building the joint costs O((k r)^3); past this horizon the recursion is the
@@ -38,14 +33,7 @@ class JointInformation:
 
     def state_block(self, i: int, j: int) -> np.ndarray:
         r = self.block_dim
-        return self.matrix[i * r : (i + 1) * r, j * r : (j + 1) * r].copy()
-
-    def history_partition(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Split into (everything before the last state, couplings, last state)."""
-        r = self.block_dim
-        cut = self.matrix.shape[0] - r
-        m = self.matrix
-        return m[:cut, :cut], m[:cut, cut:], m[cut:, :cut], m[cut:, cut:]
+        return self.matrix[block_slice(i, r), block_slice(j, r)].copy()
 
     def validate(self) -> None:
         m = self.matrix
@@ -59,11 +47,10 @@ def prior_window_information(model: SystemModel) -> np.ndarray:
     return model.prior.information()
 
 
-def _place(matrix: np.ndarray, grid: BlockMatrix, states: list[int]) -> None:
-    r = grid.block_dim
-    for a, si in enumerate(states, start=1):
-        for b, sj in enumerate(states, start=1):
-            matrix[si * r : (si + 1) * r, sj * r : (sj + 1) * r] += grid.block(a, b)
+def _place(matrix: np.ndarray, grid: np.ndarray, states: list[int], r: int) -> None:
+    """Add ``grid``, whose block slots are ``states`` in order, into the joint."""
+    rows = np.concatenate([np.arange(s * r, (s + 1) * r) for s in states])
+    matrix[np.ix_(rows, rows)] += grid
 
 
 def factor_state_indices(model: SystemModel, k: int) -> tuple[list[int], list[int]]:
@@ -74,16 +61,20 @@ def factor_state_indices(model: SystemModel, k: int) -> tuple[list[int], list[in
     return trans, meas
 
 
-def build_joint(model: SystemModel, est: ExpectationEstimator, k: int,
-                provider: BlockProvider | None = None) -> JointInformation:
-    """Joint information over ``x[0] .. x[k]`` under the factorized density."""
-    start = model.start_time
-    if k < start:
-        raise ValueError(f"horizon {k} precedes the prior window end {start}")
+def _check_horizon(model: SystemModel, k: int) -> None:
+    if k < model.start_time:
+        raise ValueError(f"horizon {k} precedes the prior window end {model.start_time}")
     if k > MAX_ORACLE_HORIZON:
         raise ValueError(
             f"horizon {k} exceeds the brute-force cap {MAX_ORACLE_HORIZON}"
         )
+
+
+def build_joint(model: SystemModel, est: ExpectationEstimator, k: int,
+                provider: BlockProvider | None = None) -> JointInformation:
+    """Joint information over ``x[0] .. x[k]`` under the factorized density."""
+    _check_horizon(model, k)
+    start = model.start_time
     r = model.state_dim
     if provider is None and k > start:
         provider = BlockProvider(model, est, start, k)
@@ -93,8 +84,8 @@ def build_joint(model: SystemModel, est: ExpectationEstimator, k: int,
     for t in range(start, k):
         b, c = provider.blocks(t)
         trans_states, meas_states = factor_state_indices(model, t)
-        _place(matrix, b, trans_states)
-        _place(matrix, c, meas_states)
+        _place(matrix, b, trans_states, r)
+        _place(matrix, c, meas_states, r)
     joint = JointInformation(horizon=k, block_dim=r, matrix=symmetrize(matrix))
     joint.validate()
     return joint
@@ -110,96 +101,13 @@ def schur_submatrix(joint: JointInformation) -> np.ndarray:
 
 def information_sequence(model: SystemModel, est: ExpectationEstimator, k_max: int,
                          provider: BlockProvider | None = None) -> dict[int, np.ndarray]:
-    """Oracle information submatrices for every time from the window end to ``k_max``.
-
-    Builds incrementally: the submatrix at time ``t`` uses the factors up to
-    ``t - 1``, which is exactly the leading part of the matrix for later
-    times.
-    """
+    """Oracle information submatrices for every time from the window end to ``k_max``."""
+    _check_horizon(model, k_max)
     start = model.start_time
-    if k_max < start:
-        raise ValueError(f"horizon {k_max} precedes the prior window end {start}")
-    if k_max > MAX_ORACLE_HORIZON:
-        raise ValueError(
-            f"horizon {k_max} exceeds the brute-force cap {MAX_ORACLE_HORIZON}"
-        )
-    r = model.state_dim
     if provider is None and k_max > start:
         provider = BlockProvider(model, est, start, k_max)
-    matrix = np.zeros(((k_max + 1) * r, (k_max + 1) * r))
-    w = model.prior.window_len
-    matrix[: w * r, : w * r] = prior_window_information(model)
-    out: dict[int, np.ndarray] = {}
-    for t in range(start, k_max + 1):
-        lead = (t + 1) * r
-        out[t] = schur_complement_keep_last(symmetrize(matrix[:lead, :lead]), r,
-                                            context="joint information")
-        if t < k_max:
-            b, c = provider.blocks(t)
-            trans_states, meas_states = factor_state_indices(model, t)
-            _place(matrix, b, trans_states)
-            _place(matrix, c, meas_states)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Partitioned-inverse utilities
-# ---------------------------------------------------------------------------
-
-
-def partitioned_inverse(a: np.ndarray, split: int) -> np.ndarray:
-    """Inverse of a partitioned matrix reconstructed from its leading block
-    and the Schur complement, as a product of triangular and block-diagonal
-    factors."""
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    a11 = a[:split, :split]
-    a12 = a[:split, split:]
-    a21 = a[split:, :split]
-    a22 = a[split:, split:]
-    a11_inv = np.linalg.inv(a11)
-    delta = a22 - a21 @ a11_inv @ a12
-    delta_inv = np.linalg.inv(delta)
-
-    upper = np.eye(n)
-    upper[:split, split:] = -a11_inv @ a12
-    middle = np.zeros((n, n))
-    middle[:split, :split] = a11_inv
-    middle[split:, split:] = delta_inv
-    lower = np.eye(n)
-    lower[split:, :split] = -a21 @ a11_inv
-    return upper @ middle @ lower
-
-
-def contract_through_inverse(b_row: np.ndarray, a: np.ndarray, c_col: np.ndarray,
-                             split: int) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate ``B A^{-1} C`` directly and through the partitioned identity.
-
-    Returns both values; they agree whenever ``A`` and its leading block are
-    invertible, which property tests exercise.
-    """
-    b_row = np.atleast_2d(np.asarray(b_row, dtype=float))
-    c_col = np.asarray(c_col, dtype=float)
-    if c_col.ndim == 1:
-        c_col = c_col[:, None]
-    a = np.asarray(a, dtype=float)
-
-    direct = b_row @ np.linalg.solve(a, c_col)
-
-    b1 = b_row[:, :split]
-    b2 = b_row[:, split:]
-    c1 = c_col[:split, :]
-    c2 = c_col[split:, :]
-    a11 = a[:split, :split]
-    a12 = a[:split, split:]
-    a21 = a[split:, :split]
-    a22 = a[split:, split:]
-    a11_inv = np.linalg.inv(a11)
-    delta = a22 - a21 @ a11_inv @ a12
-    factored = b1 @ a11_inv @ c1 + (b2 - b1 @ a11_inv @ a12) @ np.linalg.solve(
-        delta, c2 - a21 @ a11_inv @ c1
-    )
-    return direct, factored
+    return {t: schur_submatrix(build_joint(model, est, t, provider))
+            for t in range(start, k_max + 1)}
 
 
 # ---------------------------------------------------------------------------

@@ -2,37 +2,28 @@
 
 The carried matrix summarizes, at time ``k``, everything the past contributes
 to the information about the last ``window`` states.  One step folds in the
-time-``k`` transition and measurement factors, emits the information
-submatrix for the new state, and advances the carry by marginalizing the
-state that dropped out of the window.
+time-``k`` transition and measurement factors, advances the carry by
+marginalizing the state that dropped out of the window, and emits the
+information submatrix for the new state.
 """
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockmatrix import BlockMatrix
-from .blocks import (
-    BlockProvider,
-    DBlocks,
-    ExpectationEstimator,
-    assemble_step_blocks,
-    factor_frame,
-)
+from .blocks import BlockProvider, ExpectationEstimator, factor_frame
 from .errors import InvariantViolationError
 from .linalg import (
     check_psd,
     psd_inverse,
-    psd_solve,
     schur_complement_keep_last,
     schur_complement_remove_first,
     symmetrize,
 )
 from .models import SystemModel
-from .profiles import CaseTag, CorrelationProfile
+from .profiles import CorrelationProfile
 
 PSD_REL_TOL = 1e-10
 
@@ -42,19 +33,20 @@ class RecursionState:
     """Everything needed to advance the recursion one step."""
 
     k: int
-    case: CaseTag
-    carry: BlockMatrix
+    carry: np.ndarray
     profile: CorrelationProfile
 
     def validate(self) -> None:
         m = self.profile.window
-        if self.carry.rows != m or self.carry.cols != m:
+        n = self.carry.shape[0]
+        if self.carry.shape != (n, n) or n % m:
             raise InvariantViolationError(
-                f"carry grid {self.carry.rows}x{self.carry.cols} != window {m}"
+                f"carry shape {self.carry.shape} is not a {m}x{m} block grid"
             )
-        if not self.carry.is_block_symmetric(tol=1e-12):
+        scale = max(float(np.max(np.abs(self.carry))), 1.0)
+        if np.max(np.abs(self.carry - self.carry.T)) > 1e-12 * scale:
             raise InvariantViolationError("carry matrix is not symmetric")
-        check_psd(self.carry.dense(), rel_tol=PSD_REL_TOL, context="carry matrix")
+        check_psd(self.carry, rel_tol=PSD_REL_TOL, context="carry matrix")
 
 
 @dataclass(frozen=True)
@@ -71,8 +63,6 @@ class PCRBTrace:
     """Per-step information submatrices and the bounds they imply."""
 
     entries: list[TraceEntry] = field(default_factory=list)
-    wall_time_s: float = 0.0
-    mc_samples: int = 0
     mc_resampled: int = 0
 
     def __len__(self) -> int:
@@ -87,9 +77,6 @@ class PCRBTrace:
 
     def component_bound_sqrt(self, component: int) -> np.ndarray:
         return np.array([e.bound_sqrt_diag[component] for e in self.entries])
-
-    def infos(self) -> np.ndarray:
-        return np.stack([e.info for e in self.entries])
 
 
 def trace_entry(step: int, time_index: int, info: np.ndarray) -> TraceEntry:
@@ -124,236 +111,36 @@ def init_state(model: SystemModel, est: ExpectationEstimator | None = None) -> R
     r = model.state_dim
     joint = oracle.prior_window_information(model)
     carry_dense = schur_complement_keep_last(joint, m * r, context="prior window")
-    state = RecursionState(
-        k=model.start_time,
-        case=profile.case,
-        carry=BlockMatrix.from_dense(symmetrize(carry_dense), r),
-        profile=profile,
-    )
+    state = RecursionState(k=model.start_time, carry=symmetrize(carry_dense), profile=profile)
     state.validate()
     return state
 
 
-def initial_information(model: SystemModel) -> np.ndarray:
-    """Information submatrix for the last prior-window state (before any step)."""
-    from . import oracle
-
-    joint = oracle.prior_window_information(model)
-    return schur_complement_keep_last(joint, model.state_dim, context="prior window")
-
-
 # ---------------------------------------------------------------------------
-# Unified step
+# Step
 # ---------------------------------------------------------------------------
 
 
-def step(state: RecursionState, b: BlockMatrix, c: BlockMatrix
+def step(state: RecursionState, b: np.ndarray, c: np.ndarray
          ) -> tuple[np.ndarray, RecursionState]:
     """Advance one step with the time-``k`` factor blocks.
 
     Returns the information submatrix for the new state and the updated
-    recursion state.
+    recursion state.  Eliminating the state that leaves the window from the
+    frame gives the new carry over ``x[k+2-window] .. x[k+1]``; by the
+    quotient property of Schur complements, the information submatrix of
+    ``x[k+1]`` is then the Schur complement of the new carry's last block.
     """
     profile = state.profile
-    m = profile.window
-    r = state.carry.block_dim
-    d = assemble_step_blocks(state.case, b, c, profile)
-
-    gram = d.d11.dense() + state.carry.dense()
-    j_next = symmetrize(
-        d.d22 - d.d21.dense() @ psd_solve(gram, d.d12.dense(), context="step gram matrix")
-    )
-    check_psd(j_next, rel_tol=PSD_REL_TOL, context="information submatrix")
-
-    # The carry update marginalizes the state leaving the window out of the
-    # same factor overlay, shifted back one step.
+    r = state.carry.shape[0] // profile.window
     frame = factor_frame(b, c, profile)
-    frame[: m * r, : m * r] += state.carry.dense()
+    frame[:-r, :-r] += state.carry
     carry_next = schur_complement_remove_first(frame, r, context="carry pivot")
-    new_state = RecursionState(
-        k=state.k + 1,
-        case=state.case,
-        carry=BlockMatrix.from_dense(symmetrize(carry_next), r),
-        profile=profile,
-    )
+    j_next = schur_complement_keep_last(carry_next, r, context="information pivot")
+    check_psd(j_next, rel_tol=PSD_REL_TOL, context="information submatrix")
+    new_state = RecursionState(k=state.k + 1, carry=carry_next, profile=profile)
     new_state.validate()
     return j_next, new_state
-
-
-# ---------------------------------------------------------------------------
-# Specialized steps (independently coded reductions, used for cross-checks)
-# ---------------------------------------------------------------------------
-
-
-def _solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    return psd_solve(a, rhs, context="specialized-step pivot")
-
-
-def step_cross_correlated(state: RecursionState, b: BlockMatrix, c: BlockMatrix
-                          ) -> tuple[np.ndarray, RecursionState]:
-    """Step for backward cross-correlated measurement noise only (l1=l2=l4=0)."""
-    p = state.profile
-    if not (p.l1 == 0 and p.l2 == 0 and p.l4 == 0):
-        raise ValueError("cross-correlated path requires a profile (0, 0, l, 0)")
-    lag = p.l3
-    e = state.carry
-    r = e.block_dim
-
-    if lag <= 1:
-        pivot = e.block(1, 1) + b.block(1, 1)
-        e_new = b.block(2, 2) + c.block(1, 1) - b.block(2, 1) @ _solve(pivot, b.block(1, 2))
-        d11 = b.block(1, 1)
-        d21 = b.block(2, 1)
-        d22 = b.block(2, 2) + c.block(1, 1)
-        j_next = symmetrize(d22 - d21 @ _solve(d11 + e.block(1, 1), d21.T))
-        carry = BlockMatrix.from_dense(symmetrize(e_new), r)
-    elif lag == 2:
-        pivot = e.block(1, 1) + b.block(1, 1) + c.block(1, 1)
-        left = b.block(2, 1) + c.block(2, 1)
-        right = b.block(1, 2) + c.block(1, 2)
-        e_new = c.block(2, 2) + b.block(2, 2) - left @ _solve(pivot, right)
-        d11 = b.block(1, 1) + c.block(1, 1)
-        d21 = b.block(2, 1) + c.block(2, 1)
-        d22 = b.block(2, 2) + c.block(2, 2)
-        j_next = symmetrize(d22 - d21 @ _solve(d11 + e.block(1, 1), d21.T))
-        carry = BlockMatrix.from_dense(symmetrize(e_new), r)
-    else:
-        size = lag - 1
-        pivot = e.block(1, 1) + c.block(1, 1)
-        carry = BlockMatrix.zeros(size, size, r)
-        for i in range(1, size + 1):
-            left = e.block(i + 1, 1) + c.block(i + 1, 1)
-            for j in range(1, size + 1):
-                right = e.block(1, j + 1) + c.block(1, j + 1)
-                val = (
-                    e.block(i + 1, j + 1)
-                    + b.block(i + 3 - lag, j + 3 - lag)
-                    + c.block(i + 1, j + 1)
-                    - left @ _solve(pivot, right)
-                )
-                carry.set_block(i, j, val)
-        carry = carry.symmetrized()
-        d11 = BlockMatrix.zeros(size, size, r)
-        for i in range(1, size + 1):
-            for j in range(1, size + 1):
-                extra = b.block(i + 2 - lag, j + 2 - lag)
-                d11.set_block(i, j, c.block(i, j) + extra)
-        d21 = np.hstack([
-            c.block(lag, j) + b.block(2, j + 2 - lag) for j in range(1, size + 1)
-        ])
-        d22 = c.block(lag, lag) + b.block(2, 2)
-        gram = d11.dense() + e.dense()
-        j_next = symmetrize(d22 - d21 @ _solve(gram, d21.T))
-
-    check_psd(j_next, rel_tol=PSD_REL_TOL, context="information submatrix")
-    new_state = RecursionState(state.k + 1, state.case, carry, p)
-    return j_next, new_state
-
-
-def step_autocorrelated_process(state: RecursionState, b: BlockMatrix, c: BlockMatrix
-                                ) -> tuple[np.ndarray, RecursionState]:
-    """Step for auto-correlated process noise only (l1=l3=l4=0)."""
-    p = state.profile
-    if not (p.l1 == 0 and p.l3 == 0 and p.l4 == 0):
-        raise ValueError("auto-correlated-process path requires a profile (0, l, 0, 0)")
-    l2e = p.l2_eff
-    e = state.carry
-    r = e.block_dim
-
-    pivot = e.block(1, 1) + b.block(1, 1)
-    carry = BlockMatrix.zeros(l2e, l2e, r)
-    for i in range(1, l2e + 1):
-        left = e.block(i + 1, 1) + b.block(i + 1, 1)
-        for j in range(1, l2e + 1):
-            right = e.block(1, j + 1) + b.block(1, j + 1)
-            val = (
-                e.block(i + 1, j + 1)
-                + c.block(i + 1 - l2e, j + 1 - l2e)
-                + b.block(i + 1, j + 1)
-                - left @ _solve(pivot, right)
-            )
-            carry.set_block(i, j, val)
-    carry = carry.symmetrized()
-
-    d11 = BlockMatrix.zeros(l2e, l2e, r)
-    for i in range(1, l2e + 1):
-        for j in range(1, l2e + 1):
-            d11.set_block(i, j, b.block(i, j))
-    d21 = np.hstack([b.block(l2e + 1, j) for j in range(1, l2e + 1)])
-    d22 = b.block(l2e + 1, l2e + 1) + c.block(1, 1)
-    gram = d11.dense() + e.dense()
-    j_next = symmetrize(d22 - d21 @ _solve(gram, d21.T))
-    check_psd(j_next, rel_tol=PSD_REL_TOL, context="information submatrix")
-    return j_next, RecursionState(state.k + 1, state.case, carry, p)
-
-
-def step_process_lag2(state: RecursionState, b: BlockMatrix, c: BlockMatrix
-                      ) -> tuple[np.ndarray, RecursionState]:
-    """Simplified two-lag auto-correlated-process step (explicit 2x2 carry update)."""
-    p = state.profile
-    if not (p.l1 == 0 and p.l3 == 0 and p.l4 == 0 and p.l2 == 2):
-        raise ValueError("simplified path requires a profile (0, 2, 0, 0)")
-    e = state.carry
-    r = e.block_dim
-    pivot = e.block(1, 1) + b.block(1, 1)
-    left = e.block(2, 1) + b.block(2, 1)
-
-    e11 = e.block(2, 2) + b.block(2, 2) - left @ _solve(pivot, left.T)
-    e12 = b.block(2, 3) - left @ _solve(pivot, b.block(1, 3))
-    e22 = (
-        b.block(3, 3) + c.block(1, 1)
-        - b.block(3, 1) @ _solve(pivot, b.block(1, 3))
-    )
-    carry = BlockMatrix.zeros(2, 2, r)
-    carry.set_block(1, 1, e11)
-    carry.set_block(1, 2, e12)
-    carry.set_block(2, 1, e12.T)
-    carry.set_block(2, 2, e22)
-    carry = carry.symmetrized()
-
-    d11 = np.block([
-        [b.block(1, 1), b.block(1, 2)],
-        [b.block(2, 1), b.block(2, 2)],
-    ])
-    d21 = np.hstack([b.block(3, 1), b.block(3, 2)])
-    d22 = b.block(3, 3) + c.block(1, 1)
-    j_next = symmetrize(d22 - d21 @ _solve(d11 + state.carry.dense(), d21.T))
-    check_psd(j_next, rel_tol=PSD_REL_TOL, context="information submatrix")
-    return j_next, RecursionState(state.k + 1, state.case, carry, p)
-
-
-def step_autocorrelated_measurement(j_k: np.ndarray, d: DBlocks) -> np.ndarray:
-    """Step for auto-correlated measurement noise only: the carry is the
-    information submatrix itself."""
-    gram = d.d11.dense() + j_k
-    return symmetrize(
-        d.d22 - d.d21.dense() @ psd_solve(gram, d.d12.dense(), context="step gram matrix")
-    )
-
-
-def step_autocorrelated_measurement_state(state: RecursionState, b: BlockMatrix,
-                                          c: BlockMatrix) -> tuple[np.ndarray, RecursionState]:
-    """State-threaded wrapper around :func:`step_autocorrelated_measurement`."""
-    p = state.profile
-    if not (p.l2 == 0 and p.l3 == 0 and p.l4 == 0):
-        raise ValueError("measurement-only path requires a profile (l, 0, 0, 0)")
-    r = state.carry.block_dim
-    d11 = BlockMatrix.from_dense(b.block(1, 1), r)
-    d12 = BlockMatrix.from_dense(b.block(1, 2), r)
-    d = DBlocks(d11=d11, d12=d12, d21=d12.blockwise_transpose(),
-                d22=b.block(2, 2) + c.block(1, 1), case=state.case)
-    j_next = step_autocorrelated_measurement(state.carry.block(1, 1), d)
-    check_psd(j_next, rel_tol=PSD_REL_TOL, context="information submatrix")
-    carry = BlockMatrix.from_dense(j_next, r)
-    return j_next, RecursionState(state.k + 1, state.case, carry, p)
-
-
-def classical_step(j_k: np.ndarray, b: BlockMatrix, c: BlockMatrix) -> np.ndarray:
-    """Uncorrelated-noise information step (white process and measurement noise)."""
-    d11 = b.block(1, 1)
-    d12 = b.block(1, 2)
-    d22 = b.block(2, 2) + c.block(1, 1)
-    return symmetrize(d22 - d12.T @ psd_solve(d11 + j_k, d12, context="classical gram"))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +154,6 @@ def run(model: SystemModel, est: ExpectationEstimator, horizon: int,
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     stepper = stepper or step
-    started = _time.perf_counter()
     state = init_state(model, est)
     start = state.k
     if provider is None:
@@ -377,7 +163,5 @@ def run(model: SystemModel, est: ExpectationEstimator, horizon: int,
         b, c = provider.blocks(state.k)
         info, state = stepper(state, b, c)
         trace.entries.append(trace_entry(s, state.k, info))
-    trace.wall_time_s = _time.perf_counter() - started
-    trace.mc_samples = provider.report.samples
     trace.mc_resampled = provider.report.resampled
     return trace

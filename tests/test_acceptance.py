@@ -13,6 +13,14 @@ import corrbound as cb
 from corrbound import oracle
 from corrbound.blocks import measurement_blocks, measurement_blocks_detailed
 from conftest import CASE_SPANNING_PROFILES, max_trace_deviation, random_linear_model
+from reference_steps import (
+    classical_step,
+    contract_through_inverse,
+    partitioned_inverse,
+    step_autocorrelated_measurement_state,
+    step_autocorrelated_process,
+    step_cross_correlated,
+)
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -57,13 +65,13 @@ def test_criterion_2_reduction_to_classical():
     for seed in range(10):
         model = random_linear_model(cb.CorrelationProfile(), 2, 2, 4000 + seed)
         unified = cb.run(model, est, 20)
-        special = cb.run(model, est, 20, stepper=cb.step_autocorrelated_measurement_state)
+        special = cb.run(model, est, 20, stepper=step_autocorrelated_measurement_state)
         worst = max(worst, max_trace_deviation(unified, special))
         b = transition_blocks(model, 0, est)
         c = measurement_blocks(model, 0, est)
         j = np.linalg.inv(model.prior.covariances[0])
         for entry in unified.entries:
-            j = cb.classical_step(j, b, c)
+            j = classical_step(j, b, c)
             scale = max(np.max(np.abs(entry.info)), 1.0)
             worst = max(worst, float(np.max(np.abs(j - entry.info))) / scale)
     _verdict("criterion 2: reduction to the classical recursion",
@@ -78,17 +86,17 @@ def test_criterion_3_specialized_paths_cross_validate():
         model = random_linear_model(cb.CorrelationProfile(0, 0, lag, 0), 2, 2, 5000 + lag)
         worst = max(worst, max_trace_deviation(
             cb.run(model, est, 20),
-            cb.run(model, est, 20, stepper=cb.step_cross_correlated)))
+            cb.run(model, est, 20, stepper=step_cross_correlated)))
     for lag in (0, 1, 2):
         model = random_linear_model(cb.CorrelationProfile(0, lag, 0, 0), 2, 2, 5100 + lag)
         worst = max(worst, max_trace_deviation(
             cb.run(model, est, 20),
-            cb.run(model, est, 20, stepper=cb.step_autocorrelated_process)))
+            cb.run(model, est, 20, stepper=step_autocorrelated_process)))
     for lag in (0, 1, 2):
         model = random_linear_model(cb.CorrelationProfile(lag, 0, 0, 0), 2, 2, 5200 + lag)
         worst = max(worst, max_trace_deviation(
             cb.run(model, est, 20),
-            cb.run(model, est, 20, stepper=cb.step_autocorrelated_measurement_state)))
+            cb.run(model, est, 20, stepper=step_autocorrelated_measurement_state)))
     _verdict("criterion 3: specialized paths match the unified recursion",
              worst < 1e-12, f"worst rel dev {worst:.2e}")
 
@@ -140,7 +148,7 @@ def test_criterion_6_monte_carlo_soundness(example2):
         measurement_blocks(
             example2, k,
             cb.ExpectationEstimator(mode="monte_carlo", sample_count=100_000, seed=s),
-        ).dense()
+        )
         for s in range(20)
     ]
     arr = np.stack(estimates)
@@ -155,7 +163,7 @@ def test_criterion_6_monte_carlo_soundness(example2):
     c_small, se_small, _ = measurement_blocks_detailed(example2, k, est_small)
     c_big, se_big, _ = measurement_blocks_detailed(example2, k, est_big)
     combined = np.sqrt(se_small**2 + se_big**2)
-    diff = np.abs(c_small.dense() - c_big.dense())
+    diff = np.abs(c_small - c_big)
     within_se = bool(np.all(diff[combined > 0] <= 3.0 * combined[combined > 0]))
 
     trace = cb.run(example2, est_small, 40)
@@ -180,7 +188,7 @@ def test_criterion_7_partitioned_matrix_identities():
         split = int(rng.integers(1, n))
         a = rng.normal(size=(n, n))
         spd = a @ a.T + 0.5 * np.eye(n)
-        reconstructed = cb.partitioned_inverse(spd, split)
+        reconstructed = partitioned_inverse(spd, split)
         direct = np.linalg.inv(spd)
         worst = max(worst, float(np.max(np.abs(reconstructed - direct)))
                     / max(1.0, float(np.max(np.abs(direct)))))
@@ -191,7 +199,7 @@ def test_criterion_7_partitioned_matrix_identities():
         spd = a @ a.T + 0.5 * np.eye(n)
         b = rng.normal(size=(2, n))
         c = rng.normal(size=(n, 2))
-        direct, factored = cb.contract_through_inverse(b, spd, c, split)
+        direct, factored = contract_through_inverse(b, spd, c, split)
         worst = max(worst, float(np.max(np.abs(direct - factored)))
                     / max(1.0, float(np.max(np.abs(direct)))))
     _verdict("criterion 7: partitioned-matrix identities",

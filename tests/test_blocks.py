@@ -3,27 +3,29 @@ import pytest
 
 import corrbound as cb
 from corrbound.blocks import (
-    assemble_step_blocks,
+    factor_frame,
     measurement_blocks,
     measurement_blocks_detailed,
     transition_blocks,
     _resample_singular,
 )
 from corrbound.errors import InvariantViolationError, ModelBuildError
+from corrbound.linalg import symmetrize
 from conftest import random_linear_model
+from reference_steps import block
 
 
 def test_scalar_transition_block():
     # Random walk with unit process noise: curvature [[1, -1], [-1, 1]].
     model = cb.simple_scalar_model()
     b = transition_blocks(model, 0, cb.ExpectationEstimator())
-    assert np.allclose(b.dense(), np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    assert np.allclose(b, np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
 def test_scalar_measurement_block():
     model = cb.simple_scalar_model()
     c = measurement_blocks(model, 0, cb.ExpectationEstimator())
-    assert np.allclose(c.dense(), np.array([[1.0]]))
+    assert np.allclose(c, np.array([[1.0]]))
 
 
 def test_analytic_mode_requires_closed_form(example2):
@@ -34,27 +36,28 @@ def test_analytic_mode_requires_closed_form(example2):
 def test_analytic_blocks_are_psd(example1, analytic_est):
     for grid in (transition_blocks(example1, 2, analytic_est),
                  measurement_blocks(example1, 2, analytic_est)):
-        eigs = np.linalg.eigvalsh(grid.dense())
+        eigs = np.linalg.eigvalsh(grid)
         assert eigs[0] >= -1e-10 * max(eigs[-1], 1.0)
-        assert grid.is_block_symmetric(tol=1e-12)
+        scale = max(float(np.max(np.abs(grid))), 1.0)
+        assert np.max(np.abs(grid - grid.T)) <= 1e-12 * scale
 
 
 def test_monte_carlo_matches_analytic_for_linear(example1):
     # Per-sample curvature of a linear-Gaussian factor is constant, so the
     # sample mean reproduces the closed form.
     est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=100_000, seed=1)
-    b_mc = transition_blocks(example1, 2, est).dense()
-    b = transition_blocks(example1, 2, cb.ExpectationEstimator()).dense()
+    b_mc = transition_blocks(example1, 2, est)
+    b = transition_blocks(example1, 2, cb.ExpectationEstimator())
     assert np.max(np.abs(b_mc - b)) / np.max(np.abs(b)) < 1e-2
 
 
 def test_finite_difference_mc_matches_analytic(example1):
     est = cb.ExpectationEstimator(mode="finite_difference_mc", sample_count=40, seed=3)
-    b_fd = transition_blocks(example1, 2, est).dense()
-    b = transition_blocks(example1, 2, cb.ExpectationEstimator()).dense()
+    b_fd = transition_blocks(example1, 2, est)
+    b = transition_blocks(example1, 2, cb.ExpectationEstimator())
     assert np.max(np.abs(b_fd - b)) / np.max(np.abs(b)) < 1e-6
-    c_fd = measurement_blocks(example1, 2, est).dense()
-    c = measurement_blocks(example1, 2, cb.ExpectationEstimator()).dense()
+    c_fd = measurement_blocks(example1, 2, est)
+    c = measurement_blocks(example1, 2, cb.ExpectationEstimator())
     assert np.max(np.abs(c_fd - c)) / np.max(np.abs(c)) < 1e-6
 
 
@@ -67,18 +70,27 @@ def test_non_finite_curvature_is_an_error():
         transition_blocks(broken, 0, est)
 
 
+def test_non_finite_grid_is_rejected(example1, analytic_est):
+    import dataclasses
+    grid = transition_blocks(example1, 2, analytic_est).copy()
+    grid[1, 2] = np.inf
+    broken = dataclasses.replace(example1, analytic_b=lambda k: grid)
+    with pytest.raises(InvariantViolationError, match="non-finite"):
+        transition_blocks(broken, 2, analytic_est)
+
+
 def test_mc_seed_determinism_and_sensitivity(example2):
     est = lambda seed, workers=1: cb.ExpectationEstimator(  # noqa: E731
         mode="monte_carlo", sample_count=50_000, seed=seed, workers=workers,
         chunk_size=16_384,
     )
-    a = measurement_blocks(example2, 5, est(7)).dense()
-    b = measurement_blocks(example2, 5, est(7)).dense()
+    a = measurement_blocks(example2, 5, est(7))
+    b = measurement_blocks(example2, 5, est(7))
     assert np.array_equal(a, b)
     # Bit-identical regardless of worker count.
-    c = measurement_blocks(example2, 5, est(7, workers=4)).dense()
+    c = measurement_blocks(example2, 5, est(7, workers=4))
     assert np.array_equal(a, c)
-    d = measurement_blocks(example2, 5, est(8)).dense()
+    d = measurement_blocks(example2, 5, est(8))
     assert not np.allclose(a, d, rtol=1e-12, atol=0.0)
 
 
@@ -89,7 +101,7 @@ def test_mc_error_scales_as_root_n(example2):
     ref = measurement_blocks(
         example2, k,
         cb.ExpectationEstimator(mode="monte_carlo", sample_count=400_000, seed=999),
-    ).dense()
+    )
 
     def mean_error(n, seeds):
         errs = []
@@ -97,7 +109,7 @@ def test_mc_error_scales_as_root_n(example2):
             c = measurement_blocks(
                 example2, k,
                 cb.ExpectationEstimator(mode="monte_carlo", sample_count=n, seed=s),
-            ).dense()
+            )
             errs.append(np.linalg.norm(c - ref))
         return float(np.mean(errs))
 
@@ -134,21 +146,21 @@ def test_singularity_resampling_reported():
     est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=64, seed=0)
     grid, _, report = measurement_blocks_detailed(model, model.start_time, est)
     assert report.resampled >= 1
-    grid.require_finite()
+    assert np.all(np.isfinite(grid))
 
 
 # ---------------------------------------------------------------------------
-# Step-block assembly
+# Frame overlay
 # ---------------------------------------------------------------------------
 
 
 def test_assembly_equal_case_layout(example1, analytic_est):
     b = transition_blocks(example1, 2, analytic_est)
     c = measurement_blocks(example1, 2, analytic_est)
-    d = assemble_step_blocks(cb.CaseTag.EQUAL, b, c, example1.profile)
-    assert np.allclose(d.d11.dense(), b.block(1, 1) + c.block(1, 1))
-    assert np.allclose(d.d12.dense(), b.block(1, 2) + c.block(1, 2))
-    assert np.allclose(d.d22, b.block(2, 2) + c.block(2, 2))
+    frame = factor_frame(b, c, example1.profile)
+    assert np.allclose(frame[:2, :2], block(b, 1, 1, 2) + block(c, 1, 1, 2))
+    assert np.allclose(frame[:2, 2:], block(b, 1, 2, 2) + block(c, 1, 2, 2))
+    assert np.allclose(frame[2:, 2:], block(b, 2, 2, 2) + block(c, 2, 2, 2))
 
 
 def test_assembly_less_case_layout(example2, analytic_est):
@@ -157,42 +169,41 @@ def test_assembly_less_case_layout(example2, analytic_est):
         example2, 2,
         cb.ExpectationEstimator(mode="monte_carlo", sample_count=2_000, seed=0),
     )
-    d = assemble_step_blocks(cb.CaseTag.LESS, b, c, example2.profile)
-    assert np.allclose(d.d22, b.block(3, 3) + c.block(1, 1))
-    assert np.allclose(d.d21.dense(), np.hstack([b.block(3, 1), b.block(3, 2)]))
+    frame = factor_frame(b, c, example2.profile)
+    assert np.allclose(frame[8:, 8:], block(b, 3, 3, 4) + block(c, 1, 1, 4))
+    assert np.allclose(frame[8:, :8], np.hstack([block(b, 3, 1, 4), block(b, 3, 2, 4)]))
     expected_d11 = np.block([
-        [b.block(1, 1), b.block(1, 2)],
-        [b.block(2, 1), b.block(2, 2)],
+        [block(b, 1, 1, 4), block(b, 1, 2, 4)],
+        [block(b, 2, 1, 4), block(b, 2, 2, 4)],
     ])
-    assert np.allclose(d.d11.dense(), expected_d11)
+    assert np.allclose(frame[:8, :8], expected_d11)
 
 
 def test_assembly_uncorrelated_layout(analytic_est):
     model = cb.simple_scalar_model()
     b = transition_blocks(model, 0, analytic_est)
     c = measurement_blocks(model, 0, analytic_est)
-    d = assemble_step_blocks(cb.CaseTag.LESS, b, c, model.profile)
-    assert np.allclose(d.d11.dense(), b.block(1, 1))
-    assert np.allclose(d.d21.dense(), b.block(2, 1))
-    assert np.allclose(d.d22, b.block(2, 2) + c.block(1, 1))
+    frame = factor_frame(b, c, model.profile)
+    assert np.allclose(frame[:1, :1], block(b, 1, 1, 1))
+    assert np.allclose(frame[1:, :1], block(b, 2, 1, 1))
+    assert np.allclose(frame[1:, 1:], block(b, 2, 2, 1) + block(c, 1, 1, 1))
 
 
 def test_assembly_transpose_exact():
+    # The overlay adds no asymmetry of its own: exactly symmetric grids give
+    # a new-state coupling row that is the exact transpose of its column.
     for p, seed in [((0, 0, 3, 0), 11), ((1, 1, 2, 1), 12), ((0, 2, 0, 0), 13)]:
         profile = cb.CorrelationProfile(*p)
         model = random_linear_model(profile, 2, 2, seed)
         est = cb.ExpectationEstimator()
-        b = transition_blocks(model, model.start_time, est)
-        c = measurement_blocks(model, model.start_time, est)
-        d = assemble_step_blocks(profile.case, b, c, profile)
-        assert np.array_equal(d.d21.dense(), d.d12.dense().T)
+        b = symmetrize(transition_blocks(model, model.start_time, est))
+        c = symmetrize(measurement_blocks(model, model.start_time, est))
+        frame = factor_frame(b, c, profile)
+        assert np.array_equal(frame[-2:, :-2], frame[:-2, -2:].T)
 
 
 def test_assembly_rejects_mismatches(example1, analytic_est):
-    b = transition_blocks(example1, 2, analytic_est)
     c = measurement_blocks(example1, 2, analytic_est)
-    with pytest.raises(ValueError):
-        assemble_step_blocks(cb.CaseTag.LESS, b, c, example1.profile)
-    wrong = cb.BlockMatrix.zeros(3, 3, 2)
+    wrong = np.zeros((6, 6))
     with pytest.raises(ModelBuildError):
-        assemble_step_blocks(cb.CaseTag.EQUAL, wrong, c, example1.profile)
+        factor_frame(wrong, c, example1.profile)

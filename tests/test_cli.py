@@ -139,18 +139,36 @@ def test_oracle_verify_ok(capsys):
 def test_oracle_verify_detects_corruption(monkeypatch, capsys):
     import corrbound.blocks as blocks_mod
     import corrbound.recursion as rec_mod
-    original = blocks_mod.assemble_step_blocks
+    original = blocks_mod.factor_frame
 
-    def corrupted(case, b, c, profile):
-        d = original(case, b, c, profile)
-        import dataclasses
-        return dataclasses.replace(d, d22=d.d22 * 1.01)
+    def corrupted(b, c, profile):
+        frame = original(b, c, profile)
+        r = b.shape[0] // (profile.l2_eff + 1)
+        frame[-r:, -r:] *= 1.01
+        return frame
 
-    # The recursion sees corrupted step blocks, the reference does not.
-    monkeypatch.setattr(rec_mod, "assemble_step_blocks", corrupted)
+    # The recursion sees a corrupted new-state block, the reference does not.
+    monkeypatch.setattr(rec_mod, "factor_frame", corrupted)
     code = run_cli(["oracle-verify", "--model", "example1", "--horizon", "6"])
     assert code != 0
     assert "FAIL" in capsys.readouterr().err
+
+
+def test_oracle_verify_notes_clamped_horizon(capsys):
+    # example1 starts at time index 2, so 24 steps would end at 26.
+    assert run_cli(["oracle-verify", "--model", "example1", "--horizon", "24"]) == 0
+    captured = capsys.readouterr()
+    assert "k=24 " in captured.out and "k=25 " not in captured.out
+    notes = [line for line in captured.err.splitlines() if line.startswith("note:")]
+    assert len(notes) == 1
+    assert "24" in notes[0] and "26" in notes[0]
+
+
+def test_oracle_verify_unclamped_has_no_note(capsys):
+    assert run_cli(["oracle-verify", "--model", "example1", "--horizon", "8"]) == 0
+    captured = capsys.readouterr()
+    assert "k=10 " in captured.out
+    assert captured.err == ""
 
 
 def test_sensors_command(tmp_path, capsys):

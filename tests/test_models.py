@@ -58,13 +58,13 @@ def test_sampler_deterministic_given_seed(example2):
 def _fd_block_check(model, grid_ref, point_hessian_args, tol):
     stacked0, f = point_hessian_args
     fd = -finite_difference_hessian(f, stacked0)
-    ref = grid_ref.dense()
+    ref = grid_ref
     return np.max(np.abs(fd - ref)) / np.max(np.abs(ref)) < tol
 
 
 def test_fd_matches_analytic_transition_example1(example1):
     est = cb.ExpectationEstimator()
-    ref = transition_blocks(example1, 2, est).dense()
+    ref = transition_blocks(example1, 2, est)
     batch = example1.simulate(8, 10, np.random.default_rng(0))
     k = 3
     for s in range(10):
@@ -81,7 +81,7 @@ def test_fd_matches_analytic_transition_example1(example1):
 
 def test_fd_matches_analytic_measurement_example1(example1):
     est = cb.ExpectationEstimator()
-    ref = measurement_blocks(example1, 2, est).dense()
+    ref = measurement_blocks(example1, 2, est)
     batch = example1.simulate(8, 10, np.random.default_rng(1))
     k = 3
     for s in range(10):
@@ -109,7 +109,7 @@ def test_fd_matches_analytic_transition_planar_cv():
                              transition=f_mat)
     model = cb.build_example2(prior=prior)
     est = cb.ExpectationEstimator()
-    ref = transition_blocks(model, 2, est).dense()
+    ref = transition_blocks(model, 2, est)
     batch = model.simulate(8, 10, np.random.default_rng(2))
     k = 3
     for s in range(10):
@@ -127,7 +127,7 @@ def test_fd_matches_analytic_transition_planar_cv():
 
 def test_fd_default_scale_sanity(example2):
     est = cb.ExpectationEstimator()
-    ref = transition_blocks(example2, 2, est).dense()
+    ref = transition_blocks(example2, 2, est)
     batch = example2.simulate(6, 3, np.random.default_rng(3))
     k = 3
     for s in range(3):

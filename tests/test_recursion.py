@@ -5,6 +5,14 @@ import corrbound as cb
 from corrbound.blocks import BlockProvider, measurement_blocks, transition_blocks
 from corrbound.errors import SingularMatrixError
 from conftest import max_trace_deviation, random_linear_model
+from reference_steps import (
+    classical_step,
+    step_autocorrelated_measurement,
+    step_autocorrelated_measurement_state,
+    step_autocorrelated_process,
+    step_cross_correlated,
+    step_process_lag2,
+)
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -13,7 +21,7 @@ def test_init_state_scalar():
     model = cb.simple_scalar_model()
     state = cb.init_state(model)
     assert state.k == 0
-    assert np.allclose(state.carry.dense(), [[1.0]])
+    assert np.allclose(state.carry, [[1.0]])
 
 
 def test_init_state_matches_prior_reduction(example1):
@@ -25,14 +33,13 @@ def test_init_state_matches_prior_reduction(example1):
     joint = oracle.prior_window_information(example1)
     from corrbound.linalg import schur_complement_keep_last
     expected = schur_complement_keep_last(joint, 2)
-    assert np.max(np.abs(state.carry.dense() - expected)) < 1e-10
+    assert np.max(np.abs(state.carry - expected)) < 1e-10
 
 
 def test_init_state_example2_shape(example2):
     state = cb.init_state(example2)
-    assert state.carry.rows == 2 and state.carry.cols == 2
-    assert state.carry.block_dim == 4
-    eigs = np.linalg.eigvalsh(state.carry.dense())
+    assert state.carry.shape == (8, 8)  # two carried 4-state blocks
+    eigs = np.linalg.eigvalsh(state.carry)
     assert eigs[0] > 0
 
 
@@ -63,8 +70,8 @@ def test_singular_step_reports_condition():
     model = cb.simple_scalar_model()
     est = cb.ExpectationEstimator()
     state = cb.init_state(model)
-    state.carry.set_block(1, 1, np.array([[0.0]]))
-    b = cb.BlockMatrix.from_dense(np.zeros((2, 2)), 1)  # no transition coupling
+    state.carry[0, 0] = 0.0
+    b = np.zeros((2, 2))  # no transition coupling
     c = measurement_blocks(model, 0, est)
     with pytest.raises(SingularMatrixError):
         cb.step(state, b, c)
@@ -77,7 +84,7 @@ def test_step_symmetry_exact(example1, analytic_est):
         b, c = provider.blocks(state.k)
         info, state = cb.step(state, b, c)
         assert np.array_equal(info, info.T)
-        assert np.array_equal(state.carry.dense(), state.carry.dense().T)
+        assert np.array_equal(state.carry, state.carry.T)
 
 
 def test_trace_invariants(example1, analytic_est):
@@ -107,14 +114,14 @@ def test_uncorrelated_paths_coincide():
     for seed in range(10):
         model = random_linear_model(cb.CorrelationProfile(), 2, 2, 500 + seed)
         unified = cb.run(model, est, 20)
-        special = cb.run(model, est, 20, stepper=cb.step_autocorrelated_measurement_state)
+        special = cb.run(model, est, 20, stepper=step_autocorrelated_measurement_state)
         assert max_trace_deviation(unified, special) < 1e-12
 
         b = transition_blocks(model, 0, est)
         c = measurement_blocks(model, 0, est)
         j = np.linalg.inv(model.prior.covariances[0])
         for entry in unified.entries:
-            j = cb.classical_step(j, b, c)
+            j = classical_step(j, b, c)
             scale = max(np.max(np.abs(entry.info)), 1.0)
             assert np.max(np.abs(j - entry.info)) / scale < 1e-12
 
@@ -124,7 +131,7 @@ def test_cross_correlated_path_matches_unified(lag):
     est = cb.ExpectationEstimator()
     model = random_linear_model(cb.CorrelationProfile(0, 0, lag, 0), 2, 2, 600 + lag)
     unified = cb.run(model, est, 20)
-    special = cb.run(model, est, 20, stepper=cb.step_cross_correlated)
+    special = cb.run(model, est, 20, stepper=step_cross_correlated)
     assert max_trace_deviation(unified, special) < 1e-12
 
 
@@ -133,7 +140,7 @@ def test_autocorrelated_process_path_matches_unified(lag):
     est = cb.ExpectationEstimator()
     model = random_linear_model(cb.CorrelationProfile(0, lag, 0, 0), 2, 2, 700 + lag)
     unified = cb.run(model, est, 20)
-    special = cb.run(model, est, 20, stepper=cb.step_autocorrelated_process)
+    special = cb.run(model, est, 20, stepper=step_autocorrelated_process)
     assert max_trace_deviation(unified, special) < 1e-12
 
 
@@ -142,25 +149,22 @@ def test_autocorrelated_measurement_path_matches_unified(lag):
     est = cb.ExpectationEstimator()
     model = random_linear_model(cb.CorrelationProfile(lag, 0, 0, 0), 2, 2, 800 + lag)
     unified = cb.run(model, est, 20)
-    special = cb.run(model, est, 20, stepper=cb.step_autocorrelated_measurement_state)
+    special = cb.run(model, est, 20, stepper=step_autocorrelated_measurement_state)
     assert max_trace_deviation(unified, special) < 1e-12
 
 
 def test_measurement_only_step_raw_form():
     # No coupling between steps: the new information is exactly d22.
     r = 2
-    d11 = cb.BlockMatrix.from_dense(np.eye(r), r)
-    d12 = cb.BlockMatrix.from_dense(np.zeros((r, r)), r)
-    d = cb.DBlocks(d11=d11, d12=d12, d21=d12.blockwise_transpose(),
-                   d22=np.diag([3.0, 4.0]), case=cb.CaseTag.LESS)
-    out = cb.step_autocorrelated_measurement(np.eye(r), d)
+    out = step_autocorrelated_measurement(np.eye(r), np.eye(r), np.zeros((r, r)),
+                                          np.diag([3.0, 4.0]))
     assert np.allclose(out, np.diag([3.0, 4.0]))
 
 
 def test_simplified_two_lag_path_matches_general(example2):
     est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=5_000, seed=4)
-    general = cb.run(example2, est, 12, stepper=cb.step_autocorrelated_process)
-    simplified = cb.run(example2, est, 12, stepper=cb.step_process_lag2)
+    general = cb.run(example2, est, 12, stepper=step_autocorrelated_process)
+    simplified = cb.run(example2, est, 12, stepper=step_process_lag2)
     unified = cb.run(example2, est, 12)
     assert max_trace_deviation(general, simplified) < 1e-12
     assert max_trace_deviation(general, unified) < 1e-12
