@@ -33,7 +33,6 @@ from .models import (
     build_linear_model,
     default_prior,
     model_from_config,
-    replicate_sensors,
 )
 from .oracle import (
     JointInformation,
@@ -52,7 +51,7 @@ from .profiles import (
     select_case,
 )
 from .recursion import PCRBTrace, RecursionState, TraceEntry, init_state, run, step
-from .selection import SensorSweepResult, SweepPoint, min_sensors, replicated_family, sweep
+from .selection import SensorSweepResult, SweepPoint, min_sensors, sweep
 
 __version__ = "0.1.0"
 
@@ -96,8 +95,6 @@ __all__ = [
     "pcrb_augmented",
     "pcrb_ignore_correlation",
     "pcrb_prewhiten",
-    "replicate_sensors",
-    "replicated_family",
     "required_prior_window",
     "run",
     "schur_submatrix",

@@ -226,24 +226,18 @@ def measurement_blocks_detailed(
                 f"model '{model.name}' has no closed-form measurement blocks"
             )
         grid = _validated(model.analytic_c(k), l3e, model.state_dim, "measurement blocks")
-        return _scaled(grid, model.sensor_count), None, report
+        return grid, None, report
     if est.mode == "monte_carlo":
         if model.meas_jacobian is not None:
             blocks, se, report = _sampled_measurement_info(model, [k], k + 1, est)
-            return _scaled(blocks[k], model.sensor_count), se[k] * model.sensor_count, report
+            return blocks[k], se[k], report
         if model.analytic_c is not None:
             grid = _validated(model.analytic_c(k), l3e, model.state_dim,
                               "measurement blocks")
-            return _scaled(grid, model.sensor_count), None, report
+            return grid, None, report
     grid = _fd_mc_grid(model, k, est, _measurement_point_hessian, l3e)
     report.samples = est.sample_count
-    return _scaled(grid, model.sensor_count), None, report
-
-
-def _scaled(grid: np.ndarray, factor: int) -> np.ndarray:
-    if factor == 1:
-        return grid
-    return grid * factor
+    return grid, None, report
 
 
 def _sampled_measurement_info(
@@ -377,12 +371,12 @@ def factor_frame(b: np.ndarray, c: np.ndarray, profile: CorrelationProfile) -> n
 
 
 # ---------------------------------------------------------------------------
-# Block provider (per-run cache)
+# Block provider
 # ---------------------------------------------------------------------------
 
 
 class BlockProvider:
-    """Caches factor blocks for a run over ``[start, stop)``.
+    """Caches factor blocks over ``[start, stop)``; several runs may share one.
 
     Factor curvature is treated as time-invariant: transition blocks, and
     measurement blocks of models without a measurement Jacobian, are
@@ -408,9 +402,8 @@ class BlockProvider:
             ks = list(range(start, stop))
             blocks, ses, report = _sampled_measurement_info(model, ks, stop, est)
             self.report.merge(report)
-            for k in ks:
-                self._c_cache[k] = _scaled(blocks[k], model.sensor_count)
-                self._c_se[k] = ses[k] * model.sensor_count
+            self._c_cache.update(blocks)
+            self._c_se.update(ses)
 
     def blocks(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         return self.transition(k), self.measurement(k)

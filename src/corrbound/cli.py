@@ -20,7 +20,7 @@ from .blocks import ESTIMATOR_MODES, ExpectationEstimator
 from .errors import ConfigError, ModelBuildError, NumericalError
 from .models import SystemModel, model_from_config
 from .recursion import PCRBTrace, run
-from .selection import min_sensors, replicated_family, sweep
+from .selection import min_sensors, sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -83,6 +83,12 @@ def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
         raise ConfigError(f"{path}: unknown field(s) {sorted(unknown)!r}")
 
 
+def _int_field(value, field: str, minimum: int = 1) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ConfigError(f"{field}: expected an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def _build_config(args: argparse.Namespace) -> RunConfig:
     data: dict = {}
     if getattr(args, "config", None):
@@ -121,7 +127,10 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     if mode != "analytic" and seed is None:
         raise ConfigError("estimator.seed: required whenever sampling is active")
     estimator = ExpectationEstimator(
-        mode=mode, sample_count=int(samples), seed=int(seed or 0), workers=int(workers)
+        mode=mode,
+        sample_count=_int_field(samples, "estimator.samples"),
+        seed=0 if seed is None else _int_field(seed, "estimator.seed", minimum=0),
+        workers=_int_field(workers, "estimator.workers"),
     )
 
     out_data = data.get("output", {})
@@ -138,8 +147,9 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     horizon = data.get("horizon", 40)
     if getattr(args, "horizon", None) is not None:
         horizon = args.horizon
-    if not isinstance(horizon, int) or horizon < 1:
-        raise ConfigError("horizon: expected a positive integer")
+    _int_field(horizon, "horizon")
+    if getattr(args, "max_k", None) is not None:
+        _int_field(args.max_k, "--max-k")
 
     baseline_raw = data.get("baselines", [])
     if getattr(args, "baselines", None):
@@ -154,8 +164,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     component = data.get("component", 0)
     if getattr(args, "component", None) is not None:
         component = args.component
-    if not isinstance(component, int) or component < 0:
-        raise ConfigError("component: expected a nonnegative integer")
+    _int_field(component, "component", minimum=0)
 
     sweep_data = data.get("sweep", {})
     _check_keys(sweep_data, _SWEEP_KEYS, "config.sweep")
@@ -165,6 +174,10 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         max_sensors = args.max_m
     if getattr(args, "target", None) is not None:
         target = args.target
+    _int_field(max_sensors, "sweep.max_sensors (--max-m)")
+    if target is not None and (not isinstance(target, (int, float))
+                               or isinstance(target, bool)):
+        raise ConfigError(f"sweep.target: expected a number, got {target!r}")
 
     return RunConfig(
         model_config=model_config,
@@ -295,7 +308,7 @@ def cmd_sensors(args: argparse.Namespace) -> int:
     config = _build_config(args)
     model = _build_model(config)
     result = sweep(
-        replicated_family(model),
+        model,
         config.max_sensors,
         horizon=config.horizon,
         component=config.component,

@@ -17,7 +17,7 @@ derivatives.
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -174,7 +174,6 @@ class SystemModel:
     singular_states: Callable[[Array], Array] | None = None
     linear: LinearModelInfo | None = None
     ar_model: ArApproximation | None = None
-    sensor_count: int = 1
 
     def __post_init__(self):
         expected = required_prior_window(self.profile)
@@ -188,32 +187,11 @@ class SystemModel:
                 f"model '{self.name}': prior state dim {self.prior.state_dim} "
                 f"!= state_dim {self.state_dim}"
             )
-        if self.sensor_count < 1:
-            raise ModelBuildError("sensor_count must be >= 1")
 
     @property
     def start_time(self) -> int:
         """First time index at which the factor conditionals are fully defined."""
         return self.prior.window_len - 1
-
-
-def replicate_sensors(model: SystemModel, count: int) -> SystemModel:
-    """View of ``model`` with ``count`` independent identical sensors.
-
-    Each replica carries its own copy of the measurement noise process, so
-    the expected measurement curvature scales linearly with the replica
-    count while the transition side is untouched.
-    """
-    if count < 1:
-        raise ModelBuildError("sensor count must be >= 1")
-    if count == 1:
-        return model
-    return replace(
-        model,
-        name=f"{model.name}x{count}",
-        meas_dim=model.meas_dim * count,
-        sensor_count=model.sensor_count * count,
-    )
 
 
 # ---------------------------------------------------------------------------

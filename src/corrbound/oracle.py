@@ -42,11 +42,6 @@ class JointInformation:
         check_psd(m, rel_tol=1e-9, context="joint information matrix")
 
 
-def prior_window_information(model: SystemModel) -> np.ndarray:
-    """Joint information of the prior window alone (no dynamics factors)."""
-    return model.prior.information()
-
-
 def _place(matrix: np.ndarray, grid: np.ndarray, states: list[int], r: int) -> None:
     """Add ``grid``, whose block slots are ``states`` in order, into the joint."""
     rows = np.concatenate([np.arange(s * r, (s + 1) * r) for s in states])
@@ -80,7 +75,7 @@ def build_joint(model: SystemModel, est: ExpectationEstimator, k: int,
         provider = BlockProvider(model, est, start, k)
     matrix = np.zeros(((k + 1) * r, (k + 1) * r))
     w = model.prior.window_len
-    matrix[: w * r, : w * r] = prior_window_information(model)
+    matrix[: w * r, : w * r] = model.prior.information()
     for t in range(start, k):
         b, c = provider.blocks(t)
         trans_states, meas_states = factor_state_indices(model, t)

@@ -95,7 +95,7 @@ def trace_entry(step: int, time_index: int, info: np.ndarray) -> TraceEntry:
 # ---------------------------------------------------------------------------
 
 
-def init_state(model: SystemModel, est: ExpectationEstimator | None = None) -> RecursionState:
+def init_state(model: SystemModel) -> RecursionState:
     """Carry matrix at the model's start time, from the prior window.
 
     The joint information of the prior window is reduced to the trailing
@@ -103,13 +103,10 @@ def init_state(model: SystemModel, est: ExpectationEstimator | None = None) -> R
     what the full-horizon construction would produce before any dynamics
     factor is applied.
     """
-    from . import oracle  # local import; oracle builds on blocks/recursion-free parts
-
-    del est  # the Gaussian prior needs no sampling
     profile = model.profile
     m = profile.window
     r = model.state_dim
-    joint = oracle.prior_window_information(model)
+    joint = model.prior.information()
     carry_dense = schur_complement_keep_last(joint, m * r, context="prior window")
     state = RecursionState(k=model.start_time, carry=symmetrize(carry_dense), profile=profile)
     state.validate()
@@ -154,7 +151,7 @@ def run(model: SystemModel, est: ExpectationEstimator, horizon: int,
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     stepper = stepper or step
-    state = init_state(model, est)
+    state = init_state(model)
     start = state.k
     if provider is None:
         provider = BlockProvider(model, est, start, start + horizon)

@@ -1,22 +1,22 @@
 """Sensor-count sweeps over the averaged position bound.
 
-A model family maps a sensor count to a model; by default a count of ``m``
-means ``m`` independent replicas of the single-sensor measurement, each with
-its own noise process, so measurement information scales linearly in ``m``.
+A count of ``m`` means ``m`` independent replicas of the model's single
+sensor, each with its own measurement-noise process, so measurement
+information scales linearly in ``m``.  The sweep samples the single-sensor
+blocks once and states that rule in one place: its stepper multiplies the
+measurement blocks by ``m``.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .blocks import ExpectationEstimator
+from .blocks import BlockProvider, ExpectationEstimator
 from .errors import InvariantViolationError
-from .models import SystemModel, replicate_sensors
-from .recursion import run
+from .models import SystemModel
+from .recursion import run, step
 
 DEFAULT_AVERAGE_WINDOW = 40
 
@@ -41,40 +41,32 @@ class SensorSweepResult:
         return np.array([p.sensors for p in self.points])
 
 
-def replicated_family(model: SystemModel) -> Callable[[int], SystemModel]:
-    return lambda m: replicate_sensors(model, m)
-
-
-def sweep(model_family: Callable[[int], SystemModel], m_max: int,
-          horizon: int = DEFAULT_AVERAGE_WINDOW, component: int = 0,
-          est: ExpectationEstimator | None = None) -> SensorSweepResult:
+def sweep(model: SystemModel, m_max: int, horizon: int = DEFAULT_AVERAGE_WINDOW,
+          component: int = 0, est: ExpectationEstimator | None = None
+          ) -> SensorSweepResult:
     """Average root bound of one state component versus sensor count.
 
     The average runs over all recursion steps of the horizon.  The averaged
     bound must decrease strictly with the sensor count (information adds
-    across independent sensors); a violation indicates a broken family.
+    across independent sensors); a violation indicates a model whose sensor
+    carries no information.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
+    if component >= model.state_dim:
+        raise ValueError(
+            f"component {component} out of range for state dim {model.state_dim}"
+        )
     est = est or ExpectationEstimator()
+    provider = BlockProvider(model, est, model.start_time, model.start_time + horizon)
 
-    def one(m: int) -> SweepPoint:
-        model = model_family(m)
-        if component >= model.state_dim:
-            raise ValueError(
-                f"component {component} out of range for state dim {model.state_dim}"
-            )
-        trace = run(model, est, horizon)
+    points = []
+    for m in range(1, m_max + 1):
+        trace = run(model, est, horizon, provider=provider,
+                    stepper=lambda state, b, c: step(state, b, m * c))
         series = trace.component_bound_sqrt(component)
-        return SweepPoint(sensors=m, avg_bound=float(series.mean()),
-                          final_bound=float(series[-1]))
-
-    counts = list(range(1, m_max + 1))
-    if est.workers > 1 and len(counts) > 1:
-        with ThreadPoolExecutor(max_workers=est.workers) as pool:
-            points = list(pool.map(one, counts))
-    else:
-        points = [one(m) for m in counts]
+        points.append(SweepPoint(sensors=m, avg_bound=float(series.mean()),
+                                 final_bound=float(series[-1])))
 
     for prev, nxt in zip(points, points[1:]):
         if not nxt.avg_bound < prev.avg_bound:

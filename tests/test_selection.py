@@ -1,13 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import corrbound as cb
+from corrbound import selection
 from corrbound.errors import InvariantViolationError
 
 
 def test_sweep_monotone_and_m1_matches_run(example1, analytic_est):
-    result = cb.sweep(cb.replicated_family(example1), 6, horizon=20,
-                      component=0, est=analytic_est)
+    result = cb.sweep(example1, 6, horizon=20, component=0, est=analytic_est)
     bounds = result.avg_bounds()
     assert np.all(np.diff(bounds) < 0)
     trace = cb.run(example1, analytic_est, 20)
@@ -15,9 +17,36 @@ def test_sweep_monotone_and_m1_matches_run(example1, analytic_est):
     assert result.points[0].avg_bound == pytest.approx(expected, rel=1e-12)
 
 
-def test_sweep_rejects_flat_family(example1, analytic_est):
+def test_sweep_rejects_flat_family(analytic_est):
+    # A sensor with zero gain adds no information, however many replicas.
+    spec = cb.LinearConditionalSpec(
+        profile=cb.CorrelationProfile(),
+        state_coeffs=(np.array([[1.0]]),),
+        process_cov=np.array([[1.0]]),
+        meas_state_coeffs=(np.array([[0.0]]),),
+        meas_cov=np.array([[1.0]]),
+    )
+    blind = cb.build_linear_model(spec, name="zero_gain")
     with pytest.raises(InvariantViolationError):
-        cb.sweep(lambda m: example1, 3, horizon=10, est=analytic_est)
+        cb.sweep(blind, 3, horizon=10, est=analytic_est)
+
+
+def test_sweep_samples_once(example2):
+    calls = []
+
+    def counted(horizon, count, rng):
+        calls.append(count)
+        return example2.simulate(horizon, count, rng)
+
+    model = dataclasses.replace(example2, simulate=counted)
+    est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=2_000, seed=3,
+                                  chunk_size=1_000)
+    cb.run(model, est, 5)
+    per_run = len(calls)
+    assert per_run == 2  # one batch per chunk
+    calls.clear()
+    cb.sweep(model, 4, horizon=5, est=est)
+    assert len(calls) == per_run
 
 
 def test_min_sensors_threshold_queries():
@@ -37,18 +66,24 @@ def test_two_sensor_stack_matches_full_horizon_reference():
     assert max(deviations.values()) < 1e-8
 
 
-def test_replica_and_stack_traces_agree(example1, analytic_est):
-    replica = cb.replicate_sensors(example1, 2)
-    stacked = cb.build_example1_stacked(2)
-    t_rep = cb.run(replica, analytic_est, 15)
-    t_stk = cb.run(stacked, analytic_est, 15)
-    for a, b in zip(t_rep.entries, t_stk.entries):
-        assert np.max(np.abs(a.info - b.info)) / np.max(np.abs(a.info)) < 1e-12
+def test_replica_and_stack_traces_agree(example1, analytic_est, monkeypatch):
+    traces = []
+
+    def recording_run(*args, **kwargs):
+        traces.append(cb.run(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(selection, "run", recording_run)
+    cb.sweep(example1, 4, horizon=15, est=analytic_est)
+    assert len(traces) == 4
+    for m, t_rep in enumerate(traces, start=1):
+        t_stk = cb.run(cb.build_example1_stacked(m), analytic_est, 15)
+        for a, b in zip(t_rep.entries, t_stk.entries, strict=True):
+            assert np.max(np.abs(a.info - b.info)) / np.max(np.abs(a.info)) < 1e-12
 
 
 def test_sweep_component_bounds(example1, analytic_est):
     with pytest.raises(ValueError):
-        cb.sweep(cb.replicated_family(example1), 2, horizon=5, component=5,
-                 est=analytic_est)
+        cb.sweep(example1, 2, horizon=5, component=5, est=analytic_est)
     with pytest.raises(ValueError):
-        cb.sweep(cb.replicated_family(example1), 0, horizon=5, est=analytic_est)
+        cb.sweep(example1, 0, horizon=5, est=analytic_est)
