@@ -263,7 +263,6 @@ def _sampled_measurement_info(
     noise_info = symmetrize(np.asarray(model.meas_noise_information, dtype=float))
     report = McReport(samples=est.sample_count)
     sums = {k: np.zeros((r, r)) for k in ks}
-    sq_sums = {k: np.zeros((r, r)) for k in ks}
 
     sizes = _chunk_sizes(est.sample_count, est.chunk_size)
 
@@ -272,16 +271,17 @@ def _sampled_measurement_info(
         rng = _chunk_rng(est.seed, _PURPOSE_SAMPLE, c)
         batch = model.simulate(horizon, size, rng)
         chunk_sums = {}
-        chunk_sq = {}
+        chunk_m2 = {}
         resampled = 0
         for k in ks:
             states = batch.states[:, k + 1, :].copy()
             resampled += _resample_singular(model, states, k, est.seed, c)
             jac = model.meas_jacobian(states)
-            per = np.einsum("nia,ij,njb->nab", jac, noise_info, jac)
+            per = (jac.transpose(0, 2, 1) @ noise_info) @ jac
             chunk_sums[k] = per.sum(axis=0)
-            chunk_sq[k] = (per ** 2).sum(axis=0)
-        return chunk_sums, chunk_sq, resampled
+            dev = per - chunk_sums[k] / size
+            chunk_m2[k] = np.einsum("nab,nab->ab", dev, dev)
+        return chunk_sums, chunk_m2, resampled
 
     tasks = list(enumerate(sizes))
     if est.workers > 1 and len(tasks) > 1:
@@ -290,24 +290,28 @@ def _sampled_measurement_info(
     else:
         results = [run_chunk(t) for t in tasks]
     # Fixed reduction order: chunk index order, independent of worker count.
-    for chunk_sums, chunk_sq, resampled in results:
+    for chunk_sums, _, resampled in results:
         report.resampled += resampled
         for k in ks:
             sums[k] += chunk_sums[k]
-            sq_sums[k] += chunk_sq[k]
 
     n = est.sample_count
     blocks = {}
     ses = {}
     for k in ks:
-        mean = symmetrize(sums[k] / n)
+        mean = sums[k] / n
         if n > 1:
-            var = np.maximum(sq_sums[k] / n - (sums[k] / n) ** 2, 0.0) * n / (n - 1)
-            ses[k] = np.sqrt(var / n)
+            # Squared deviations about the overall mean, summed from each
+            # chunk's deviations about its own mean; the one-pass
+            # E[x^2] - E[x]^2 loses most digits when the spread is small.
+            m2 = np.zeros((r, r))
+            for size, (chunk_sums, chunk_m2, _) in zip(sizes, results):
+                m2 += chunk_m2[k] + size * (chunk_sums[k] / size - mean) ** 2
+            ses[k] = np.sqrt(m2 / (n - 1) / n)
         else:
             ses[k] = np.full((r, r), np.inf)
-        _require_finite(mean, "sampled measurement information")
-        blocks[k] = mean
+        blocks[k] = symmetrize(mean)
+        _require_finite(blocks[k], "sampled measurement information")
     return blocks, ses, report
 
 

@@ -105,6 +105,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         model_config = dict(alias)
     if model_config is None:
         raise ConfigError("no model given: pass --model or a config file with a 'model' entry")
+    if not isinstance(model_config, dict):
+        raise ConfigError(f"model: expected an object, got {model_config!r}")
 
     est_data = data.get("estimator", {})
     _check_keys(est_data, _ESTIMATOR_KEYS, "config.estimator")
@@ -154,8 +156,10 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     baseline_raw = data.get("baselines", [])
     if getattr(args, "baselines", None):
         baseline_raw = [b.strip() for b in args.baselines.split(",") if b.strip()]
+    if not isinstance(baseline_raw, list):
+        raise ConfigError(f"baselines: expected a list of names, got {baseline_raw!r}")
     for b in baseline_raw:
-        if b not in _baselines.BASELINES:
+        if not isinstance(b, str) or b not in _baselines.BASELINES:
             raise ConfigError(
                 f"baselines: unknown baseline {b!r} "
                 f"(choose from {sorted(_baselines.BASELINES)})"

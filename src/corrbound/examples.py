@@ -282,27 +282,25 @@ def build_example2(dt: float = 3.0, psd: float = 10.0,
     def simulate(horizon: int, count: int, rng: np.random.Generator) -> TrajectoryBatch:
         length = horizon + 1
         window = prior.sample(count, rng)
-        # White seeds ws[j] for j = -1..length-1.
-        ws = rng.standard_normal((count, length + 1, 4)) @ chol_q.T
+        # White seeds ws[j] for j = -1..length-1, held time-major so that each
+        # time slice is contiguous; seeds[j + 1] is ws[j].
+        seeds = rng.standard_normal((count, length + 1, 4)) @ chol_q.T
+        seeds = np.ascontiguousarray(seeds.transpose(1, 0, 2))
 
-        def w_seed(j):
-            return ws[:, j + 1] if j >= -1 else np.zeros((count, 4))
-
-        states = np.zeros((count, length, 4))
-        states[:, : min(w, length)] = window[:, :length]
+        # The model checks that the prior window is 3, so k - 2 >= 0 below.
+        states = np.zeros((length, count, 4))
+        states[: min(w, length)] = window[:, :length].transpose(1, 0, 2)
         for k in range(w - 1, length - 1):
-            states[:, k + 1] = (
-                states[:, k] @ f.T + w_seed(k) + w_seed(k - 1) + w_seed(k - 2)
-            )
-        vnoise = rng.standard_normal((count, length, 2)) @ chol_s2.T
-        meas = range_azimuth(states) + vnoise
+            states[k + 1] = states[k] @ f.T + seeds[k + 1] + seeds[k] + seeds[k - 1]
+        # trans_shift[k] = -ws[k-3] = -seeds[k-2]; zero while k - 3 < -1.
+        trans_shift = np.zeros((length, count, 4))
+        np.negative(seeds[:-3], out=trans_shift[2:])
+        del seeds
 
-        trans_shift = np.zeros((count, length, 4))
-        for k in range(length):
-            trans_shift[:, k] = -w_seed(k - 3)
+        states = states.transpose(1, 0, 2)  # (count, time, r) views from here on
+        meas = range_azimuth(states) + rng.standard_normal((count, length, 2)) @ chol_s2.T
         meas_shift = np.zeros((count, length, 2))
-        extras = {"process_noise": ws[:, 1:] + ws[:, :-1]}  # partial sum, diagnostics only
-        return TrajectoryBatch(states, meas, trans_shift, meas_shift, extras)
+        return TrajectoryBatch(states, meas, trans_shift.transpose(1, 0, 2), meas_shift)
 
     return SystemModel(
         name="example2",

@@ -416,7 +416,10 @@ def _require_keys(obj: dict, allowed: set[str], path: str) -> None:
 
 
 def _as_matrix(value, rows: int, cols: int, path: str) -> Array:
-    arr = np.asarray(value, dtype=float)
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path}: expected a {rows}x{cols} matrix of numbers")
     if arr.shape == (rows * cols,):
         arr = arr.reshape(rows, cols)
     if arr.shape != (rows, cols):
@@ -461,6 +464,8 @@ def model_from_config(config: dict) -> SystemModel:
     if kind == "builtin_example1":
         _require_keys(config, {"kind", "ma_coeff"}, "model")
         ma = config.get("ma_coeff", 0.2)
+        if not isinstance(ma, (int, float)) or isinstance(ma, bool) or not np.isfinite(ma):
+            raise ConfigError(f"model.ma_coeff: expected a finite number, got {ma!r}")
         return examples.build_example1(ma_coeff=float(ma))
     if kind == "builtin_example2":
         _require_keys(config, {"kind"}, "model")

@@ -1,13 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import corrbound as cb
 from corrbound.blocks import (
+    _PURPOSE_SAMPLE,
+    _chunk_rng,
+    _chunk_sizes,
+    _resample_singular,
+    _sampled_measurement_info,
     factor_frame,
     measurement_blocks,
     measurement_blocks_detailed,
     transition_blocks,
-    _resample_singular,
 )
 from corrbound.errors import InvariantViolationError, ModelBuildError
 from corrbound.linalg import symmetrize
@@ -117,6 +123,42 @@ def test_mc_error_scales_as_root_n(example2):
     e_large = mean_error(4_000, range(450, 470))
     ratio = e_small / e_large
     assert 1.2 <= ratio <= 1.7
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("resample", [False, True])
+def test_sampled_information_matches_per_sample_loop(example2, workers, resample):
+    # Mean and standard error of J' Lambda J, recomputed sample by sample
+    # over the same drawn (and redrawn) states, with an uneven last chunk.
+    model = example2
+    if resample:
+        # Flags about 30% of all states, redraws included, at every step.
+        model = dataclasses.replace(example2, singular_states=lambda s: s[:, 0] % 1.0 < 0.3)
+    est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=200, seed=5,
+                                  workers=workers, chunk_size=64)
+    horizon = 8
+    ks = list(range(model.start_time, horizon))
+    blocks, ses, report = _sampled_measurement_info(model, ks, horizon, est)
+
+    lam = np.asarray(model.meas_noise_information)
+    per = {k: [] for k in ks}
+    replaced = 0
+    for c, size in enumerate(_chunk_sizes(est.sample_count, est.chunk_size)):
+        batch = model.simulate(horizon, size, _chunk_rng(est.seed, _PURPOSE_SAMPLE, c))
+        for k in ks:
+            states = batch.states[:, k + 1, :].copy()
+            replaced += _resample_singular(model, states, k, est.seed, c)
+            jac = model.meas_jacobian(states)
+            per[k] += [jac[s].T @ lam @ jac[s] for s in range(size)]
+    assert report.samples == 200
+    assert report.resampled == replaced
+    assert (replaced > 0) == resample
+    for k in ks:
+        p = np.array(per[k])
+        mean = p.mean(axis=0)
+        se = p.std(axis=0, ddof=1) / np.sqrt(len(p))
+        assert np.max(np.abs(blocks[k] - mean)) <= 1e-13 * np.max(np.abs(mean))
+        assert np.max(np.abs(ses[k] - se)) <= 1e-13 * np.max(se)
 
 
 def test_singularity_resampling_counted(example2):

@@ -90,6 +90,16 @@ def test_malformed_config_names_field(tmp_path, capsys):
     ("run", [], {"estimator": {"seed": "x"}}, "estimator.seed"),
     ("run", ["--seed", "-1"], None, "estimator.seed"),
     ("oracle-verify", ["--max-k", "0"], None, "--max-k"),
+    ("compare", [], {"baselines": 5}, "baselines"),
+    ("compare", [], {"model": ["x"]}, "model"),
+    ("compare", [], {"model": {"kind": "builtin_example1", "ma_coeff": "x"}},
+     "model.ma_coeff"),
+    ("compare", [], {"model": {
+        "kind": "linear_gaussian_ma", "state_dim": 1, "meas_dim": 1,
+        "lags": {"l1": 0, "l2": 1, "l3": 0, "l4": 0},
+        "transition_coeffs": [[["x"]]], "process_cov": [[1.0]],
+        "measurement_state_coeffs": [[[1.0]]], "measurement_cov": [[1.0]],
+    }}, "model.transition_coeffs[0]"),
 ])
 def test_bad_field_is_config_error(tmp_path, capsys, command, extra, config, field):
     args = [command, *extra, "--horizon", "3"]

@@ -1,14 +1,20 @@
 import numpy as np
+import pytest
 
 import corrbound as cb
-from corrbound.blocks import measurement_blocks, transition_blocks
+from corrbound.blocks import (
+    _PURPOSE_RESAMPLE,
+    _chunk_rng,
+    measurement_blocks,
+    transition_blocks,
+)
 from corrbound.examples import (
     kinematic_matrices,
     planar_cv_matrices,
     range_azimuth,
     range_azimuth_jacobian,
 )
-from corrbound.linalg import psd_inverse
+from corrbound.linalg import psd_inverse, symmetrize
 from reference_steps import block
 
 
@@ -91,6 +97,55 @@ def test_example2_analytic_transition_blocks(example2, analytic_est):
     assert np.allclose(block(b, 3, 3, 4), q_inv)
     assert np.allclose(block(b, 2, 2, 4), (eye + f).T @ q_inv @ (eye + f))
     assert np.allclose(block(b, 1, 2, 4), -f.T @ q_inv @ (eye + f))
+
+
+def sample_major_example2_simulator(prior: cb.GaussianPrior):
+    """The default example2 sampler written sample-major, one step at a time."""
+    f, q = planar_cv_matrices()
+    chol_q = np.linalg.cholesky(symmetrize(q))
+    chol_s2 = np.linalg.cholesky(np.diag([50.0 ** 2, 0.01 ** 2]))
+    w = prior.window_len
+
+    def simulate(horizon, count, rng):
+        length = horizon + 1
+        window = prior.sample(count, rng)
+        ws = rng.standard_normal((count, length + 1, 4)) @ chol_q.T  # ws[j], j >= -1
+
+        def w_seed(j):
+            return ws[:, j + 1] if j >= -1 else np.zeros((count, 4))
+
+        states = np.zeros((count, length, 4))
+        states[:, : min(w, length)] = window[:, :length]
+        for k in range(w - 1, length - 1):
+            states[:, k + 1] = (
+                states[:, k] @ f.T + w_seed(k) + w_seed(k - 1) + w_seed(k - 2)
+            )
+        vnoise = rng.standard_normal((count, length, 2)) @ chol_s2.T
+        meas = range_azimuth(states) + vnoise
+        trans_shift = np.zeros((count, length, 4))
+        for k in range(length):
+            trans_shift[:, k] = -w_seed(k - 3)
+        meas_shift = np.zeros((count, length, 2))
+        return cb.TrajectoryBatch(states, meas, trans_shift, meas_shift)
+
+    return simulate
+
+
+@pytest.mark.parametrize("horizon, count, substream", [
+    (1, 5, (0,)),  # horizon below the three-state prior window
+    (2, 3, (1,)),
+    (40, 1, (2,)),
+    (12, 257, (3,)),
+    (6, 3, (_PURPOSE_RESAMPLE, 5, 1, 0)),  # a redraw: simulate(k + 1, bad, rng)
+])
+def test_example2_sampler_matches_sample_major_reference(example2, horizon, count, substream):
+    reference = sample_major_example2_simulator(example2.prior)
+    rng = lambda: _chunk_rng(11, *substream)  # noqa: E731
+    got = example2.simulate(horizon, count, rng())
+    want = reference(horizon, count, rng())
+    for name in ("states", "measurements", "trans_shift", "meas_shift"):
+        assert getattr(got, name).shape == getattr(want, name).shape
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_range_azimuth_jacobian_at_diagonal_point():
