@@ -74,6 +74,13 @@ def pcrb_augmented(model: SystemModel, horizon: int) -> PCRBTrace:
         raise ModelBuildError(
             f"model '{model.name}' carries no autoregressive noise approximation"
         )
+    # The stationary variances below divide by 1 - coeff**2.
+    for label, coeff in (("process", ar.process_coeff), ("measurement", ar.meas_coeff)):
+        if not abs(coeff) < 1.0:
+            raise ModelBuildError(
+                f"model '{model.name}': AR {label} coefficient {coeff:g} has no "
+                "stationary variance; the augmented baseline needs |coeff| < 1"
+            )
     r_dim = model.state_dim
     n_dim = li.measurement.shape[0]
     aug = r_dim + r_dim + n_dim
@@ -98,19 +105,21 @@ def pcrb_augmented(model: SystemModel, horizon: int) -> PCRBTrace:
     v_stat = ar.meas_white_cov / (1.0 - ar.meas_coeff**2)
     j = np.zeros((aug, aug))
     j[:r_dim, :r_dim] = _initial_info(model)
-    j[r_dim : 2 * r_dim, r_dim : 2 * r_dim] = psd_inverse(w_stat)
-    j[2 * r_dim :, 2 * r_dim :] = psd_inverse(v_stat)
+    j[r_dim : 2 * r_dim, r_dim : 2 * r_dim] = psd_inverse(
+        w_stat, context="stationary AR process noise covariance")
+    j[2 * r_dim :, 2 * r_dim :] = psd_inverse(
+        v_stat, context="stationary AR measurement noise covariance")
 
     trace = PCRBTrace()
+    p = psd_inverse(j, context="augmented information")
     for s in range(1, horizon + 1):
         # Covariance-form propagation tolerates the singular augmented
         # process covariance (the x-rows carry no fresh noise).
-        p = psd_inverse(j, context="augmented information")
         predicted = symmetrize(q_aug + f_aug @ p @ f_aug.T)
         j = symmetrize(psd_inverse(predicted, context="augmented prediction")
                        + h_aug.T @ r_inv @ h_aug)
-        bound_x = psd_inverse(j, context="augmented information")[:r_dim, :r_dim]
-        info_x = psd_inverse(bound_x, context="augmented state bound")
+        p = psd_inverse(j, context="augmented information")
+        info_x = psd_inverse(p[:r_dim, :r_dim], context="augmented state bound")
         trace.entries.append(trace_entry(s, s, info_x))
     return trace
 

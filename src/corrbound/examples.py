@@ -50,6 +50,11 @@ def kinematic_matrices(dt: float = 2.0, psd: float = 10.0):
     return f, q
 
 
+# Largest |ma_coeff| whose fourth power (the AR residual scale of
+# ``build_example1``) is a finite double.
+MA_COEFF_MAX = 1.1579208923731618e77
+
+
 def build_example1(ma_coeff: float = 0.2, dt: float = 2.0, psd: float = 10.0,
                    meas_var: tuple[float, float] = (400.0, 25.0),
                    prior: GaussianPrior | None = None) -> SystemModel:

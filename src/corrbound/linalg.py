@@ -7,9 +7,16 @@ import scipy.linalg
 
 from .errors import InvariantViolationError, SingularMatrixError
 
-# Below this reciprocal condition number a solve is treated as singular
-# rather than silently pseudo-inverted.
+# A solve is treated as singular, rather than silently pseudo-inverted, when
+# the 2-norm reciprocal condition number of the matrix is below this floor.
+# ``psd_solve`` reaches that decision from the LAPACK 1-norm estimate of the
+# Cholesky factor and runs an SVD only when the estimate is too close to the
+# floor to decide, or when the factorization fails.
 RCOND_FLOOR = 1e-13
+
+_POTRF, _POCON, _POTRS, _LANGE = scipy.linalg.get_lapack_funcs(
+    ("potrf", "pocon", "potrs", "lange"), (np.empty((1, 1)),)
+)
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -35,20 +42,40 @@ def psd_solve(a: np.ndarray, b: np.ndarray, *, context: str = "matrix") -> np.nd
 
     Raises SingularMatrixError with a condition estimate instead of returning
     a pseudo-inverse when ``a`` is singular or nearly so.
+
+    The gate is ``reciprocal_condition(a) < RCOND_FLOOR``.  For a symmetric
+    ``n x n`` matrix the 1-norm and 2-norm reciprocal conditions satisfy
+    ``rcond_1 <= rcond_2 <= n * rcond_1``, and the LAPACK estimate of
+    ``rcond_1`` is not below its true value (up to rounding).  So an
+    estimate under ``RCOND_FLOOR / n`` rejects outright; one at or above
+    ``n * RCOND_FLOOR`` accepts unless the estimate is off by more than a
+    factor ``n``; anything in between, or a failed factorization, is decided
+    by the SVD.
     """
     a = symmetrize(np.asarray(a, dtype=float))
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise SingularMatrixError(f"{context} contains non-finite entries")
+    b = np.asarray(b, dtype=float)
+    n = a.shape[0]
+    if n == 0:
+        return b.copy()
+    factor, info = _POTRF(a, lower=1)
+    if info == 0:
+        rcond, _ = _POCON(factor, _LANGE("1", a), uplo="L")
+        if rcond < RCOND_FLOOR / n:
+            raise SingularMatrixError(f"{context} is numerically singular", rcond=rcond)
+        if rcond >= n * RCOND_FLOOR:
+            return _POTRS(factor, b, lower=1)[0]
     rcond = reciprocal_condition(a)
     if rcond < RCOND_FLOOR:
         raise SingularMatrixError(f"{context} is numerically singular", rcond=rcond)
-    try:
-        factor = scipy.linalg.cho_factor(a, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
+    if info != 0:
         raise SingularMatrixError(
-            f"{context} is not positive definite: {exc}", rcond=rcond
-        ) from exc
-    return scipy.linalg.cho_solve(factor, np.asarray(b, dtype=float), check_finite=False)
+            f"{context} is not positive definite: "
+            f"{info}-th leading minor of the array is not positive definite",
+            rcond=rcond,
+        )
+    return _POTRS(factor, b, lower=1)[0]
 
 
 def psd_inverse(a: np.ndarray, *, context: str = "matrix") -> np.ndarray:

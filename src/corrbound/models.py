@@ -464,8 +464,12 @@ def model_from_config(config: dict) -> SystemModel:
     if kind == "builtin_example1":
         _require_keys(config, {"kind", "ma_coeff"}, "model")
         ma = config.get("ma_coeff", 0.2)
-        if not isinstance(ma, (int, float)) or isinstance(ma, bool) or not np.isfinite(ma):
-            raise ConfigError(f"model.ma_coeff: expected a finite number, got {ma!r}")
+        if (not isinstance(ma, (int, float)) or isinstance(ma, bool)
+                or not abs(ma) <= examples.MA_COEFF_MAX):
+            raise ConfigError(
+                "model.ma_coeff: expected a finite number with "
+                f"|ma_coeff| <= {examples.MA_COEFF_MAX!r}, got {ma!r}"
+            )
         return examples.build_example1(ma_coeff=float(ma))
     if kind == "builtin_example2":
         _require_keys(config, {"kind"}, "model")

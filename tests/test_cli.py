@@ -1,4 +1,6 @@
+import gzip
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +102,10 @@ def test_malformed_config_names_field(tmp_path, capsys):
         "transition_coeffs": [[["x"]]], "process_cov": [[1.0]],
         "measurement_state_coeffs": [[[1.0]]], "measurement_cov": [[1.0]],
     }}, "model.transition_coeffs[0]"),
+    ("run", [], {"model": {"kind": "builtin_example1", "ma_coeff": 1e100}},
+     "model.ma_coeff"),
+    ("compare", [], {"model": {"kind": "builtin_example1", "ma_coeff": 1e100}},
+     "model.ma_coeff"),
 ])
 def test_bad_field_is_config_error(tmp_path, capsys, command, extra, config, field):
     args = [command, *extra, "--horizon", "3"]
@@ -123,6 +129,40 @@ def test_model_error_exit_code(tmp_path, capsys):
     code = run_cli(["run", "--config", str(config)])
     assert code == 2
     assert "factory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ma_coeff", [1.0, 1.5, 1e10])
+def test_nonstationary_ar_coeff_is_model_error(tmp_path, capsys, ma_coeff):
+    # The AR(1) baseline has no stationary variance for |coeff| >= 1; the
+    # exact recursion does not need one, so `run` still accepts the model.
+    path = tmp_path / "ma.json"
+    path.write_text(json.dumps({"model": {"kind": "builtin_example1",
+                                          "ma_coeff": ma_coeff}}))
+    assert run_cli(["compare", "--config", str(path), "--horizon", "3",
+                    "--out", str(tmp_path / "cmp.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("model error:")
+    assert "AR process coefficient" in err and "|coeff| < 1" in err
+    assert run_cli(["run", "--config", str(path), "--horizon", "3",
+                    "--out", str(tmp_path / "run.csv")]) == 0
+
+
+def test_ma_coeff_limit_is_largest_with_finite_fourth_power():
+    from corrbound.examples import MA_COEFF_MAX
+    assert np.isfinite(MA_COEFF_MAX**4)
+    with pytest.raises(OverflowError):
+        np.nextafter(MA_COEFF_MAX, np.inf).item() ** 4
+
+
+def test_compare_matches_reference_prefix(tmp_path):
+    reference = Path(__file__).resolve().parents[1] / "benchmarks" / "reference" \
+        / "e1_compare_h3000.csv.gz"
+    with gzip.open(reference, "rb") as fh:
+        expected = b"".join(fh.readline() for _ in range(301))
+    out = tmp_path / "cmp.csv"
+    assert run_cli(["compare", "--model", "example1", "--horizon", "300",
+                    "--out", str(out)]) == 0
+    assert out.read_bytes() == expected
 
 
 def test_compare_columns(tmp_path):

@@ -29,6 +29,52 @@ def test_psd_solve_rejects_indefinite():
         linalg.psd_solve(np.diag([1.0, -1.0]), np.eye(2))
 
 
+def test_psd_solve_gate_matches_svd_rule(monkeypatch):
+    # Near the floor the Cholesky-based estimate must reach the same
+    # accept/reject decision as the 2-norm condition number from the SVD.
+    rng = np.random.default_rng(6)
+    fallbacks = []
+    svd_rcond = linalg.reciprocal_condition
+
+    def counted(a):
+        fallbacks.append(a.shape[0])
+        return svd_rcond(a)
+
+    monkeypatch.setattr(linalg, "reciprocal_condition", counted)
+    decisions = {True: 0, False: 0}
+    draws = 4000
+    for _ in range(draws):
+        n = int(rng.integers(1, 9))
+        kappa = 10.0 ** rng.uniform(11.0, 15.0)
+        eigs = np.exp(rng.uniform(-np.log(kappa), 0.0, size=n))
+        eigs[0], eigs[-1] = 1.0, 1.0 / kappa
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        a = linalg.symmetrize((q * (eigs * 10.0 ** rng.uniform(-3.0, 3.0))) @ q.T)
+        singular = svd_rcond(a) < linalg.RCOND_FLOOR
+        try:
+            linalg.psd_solve(a, np.eye(n))
+            raised = False
+        except SingularMatrixError as exc:
+            assert exc.rcond is not None
+            raised = True
+        assert raised == singular, (n, kappa)
+        decisions[raised] += 1
+    # Both decisions occur, and most draws are settled without the SVD.
+    assert min(decisions.values()) > draws // 10
+    assert 0 < len(fallbacks) < draws // 2
+
+
+def test_psd_solve_rejects_ill_conditioned_cholesky_factorable():
+    c, s = np.cos(0.3), np.sin(0.3)
+    rot = np.array([[c, -s], [s, c]])
+    a = linalg.symmetrize(rot @ np.diag([1.0, 1e-14]) @ rot.T)
+    np.linalg.cholesky(a)  # factorizes, so only the condition gate rejects it
+    with pytest.raises(SingularMatrixError) as exc:
+        linalg.psd_solve(a, np.eye(2))
+    assert exc.value.rcond is not None
+    assert exc.value.rcond < linalg.RCOND_FLOOR
+
+
 def test_check_psd():
     linalg.check_psd(np.diag([1.0, 0.0]))
     with pytest.raises(InvariantViolationError):
