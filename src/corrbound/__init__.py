@@ -41,15 +41,7 @@ from .oracle import (
     schur_submatrix,
     verify_recursion,
 )
-from .profiles import (
-    CaseTag,
-    CorrelationProfile,
-    FactorizationSignature,
-    effective_lags,
-    factorization_signature,
-    required_prior_window,
-    select_case,
-)
+from .profiles import CorrelationProfile, required_prior_window
 from .recursion import PCRBTrace, RecursionState, TraceEntry, init_state, run, step
 from .selection import SensorSweepResult, SweepPoint, min_sensors, sweep
 
@@ -58,12 +50,10 @@ __version__ = "0.1.0"
 __all__ = [
     "ArApproximation",
     "BlockProvider",
-    "CaseTag",
     "ConfigError",
     "CorrboundError",
     "CorrelationProfile",
     "ExpectationEstimator",
-    "FactorizationSignature",
     "GaussianPrior",
     "InvariantViolationError",
     "JointInformation",
@@ -85,8 +75,6 @@ __all__ = [
     "build_joint",
     "build_linear_model",
     "default_prior",
-    "effective_lags",
-    "factorization_signature",
     "init_state",
     "information_sequence",
     "measurement_blocks",
@@ -98,7 +86,6 @@ __all__ = [
     "required_prior_window",
     "run",
     "schur_submatrix",
-    "select_case",
     "simple_scalar_model",
     "step",
     "sweep",

@@ -1,7 +1,6 @@
 """Approximate bounds that handle only part of the noise correlation.
 
-Three baselines, all running the classical white-noise recursion after a
-model transformation:
+Three baselines, each a white-noise bound after a model transformation:
 
 * ``pcrb_ignore_correlation`` -- drop all correlation, keep marginal
   covariances;
@@ -9,16 +8,23 @@ model transformation:
   autoregressions carried inside an augmented state;
 * ``pcrb_prewhiten`` -- remove the process-to-measurement cross term by a
   measurement transformation, ignore remaining auto-correlation.
+
+``pcrb_ignore_correlation`` and ``pcrb_prewhiten`` run :func:`corrbound.step`
+on a window-1 white-noise model, where it is the classical information
+recursion.  ``pcrb_augmented`` keeps a covariance-form loop, because its
+augmented process covariance is singular.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .blocks import ExpectationEstimator
 from .errors import ModelBuildError
-from .linalg import psd_inverse, psd_solve, symmetrize
-from .models import SystemModel
-from .recursion import PCRBTrace, trace_entry
+from .linalg import psd_inverse, symmetrize
+from .models import GaussianPrior, LinearConditionalSpec, SystemModel, build_linear_model
+from .profiles import CorrelationProfile
+from .recursion import PCRBTrace, run, trace_entry
 
 
 def _require_linear(model: SystemModel):
@@ -30,33 +36,24 @@ def _require_linear(model: SystemModel):
     return model.linear
 
 
-def _initial_info(model: SystemModel) -> np.ndarray:
-    return psd_inverse(model.prior.covariances[-1], context="prior covariance")
-
-
-def _classical_trace(f: np.ndarray, q: np.ndarray, h: np.ndarray, r: np.ndarray,
-                     j0: np.ndarray, horizon: int) -> PCRBTrace:
-    """Classical information recursion for a white-noise linear-Gaussian system."""
-    q_inv = psd_inverse(q, context="process covariance")
-    r_inv = psd_inverse(r, context="measurement covariance")
-    d11 = f.T @ q_inv @ f
-    d12 = -f.T @ q_inv
-    d22 = q_inv + h.T @ r_inv @ h
-    trace = PCRBTrace()
-    j = j0
-    for s in range(1, horizon + 1):
-        j = symmetrize(d22 - d12.T @ psd_solve(d11 + j, d12, context="classical gram"))
-        trace.entries.append(trace_entry(s, s, j))
-    return trace
+def _white_noise_trace(model: SystemModel, f: np.ndarray, q: np.ndarray,
+                       h: np.ndarray, r: np.ndarray, horizon: int) -> PCRBTrace:
+    """Bound for ``x[k+1] = f x[k] + w``, ``z[k] = h x[k] + v`` with white
+    ``w ~ N(0, q)`` and ``v ~ N(0, r)``, from the last prior state of ``model``."""
+    spec = LinearConditionalSpec(
+        profile=CorrelationProfile(), state_coeffs=(f,), process_cov=q,
+        meas_state_coeffs=(h,), meas_cov=r,
+    )
+    prior = GaussianPrior(model.prior.means[-1:], model.prior.covariances[-1:])
+    white = build_linear_model(spec, prior=prior, name=f"{model.name}_white")
+    return run(white, ExpectationEstimator(), horizon)
 
 
 def pcrb_ignore_correlation(model: SystemModel, horizon: int) -> PCRBTrace:
     """Bound from treating both noises as white with their marginal covariances."""
     li = _require_linear(model)
-    return _classical_trace(
-        li.transition, li.process_marginal, li.measurement, li.measurement_marginal,
-        _initial_info(model), horizon,
-    )
+    return _white_noise_trace(model, li.transition, li.process_marginal,
+                              li.measurement, li.measurement_marginal, horizon)
 
 
 def pcrb_augmented(model: SystemModel, horizon: int) -> PCRBTrace:
@@ -104,7 +101,7 @@ def pcrb_augmented(model: SystemModel, horizon: int) -> PCRBTrace:
     w_stat = ar.process_white_cov / (1.0 - ar.process_coeff**2)
     v_stat = ar.meas_white_cov / (1.0 - ar.meas_coeff**2)
     j = np.zeros((aug, aug))
-    j[:r_dim, :r_dim] = _initial_info(model)
+    j[:r_dim, :r_dim] = psd_inverse(model.prior.covariances[-1], context="prior covariance")
     j[r_dim : 2 * r_dim, r_dim : 2 * r_dim] = psd_inverse(
         w_stat, context="stationary AR process noise covariance")
     j[2 * r_dim :, 2 * r_dim :] = psd_inverse(
@@ -130,7 +127,7 @@ def pcrb_prewhiten(model: SystemModel, horizon: int) -> PCRBTrace:
     Subtracting (cross covariance) x (process covariance)^-1 applied to the
     state-equation residual removes the cross term exactly; what remains of
     the transformed measurement must depend on a single state for the
-    classical recursion to apply, which holds when the cross term enters the
+    white-noise bound to apply, which holds when the cross term enters the
     measurement with a unit coefficient.  Remaining auto-correlation is
     ignored.
     """
@@ -148,10 +145,8 @@ def pcrb_prewhiten(model: SystemModel, horizon: int) -> PCRBTrace:
         )
     h_eff = gain @ li.transition
     r_eff = symmetrize(li.measurement_marginal - gain @ s_cross.T)
-    return _classical_trace(
-        li.transition, li.process_marginal, h_eff, r_eff,
-        _initial_info(model), horizon,
-    )
+    return _white_noise_trace(model, li.transition, li.process_marginal, h_eff, r_eff,
+                              horizon)
 
 
 BASELINES = {

@@ -115,14 +115,18 @@ def _check_time(model: SystemModel, k: int) -> None:
 
 def _validated(grid: np.ndarray, size: int, block_dim: int, what: str) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
+    _require_shape(grid, size, block_dim, what)
+    _require_finite(grid, what)
+    return grid
+
+
+def _require_shape(grid: np.ndarray, size: int, block_dim: int, what: str) -> None:
     n = size * block_dim
     if grid.shape != (n, n):
         raise ModelBuildError(
             f"{what}: expected a {size}x{size} grid of {block_dim}-blocks "
             f"({n}x{n}), got shape {grid.shape}"
         )
-    _require_finite(grid, what)
-    return grid
 
 
 def _require_finite(grid: np.ndarray, what: str) -> None:
@@ -364,13 +368,18 @@ def factor_frame(b: np.ndarray, c: np.ndarray, profile: CorrelationProfile) -> n
     """
     m = profile.window
     r = b.shape[0] // (profile.l2_eff + 1)
-    b = _validated(b, profile.l2_eff + 1, r, "transition blocks")
-    c = _validated(c, profile.l3_eff, r, "measurement blocks")
+    _require_shape(b, profile.l2_eff + 1, r, "transition blocks")
+    _require_shape(c, profile.l3_eff, r, "measurement blocks")
     frame = np.zeros(((m + 1) * r, (m + 1) * r))
     b_at = (m - profile.l2_eff) * r
     c_at = (m + 1 - profile.l3_eff) * r
     frame[b_at:, b_at:] += b
     frame[c_at:, c_at:] += c
+    if not np.isfinite(frame).all():
+        # One check covers both grids; name the one that failed.
+        _require_finite(b, "transition blocks")
+        _require_finite(c, "measurement blocks")
+        _require_finite(frame, "overlaid factor blocks")
     return frame
 
 

@@ -93,11 +93,12 @@ def build_example1(ma_coeff: float = 0.2, dt: float = 2.0, psd: float = 10.0,
         cross_lag1=ma_var * q,
     )
     ar_factor = 1.0 + a**4
+    stationary = abs(a) < 1.0  # near MA_COEFF_MAX the products below overflow
     ar_model = ArApproximation(
         process_coeff=a,
-        process_white_cov=ar_factor * q,
+        process_white_cov=ar_factor * q if stationary else None,
         meas_coeff=a,
-        meas_white_cov=ar_factor * (q + r),
+        meas_white_cov=ar_factor * (q + r) if stationary else None,
     )
 
     base = build_linear_model(spec, prior=prior, name="example1",

@@ -14,8 +14,8 @@ from .errors import InvariantViolationError, SingularMatrixError
 # floor to decide, or when the factorization fails.
 RCOND_FLOOR = 1e-13
 
-_POTRF, _POCON, _POTRS, _LANGE = scipy.linalg.get_lapack_funcs(
-    ("potrf", "pocon", "potrs", "lange"), (np.empty((1, 1)),)
+_POTRF, _POCON, _POTRS, _LANGE, _SYEVD = scipy.linalg.get_lapack_funcs(
+    ("potrf", "pocon", "potrs", "lange", "syevd"), (np.empty((1, 1)),)
 )
 
 
@@ -85,7 +85,9 @@ def psd_inverse(a: np.ndarray, *, context: str = "matrix") -> np.ndarray:
 
 def check_psd(a: np.ndarray, *, rel_tol: float = 1e-10, context: str = "matrix") -> None:
     """Raise unless ``a`` is PSD up to ``-rel_tol * max_eigenvalue``."""
-    eigs = np.linalg.eigvalsh(symmetrize(a))
+    eigs, _, info = _SYEVD(symmetrize(a), compute_v=0, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{context}: eigenvalues did not converge")
     scale = max(float(eigs[-1]), 0.0)
     floor = -rel_tol * max(scale, 1.0)
     if eigs[0] < floor:

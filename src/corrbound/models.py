@@ -149,12 +149,16 @@ class LinearModelInfo:
 
 @dataclass(frozen=True)
 class ArApproximation:
-    """First-order autoregressive stand-in for the colored noises."""
+    """First-order autoregressive stand-in for the colored noises.
+
+    A builder may leave the residual covariances out (``None``) for a
+    coefficient with ``|coeff| >= 1``, which has no stationary stand-in.
+    """
 
     process_coeff: float
-    process_white_cov: Array
+    process_white_cov: Array | None
     meas_coeff: float
-    meas_white_cov: Array
+    meas_white_cov: Array | None
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,28 +8,20 @@ A profile holds four nonnegative lags:
 * ``l4`` -- forward cross-correlation (measurement noise vs. future process noise).
 
 The effective lags ``max(l2, 1)`` and ``max(l3, 1)`` control how many past
-states the transition and measurement conditionals reach back to, and their
-relation selects one of three recursion layouts.
+states the transition and measurement conditionals reach back to, and so the
+size of the recursion window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from functools import cached_property
 
 from .errors import ConfigError
 
 # Block-grid sizes grow as (lag * state_dim)^2; larger lags are almost
 # certainly a configuration mistake.
 MAX_LAG = 8
-
-
-class CaseTag(Enum):
-    """Which recursion layout a profile selects (relation of l3' to l2'+1)."""
-
-    GREATER = "greater"  # l3' > l2' + 1
-    LESS = "less"        # l3' < l2' + 1
-    EQUAL = "equal"      # l3' = l2' + 1
 
 
 @dataclass(frozen=True)
@@ -51,11 +43,11 @@ class CorrelationProfile:
                     f"lag {name}={value} exceeds the supported maximum {MAX_LAG}"
                 )
 
-    @property
+    @cached_property
     def l2_eff(self) -> int:
         return max(self.l2, 1)
 
-    @property
+    @cached_property
     def l3_eff(self) -> int:
         return max(self.l3, 1)
 
@@ -63,11 +55,7 @@ class CorrelationProfile:
     def lag_max(self) -> int:
         return max(self.l1, self.l2, self.l3, self.l4)
 
-    @property
-    def case(self) -> CaseTag:
-        return select_case(self)
-
-    @property
+    @cached_property
     def window(self) -> int:
         """Number of past states the recursion carries (grid size of the carry matrix)."""
         return max(self.l2_eff, self.l3_eff - 1)
@@ -80,20 +68,6 @@ class CorrelationProfile:
         return {"l1": self.l1, "l2": self.l2, "l3": self.l3, "l4": self.l4}
 
 
-def effective_lags(profile: CorrelationProfile) -> tuple[int, int]:
-    """Return ``(max(l2, 1), max(l3, 1))``."""
-    return profile.l2_eff, profile.l3_eff
-
-
-def select_case(profile: CorrelationProfile) -> CaseTag:
-    l2e, l3e = effective_lags(profile)
-    if l3e > l2e + 1:
-        return CaseTag.GREATER
-    if l3e < l2e + 1:
-        return CaseTag.LESS
-    return CaseTag.EQUAL
-
-
 def required_prior_window(profile: CorrelationProfile) -> int:
     """Number of leading states whose joint prior the recursion needs.
 
@@ -102,29 +76,3 @@ def required_prior_window(profile: CorrelationProfile) -> int:
     fits.
     """
     return max(profile.lag_max + 1, profile.window)
-
-
-@dataclass(frozen=True)
-class FactorizationSignature:
-    """Which conditioning arguments the two conditional densities take.
-
-    Lags are relative to the newest conditioning index: the transition factor
-    for ``x[k+1]`` conditions on states ``x[k - d]`` for each ``d`` in
-    ``transition_state_lags`` (and measurements ``z[k - d]`` likewise); the
-    measurement factor for ``z[k+1]`` conditions on states ``x[k+1 - d]``.
-    """
-
-    transition_state_lags: tuple[int, ...]
-    transition_meas_lags: tuple[int, ...]
-    measurement_state_lags: tuple[int, ...]
-    measurement_meas_lags: tuple[int, ...]
-
-
-def factorization_signature(profile: CorrelationProfile) -> FactorizationSignature:
-    l2e, l3e = effective_lags(profile)
-    return FactorizationSignature(
-        transition_state_lags=tuple(range(l2e)),
-        transition_meas_lags=tuple(range(profile.l4)),
-        measurement_state_lags=tuple(range(l3e)),
-        measurement_meas_lags=tuple(range(profile.l1)),
-    )

@@ -14,13 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blocks import BlockProvider, ExpectationEstimator, factor_frame
-from .errors import InvariantViolationError
 from .linalg import (
     check_psd,
     psd_inverse,
     schur_complement_keep_last,
     schur_complement_remove_first,
-    symmetrize,
 )
 from .models import SystemModel
 from .profiles import CorrelationProfile
@@ -35,18 +33,6 @@ class RecursionState:
     k: int
     carry: np.ndarray
     profile: CorrelationProfile
-
-    def validate(self) -> None:
-        m = self.profile.window
-        n = self.carry.shape[0]
-        if self.carry.shape != (n, n) or n % m:
-            raise InvariantViolationError(
-                f"carry shape {self.carry.shape} is not a {m}x{m} block grid"
-            )
-        scale = max(float(np.max(np.abs(self.carry))), 1.0)
-        if np.max(np.abs(self.carry - self.carry.T)) > 1e-12 * scale:
-            raise InvariantViolationError("carry matrix is not symmetric")
-        check_psd(self.carry, rel_tol=PSD_REL_TOL, context="carry matrix")
 
 
 @dataclass(frozen=True)
@@ -107,10 +93,9 @@ def init_state(model: SystemModel) -> RecursionState:
     m = profile.window
     r = model.state_dim
     joint = model.prior.information()
-    carry_dense = schur_complement_keep_last(joint, m * r, context="prior window")
-    state = RecursionState(k=model.start_time, carry=symmetrize(carry_dense), profile=profile)
-    state.validate()
-    return state
+    carry = schur_complement_keep_last(joint, m * r, context="prior window")
+    check_psd(carry, rel_tol=PSD_REL_TOL, context="carry matrix")
+    return RecursionState(k=model.start_time, carry=carry, profile=profile)
 
 
 # ---------------------------------------------------------------------------
@@ -127,17 +112,22 @@ def step(state: RecursionState, b: np.ndarray, c: np.ndarray
     frame gives the new carry over ``x[k+2-window] .. x[k+1]``; by the
     quotient property of Schur complements, the information submatrix of
     ``x[k+1]`` is then the Schur complement of the new carry's last block.
+    At window 1 the new carry is that submatrix, so it is checked once.
     """
     profile = state.profile
-    r = state.carry.shape[0] // profile.window
+    m = profile.window
+    r = state.carry.shape[0] // m
     frame = factor_frame(b, c, profile)
     frame[:-r, :-r] += state.carry
     carry_next = schur_complement_remove_first(frame, r, context="carry pivot")
-    j_next = schur_complement_keep_last(carry_next, r, context="information pivot")
+    if m == 1:
+        j_next = carry_next
+    else:
+        j_next = schur_complement_keep_last(carry_next, r, context="information pivot")
     check_psd(j_next, rel_tol=PSD_REL_TOL, context="information submatrix")
-    new_state = RecursionState(k=state.k + 1, carry=carry_next, profile=profile)
-    new_state.validate()
-    return j_next, new_state
+    if m > 1:
+        check_psd(carry_next, rel_tol=PSD_REL_TOL, context="carry matrix")
+    return j_next, RecursionState(k=state.k + 1, carry=carry_next, profile=profile)
 
 
 # ---------------------------------------------------------------------------

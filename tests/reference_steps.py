@@ -1,7 +1,10 @@
 """Case-by-case reference steps and partitioned-matrix identities.
 
-The steppers below are the specialized recursions for one kind of noise
-correlation at a time, plus the classical white-noise information recursion
+A profile's effective lags select one of three step layouts
+(:func:`select_case`); the library step does not need the case, only the
+slot layout in ``corrbound.blocks.factor_frame``.  The steppers below are
+the specialized recursions for one kind of noise correlation at a time,
+plus the classical white-noise information recursion
 (Tichavsky, Muravchik & Nehorai, IEEE TSP 46(5), 1998) that they all reduce
 to without correlation.  Each is written out from its own block formulas,
 independently of the slot layout in ``corrbound.blocks.factor_frame``, so
@@ -14,10 +17,35 @@ no boundary special cases.
 
 from __future__ import annotations
 
+from enum import Enum
+
 import numpy as np
 
 from corrbound.linalg import block_slice, check_psd, psd_solve, symmetrize
+from corrbound.profiles import CorrelationProfile
 from corrbound.recursion import PSD_REL_TOL, RecursionState
+
+
+class CaseTag(Enum):
+    """Which step layout a profile selects (relation of l3' to l2'+1)."""
+
+    GREATER = "greater"  # l3' > l2' + 1
+    LESS = "less"        # l3' < l2' + 1
+    EQUAL = "equal"      # l3' = l2' + 1
+
+
+def effective_lags(profile: CorrelationProfile) -> tuple[int, int]:
+    """Return ``(max(l2, 1), max(l3, 1))``."""
+    return profile.l2_eff, profile.l3_eff
+
+
+def select_case(profile: CorrelationProfile) -> CaseTag:
+    l2e, l3e = effective_lags(profile)
+    if l3e > l2e + 1:
+        return CaseTag.GREATER
+    if l3e < l2e + 1:
+        return CaseTag.LESS
+    return CaseTag.EQUAL
 
 
 def block(grid: np.ndarray, i: int, j: int, r: int) -> np.ndarray:

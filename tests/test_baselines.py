@@ -7,6 +7,7 @@ import corrbound as cb
 from corrbound.errors import ModelBuildError
 from corrbound.examples import kinematic_matrices
 from conftest import max_trace_deviation, random_linear_model
+from reference_steps import classical_step
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -49,6 +50,43 @@ def test_independent_model_all_equal():
     assert max_trace_deviation(unified, ignore) < 1e-12
     prewhite = cb.pcrb_prewhiten(model, 25)
     assert max_trace_deviation(prewhite, ignore) < 1e-12
+
+
+def _classical_reference(f, q, h, r, prior_cov, horizon):
+    """Information sequence of the classical white-noise recursion, with its
+    blocks written out from ``(f, q, h, r)`` by plain inverses."""
+    q_inv = np.linalg.inv(q)
+    b = np.block([[f.T @ q_inv @ f, -f.T @ q_inv], [-q_inv @ f, q_inv]])
+    c = h.T @ np.linalg.inv(r) @ h
+    j = np.linalg.inv(prior_cov)
+    out = []
+    for _ in range(horizon):
+        j = classical_step(j, b, c)
+        out.append(j)
+    return out
+
+
+@pytest.mark.parametrize("which", ["example1", "random_white"])
+def test_white_noise_baselines_match_classical_recursion(example1, which):
+    model = example1 if which == "example1" else \
+        random_linear_model(cb.CorrelationProfile(), 2, 2, 77)
+    li = model.linear
+    f, q, h, r = li.transition, li.process_marginal, li.measurement, li.measurement_marginal
+    prior_cov = model.prior.covariances[-1]
+    expected = {"ignore": _classical_reference(f, q, h, r, prior_cov, 300)}
+    if li.cross_lag1 is None:
+        expected["prewhiten"] = expected["ignore"]
+    else:
+        gain = li.cross_lag1 @ np.linalg.inv(q)
+        expected["prewhiten"] = _classical_reference(
+            f, q, gain @ f, r - gain @ li.cross_lag1.T, prior_cov, 300)
+    traces = {"ignore": cb.pcrb_ignore_correlation(model, 300),
+              "prewhiten": cb.pcrb_prewhiten(model, 300)}
+    for name, trace in traces.items():
+        assert len(trace) == 300
+        for entry, j in zip(trace.entries, expected[name]):
+            scale = max(float(np.max(np.abs(j))), 1.0)
+            assert np.max(np.abs(entry.info - j)) / scale < 1e-12, name
 
 
 def test_augmented_reduces_to_ignore_without_ma():

@@ -83,6 +83,16 @@ def test_non_finite_grid_is_rejected(example1, analytic_est):
     broken = dataclasses.replace(example1, analytic_b=lambda k: grid)
     with pytest.raises(InvariantViolationError, match="non-finite"):
         transition_blocks(broken, 2, analytic_est)
+    # The step names the grid that is not finite.
+    state = cb.init_state(example1)
+    b = transition_blocks(example1, 2, analytic_est)
+    c = measurement_blocks(example1, 2, analytic_est)
+    for bad in (np.nan, np.inf):
+        for which, what in (("b", "transition blocks"), ("c", "measurement blocks")):
+            grids = {"b": b.copy(), "c": c.copy()}
+            grids[which][-1, 0] = bad
+            with pytest.raises(InvariantViolationError, match=f"{what} contains non-finite"):
+                cb.step(state, grids["b"], grids["c"])
 
 
 def test_mc_seed_determinism_and_sensitivity(example2):
@@ -245,7 +255,13 @@ def test_assembly_transpose_exact():
 
 
 def test_assembly_rejects_mismatches(example1, analytic_est):
+    b = transition_blocks(example1, 2, analytic_est)
     c = measurement_blocks(example1, 2, analytic_est)
     wrong = np.zeros((6, 6))
     with pytest.raises(ModelBuildError):
         factor_frame(wrong, c, example1.profile)
+    # The same checks hold inside the step, for either grid.
+    state = cb.init_state(example1)
+    for bad_b, bad_c in ((wrong, c), (b, wrong), (b, c[:2, :2]), (b[:, :3], c)):
+        with pytest.raises(ModelBuildError):
+            cb.step(state, bad_b, bad_c)

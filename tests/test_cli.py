@@ -7,6 +7,7 @@ import pytest
 
 import corrbound as cb
 from corrbound import cli
+from corrbound.examples import MA_COEFF_MAX
 
 
 def run_cli(args):
@@ -131,7 +132,7 @@ def test_model_error_exit_code(tmp_path, capsys):
     assert "factory" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("ma_coeff", [1.0, 1.5, 1e10])
+@pytest.mark.parametrize("ma_coeff", [1.0, 1.5, 1e10, 1e77, MA_COEFF_MAX])
 def test_nonstationary_ar_coeff_is_model_error(tmp_path, capsys, ma_coeff):
     # The AR(1) baseline has no stationary variance for |coeff| >= 1; the
     # exact recursion does not need one, so `run` still accepts the model.
@@ -148,7 +149,6 @@ def test_nonstationary_ar_coeff_is_model_error(tmp_path, capsys, ma_coeff):
 
 
 def test_ma_coeff_limit_is_largest_with_finite_fourth_power():
-    from corrbound.examples import MA_COEFF_MAX
     assert np.isfinite(MA_COEFF_MAX**4)
     with pytest.raises(OverflowError):
         np.nextafter(MA_COEFF_MAX, np.inf).item() ** 4

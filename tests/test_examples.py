@@ -15,7 +15,7 @@ from corrbound.examples import (
     range_azimuth_jacobian,
 )
 from corrbound.linalg import psd_inverse, symmetrize
-from reference_steps import block
+from reference_steps import CaseTag, block, select_case
 
 
 def test_kinematic_process_covariance_values():
@@ -25,7 +25,7 @@ def test_kinematic_process_covariance_values():
 
 def test_example1_profile_and_case(example1):
     assert example1.profile == cb.CorrelationProfile(1, 1, 2, 1)
-    assert example1.profile.case is cb.CaseTag.EQUAL
+    assert select_case(example1.profile) is CaseTag.EQUAL
 
 
 def test_example1_analytic_blocks(example1, analytic_est):
@@ -84,7 +84,7 @@ def test_example2_measurement_covariance(example2):
 
 def test_example2_profile(example2):
     assert example2.profile == cb.CorrelationProfile(0, 2, 0, 0)
-    assert example2.profile.case is cb.CaseTag.LESS
+    assert select_case(example2.profile) is CaseTag.LESS
     assert example2.profile.l2_eff == 2
 
 

