@@ -78,6 +78,8 @@ def pcrb_augmented(model: SystemModel, horizon: int) -> PCRBTrace:
                 f"model '{model.name}': AR {label} coefficient {coeff:g} has no "
                 "stationary variance; the augmented baseline needs |coeff| < 1"
             )
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
     r_dim = model.state_dim
     n_dim = li.measurement.shape[0]
     aug = r_dim + r_dim + n_dim

@@ -251,8 +251,8 @@ def _sampled_measurement_info(
 
     Uses the measurement Jacobian at the sampled state, contracted through
     the measurement noise information (the term whose conditional expectation
-    over the measurement equals the full curvature).  One trajectory batch
-    serves every requested time index.
+    over the measurement equals the full curvature).  One draw of states per
+    chunk, from ``model.sample_states``, serves every requested time index.
     """
     if model.profile.l3_eff != 1:
         raise ModelBuildError(
@@ -262,6 +262,11 @@ def _sampled_measurement_info(
         raise ModelBuildError(
             f"model '{model.name}' provides a measurement Jacobian but no "
             "measurement noise information matrix"
+        )
+    if model.sample_states is None:
+        raise ModelBuildError(
+            f"model '{model.name}' provides a measurement Jacobian but no "
+            "state sampler (sample_states)"
         )
     r = model.state_dim
     noise_info = symmetrize(np.asarray(model.meas_noise_information, dtype=float))
@@ -273,18 +278,18 @@ def _sampled_measurement_info(
     def run_chunk(args):
         c, size = args
         rng = _chunk_rng(est.seed, _PURPOSE_SAMPLE, c)
-        batch = model.simulate(horizon, size, rng)
+        sampled = model.sample_states(horizon, size, rng)
         chunk_sums = {}
         chunk_m2 = {}
         resampled = 0
         for k in ks:
-            states = batch.states[:, k + 1, :].copy()
+            states = sampled[:, k + 1, :].copy()
             resampled += _resample_singular(model, states, k, est.seed, c)
             jac = model.meas_jacobian(states)
             per = (jac.transpose(0, 2, 1) @ noise_info) @ jac
             chunk_sums[k] = per.sum(axis=0)
-            dev = per - chunk_sums[k] / size
-            chunk_m2[k] = np.einsum("nab,nab->ab", dev, dev)
+            per -= chunk_sums[k] / size
+            chunk_m2[k] = np.einsum("nab,nab->ab", per, per)
         return chunk_sums, chunk_m2, resampled
 
     tasks = list(enumerate(sizes))
@@ -323,9 +328,9 @@ def _resample_singular(model: SystemModel, states: np.ndarray, k: int,
                        seed: int, chunk: int) -> int:
     """Replace states that sit on a measurement-function singularity.
 
-    Replacement states come from fresh trajectories drawn on a dedicated
-    substream; the number of replacements is returned and surfaced in the
-    MC report.
+    Replacement states come from fresh draws of ``model.sample_states`` on a
+    dedicated substream; the number of replacements is returned and surfaced
+    in the MC report.
     """
     if model.singular_states is None:
         return 0
@@ -337,8 +342,7 @@ def _resample_singular(model: SystemModel, states: np.ndarray, k: int,
             return replaced
         replaced += bad
         rng = _chunk_rng(seed, _PURPOSE_RESAMPLE, k, chunk, attempt)
-        fresh = model.simulate(k + 1, bad, rng)
-        states[mask] = fresh.states[:, k + 1, :]
+        states[mask] = model.sample_states(k + 1, bad, rng)[:, k + 1, :]
     raise InvariantViolationError(
         f"resampling failed to leave the measurement singularity after "
         f"{_MAX_RESAMPLE_ROUNDS} rounds at time {k}"
@@ -394,7 +398,7 @@ class BlockProvider:
     Factor curvature is treated as time-invariant: transition blocks, and
     measurement blocks of models without a measurement Jacobian, are
     evaluated once at ``start``.  Sampled measurement blocks for the whole
-    horizon come from a single trajectory batch.
+    horizon come from a single draw of states.
     """
 
     def __init__(self, model: SystemModel, est: ExpectationEstimator,

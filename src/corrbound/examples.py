@@ -285,7 +285,9 @@ def build_example2(dt: float = 3.0, psd: float = 10.0,
     chol_s2 = np.linalg.cholesky(sigma2)
     w = prior.window_len
 
-    def simulate(horizon: int, count: int, rng: np.random.Generator) -> TrajectoryBatch:
+    def draw_states(horizon: int, count: int,
+                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        """Time-major states ``(horizon + 1, count, 4)`` and white seeds."""
         length = horizon + 1
         window = prior.sample(count, rng)
         # White seeds ws[j] for j = -1..length-1, held time-major so that each
@@ -294,10 +296,21 @@ def build_example2(dt: float = 3.0, psd: float = 10.0,
         seeds = np.ascontiguousarray(seeds.transpose(1, 0, 2))
 
         # The model checks that the prior window is 3, so k - 2 >= 0 below.
-        states = np.zeros((length, count, 4))
+        states = np.empty((length, count, 4))
         states[: min(w, length)] = window[:, :length].transpose(1, 0, 2)
         for k in range(w - 1, length - 1):
-            states[k + 1] = states[k] @ f.T + seeds[k + 1] + seeds[k] + seeds[k - 1]
+            nxt = np.matmul(states[k], f.T, out=states[k + 1])
+            nxt += seeds[k + 1]
+            nxt += seeds[k]
+            nxt += seeds[k - 1]
+        return states, seeds
+
+    def sample_states(horizon: int, count: int, rng: np.random.Generator) -> np.ndarray:
+        return draw_states(horizon, count, rng)[0].transpose(1, 0, 2)
+
+    def simulate(horizon: int, count: int, rng: np.random.Generator) -> TrajectoryBatch:
+        length = horizon + 1
+        states, seeds = draw_states(horizon, count, rng)
         # trans_shift[k] = -ws[k-3] = -seeds[k-2]; zero while k - 3 < -1.
         trans_shift = np.zeros((length, count, 4))
         np.negative(seeds[:-3], out=trans_shift[2:])
@@ -321,6 +334,7 @@ def build_example2(dt: float = 3.0, psd: float = 10.0,
         analytic_c=None,
         meas_jacobian=range_azimuth_jacobian,
         meas_noise_information=sigma2_inv,
+        sample_states=sample_states,
         singular_states=singular_states,
         linear=None,
     )

@@ -3,7 +3,8 @@
 A :class:`SystemModel` supplies, for a fixed correlation profile:
 
 * conditional log-densities of the transition and measurement factors,
-* a vectorized trajectory sampler (used for Monte-Carlo expectations),
+* a vectorized trajectory sampler (used for Monte-Carlo expectations) and,
+  for models with a measurement Jacobian, a states-only sampler,
 * a Gaussian prior over the initial window of states,
 * optionally closed-form curvature blocks and a measurement Jacobian.
 
@@ -112,7 +113,8 @@ class TrajectoryBatch:
     is the known additive term in the conditional mean of ``x[k+1]``;
     ``meas_shift[k]`` the one for ``z[k+1]``. ``extras`` carries
     model-specific realized sequences (e.g. the colored noises themselves)
-    for diagnostics.
+    for diagnostics.  The Jacobian curvature path reads states only and
+    takes them from :attr:`SystemModel.sample_states`, not from a batch.
     """
 
     states: Array
@@ -134,6 +136,7 @@ class TrajectoryBatch:
 # first, shift (r,)) -> float, and the measurement analog.
 LogDensity = Callable[[Array, Array, Array, Array], float]
 Simulator = Callable[[int, int, np.random.Generator], TrajectoryBatch]
+StateSampler = Callable[[int, int, np.random.Generator], Array]
 
 
 @dataclass(frozen=True)
@@ -163,6 +166,17 @@ class ArApproximation:
 
 @dataclass(frozen=True, eq=False)
 class SystemModel:
+    """One dynamic system with a fixed correlation profile.
+
+    ``simulate(horizon, count, rng)`` returns a full :class:`TrajectoryBatch`.
+    ``sample_states(horizon, count, rng)``, which only models with a
+    ``meas_jacobian`` need, returns the ``(count, horizon + 1, state_dim)``
+    states alone, drawn without measurements or shifts: the values that
+    ``simulate(horizon, count, rng).states`` holds for the same generator
+    state.  The Jacobian curvature path (``monte_carlo`` mode with a
+    ``meas_jacobian``) is its only reader.
+    """
+
     name: str
     state_dim: int
     meas_dim: int
@@ -175,6 +189,7 @@ class SystemModel:
     analytic_c: Callable[[int], Array] | None = None
     meas_jacobian: Callable[[Array], Array] | None = None
     meas_noise_information: Array | None = None
+    sample_states: StateSampler | None = None
     singular_states: Callable[[Array], Array] | None = None
     linear: LinearModelInfo | None = None
     ar_model: ArApproximation | None = None

@@ -139,6 +139,13 @@ def test_augmented_requires_ar_view():
         cb.pcrb_augmented(model, 5)
 
 
+@pytest.mark.parametrize("baseline", [cb.pcrb_ignore_correlation, cb.pcrb_augmented,
+                                      cb.pcrb_prewhiten], ids=lambda f: f.__name__)
+def test_baselines_reject_empty_horizon(example1, baseline):
+    with pytest.raises(ValueError, match="horizon must be >= 1"):
+        baseline(example1, 0)
+
+
 def test_all_baselines_converge_and_differ(example1):
     est = cb.ExpectationEstimator()
     unified = cb.run(example1, est, 40)

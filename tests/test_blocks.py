@@ -184,17 +184,17 @@ def test_singularity_resampling_reported():
     import dataclasses
     base = cb.build_example2()
     calls = {"n": 0}
-    orig = base.simulate
+    orig = base.sample_states
 
     def tainted(horizon, count, rng):
-        batch = orig(horizon, count, rng)
+        states = orig(horizon, count, rng)
         calls["n"] += 1
         if calls["n"] == 1:  # poison one state in the first draw only
-            batch.states[0, -1, 0] = 0.0
-            batch.states[0, -1, 2] = 0.0
-        return batch
+            states[0, -1, 0] = 0.0
+            states[0, -1, 2] = 0.0
+        return states
 
-    model = dataclasses.replace(base, simulate=tainted)
+    model = dataclasses.replace(base, sample_states=tainted)
     est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=64, seed=0)
     grid, _, report = measurement_blocks_detailed(model, model.start_time, est)
     assert report.resampled >= 1

@@ -1,3 +1,4 @@
+import dataclasses
 import gzip
 import json
 from pathlib import Path
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import corrbound as cb
-from corrbound import cli
+from corrbound import cli, examples
 from corrbound.examples import MA_COEFF_MAX
 
 
@@ -130,6 +131,24 @@ def test_model_error_exit_code(tmp_path, capsys):
     code = run_cli(["run", "--config", str(config)])
     assert code == 2
     assert "factory" in capsys.readouterr().err
+
+
+def test_jacobian_model_without_state_sampler_is_model_error(tmp_path, capsys, monkeypatch):
+    # The Jacobian curvature path draws states through sample_states; a
+    # custom model with a measurement Jacobian but no state sampler is a
+    # model error, reported before any sampling.
+    def factory():
+        return dataclasses.replace(cb.build_example2(), sample_states=None)
+
+    monkeypatch.setattr(examples, "example2_without_state_sampler", factory, raising=False)
+    config = tmp_path / "custom.json"
+    config.write_text(json.dumps({
+        "model": {"kind": "custom",
+                  "factory": "corrbound.examples:example2_without_state_sampler"},
+        "estimator": {"mode": "monte_carlo", "samples": 100, "seed": 0},
+    }))
+    assert run_cli(["run", "--config", str(config), "--horizon", "3"]) == 2
+    assert "sample_states" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("ma_coeff", [1.0, 1.5, 1e10, 1e77, MA_COEFF_MAX])

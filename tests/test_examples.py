@@ -4,6 +4,7 @@ import pytest
 import corrbound as cb
 from corrbound.blocks import (
     _PURPOSE_RESAMPLE,
+    _PURPOSE_SAMPLE,
     _chunk_rng,
     measurement_blocks,
     transition_blocks,
@@ -136,7 +137,9 @@ def sample_major_example2_simulator(prior: cb.GaussianPrior):
     (2, 3, (1,)),
     (40, 1, (2,)),
     (12, 257, (3,)),
-    (6, 3, (_PURPOSE_RESAMPLE, 5, 1, 0)),  # a redraw: simulate(k + 1, bad, rng)
+    (6, 3, (_PURPOSE_RESAMPLE, 5, 1, 0)),  # a redraw: sample_states(k + 1, bad, rng)
+    (0, 4, (4,)),  # the first prior state alone
+    (40, 1000, (_PURPOSE_SAMPLE, 0)),  # a sampling chunk at the default horizon
 ])
 def test_example2_sampler_matches_sample_major_reference(example2, horizon, count, substream):
     reference = sample_major_example2_simulator(example2.prior)
@@ -146,6 +149,10 @@ def test_example2_sampler_matches_sample_major_reference(example2, horizon, coun
     for name in ("states", "measurements", "trans_shift", "meas_shift"):
         assert getattr(got, name).shape == getattr(want, name).shape
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    # The Jacobian path's sampler: the same states, byte for byte.
+    states = example2.sample_states(horizon, count, rng())
+    assert states.shape == want.states.shape
+    assert states.tobytes() == want.states.tobytes()
 
 
 def test_range_azimuth_jacobian_at_diagonal_point():
@@ -183,12 +190,8 @@ def test_example2_single_point_measurement_curvature(example2):
     import dataclasses
     frozen = dataclasses.replace(
         example2,
-        simulate=lambda horizon, count, rng: cb.TrajectoryBatch(
-            states=np.repeat(state[:, None, :], horizon + 1, axis=1),
-            measurements=np.zeros((1, horizon + 1, 2)),
-            trans_shift=np.zeros((1, horizon + 1, 4)),
-            meas_shift=np.zeros((1, horizon + 1, 2)),
-        ),
+        sample_states=lambda horizon, count, rng: np.repeat(
+            state[:, None, :], horizon + 1, axis=1),
     )
     est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=1, seed=0)
     c = measurement_blocks(frozen, 2, est)

@@ -36,9 +36,12 @@ def test_sweep_samples_once(example2):
 
     def counted(horizon, count, rng):
         calls.append(count)
-        return example2.simulate(horizon, count, rng)
+        return example2.sample_states(horizon, count, rng)
 
-    model = dataclasses.replace(example2, simulate=counted)
+    def full_batch(horizon, count, rng):
+        raise AssertionError("the Jacobian path draws states only")
+
+    model = dataclasses.replace(example2, sample_states=counted, simulate=full_batch)
     est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=2_000, seed=3,
                                   chunk_size=1_000)
     cb.run(model, est, 5)
