@@ -285,11 +285,7 @@ def _sampled_measurement_info(
         for k in ks:
             states = sampled[:, k + 1, :].copy()
             resampled += _resample_singular(model, states, k, est.seed, c)
-            jac = model.meas_jacobian(states)
-            per = (jac.transpose(0, 2, 1) @ noise_info) @ jac
-            chunk_sums[k] = per.sum(axis=0)
-            per -= chunk_sums[k] / size
-            chunk_m2[k] = np.einsum("nab,nab->ab", per, per)
+            chunk_sums[k], chunk_m2[k] = _contract(model.meas_jacobian(states), noise_info)
         return chunk_sums, chunk_m2, resampled
 
     tasks = list(enumerate(sizes))
@@ -309,6 +305,9 @@ def _sampled_measurement_info(
     ses = {}
     for k in ks:
         mean = sums[k] / n
+        blocks[k] = symmetrize(mean)
+        # Before the SE pass, whose deviations would turn inf into NaN.
+        _require_finite(blocks[k], "sampled measurement information")
         if n > 1:
             # Squared deviations about the overall mean, summed from each
             # chunk's deviations about its own mean; the one-pass
@@ -319,9 +318,35 @@ def _sampled_measurement_info(
             ses[k] = np.sqrt(m2 / (n - 1) / n)
         else:
             ses[k] = np.full((r, r), np.inf)
-        blocks[k] = symmetrize(mean)
-        _require_finite(blocks[k], "sampled measurement information")
     return blocks, ses, report
+
+
+def _contract(jac: np.ndarray, noise_info: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum over samples of ``J' Lambda J``, and of its squared deviations about
+    the mean of these samples.
+
+    ``jac`` is ``(n, meas_dim, state_dim)``.  Only live Jacobian columns (any
+    nonzero entry; NaN and inf count) are contracted, one entry pair at a time
+    over contiguous samples, so a dead column's entries stay exact zeros.  The
+    reductions are numpy sums, which do not depend on the BLAS thread count.
+    """
+    n, _, r = jac.shape
+    cols = np.ascontiguousarray(jac.transpose(1, 2, 0))  # cols[j, a] holds J[j, a] per sample
+    live = np.flatnonzero((cols != 0).any(axis=(0, 2)))
+    sums = np.zeros((r, r))
+    m2 = np.zeros((r, r))
+    # 0 * inf gives NaN here on purpose: the caller rejects non-finite means.
+    with np.errstate(invalid="ignore"):
+        # left[i, p] = sum_j J[j, a] Lambda[j, i] for the p-th live column a.
+        left = (noise_info[:, :, None, None] * cols[:, None, live, :]).sum(axis=0)
+        for p, a in enumerate(live):
+            for b in live[p:]:
+                per = (left[:, p] * cols[:, b]).sum(axis=0)
+                total = per.sum()
+                per -= total / n
+                sums[a, b] = sums[b, a] = total
+                m2[a, b] = m2[b, a] = np.square(per, out=per).sum()
+    return sums, m2
 
 
 def _resample_singular(model: SystemModel, states: np.ndarray, k: int,

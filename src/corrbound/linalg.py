@@ -97,14 +97,6 @@ def check_psd(a: np.ndarray, *, rel_tol: float = 1e-10, context: str = "matrix")
         )
 
 
-def psd_dominates(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> bool:
-    """True when ``a - b`` is PSD up to an absolute eigenvalue tolerance."""
-    diff = symmetrize(a) - symmetrize(b)
-    eigs = np.linalg.eigvalsh(symmetrize(diff))
-    scale = max(abs(float(eigs[-1])), 1.0)
-    return bool(eigs[0] >= -tol * scale)
-
-
 def schur_complement_remove_first(m: np.ndarray, drop: int, *, context: str = "joint") -> np.ndarray:
     """Schur complement of the leading ``drop x drop`` block of ``m``."""
     m = np.asarray(m, dtype=float)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .blocks import BlockProvider, ExpectationEstimator
 from .errors import InvariantViolationError
-from .linalg import block_slice, check_psd, schur_complement_keep_last, symmetrize
+from .linalg import check_psd, schur_complement_keep_last, symmetrize
 from .models import SystemModel
 
 # Building the joint costs O((k r)^3); past this horizon the recursion is the
@@ -30,10 +30,6 @@ class JointInformation:
     horizon: int
     block_dim: int
     matrix: np.ndarray
-
-    def state_block(self, i: int, j: int) -> np.ndarray:
-        r = self.block_dim
-        return self.matrix[block_slice(i, r), block_slice(j, r)].copy()
 
     def validate(self) -> None:
         m = self.matrix

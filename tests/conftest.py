@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import corrbound as cb
+from corrbound.linalg import symmetrize
 
 
 def random_spd(rng: np.random.Generator, dim: int, floor: float = 0.5) -> np.ndarray:
@@ -40,6 +41,14 @@ def random_linear_model(profile: cb.CorrelationProfile, state_dim: int, meas_dim
         meas_cov=random_spd(rng, meas_dim),
     )
     return cb.build_linear_model(spec, name=name or f"random_{seed}")
+
+
+def psd_dominates(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> bool:
+    """True when ``a - b`` is PSD up to an absolute eigenvalue tolerance."""
+    diff = symmetrize(a) - symmetrize(b)
+    eigs = np.linalg.eigvalsh(symmetrize(diff))
+    scale = max(abs(float(eigs[-1])), 1.0)
+    return bool(eigs[0] >= -tol * scale)
 
 
 def max_trace_deviation(a: cb.PCRBTrace, b: cb.PCRBTrace) -> float:

@@ -17,7 +17,7 @@ from corrbound.blocks import (
 )
 from corrbound.errors import InvariantViolationError, ModelBuildError
 from corrbound.linalg import symmetrize
-from conftest import random_linear_model
+from conftest import random_linear_model, random_spd
 from reference_steps import block
 
 
@@ -135,6 +135,30 @@ def test_mc_error_scales_as_root_n(example2):
     assert 1.2 <= ratio <= 1.7
 
 
+def _per_sample_reference(model, ks, horizon, est):
+    """``J' Lambda J`` sample by sample over the states the estimator draws
+    (and redraws), with the number of redrawn states."""
+    lam = np.asarray(model.meas_noise_information)
+    per = {k: [] for k in ks}
+    replaced = 0
+    for c, size in enumerate(_chunk_sizes(est.sample_count, est.chunk_size)):
+        batch = model.simulate(horizon, size, _chunk_rng(est.seed, _PURPOSE_SAMPLE, c))
+        for k in ks:
+            states = batch.states[:, k + 1, :].copy()
+            replaced += _resample_singular(model, states, k, est.seed, c)
+            jac = model.meas_jacobian(states)
+            per[k] += [jac[s].T @ lam @ jac[s] for s in range(size)]
+    return {k: np.array(v) for k, v in per.items()}, replaced
+
+
+def _assert_matches_reference(blocks, ses, per):
+    for k, p in per.items():
+        mean = p.mean(axis=0)
+        se = p.std(axis=0, ddof=1) / np.sqrt(len(p))
+        assert np.max(np.abs(blocks[k] - mean)) <= 1e-13 * np.max(np.abs(mean))
+        assert np.max(np.abs(ses[k] - se)) <= 1e-13 * np.max(se)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("resample", [False, True])
 def test_sampled_information_matches_per_sample_loop(example2, workers, resample):
@@ -150,25 +174,74 @@ def test_sampled_information_matches_per_sample_loop(example2, workers, resample
     ks = list(range(model.start_time, horizon))
     blocks, ses, report = _sampled_measurement_info(model, ks, horizon, est)
 
-    lam = np.asarray(model.meas_noise_information)
-    per = {k: [] for k in ks}
-    replaced = 0
-    for c, size in enumerate(_chunk_sizes(est.sample_count, est.chunk_size)):
-        batch = model.simulate(horizon, size, _chunk_rng(est.seed, _PURPOSE_SAMPLE, c))
-        for k in ks:
-            states = batch.states[:, k + 1, :].copy()
-            replaced += _resample_singular(model, states, k, est.seed, c)
-            jac = model.meas_jacobian(states)
-            per[k] += [jac[s].T @ lam @ jac[s] for s in range(size)]
+    per, replaced = _per_sample_reference(model, ks, horizon, est)
     assert report.samples == 200
     assert report.resampled == replaced
     assert (replaced > 0) == resample
+    _assert_matches_reference(blocks, ses, per)
+
+
+def _generic_jacobian(meas_dim, chunk_size, partial):
+    """Order-one Jacobian of the scaled state with every entry nonzero.
+
+    With ``partial``, column 1 is zero everywhere, column 2 in about half of
+    the samples, and column 3 in batches shorter than ``chunk_size`` (the
+    last chunk) only.
+    """
+    w = np.random.default_rng(meas_dim).normal(size=(4, meas_dim * 4))
+    scale = np.array([1.0e4, 10.0, 1.0e4, 10.0])
+
+    def jac(states):
+        out = np.cos((states / scale) @ w).reshape(len(states), meas_dim, 4)
+        if partial:
+            out[:, :, 1] = 0.0
+            out[states[:, 1] < 10.0, :, 2] = 0.0
+            if len(states) < chunk_size:
+                out[:, :, 3] = 0.0
+        return out
+
+    return jac
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("meas_dim", [1, 3])
+@pytest.mark.parametrize("partial", [False, True])
+def test_sampled_information_generic_jacobian(example2, workers, meas_dim, partial):
+    # The contraction on Jacobians other than range/azimuth: a full SPD noise
+    # information, all columns live, or a live set that changes by chunk.
+    noise_info = random_spd(np.random.default_rng(10 + meas_dim), meas_dim)
+    model = dataclasses.replace(
+        example2, meas_dim=meas_dim, meas_noise_information=noise_info,
+        meas_jacobian=_generic_jacobian(meas_dim, 64, partial),
+    )
+    est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=200, seed=5,
+                                  workers=workers, chunk_size=64)
+    horizon = 8
+    ks = list(range(model.start_time, horizon))
+    blocks, ses, _ = _sampled_measurement_info(model, ks, horizon, est)
+
+    per, _ = _per_sample_reference(model, ks, horizon, est)
+    _assert_matches_reference(blocks, ses, per)
     for k in ks:
-        p = np.array(per[k])
-        mean = p.mean(axis=0)
-        se = p.std(axis=0, ddof=1) / np.sqrt(len(p))
-        assert np.max(np.abs(blocks[k] - mean)) <= 1e-13 * np.max(np.abs(mean))
-        assert np.max(np.abs(ses[k] - se)) <= 1e-13 * np.max(se)
+        assert np.all(blocks[k][3, [0, 2, 3]] != 0.0)
+        # A column dead in every chunk leaves exact zeros in mean and SE.
+        assert (not blocks[k][1].any() and not ses[k][1].any()) == partial
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("column", [0, 1])
+def test_non_finite_sampled_jacobian_is_rejected(example2, bad, column):
+    # Column 1 of the range/azimuth Jacobian is otherwise zero, so skipping
+    # dead columns must still see a non-finite entry there.
+    def jac(states):
+        out = example2.meas_jacobian(states)
+        out[3, 1, column] = bad
+        return out
+
+    model = dataclasses.replace(example2, meas_jacobian=jac)
+    est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=100, seed=1)
+    with pytest.raises(InvariantViolationError):
+        _sampled_measurement_info(model, [3], 4, est)
 
 
 def test_singularity_resampling_counted(example2):

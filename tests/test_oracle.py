@@ -75,7 +75,7 @@ def test_factor_sparsity_pattern():
         for i in range(k + 1):
             for j in range(k + 1):
                 if abs(i - j) > band:
-                    assert not joint.state_block(i, j).any()
+                    assert not joint.matrix[i * r:(i + 1) * r, j * r:(j + 1) * r].any()
 
 
 def test_partitioned_inverse_reconstruction():

@@ -4,7 +4,7 @@ import pytest
 import corrbound as cb
 from corrbound.blocks import BlockProvider, measurement_blocks, transition_blocks
 from corrbound.errors import InvariantViolationError, SingularMatrixError
-from conftest import max_trace_deviation, random_linear_model
+from conftest import max_trace_deviation, psd_dominates, random_linear_model
 from reference_steps import (
     classical_step,
     step_autocorrelated_measurement,
@@ -196,7 +196,6 @@ def test_simplified_two_lag_path_matches_general(example2):
 
 def test_measurement_quality_monotonicity(example2):
     from corrbound.examples import scale_measurement_noise
-    from corrbound.linalg import psd_dominates
     est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=10_000, seed=3)
     base = cb.run(example2, est, 12)
     sharp = cb.run(scale_measurement_noise(example2, 0.5), est, 12)
