@@ -2,12 +2,7 @@
 correlated process and measurement noise, with a brute-force full-horizon
 reference for verification."""
 
-from .blocks import (
-    BlockProvider,
-    ExpectationEstimator,
-    measurement_blocks,
-    transition_blocks,
-)
+from .blocks import BlockProvider, ExpectationEstimator
 from .baselines import pcrb_augmented, pcrb_ignore_correlation, pcrb_prewhiten
 from .errors import (
     ConfigError,
@@ -17,12 +12,7 @@ from .errors import (
     NumericalError,
     SingularMatrixError,
 )
-from .examples import (
-    build_example1,
-    build_example1_stacked,
-    build_example2,
-    simple_scalar_model,
-)
+from .examples import build_example1, build_example2
 from .models import (
     ArApproximation,
     GaussianPrior,
@@ -70,14 +60,12 @@ __all__ = [
     "TraceEntry",
     "TrajectoryBatch",
     "build_example1",
-    "build_example1_stacked",
     "build_example2",
     "build_joint",
     "build_linear_model",
     "default_prior",
     "init_state",
     "information_sequence",
-    "measurement_blocks",
     "min_sensors",
     "model_from_config",
     "pcrb_augmented",
@@ -86,9 +74,7 @@ __all__ = [
     "required_prior_window",
     "run",
     "schur_submatrix",
-    "simple_scalar_model",
     "step",
     "sweep",
-    "transition_blocks",
     "verify_recursion",
 ]

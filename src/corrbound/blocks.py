@@ -61,10 +61,6 @@ class McReport:
     samples: int = 0
     resampled: int = 0
 
-    def merge(self, other: "McReport") -> None:
-        self.samples += other.samples
-        self.resampled += other.resampled
-
 
 def _chunk_sizes(total: int, chunk: int) -> list[int]:
     sizes = [chunk] * (total // chunk)
@@ -80,37 +76,8 @@ def _chunk_rng(seed: int, purpose: int, *key: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# Transition blocks
+# Closed-form and finite-difference blocks
 # ---------------------------------------------------------------------------
-
-
-def transition_blocks(model: SystemModel, k: int, est: ExpectationEstimator) -> np.ndarray:
-    """Expected curvature of the transition factor at time ``k``.
-
-    Returns an ``(l2'+1) x (l2'+1)`` symmetric block grid.
-    """
-    _check_time(model, k)
-    if est.mode == "analytic":
-        if model.analytic_b is None:
-            raise ModelBuildError(
-                f"model '{model.name}' has no closed-form transition blocks"
-            )
-        return _validated(model.analytic_b(k), model.profile.l2_eff + 1, model.state_dim,
-                          "transition blocks")
-    if est.mode == "monte_carlo" and model.analytic_b is not None:
-        # Per-sample curvature is constant for models that expose closed
-        # forms, so the sample mean equals the closed form exactly.
-        return _validated(model.analytic_b(k), model.profile.l2_eff + 1, model.state_dim,
-                          "transition blocks")
-    return _fd_mc_transition(model, k, est)
-
-
-def _check_time(model: SystemModel, k: int) -> None:
-    if k < model.start_time:
-        raise ValueError(
-            f"time index {k} precedes the first fully conditioned factor "
-            f"(start_time={model.start_time})"
-        )
 
 
 def _validated(grid: np.ndarray, size: int, block_dim: int, what: str) -> np.ndarray:
@@ -201,47 +168,9 @@ def _fd_mc_grid(model: SystemModel, k: int, est: ExpectationEstimator,
     return symmetrize(total / done)
 
 
-def _fd_mc_transition(model: SystemModel, k: int, est: ExpectationEstimator) -> np.ndarray:
-    return _fd_mc_grid(model, k, est, _transition_point_hessian,
-                       model.profile.l2_eff + 1)
-
-
 # ---------------------------------------------------------------------------
-# Measurement blocks
+# Sampled measurement blocks
 # ---------------------------------------------------------------------------
-
-
-def measurement_blocks(model: SystemModel, k: int, est: ExpectationEstimator) -> np.ndarray:
-    """Expected curvature of the measurement factor at time ``k`` (``l3' x l3'``)."""
-    grid, _, _ = measurement_blocks_detailed(model, k, est)
-    return grid
-
-
-def measurement_blocks_detailed(
-    model: SystemModel, k: int, est: ExpectationEstimator
-) -> tuple[np.ndarray, np.ndarray | None, McReport]:
-    """As :func:`measurement_blocks`, plus entrywise standard errors and MC stats."""
-    _check_time(model, k)
-    l3e = model.profile.l3_eff
-    report = McReport()
-    if est.mode == "analytic":
-        if model.analytic_c is None:
-            raise ModelBuildError(
-                f"model '{model.name}' has no closed-form measurement blocks"
-            )
-        grid = _validated(model.analytic_c(k), l3e, model.state_dim, "measurement blocks")
-        return grid, None, report
-    if est.mode == "monte_carlo":
-        if model.meas_jacobian is not None:
-            blocks, se, report = _sampled_measurement_info(model, [k], k + 1, est)
-            return blocks[k], se[k], report
-        if model.analytic_c is not None:
-            grid = _validated(model.analytic_c(k), l3e, model.state_dim,
-                              "measurement blocks")
-            return grid, None, report
-    grid = _fd_mc_grid(model, k, est, _measurement_point_hessian, l3e)
-    report.samples = est.sample_count
-    return grid, None, report
 
 
 def _sampled_measurement_info(
@@ -418,55 +347,77 @@ def factor_frame(b: np.ndarray, c: np.ndarray, profile: CorrelationProfile) -> n
 
 
 class BlockProvider:
-    """Caches factor blocks over ``[start, stop)``; several runs may share one.
+    """Factor blocks over ``[start, stop)``, all computed on construction;
+    several runs may share one.  This is the one place that picks a block's
+    source:
 
-    Factor curvature is treated as time-invariant: transition blocks, and
-    measurement blocks of models without a measurement Jacobian, are
-    evaluated once at ``start``.  Sampled measurement blocks for the whole
-    horizon come from a single draw of states.
+    * Transition: once, at ``start``.  The closed form ``analytic_b`` unless
+      the mode is ``finite_difference_mc``; under ``analytic`` with no closed
+      form, a :class:`ModelBuildError`; otherwise a finite-difference
+      Monte-Carlo (FD-MC) mean.
+    * Measurement: under ``monte_carlo`` with a ``meas_jacobian``, the sample
+      mean of ``J' Lambda J`` at every time from one draw of states (the only
+      blocks with standard errors).  Otherwise the closed form ``analytic_c``
+      at ``start`` unless the mode is ``finite_difference_mc``; under
+      ``analytic`` with no closed form, a :class:`ModelBuildError`; otherwise
+      FD-MC, at every time for a model with a ``meas_jacobian`` and once at
+      ``start`` for one without.
+
+    A closed form is the mean that sampling would estimate, so
+    ``monte_carlo`` takes it wherever the model has one.
     """
 
     def __init__(self, model: SystemModel, est: ExpectationEstimator,
                  start: int, stop: int):
         if stop <= start:
             raise ValueError("empty block range")
-        self.model = model
-        self.est = est
+        if start < model.start_time:
+            raise ValueError(
+                f"time index {start} precedes the first fully conditioned factor "
+                f"(start_time={model.start_time})"
+            )
         self.start = start
         self.stop = stop
         self.report = McReport()
-        self._b: np.ndarray | None = None
-        self._c_cache: dict[int, np.ndarray] = {}
         self._c_se: dict[int, np.ndarray] = {}
+        r = model.state_dim
+        l2e, l3e = model.profile.l2_eff, model.profile.l3_eff
+        fd = est.mode == "finite_difference_mc"
+        times = range(start, stop)
 
-        sampled_c = est.mode == "monte_carlo" and model.meas_jacobian is not None
-        if sampled_c:
-            ks = list(range(start, stop))
-            blocks, ses, report = _sampled_measurement_info(model, ks, stop, est)
-            self.report.merge(report)
-            self._c_cache.update(blocks)
-            self._c_se.update(ses)
+        if model.analytic_b is not None and not fd:
+            self._b = _validated(model.analytic_b(start), l2e + 1, r, "transition blocks")
+        elif est.mode == "analytic":
+            raise ModelBuildError(
+                f"model '{model.name}' has no closed-form transition blocks"
+            )
+        else:
+            self._b = _fd_mc_grid(model, start, est, _transition_point_hessian, l2e + 1)
+
+        if est.mode == "monte_carlo" and model.meas_jacobian is not None:
+            self._c, self._c_se, self.report = _sampled_measurement_info(
+                model, list(times), stop, est)
+        elif model.analytic_c is not None and not fd:
+            c = _validated(model.analytic_c(start), l3e, r, "measurement blocks")
+            self._c = dict.fromkeys(times, c)
+        elif est.mode == "analytic":
+            raise ModelBuildError(
+                f"model '{model.name}' has no closed-form measurement blocks"
+            )
+        elif model.meas_jacobian is not None:
+            self._c = {k: _fd_mc_grid(model, k, est, _measurement_point_hessian, l3e)
+                       for k in times}
+            self.report.samples = est.sample_count * len(times)
+        else:
+            c = _fd_mc_grid(model, start, est, _measurement_point_hessian, l3e)
+            self._c = dict.fromkeys(times, c)
+            self.report.samples = est.sample_count
 
     def blocks(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.transition(k), self.measurement(k)
-
-    def transition(self, k: int) -> np.ndarray:
-        del k  # time-invariant
-        if self._b is None:
-            self._b = transition_blocks(self.model, self.start, self.est)
-        return self._b
+        return self._b, self._c[k]
 
     def measurement(self, k: int) -> np.ndarray:
-        if k in self._c_cache:
-            return self._c_cache[k]
-        key = self.start if self.model.meas_jacobian is None else k
-        if key not in self._c_cache:
-            grid, se, report = measurement_blocks_detailed(self.model, key, self.est)
-            self.report.merge(report)
-            self._c_cache[key] = grid
-            if se is not None:
-                self._c_se[key] = se
-        return self._c_cache[key]
+        return self._c[k]
 
     def measurement_stderr(self, k: int) -> np.ndarray | None:
         return self._c_se.get(k)

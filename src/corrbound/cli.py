@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,7 +44,7 @@ _SWEEP_KEYS = {"max_sensors", "target"}
 
 @dataclass
 class RunConfig:
-    model_config: dict
+    model: SystemModel
     horizon: int = 40
     estimator: ExpectationEstimator = ExpectationEstimator()
     baselines: tuple[str, ...] = ()
@@ -110,7 +111,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
     est_data = data.get("estimator", {})
     _check_keys(est_data, _ESTIMATOR_KEYS, "config.estimator")
-    mode = est_data.get("mode", "analytic")
+    mode = est_data.get("mode")
     samples = est_data.get("samples", 10_000)
     seed = est_data.get("seed")
     workers = est_data.get("workers", 1)
@@ -122,18 +123,10 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         seed = args.seed
     if getattr(args, "workers", None) is not None:
         workers = args.workers
-    # Nonlinear measurement models have no closed-form measurement curvature;
-    # default them into sampling mode.
-    if model_config.get("kind") == "builtin_example2" and mode == "analytic":
-        mode = "monte_carlo"
-    if mode != "analytic" and seed is None:
-        raise ConfigError("estimator.seed: required whenever sampling is active")
-    estimator = ExpectationEstimator(
-        mode=mode,
-        sample_count=_int_field(samples, "estimator.samples"),
-        seed=0 if seed is None else _int_field(seed, "estimator.seed", minimum=0),
-        workers=_int_field(workers, "estimator.workers"),
-    )
+    samples = _int_field(samples, "estimator.samples")
+    if seed is not None:
+        _int_field(seed, "estimator.seed", minimum=0)
+    workers = _int_field(workers, "estimator.workers")
 
     out_data = data.get("output", {})
     _check_keys(out_data, _OUTPUT_KEYS, "config.output")
@@ -152,6 +145,9 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     _int_field(horizon, "horizon")
     if getattr(args, "max_k", None) is not None:
         _int_field(args.max_k, "--max-k")
+    tolerance = getattr(args, "tolerance", None)
+    if tolerance is not None and not 0.0 <= tolerance < math.inf:
+        raise ConfigError(f"--tolerance: expected a finite number >= 0, got {tolerance!r}")
 
     baseline_raw = data.get("baselines", [])
     if getattr(args, "baselines", None):
@@ -180,11 +176,26 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         target = args.target
     _int_field(max_sensors, "sweep.max_sensors (--max-m)")
     if target is not None and (not isinstance(target, (int, float))
-                               or isinstance(target, bool)):
-        raise ConfigError(f"sweep.target: expected a number, got {target!r}")
+                               or isinstance(target, bool)
+                               or not abs(target) <= sys.float_info.max):
+        raise ConfigError(f"sweep.target: expected a finite number, got {target!r}")
+
+    model = model_from_config(model_config)
+    if component >= model.state_dim:
+        raise ConfigError(
+            f"component {component} out of range for state dim {model.state_dim}"
+        )
+    if mode is None:
+        # Without closed forms for both factors the provider has to sample.
+        closed = model.analytic_b is not None and model.analytic_c is not None
+        mode = "analytic" if closed else "monte_carlo"
+    if mode != "analytic" and seed is None:
+        raise ConfigError("estimator.seed: required whenever sampling is active")
+    estimator = ExpectationEstimator(mode=mode, sample_count=samples,
+                                     seed=0 if seed is None else seed, workers=workers)
 
     return RunConfig(
-        model_config=model_config,
+        model=model,
         horizon=horizon,
         estimator=estimator,
         baselines=tuple(baseline_raw),
@@ -194,15 +205,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         max_sensors=max_sensors,
         target=target,
     )
-
-
-def _build_model(config: RunConfig) -> SystemModel:
-    model = model_from_config(config.model_config)
-    if config.component >= model.state_dim:
-        raise ConfigError(
-            f"component {config.component} out of range for state dim {model.state_dim}"
-        )
-    return model
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -248,7 +250,7 @@ def _trace_json(trace: PCRBTrace, model: SystemModel, config: RunConfig) -> str:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    model = _build_model(config)
+    model = config.model
     trace = run(model, config.estimator, config.horizon)
     if config.out_format == "csv":
         _write_text(config.out_path, _trace_csv(trace, model.state_dim))
@@ -263,7 +265,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     config = _build_config(args)
     names = config.baselines or ("i", "a", "p")
-    model = _build_model(config)
+    model = config.model
     unified = run(model, config.estimator, config.horizon)
     columns: dict[str, np.ndarray] = {
         "pcrb_t": unified.component_bound_sqrt(config.component)
@@ -284,7 +286,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_oracle_verify(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    model = _build_model(config)
+    model = config.model
     from .oracle import MAX_ORACLE_HORIZON
 
     depth = min(config.horizon, args.max_k or config.horizon)
@@ -310,7 +312,7 @@ def cmd_oracle_verify(args: argparse.Namespace) -> int:
 
 def cmd_sensors(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    model = _build_model(config)
+    model = config.model
     result = sweep(
         model,
         config.max_sensors,

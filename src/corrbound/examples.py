@@ -138,54 +138,17 @@ def _example1_simulator(f: np.ndarray, q: np.ndarray, r: np.ndarray, a: float,
         for k in range(w - 1, length - 1):
             states[:, k + 1] = states[:, k] @ f.T + omega_at(k)
         meas = np.zeros((count, length, 2))
-        nu = np.zeros((count, length, 2))
         for k in range(length):
-            nu[:, k] = v_seed(k) + a * v_seed(k - 1) + omega_at(k - 1)
-            meas[:, k] = states[:, k] + nu[:, k]
+            meas[:, k] = states[:, k] + (v_seed(k) + a * v_seed(k - 1) + omega_at(k - 1))
 
         trans_shift = np.zeros((count, length, 2))
         meas_shift = np.zeros((count, length, 2))
         for k in range(length):
             trans_shift[:, k] = -a * v_seed(k) - a * a * v_seed(k - 1) - a * a * w_seed(k - 2)
             meas_shift[:, k] = -a * a * v_seed(k - 1) - a * omega_at(k - 1)
-
-        extras = {"process_noise": omega[:, 1:], "meas_noise": nu}
-        return TrajectoryBatch(states, meas, trans_shift, meas_shift, extras)
+        return TrajectoryBatch(states, meas, trans_shift, meas_shift)
 
     return simulate
-
-
-def build_example1_stacked(sensors: int, ma_coeff: float = 0.2) -> SystemModel:
-    """Explicitly stacked multi-sensor variant of the kinematic scenario.
-
-    Every sensor observes the same state with its own measurement-noise
-    process; the stacked model is used to cross-check the replica scaling of
-    the measurement curvature against the full-horizon reference.
-    """
-    a = float(ma_coeff)
-    f, q = kinematic_matrices()
-    r_single = np.diag([400.0, 25.0])
-    eye2 = np.eye(2)
-    profile = CorrelationProfile(l1=1, l2=1, l3=2, l4=1)
-    prior = default_prior(profile, 2, cov=np.diag([100.0, 10.0]), transition=f)
-
-    h0 = np.vstack([2.0 * eye2] * sensors)
-    h1 = np.vstack([-(f + a * eye2)] * sensors)
-    l0 = a * np.eye(2 * sensors)
-    r_stacked = np.kron(np.eye(sensors), r_single)
-    g0 = np.zeros((2, 2 * sensors))
-    g0[:, :2] = a * eye2  # the transition conditions on the first sensor's feed
-
-    spec = LinearConditionalSpec(
-        profile=profile,
-        state_coeffs=(f - a * eye2,),
-        trans_meas_coeffs=(g0,),
-        process_cov=q,
-        meas_state_coeffs=(h0, h1),
-        meas_meas_coeffs=(l0,),
-        meas_cov=r_stacked,
-    )
-    return build_linear_model(spec, prior=prior, name=f"example1_stacked{sensors}")
 
 
 # ---------------------------------------------------------------------------
@@ -338,26 +301,3 @@ def build_example2(dt: float = 3.0, psd: float = 10.0,
         singular_states=singular_states,
         linear=None,
     )
-
-
-def scale_measurement_noise(model: SystemModel, factor: float) -> SystemModel:
-    """Variant of the polar-sensor model with measurement covariance scaled."""
-    if model.meas_noise_information is None:
-        raise ValueError("model does not expose measurement noise information")
-    info = np.asarray(model.meas_noise_information) / factor
-    return replace(model, name=f"{model.name}_noise{factor:g}",
-                   meas_noise_information=info)
-
-
-def simple_scalar_model(q: float = 1.0, r: float = 1.0, p0: float = 1.0) -> SystemModel:
-    """Scalar random walk with a direct measurement and independent noises."""
-    profile = CorrelationProfile()
-    spec = LinearConditionalSpec(
-        profile=profile,
-        state_coeffs=(np.array([[1.0]]),),
-        process_cov=np.array([[q]]),
-        meas_state_coeffs=(np.array([[1.0]]),),
-        meas_cov=np.array([[r]]),
-    )
-    prior = GaussianPrior(means=np.zeros((1, 1)), covariances=np.array([[[p0]]]))
-    return build_linear_model(spec, prior=prior, name="scalar_random_walk")

@@ -18,7 +18,7 @@ derivatives.
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -111,25 +111,15 @@ class TrajectoryBatch:
 
     ``states``/``measurements`` cover times ``0..horizon``. ``trans_shift[k]``
     is the known additive term in the conditional mean of ``x[k+1]``;
-    ``meas_shift[k]`` the one for ``z[k+1]``. ``extras`` carries
-    model-specific realized sequences (e.g. the colored noises themselves)
-    for diagnostics.  The Jacobian curvature path reads states only and
-    takes them from :attr:`SystemModel.sample_states`, not from a batch.
+    ``meas_shift[k]`` the one for ``z[k+1]``.  The Jacobian curvature path
+    reads states only and takes them from :attr:`SystemModel.sample_states`,
+    not from a batch.
     """
 
     states: Array
     measurements: Array
     trans_shift: Array
     meas_shift: Array
-    extras: dict[str, Array] = field(default_factory=dict)
-
-    @property
-    def count(self) -> int:
-        return self.states.shape[0]
-
-    @property
-    def horizon(self) -> int:
-        return self.states.shape[1] - 1
 
 
 # Signature: (x_next (r,), x_hist (l2', r) newest first, z_hist (l4, n) newest

@@ -54,10 +54,6 @@ class PCRBTrace:
     def __len__(self) -> int:
         return len(self.entries)
 
-    @property
-    def final(self) -> TraceEntry:
-        return self.entries[-1]
-
     def info_at(self, step: int) -> np.ndarray:
         return self.entries[step - 1].info
 
@@ -112,7 +108,7 @@ def step(state: RecursionState, b: np.ndarray, c: np.ndarray
     frame gives the new carry over ``x[k+2-window] .. x[k+1]``; by the
     quotient property of Schur complements, the information submatrix of
     ``x[k+1]`` is then the Schur complement of the new carry's last block.
-    At window 1 the new carry is that submatrix, so it is checked once.
+    At window 1 the new carry is that submatrix.
     """
     profile = state.profile
     m = profile.window
@@ -124,9 +120,15 @@ def step(state: RecursionState, b: np.ndarray, c: np.ndarray
         j_next = carry_next
     else:
         j_next = schur_complement_keep_last(carry_next, r, context="information pivot")
+    # Only J is checked.  At window > 1, write the new carry as
+    # C = [[A, B], [B', D]] with J = D - B' A^-1 B; a check of C cannot fire
+    # once J's has passed:
+    # * the information pivot A has factored, so A is positive definite;
+    # * minimizing v' C v over the leading part v1 of v leaves v2' J v2, so
+    #   if C has a negative eigenvalue, lambda_min(J) <= lambda_min(C);
+    # * J <= D, the trailing block of C, so lambda_max(J) <= lambda_max(C),
+    #   and J's floor, -rel_tol * max(lambda_max, 1), is no looser than C's.
     check_psd(j_next, rel_tol=PSD_REL_TOL, context="information submatrix")
-    if m > 1:
-        check_psd(carry_next, rel_tol=PSD_REL_TOL, context="carry matrix")
     return j_next, RecursionState(k=state.k + 1, carry=carry_next, profile=profile)
 
 

@@ -2,11 +2,75 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import corrbound as cb
+from corrbound.examples import kinematic_matrices
 from corrbound.linalg import symmetrize
+
+
+def blocks_at(model: cb.SystemModel, k: int, est: cb.ExpectationEstimator
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Transition and measurement blocks at time ``k`` alone."""
+    return cb.BlockProvider(model, est, k, k + 1).blocks(k)
+
+
+def simple_scalar_model(q: float = 1.0, r: float = 1.0, p0: float = 1.0) -> cb.SystemModel:
+    """Scalar random walk with a direct measurement and independent noises."""
+    spec = cb.LinearConditionalSpec(
+        profile=cb.CorrelationProfile(),
+        state_coeffs=(np.array([[1.0]]),),
+        process_cov=np.array([[q]]),
+        meas_state_coeffs=(np.array([[1.0]]),),
+        meas_cov=np.array([[r]]),
+    )
+    prior = cb.GaussianPrior(means=np.zeros((1, 1)), covariances=np.array([[[p0]]]))
+    return cb.build_linear_model(spec, prior=prior, name="scalar_random_walk")
+
+
+def build_example1_stacked(sensors: int, ma_coeff: float = 0.2) -> cb.SystemModel:
+    """Explicitly stacked multi-sensor variant of the kinematic scenario.
+
+    Every sensor observes the same state with its own measurement-noise
+    process; the stacked model is used to cross-check the replica scaling of
+    the measurement curvature against the full-horizon reference.
+    """
+    a = float(ma_coeff)
+    f, q = kinematic_matrices()
+    r_single = np.diag([400.0, 25.0])
+    eye2 = np.eye(2)
+    profile = cb.CorrelationProfile(l1=1, l2=1, l3=2, l4=1)
+    prior = cb.default_prior(profile, 2, cov=np.diag([100.0, 10.0]), transition=f)
+
+    h0 = np.vstack([2.0 * eye2] * sensors)
+    h1 = np.vstack([-(f + a * eye2)] * sensors)
+    l0 = a * np.eye(2 * sensors)
+    r_stacked = np.kron(np.eye(sensors), r_single)
+    g0 = np.zeros((2, 2 * sensors))
+    g0[:, :2] = a * eye2  # the transition conditions on the first sensor's feed
+
+    spec = cb.LinearConditionalSpec(
+        profile=profile,
+        state_coeffs=(f - a * eye2,),
+        trans_meas_coeffs=(g0,),
+        process_cov=q,
+        meas_state_coeffs=(h0, h1),
+        meas_meas_coeffs=(l0,),
+        meas_cov=r_stacked,
+    )
+    return cb.build_linear_model(spec, prior=prior, name=f"example1_stacked{sensors}")
+
+
+def scale_measurement_noise(model: cb.SystemModel, factor: float) -> cb.SystemModel:
+    """Variant of the polar-sensor model with measurement covariance scaled."""
+    if model.meas_noise_information is None:
+        raise ValueError("model does not expose measurement noise information")
+    info = np.asarray(model.meas_noise_information) / factor
+    return replace(model, name=f"{model.name}_noise{factor:g}",
+                   meas_noise_information=info)
 
 
 def random_spd(rng: np.random.Generator, dim: int, floor: float = 0.5) -> np.ndarray:

@@ -11,8 +11,14 @@ import pytest
 
 import corrbound as cb
 from corrbound import oracle
-from corrbound.blocks import measurement_blocks, measurement_blocks_detailed
-from conftest import CASE_SPANNING_PROFILES, max_trace_deviation, random_linear_model
+from conftest import (
+    CASE_SPANNING_PROFILES,
+    blocks_at,
+    build_example1_stacked,
+    max_trace_deviation,
+    random_linear_model,
+    simple_scalar_model,
+)
 from reference_steps import (
     CaseTag,
     classical_step,
@@ -61,7 +67,6 @@ def test_criterion_1_oracle_equivalence(example1):
 def test_criterion_2_reduction_to_classical():
     """With no correlation, the unified path, the measurement-only path and
     the classical recursion coincide."""
-    from corrbound.blocks import transition_blocks
     est = cb.ExpectationEstimator()
     worst = 0.0
     for seed in range(10):
@@ -69,8 +74,7 @@ def test_criterion_2_reduction_to_classical():
         unified = cb.run(model, est, 20)
         special = cb.run(model, est, 20, stepper=step_autocorrelated_measurement_state)
         worst = max(worst, max_trace_deviation(unified, special))
-        b = transition_blocks(model, 0, est)
-        c = measurement_blocks(model, 0, est)
+        b, c = blocks_at(model, 0, est)
         j = np.linalg.inv(model.prior.covariances[0])
         for entry in unified.entries:
             j = classical_step(j, b, c)
@@ -105,7 +109,7 @@ def test_criterion_3_specialized_paths_cross_validate():
 
 def test_criterion_4_scalar_fixed_point():
     """Scalar uncorrelated model converges to the golden-ratio fixed point."""
-    model = cb.simple_scalar_model()
+    model = simple_scalar_model()
     trace = cb.run(model, cb.ExpectationEstimator(), 40)
     err = abs(trace.info_at(40)[0, 0] - GOLDEN)
     _verdict("criterion 4: scalar golden-ratio fixed point",
@@ -147,10 +151,10 @@ def test_criterion_6_monte_carlo_soundness(example2):
     k = 10
 
     estimates = [
-        measurement_blocks(
+        blocks_at(
             example2, k,
             cb.ExpectationEstimator(mode="monte_carlo", sample_count=100_000, seed=s),
-        )
+        )[1]
         for s in range(20)
     ]
     arr = np.stack(estimates)
@@ -162,8 +166,10 @@ def test_criterion_6_monte_carlo_soundness(example2):
 
     est_small = cb.ExpectationEstimator(mode="monte_carlo", sample_count=100_000, seed=0)
     est_big = cb.ExpectationEstimator(mode="monte_carlo", sample_count=1_000_000, seed=77)
-    c_small, se_small, _ = measurement_blocks_detailed(example2, k, est_small)
-    c_big, se_big, _ = measurement_blocks_detailed(example2, k, est_big)
+    small = cb.BlockProvider(example2, est_small, k, k + 1)
+    big = cb.BlockProvider(example2, est_big, k, k + 1)
+    c_small, se_small = small.measurement(k), small.measurement_stderr(k)
+    c_big, se_big = big.measurement(k), big.measurement_stderr(k)
     combined = np.sqrt(se_small**2 + se_big**2)
     diff = np.abs(c_small - c_big)
     within_se = bool(np.all(diff[combined > 0] <= 3.0 * combined[combined > 0]))
@@ -221,7 +227,7 @@ def test_criterion_8_sensor_sweep_monotonicity(example1, example2):
     sweep2 = cb.sweep(example2, 16, horizon=40, component=0, est=est2)
     mono2 = bool(np.all(np.diff(sweep2.avg_bounds()) < -1e-12))
 
-    stacked = cb.build_example1_stacked(2)
+    stacked = build_example1_stacked(2)
     stack_dev = max(cb.verify_recursion(stacked, cb.ExpectationEstimator(), 12).values())
 
     elapsed = time.perf_counter() - started

@@ -6,7 +6,7 @@ import pytest
 import corrbound as cb
 from corrbound.errors import ModelBuildError
 from corrbound.examples import kinematic_matrices
-from conftest import max_trace_deviation, random_linear_model
+from conftest import max_trace_deviation, random_linear_model, simple_scalar_model
 from reference_steps import classical_step
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -32,7 +32,7 @@ def test_marginal_covariances(example1):
 
 
 def test_ignore_correlation_on_scalar_model():
-    model = cb.simple_scalar_model()
+    model = simple_scalar_model()
     trace = cb.pcrb_ignore_correlation(model, 40)
     assert abs(trace.info_at(40)[0, 0] - GOLDEN) < 1e-10
 
@@ -100,11 +100,11 @@ def test_prewhiten_removes_cross_term(example1):
     # The decorrelated measurement noise is uncorrelated with the process
     # noise in sample statistics.
     batch = example1.simulate(14, 100_000, np.random.default_rng(9))
-    omega = batch.extras["process_noise"]
-    nu = batch.extras["meas_noise"]
+    x, z = batch.states, batch.measurements
+    f, _ = kinematic_matrices()
     k = 11
-    vprime = nu[:, k] - omega[:, k - 1]
-    w_prev = omega[:, k - 1]
+    w_prev = x[:, k] - x[:, k - 1] @ f.T  # omega[k-1] = x[k] - f x[k-1]
+    vprime = (z[:, k] - x[:, k]) - w_prev  # nu[k] = z[k] - x[k], as h = I
     n = vprime.shape[0]
     cross = vprime.T @ w_prev / n - np.outer(vprime.mean(0), w_prev.mean(0))
     se = np.sqrt(
@@ -134,7 +134,7 @@ def test_prewhiten_rejects_non_unit_gain_cross(example1):
 
 
 def test_augmented_requires_ar_view():
-    model = cb.simple_scalar_model()
+    model = simple_scalar_model()
     with pytest.raises(ModelBuildError):
         cb.pcrb_augmented(model, 5)
 

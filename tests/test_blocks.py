@@ -11,37 +11,81 @@ from corrbound.blocks import (
     _resample_singular,
     _sampled_measurement_info,
     factor_frame,
-    measurement_blocks,
-    measurement_blocks_detailed,
-    transition_blocks,
 )
 from corrbound.errors import InvariantViolationError, ModelBuildError
 from corrbound.linalg import symmetrize
-from conftest import random_linear_model, random_spd
+from conftest import blocks_at, random_linear_model, random_spd, simple_scalar_model
 from reference_steps import block
 
 
 def test_scalar_transition_block():
     # Random walk with unit process noise: curvature [[1, -1], [-1, 1]].
-    model = cb.simple_scalar_model()
-    b = transition_blocks(model, 0, cb.ExpectationEstimator())
+    b, _ = blocks_at(simple_scalar_model(), 0, cb.ExpectationEstimator())
     assert np.allclose(b, np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
 def test_scalar_measurement_block():
-    model = cb.simple_scalar_model()
-    c = measurement_blocks(model, 0, cb.ExpectationEstimator())
+    _, c = blocks_at(simple_scalar_model(), 0, cb.ExpectationEstimator())
     assert np.allclose(c, np.array([[1.0]]))
 
 
 def test_analytic_mode_requires_closed_form(example2):
-    with pytest.raises(ModelBuildError):
-        measurement_blocks(example2, 2, cb.ExpectationEstimator(mode="analytic"))
+    with pytest.raises(ModelBuildError, match="no closed-form measurement blocks"):
+        blocks_at(example2, 2, cb.ExpectationEstimator(mode="analytic"))
+
+
+# (mode, model) -> (transition source, measurement source).  "fd_once" is
+# one finite-difference Monte-Carlo evaluation at ``start`` that serves every
+# time, "fd_each" one per time; "error" is a ModelBuildError.
+RESOLVER_TABLE = {
+    ("analytic", "example1"): ("closed", "closed"),
+    ("analytic", "example2"): ("closed", "error"),
+    ("analytic", "scalar"): ("closed", "closed"),
+    ("analytic", "example2_no_jacobian"): ("closed", "error"),
+    ("monte_carlo", "example1"): ("closed", "closed"),
+    ("monte_carlo", "example2"): ("closed", "sampled"),
+    ("monte_carlo", "scalar"): ("closed", "closed"),
+    ("monte_carlo", "example2_no_jacobian"): ("closed", "fd_once"),
+    ("finite_difference_mc", "example1"): ("fd", "fd_once"),
+    ("finite_difference_mc", "example2"): ("fd", "fd_each"),
+    ("finite_difference_mc", "scalar"): ("fd", "fd_once"),
+    ("finite_difference_mc", "example2_no_jacobian"): ("fd", "fd_once"),
+}
+
+
+@pytest.mark.parametrize("mode, name", sorted(RESOLVER_TABLE))
+def test_provider_resolver_table(mode, name):
+    model = {
+        "example1": cb.build_example1,
+        "example2": cb.build_example2,
+        "scalar": simple_scalar_model,
+        "example2_no_jacobian": lambda: dataclasses.replace(cb.build_example2(),
+                                                            meas_jacobian=None),
+    }[name]()
+    b_source, c_source = RESOLVER_TABLE[mode, name]
+    est = cb.ExpectationEstimator(mode=mode, sample_count=3, seed=0)
+    start = model.start_time
+    times = (start, start + 1)
+    if c_source == "error":
+        with pytest.raises(ModelBuildError, match="no closed-form measurement blocks"):
+            cb.BlockProvider(model, est, start, start + 2)
+        return
+    provider = cb.BlockProvider(model, est, start, start + 2)
+    (b0, c0), (b1, c1) = (provider.blocks(k) for k in times)
+
+    assert b0 is b1
+    assert np.array_equal(b0, model.analytic_b(start)) == (b_source == "closed")
+    if c_source == "closed":
+        assert np.array_equal(c0, model.analytic_c(start))
+    assert (c1 is c0) == (c_source in ("closed", "fd_once"))
+    stderrs = [provider.measurement_stderr(k) for k in times]
+    assert all((se is not None) == (c_source == "sampled") for se in stderrs)
+    draws = {"closed": 0, "sampled": 1, "fd_once": 1, "fd_each": len(times)}[c_source]
+    assert provider.report.samples == est.sample_count * draws
 
 
 def test_analytic_blocks_are_psd(example1, analytic_est):
-    for grid in (transition_blocks(example1, 2, analytic_est),
-                 measurement_blocks(example1, 2, analytic_est)):
+    for grid in blocks_at(example1, 2, analytic_est):
         eigs = np.linalg.eigvalsh(grid)
         assert eigs[0] >= -1e-10 * max(eigs[-1], 1.0)
         scale = max(float(np.max(np.abs(grid))), 1.0)
@@ -52,41 +96,35 @@ def test_monte_carlo_matches_analytic_for_linear(example1):
     # Per-sample curvature of a linear-Gaussian factor is constant, so the
     # sample mean reproduces the closed form.
     est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=100_000, seed=1)
-    b_mc = transition_blocks(example1, 2, est)
-    b = transition_blocks(example1, 2, cb.ExpectationEstimator())
+    b_mc, _ = blocks_at(example1, 2, est)
+    b, _ = blocks_at(example1, 2, cb.ExpectationEstimator())
     assert np.max(np.abs(b_mc - b)) / np.max(np.abs(b)) < 1e-2
 
 
 def test_finite_difference_mc_matches_analytic(example1):
     est = cb.ExpectationEstimator(mode="finite_difference_mc", sample_count=40, seed=3)
-    b_fd = transition_blocks(example1, 2, est)
-    b = transition_blocks(example1, 2, cb.ExpectationEstimator())
+    b_fd, c_fd = blocks_at(example1, 2, est)
+    b, c = blocks_at(example1, 2, cb.ExpectationEstimator())
     assert np.max(np.abs(b_fd - b)) / np.max(np.abs(b)) < 1e-6
-    c_fd = measurement_blocks(example1, 2, est)
-    c = measurement_blocks(example1, 2, cb.ExpectationEstimator())
     assert np.max(np.abs(c_fd - c)) / np.max(np.abs(c)) < 1e-6
 
 
 def test_non_finite_curvature_is_an_error():
-    model = cb.simple_scalar_model()
-    import dataclasses
-    broken = dataclasses.replace(model, trans_logpdf=lambda *a: float("nan"))
+    broken = dataclasses.replace(simple_scalar_model(), trans_logpdf=lambda *a: float("nan"))
     est = cb.ExpectationEstimator(mode="finite_difference_mc", sample_count=2, seed=0)
     with pytest.raises(InvariantViolationError):
-        transition_blocks(broken, 0, est)
+        blocks_at(broken, 0, est)
 
 
 def test_non_finite_grid_is_rejected(example1, analytic_est):
-    import dataclasses
-    grid = transition_blocks(example1, 2, analytic_est).copy()
+    b, c = blocks_at(example1, 2, analytic_est)
+    grid = b.copy()
     grid[1, 2] = np.inf
     broken = dataclasses.replace(example1, analytic_b=lambda k: grid)
     with pytest.raises(InvariantViolationError, match="non-finite"):
-        transition_blocks(broken, 2, analytic_est)
+        blocks_at(broken, 2, analytic_est)
     # The step names the grid that is not finite.
     state = cb.init_state(example1)
-    b = transition_blocks(example1, 2, analytic_est)
-    c = measurement_blocks(example1, 2, analytic_est)
     for bad in (np.nan, np.inf):
         for which, what in (("b", "transition blocks"), ("c", "measurement blocks")):
             grids = {"b": b.copy(), "c": c.copy()}
@@ -100,13 +138,13 @@ def test_mc_seed_determinism_and_sensitivity(example2):
         mode="monte_carlo", sample_count=50_000, seed=seed, workers=workers,
         chunk_size=16_384,
     )
-    a = measurement_blocks(example2, 5, est(7))
-    b = measurement_blocks(example2, 5, est(7))
+    a = blocks_at(example2, 5, est(7))[1]
+    b = blocks_at(example2, 5, est(7))[1]
     assert np.array_equal(a, b)
     # Bit-identical regardless of worker count.
-    c = measurement_blocks(example2, 5, est(7, workers=4))
+    c = blocks_at(example2, 5, est(7, workers=4))[1]
     assert np.array_equal(a, c)
-    d = measurement_blocks(example2, 5, est(8))
+    d = blocks_at(example2, 5, est(8))[1]
     assert not np.allclose(a, d, rtol=1e-12, atol=0.0)
 
 
@@ -114,15 +152,15 @@ def test_mc_error_scales_as_root_n(example2):
     # Doubling the sample count should shrink the Frobenius error by about
     # sqrt(2); seeds are fixed so the check is deterministic.
     k = 10
-    ref = measurement_blocks(
+    ref = blocks_at(
         example2, k,
         cb.ExpectationEstimator(mode="monte_carlo", sample_count=400_000, seed=999),
-    )
+    )[1]
 
     def mean_error(n, seeds):
         errs = []
         for s in seeds:
-            c = measurement_blocks(
+            _, c = blocks_at(
                 example2, k,
                 cb.ExpectationEstimator(mode="monte_carlo", sample_count=n, seed=s),
             )
@@ -254,7 +292,6 @@ def test_singularity_resampling_counted(example2):
 
 
 def test_singularity_resampling_reported():
-    import dataclasses
     base = cb.build_example2()
     calls = {"n": 0}
     orig = base.sample_states
@@ -269,9 +306,9 @@ def test_singularity_resampling_reported():
 
     model = dataclasses.replace(base, sample_states=tainted)
     est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=64, seed=0)
-    grid, _, report = measurement_blocks_detailed(model, model.start_time, est)
-    assert report.resampled >= 1
-    assert np.all(np.isfinite(grid))
+    provider = cb.BlockProvider(model, est, model.start_time, model.start_time + 1)
+    assert provider.report.resampled >= 1
+    assert np.all(np.isfinite(provider.measurement(model.start_time)))
 
 
 # ---------------------------------------------------------------------------
@@ -280,17 +317,15 @@ def test_singularity_resampling_reported():
 
 
 def test_assembly_equal_case_layout(example1, analytic_est):
-    b = transition_blocks(example1, 2, analytic_est)
-    c = measurement_blocks(example1, 2, analytic_est)
+    b, c = blocks_at(example1, 2, analytic_est)
     frame = factor_frame(b, c, example1.profile)
     assert np.allclose(frame[:2, :2], block(b, 1, 1, 2) + block(c, 1, 1, 2))
     assert np.allclose(frame[:2, 2:], block(b, 1, 2, 2) + block(c, 1, 2, 2))
     assert np.allclose(frame[2:, 2:], block(b, 2, 2, 2) + block(c, 2, 2, 2))
 
 
-def test_assembly_less_case_layout(example2, analytic_est):
-    b = transition_blocks(example2, 2, analytic_est)
-    c = measurement_blocks(
+def test_assembly_less_case_layout(example2):
+    b, c = blocks_at(
         example2, 2,
         cb.ExpectationEstimator(mode="monte_carlo", sample_count=2_000, seed=0),
     )
@@ -305,9 +340,8 @@ def test_assembly_less_case_layout(example2, analytic_est):
 
 
 def test_assembly_uncorrelated_layout(analytic_est):
-    model = cb.simple_scalar_model()
-    b = transition_blocks(model, 0, analytic_est)
-    c = measurement_blocks(model, 0, analytic_est)
+    model = simple_scalar_model()
+    b, c = blocks_at(model, 0, analytic_est)
     frame = factor_frame(b, c, model.profile)
     assert np.allclose(frame[:1, :1], block(b, 1, 1, 1))
     assert np.allclose(frame[1:, :1], block(b, 2, 1, 1))
@@ -321,15 +355,13 @@ def test_assembly_transpose_exact():
         profile = cb.CorrelationProfile(*p)
         model = random_linear_model(profile, 2, 2, seed)
         est = cb.ExpectationEstimator()
-        b = symmetrize(transition_blocks(model, model.start_time, est))
-        c = symmetrize(measurement_blocks(model, model.start_time, est))
+        b, c = (symmetrize(g) for g in blocks_at(model, model.start_time, est))
         frame = factor_frame(b, c, profile)
         assert np.array_equal(frame[-2:, :-2], frame[:-2, -2:].T)
 
 
 def test_assembly_rejects_mismatches(example1, analytic_est):
-    b = transition_blocks(example1, 2, analytic_est)
-    c = measurement_blocks(example1, 2, analytic_est)
+    b, c = blocks_at(example1, 2, analytic_est)
     wrong = np.zeros((6, 6))
     with pytest.raises(ModelBuildError):
         factor_frame(wrong, c, example1.profile)

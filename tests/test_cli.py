@@ -76,6 +76,26 @@ def test_missing_seed_for_sampling_is_config_error(capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_default_mode_follows_closed_forms(tmp_path):
+    # A custom model without closed-form measurement blocks is sampled when
+    # no mode is given, exactly as the builtin one is.
+    config = tmp_path / "custom.json"
+    config.write_text(json.dumps({
+        "model": {"kind": "custom", "factory": "corrbound.examples:build_example2"}
+    }))
+    base = ["run", "--horizon", "3", "--samples", "2000", "--seed", "7"]
+    custom, builtin = tmp_path / "custom.csv", tmp_path / "builtin.csv"
+    assert run_cli(base + ["--config", str(config), "--out", str(custom)]) == 0
+    assert run_cli(base + ["--model", "example2", "--out", str(builtin)]) == 0
+    assert custom.read_bytes() == builtin.read_bytes()
+
+
+def test_explicit_analytic_mode_without_closed_form_is_model_error(capsys):
+    code = run_cli(["run", "--model", "example2", "--mode", "analytic", "--horizon", "3"])
+    assert code == 2
+    assert "no closed-form measurement blocks" in capsys.readouterr().err
+
+
 def test_malformed_config_names_field(tmp_path, capsys):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({"model": {"kind": "builtin_example1"},
@@ -108,6 +128,12 @@ def test_malformed_config_names_field(tmp_path, capsys):
      "model.ma_coeff"),
     ("compare", [], {"model": {"kind": "builtin_example1", "ma_coeff": 1e100}},
      "model.ma_coeff"),
+    ("sensors", ["--target", "nan"], None, "sweep.target"),
+    ("sensors", [], {"sweep": {"target": float("inf")}}, "sweep.target"),
+    ("sensors", [], {"sweep": {"target": 10**400}}, "sweep.target"),
+    ("oracle-verify", ["--tolerance", "nan"], None, "--tolerance"),
+    ("oracle-verify", ["--tolerance", "-1"], None, "--tolerance"),
+    ("oracle-verify", ["--tolerance", "inf"], None, "--tolerance"),
 ])
 def test_bad_field_is_config_error(tmp_path, capsys, command, extra, config, field):
     args = [command, *extra, "--horizon", "3"]

@@ -6,8 +6,6 @@ from corrbound.blocks import (
     _PURPOSE_RESAMPLE,
     _PURPOSE_SAMPLE,
     _chunk_rng,
-    measurement_blocks,
-    transition_blocks,
 )
 from corrbound.examples import (
     kinematic_matrices,
@@ -16,6 +14,7 @@ from corrbound.examples import (
     range_azimuth_jacobian,
 )
 from corrbound.linalg import psd_inverse, symmetrize
+from conftest import blocks_at, build_example1_stacked
 from reference_steps import CaseTag, block, select_case
 
 
@@ -39,12 +38,11 @@ def test_example1_analytic_blocks(example1, analytic_est):
     assert np.allclose(f_minus, np.array([[0.8, 2.0], [0.0, 0.8]]))
     assert np.allclose(g_plus, np.array([[1.2, 2.0], [0.0, 1.2]]))
 
-    b = transition_blocks(example1, 2, analytic_est)
+    b, c = blocks_at(example1, 2, analytic_est)
     assert np.allclose(block(b, 1, 1, 2), f_minus.T @ q_inv @ f_minus)
     assert np.allclose(block(b, 1, 2, 2), -f_minus.T @ q_inv)
     assert np.allclose(block(b, 2, 2, 2), q_inv)
 
-    c = measurement_blocks(example1, 2, analytic_est)
     assert np.allclose(block(c, 1, 1, 2), g_plus.T @ r_inv @ g_plus)
     assert np.allclose(block(c, 1, 2, 2), -g_plus.T @ r_inv @ (2.0 * np.eye(2)))
     assert np.allclose(block(c, 2, 2, 2), 4.0 * r_inv)
@@ -52,8 +50,8 @@ def test_example1_analytic_blocks(example1, analytic_est):
 
 def test_example1_sampler_moving_average_variance(example1):
     batch = example1.simulate(12, 100_000, np.random.default_rng(5))
-    _, q = kinematic_matrices()
-    omega = batch.extras["process_noise"][:, 8]
+    f, q = kinematic_matrices()
+    omega = batch.states[:, 9] - batch.states[:, 8] @ f.T  # omega[8]
     cov = np.cov(omega.T)
     expected = 1.04 * q
     assert np.max(np.abs(cov - expected)) / np.max(np.abs(expected)) < 0.02
@@ -89,11 +87,11 @@ def test_example2_profile(example2):
     assert example2.profile.l2_eff == 2
 
 
-def test_example2_analytic_transition_blocks(example2, analytic_est):
+def test_example2_analytic_transition_blocks(example2):
     f, q = planar_cv_matrices()
     q_inv = psd_inverse(q)
     eye = np.eye(4)
-    b = transition_blocks(example2, 2, analytic_est)
+    b = example2.analytic_b(2)
     assert np.allclose(block(b, 1, 3, 4), f.T @ q_inv)
     assert np.allclose(block(b, 3, 3, 4), q_inv)
     assert np.allclose(block(b, 2, 2, 4), (eye + f).T @ q_inv @ (eye + f))
@@ -194,7 +192,7 @@ def test_example2_single_point_measurement_curvature(example2):
             state[:, None, :], horizon + 1, axis=1),
     )
     est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=1, seed=0)
-    c = measurement_blocks(frozen, 2, est)
+    _, c = blocks_at(frozen, 2, est)
     assert np.allclose(c, expected, atol=1e-15)
 
 
@@ -206,11 +204,10 @@ def test_example2_trace_psd_with_moderate_samples(example2):
 
 
 def test_stacked_sensors_scale_measurement_information(example1, analytic_est):
-    stacked = cb.build_example1_stacked(3)
+    stacked = build_example1_stacked(3)
     # The sweep's replica rule: three sensors carry three times the
     # single-sensor measurement information and the same transition blocks.
-    c3 = measurement_blocks(stacked, 2, analytic_est)
-    assert np.allclose(3 * measurement_blocks(example1, 2, analytic_est), c3, atol=1e-12)
-    b1 = transition_blocks(example1, 2, analytic_est)
-    b3 = transition_blocks(stacked, 2, analytic_est)
+    b3, c3 = blocks_at(stacked, 2, analytic_est)
+    b1, c1 = blocks_at(example1, 2, analytic_est)
+    assert np.allclose(3 * c1, c3, atol=1e-12)
     assert np.allclose(b3, b1, atol=1e-12)

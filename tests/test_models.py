@@ -4,8 +4,7 @@ import pytest
 import corrbound as cb
 from corrbound.errors import ConfigError, ModelBuildError
 from corrbound.linalg import finite_difference_hessian
-from corrbound.blocks import transition_blocks, measurement_blocks
-from conftest import random_linear_model
+from conftest import blocks_at, random_linear_model, simple_scalar_model
 
 
 def test_prior_validation():
@@ -31,7 +30,7 @@ def test_default_prior_scales():
 
 
 def test_model_window_size_enforced():
-    model = cb.simple_scalar_model()
+    model = simple_scalar_model()
     import dataclasses
     bad_prior = cb.GaussianPrior(means=np.zeros((2, 1)), covariances=np.ones((2, 1, 1)))
     with pytest.raises(ModelBuildError):
@@ -64,7 +63,7 @@ def _fd_block_check(model, grid_ref, point_hessian_args, tol):
 
 def test_fd_matches_analytic_transition_example1(example1):
     est = cb.ExpectationEstimator()
-    ref = transition_blocks(example1, 2, est)
+    ref, _ = blocks_at(example1, 2, est)
     batch = example1.simulate(8, 10, np.random.default_rng(0))
     k = 3
     for s in range(10):
@@ -81,7 +80,7 @@ def test_fd_matches_analytic_transition_example1(example1):
 
 def test_fd_matches_analytic_measurement_example1(example1):
     est = cb.ExpectationEstimator()
-    ref = measurement_blocks(example1, 2, est)
+    _, ref = blocks_at(example1, 2, est)
     batch = example1.simulate(8, 10, np.random.default_rng(1))
     k = 3
     for s in range(10):
@@ -108,8 +107,7 @@ def test_fd_matches_analytic_transition_planar_cv():
     prior = cb.default_prior(profile, 4, mean=np.array([100.0, 5.0, 80.0, 4.0]),
                              transition=f_mat)
     model = cb.build_example2(prior=prior)
-    est = cb.ExpectationEstimator()
-    ref = transition_blocks(model, 2, est)
+    ref = model.analytic_b(2)
     batch = model.simulate(8, 10, np.random.default_rng(2))
     k = 3
     for s in range(10):
@@ -126,8 +124,7 @@ def test_fd_matches_analytic_transition_planar_cv():
 
 
 def test_fd_default_scale_sanity(example2):
-    est = cb.ExpectationEstimator()
-    ref = transition_blocks(example2, 2, est)
+    ref = example2.analytic_b(2)
     batch = example2.simulate(6, 3, np.random.default_rng(3))
     k = 3
     for s in range(3):
@@ -199,7 +196,7 @@ def test_model_from_config_builtins():
 
 def test_model_from_config_custom_factory():
     model = cb.model_from_config(
-        {"kind": "custom", "factory": "corrbound.examples:simple_scalar_model"}
+        {"kind": "custom", "factory": "conftest:simple_scalar_model"}
     )
     assert model.name == "scalar_random_walk"
     with pytest.raises(ModelBuildError):

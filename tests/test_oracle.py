@@ -4,7 +4,7 @@ import pytest
 import corrbound as cb
 from corrbound import oracle
 from corrbound.errors import InvariantViolationError
-from conftest import random_linear_model, random_spd
+from conftest import random_linear_model, random_spd, simple_scalar_model
 from reference_steps import contract_through_inverse, partitioned_inverse
 
 
@@ -13,7 +13,7 @@ def test_scalar_joint_hand_assembled():
     # transition adds [[1,-1],[-1,1]] across consecutive states, each
     # measurement adds 1 on its state's diagonal (measurements enter from
     # the first step after the window).
-    model = cb.simple_scalar_model()
+    model = simple_scalar_model()
     joint = cb.build_joint(model, cb.ExpectationEstimator(), 2)
     expected = np.array([
         [2.0, -1.0, 0.0],
@@ -138,8 +138,7 @@ def test_recursion_matches_oracle_with_sampled_blocks(example2):
     k_max = example2.start_time + 6
     trace = cb.run(example2, est_a, 6)
     seq = oracle.information_sequence(example2, est_b, k_max)
-    from corrbound.blocks import measurement_blocks_detailed
-    _, se, _ = measurement_blocks_detailed(example2, k_max - 1, est_a)
+    se = cb.BlockProvider(example2, est_a, k_max - 1, k_max).measurement_stderr(k_max - 1)
     tol = 3.0 * np.sqrt(2.0) * np.max(se) * (k_max + 1)
     for entry in trace.entries:
         assert np.max(np.abs(entry.info - seq[entry.time_index])) < tol

@@ -2,9 +2,18 @@ import numpy as np
 import pytest
 
 import corrbound as cb
-from corrbound.blocks import BlockProvider, measurement_blocks, transition_blocks
+from corrbound.blocks import BlockProvider
 from corrbound.errors import InvariantViolationError, SingularMatrixError
-from conftest import max_trace_deviation, psd_dominates, random_linear_model
+from corrbound.linalg import check_psd
+from corrbound.recursion import PSD_REL_TOL
+from conftest import (
+    blocks_at,
+    max_trace_deviation,
+    psd_dominates,
+    random_linear_model,
+    scale_measurement_noise,
+    simple_scalar_model,
+)
 from reference_steps import (
     classical_step,
     step_autocorrelated_measurement,
@@ -18,7 +27,7 @@ GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
 
 def test_init_state_scalar():
-    model = cb.simple_scalar_model()
+    model = simple_scalar_model()
     state = cb.init_state(model)
     assert state.k == 0
     assert np.allclose(state.carry, [[1.0]])
@@ -43,7 +52,7 @@ def test_init_state_example2_shape(example2):
 
 
 def test_scalar_golden_ratio_sequence():
-    model = cb.simple_scalar_model()
+    model = simple_scalar_model()
     trace = cb.run(model, cb.ExpectationEstimator(), 40)
     assert abs(trace.info_at(1)[0, 0] - 1.5) < 1e-14
     assert abs(trace.info_at(2)[0, 0] - 1.6) < 1e-14
@@ -66,12 +75,12 @@ def test_information_shrinks_without_measurements():
 
 
 def test_singular_step_reports_condition():
-    model = cb.simple_scalar_model()
+    model = simple_scalar_model()
     est = cb.ExpectationEstimator()
     state = cb.init_state(model)
     state.carry[0, 0] = 0.0
     b = np.zeros((2, 2))  # no transition coupling
-    c = measurement_blocks(model, 0, est)
+    _, c = blocks_at(model, 0, est)
     with pytest.raises(SingularMatrixError):
         cb.step(state, b, c)
     # Window 2: the carried block of the state leaving the window is zero.
@@ -80,7 +89,7 @@ def test_singular_step_reports_condition():
     state.carry[:2, :] = 0.0
     state.carry[:, :2] = 0.0
     b = np.zeros((6, 6))
-    c = measurement_blocks(model, model.start_time, est)
+    _, c = blocks_at(model, model.start_time, est)
     with pytest.raises(SingularMatrixError) as exc:
         cb.step(state, b, c)
     assert "carry pivot" in str(exc.value) and exc.value.rcond is not None
@@ -95,10 +104,45 @@ def test_step_rejects_lost_psd(window):
     est = cb.ExpectationEstimator()
     state = cb.init_state(model)
     assert state.profile.window == window
-    b = transition_blocks(model, model.start_time, est)
+    b, _ = blocks_at(model, model.start_time, est)
     c = -1e3 * np.eye(2)
     with pytest.raises(InvariantViolationError, match="information submatrix lost"):
         cb.step(state, b, c)
+
+
+@pytest.mark.parametrize("window", [2, 3])
+@pytest.mark.parametrize("direction", ["new", "oldest", "spread"])
+def test_lost_carry_psd_is_caught_by_j(window, direction):
+    # The measurement grid of profile (0, w, w, 0) covers exactly the new
+    # carry's states, so c - s u u' moves the carry C by the same rank-one
+    # term.  With s between 1 / (u' C^-1 u) and 1 / (u1' A^-1 u1), where A is
+    # the information pivot and u1 its part of u, C gets a negative
+    # eigenvalue while A stays positive definite; J's check must catch it.
+    profile = cb.CorrelationProfile(0, window, window, 0)
+    model = random_linear_model(profile, 2, 2, 60 + window)
+    state = cb.init_state(model)
+    assert state.profile.window == window
+    b, c = blocks_at(model, model.start_time, cb.ExpectationEstimator())
+    carry = cb.step(state, b, c)[1].carry
+    pivot = carry[:-2, :-2]
+    u = np.zeros(carry.shape[0])
+    if direction == "new":
+        u[-2] = 1.0
+    elif direction == "oldest":
+        u[0] = 1.0
+    else:
+        u = np.random.default_rng(window).normal(size=u.size)
+    u1 = u[:-2]
+    low = 1.0 / (u @ np.linalg.solve(carry, u))
+    s = 2.0 * low
+    if u1.any():
+        s = 0.5 * (low + 1.0 / (u1 @ np.linalg.solve(pivot, u1)))
+
+    with pytest.raises(InvariantViolationError, match="carry matrix lost"):
+        check_psd(carry - s * np.outer(u, u), rel_tol=PSD_REL_TOL, context="carry matrix")
+    np.linalg.cholesky(pivot - s * np.outer(u1, u1))
+    with pytest.raises(InvariantViolationError, match="information submatrix lost"):
+        cb.step(state, b, c - s * np.outer(u, u))
 
 
 def test_step_symmetry_exact(example1, analytic_est):
@@ -141,8 +185,7 @@ def test_uncorrelated_paths_coincide():
         special = cb.run(model, est, 20, stepper=step_autocorrelated_measurement_state)
         assert max_trace_deviation(unified, special) < 1e-12
 
-        b = transition_blocks(model, 0, est)
-        c = measurement_blocks(model, 0, est)
+        b, c = blocks_at(model, 0, est)
         j = np.linalg.inv(model.prior.covariances[0])
         for entry in unified.entries:
             j = classical_step(j, b, c)
@@ -195,7 +238,6 @@ def test_simplified_two_lag_path_matches_general(example2):
 
 
 def test_measurement_quality_monotonicity(example2):
-    from corrbound.examples import scale_measurement_noise
     est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=10_000, seed=3)
     base = cb.run(example2, est, 12)
     sharp = cb.run(scale_measurement_noise(example2, 0.5), est, 12)

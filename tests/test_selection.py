@@ -6,6 +6,7 @@ import pytest
 import corrbound as cb
 from corrbound import selection
 from corrbound.errors import InvariantViolationError
+from conftest import build_example1_stacked
 
 
 def test_sweep_monotone_and_m1_matches_run(example1, analytic_est):
@@ -64,7 +65,7 @@ def test_min_sensors_threshold_queries():
 
 
 def test_two_sensor_stack_matches_full_horizon_reference():
-    stacked = cb.build_example1_stacked(2)
+    stacked = build_example1_stacked(2)
     deviations = cb.verify_recursion(stacked, cb.ExpectationEstimator(), 12)
     assert max(deviations.values()) < 1e-8
 
@@ -80,7 +81,7 @@ def test_replica_and_stack_traces_agree(example1, analytic_est, monkeypatch):
     cb.sweep(example1, 4, horizon=15, est=analytic_est)
     assert len(traces) == 4
     for m, t_rep in enumerate(traces, start=1):
-        t_stk = cb.run(cb.build_example1_stacked(m), analytic_est, 15)
+        t_stk = cb.run(build_example1_stacked(m), analytic_est, 15)
         for a, b in zip(t_rep.entries, t_stk.entries, strict=True):
             assert np.max(np.abs(a.info - b.info)) / np.max(np.abs(a.info)) < 1e-12
 
