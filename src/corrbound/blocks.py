@@ -181,7 +181,8 @@ def _sampled_measurement_info(
     Uses the measurement Jacobian at the sampled state, contracted through
     the measurement noise information (the term whose conditional expectation
     over the measurement equals the full curvature).  One draw of states per
-    chunk, from ``model.sample_states``, serves every requested time index.
+    chunk, from ``model.sample_states``, serves every requested time index;
+    each time's states are read, redrawn where singular, in place.
     """
     if model.profile.l3_eff != 1:
         raise ModelBuildError(
@@ -207,14 +208,17 @@ def _sampled_measurement_info(
     def run_chunk(args):
         c, size = args
         rng = _chunk_rng(est.seed, _PURPOSE_SAMPLE, c)
-        sampled = model.sample_states(horizon, size, rng)
+        sampled = _sample_states(model, horizon, size, rng)
         chunk_sums = {}
         chunk_m2 = {}
         resampled = 0
         for k in ks:
-            states = sampled[:, k + 1, :].copy()
+            states = sampled[k + 1]
             resampled += _resample_singular(model, states, k, est.seed, c)
-            chunk_sums[k], chunk_m2[k] = _contract(model.meas_jacobian(states), noise_info)
+            jac = np.asarray(model.meas_jacobian(states))
+            _require_layout(jac, (model.meas_dim, r, size), model, "meas_jacobian",
+                            "(meas_dim, state_dim, n)")
+            chunk_sums[k], chunk_m2[k] = _contract(jac, noise_info)
         return chunk_sums, chunk_m2, resampled
 
     tasks = list(enumerate(sizes))
@@ -254,28 +258,46 @@ def _contract(jac: np.ndarray, noise_info: np.ndarray) -> tuple[np.ndarray, np.n
     """Sum over samples of ``J' Lambda J``, and of its squared deviations about
     the mean of these samples.
 
-    ``jac`` is ``(n, meas_dim, state_dim)``.  Only live Jacobian columns (any
-    nonzero entry; NaN and inf count) are contracted, one entry pair at a time
-    over contiguous samples, so a dead column's entries stay exact zeros.  The
-    reductions are numpy sums, which do not depend on the BLAS thread count.
+    ``jac`` is entry-major, ``(meas_dim, state_dim, n)``: ``jac[j, a]`` holds
+    ``J[j, a]`` for every sample, contiguous for the model's own arrays.  Only
+    live Jacobian columns (any nonzero entry; NaN and inf count) are
+    contracted, one entry pair at a time over the samples, so a dead column's
+    entries stay exact zeros.  The reductions are numpy sums, which do not
+    depend on the BLAS thread count.
     """
-    n, _, r = jac.shape
-    cols = np.ascontiguousarray(jac.transpose(1, 2, 0))  # cols[j, a] holds J[j, a] per sample
-    live = np.flatnonzero((cols != 0).any(axis=(0, 2)))
+    _, r, n = jac.shape
+    live = np.flatnonzero((jac != 0).any(axis=(0, 2)))
     sums = np.zeros((r, r))
     m2 = np.zeros((r, r))
     # 0 * inf gives NaN here on purpose: the caller rejects non-finite means.
     with np.errstate(invalid="ignore"):
         # left[i, p] = sum_j J[j, a] Lambda[j, i] for the p-th live column a.
-        left = (noise_info[:, :, None, None] * cols[:, None, live, :]).sum(axis=0)
+        left = (noise_info[:, :, None, None] * jac[:, None, live, :]).sum(axis=0)
         for p, a in enumerate(live):
             for b in live[p:]:
-                per = (left[:, p] * cols[:, b]).sum(axis=0)
+                per = (left[:, p] * jac[:, b]).sum(axis=0)
                 total = per.sum()
                 per -= total / n
                 sums[a, b] = sums[b, a] = total
                 m2[a, b] = m2[b, a] = np.square(per, out=per).sum()
     return sums, m2
+
+
+def _sample_states(model: SystemModel, horizon: int, count: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    states = np.asarray(model.sample_states(horizon, count, rng))
+    _require_layout(states, (horizon + 1, count, model.state_dim), model,
+                    "sample_states", "(horizon + 1, count, state_dim)")
+    return states
+
+
+def _require_layout(arr: np.ndarray, shape: tuple[int, ...], model: SystemModel,
+                    field: str, layout: str) -> None:
+    if arr.shape != shape:
+        raise ModelBuildError(
+            f"model '{model.name}': {field} returned shape {arr.shape}, "
+            f"expected {layout} = {shape}"
+        )
 
 
 def _resample_singular(model: SystemModel, states: np.ndarray, k: int,
@@ -296,7 +318,7 @@ def _resample_singular(model: SystemModel, states: np.ndarray, k: int,
             return replaced
         replaced += bad
         rng = _chunk_rng(seed, _PURPOSE_RESAMPLE, k, chunk, attempt)
-        states[mask] = model.sample_states(k + 1, bad, rng)[:, k + 1, :]
+        states[mask] = _sample_states(model, k + 1, bad, rng)[k + 1]
     raise InvariantViolationError(
         f"resampling failed to leave the measurement singularity after "
         f"{_MAX_RESAMPLE_ROUNDS} rounds at time {k}"
@@ -364,7 +386,8 @@ class BlockProvider:
       ``start`` for one without.
 
     A closed form is the mean that sampling would estimate, so
-    ``monte_carlo`` takes it wherever the model has one.
+    ``monte_carlo`` takes it wherever the model has one.  ``report.samples``
+    counts every trajectory drawn for either factor.
     """
 
     def __init__(self, model: SystemModel, est: ExpectationEstimator,
@@ -384,6 +407,7 @@ class BlockProvider:
         l2e, l3e = model.profile.l2_eff, model.profile.l3_eff
         fd = est.mode == "finite_difference_mc"
         times = range(start, stop)
+        b_draws = 0
 
         if model.analytic_b is not None and not fd:
             self._b = _validated(model.analytic_b(start), l2e + 1, r, "transition blocks")
@@ -393,6 +417,7 @@ class BlockProvider:
             )
         else:
             self._b = _fd_mc_grid(model, start, est, _transition_point_hessian, l2e + 1)
+            b_draws = est.sample_count
 
         if est.mode == "monte_carlo" and model.meas_jacobian is not None:
             self._c, self._c_se, self.report = _sampled_measurement_info(
@@ -412,6 +437,7 @@ class BlockProvider:
             c = _fd_mc_grid(model, start, est, _measurement_point_hessian, l3e)
             self._c = dict.fromkeys(times, c)
             self.report.samples = est.sample_count
+        self.report.samples += b_draws
 
     def blocks(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         return self._b, self._c[k]

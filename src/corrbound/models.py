@@ -159,12 +159,17 @@ class SystemModel:
     """One dynamic system with a fixed correlation profile.
 
     ``simulate(horizon, count, rng)`` returns a full :class:`TrajectoryBatch`.
-    ``sample_states(horizon, count, rng)``, which only models with a
-    ``meas_jacobian`` need, returns the ``(count, horizon + 1, state_dim)``
-    states alone, drawn without measurements or shifts: the values that
-    ``simulate(horizon, count, rng).states`` holds for the same generator
-    state.  The Jacobian curvature path (``monte_carlo`` mode with a
-    ``meas_jacobian``) is its only reader.
+    The Jacobian curvature path (``monte_carlo`` mode with a
+    ``meas_jacobian``) reads two fields in layouts of its own, both checked:
+
+    * ``sample_states(horizon, count, rng)``, which only models with a
+      ``meas_jacobian`` need, returns the states alone, time-major
+      ``(horizon + 1, count, state_dim)``: the values that
+      ``simulate(horizon, count, rng).states`` holds at ``[:, t]`` for the
+      same generator state, drawn without measurements or shifts.  The
+      caller owns the array and may overwrite it.
+    * ``meas_jacobian(states)`` takes ``(n, state_dim)`` states and returns
+      the Jacobians entry-major, ``(meas_dim, state_dim, n)``.
     """
 
     name: str

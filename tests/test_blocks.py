@@ -81,6 +81,7 @@ def test_provider_resolver_table(mode, name):
     stderrs = [provider.measurement_stderr(k) for k in times]
     assert all((se is not None) == (c_source == "sampled") for se in stderrs)
     draws = {"closed": 0, "sampled": 1, "fd_once": 1, "fd_each": len(times)}[c_source]
+    draws += b_source == "fd"  # the transition's FD-MC mean draws once
     assert provider.report.samples == est.sample_count * draws
 
 
@@ -185,7 +186,7 @@ def _per_sample_reference(model, ks, horizon, est):
             states = batch.states[:, k + 1, :].copy()
             replaced += _resample_singular(model, states, k, est.seed, c)
             jac = model.meas_jacobian(states)
-            per[k] += [jac[s].T @ lam @ jac[s] for s in range(size)]
+            per[k] += [jac[:, :, s].T @ lam @ jac[:, :, s] for s in range(size)]
     return {k: np.array(v) for k, v in per.items()}, replaced
 
 
@@ -231,11 +232,12 @@ def _generic_jacobian(meas_dim, chunk_size, partial):
 
     def jac(states):
         out = np.cos((states / scale) @ w).reshape(len(states), meas_dim, 4)
+        out = np.ascontiguousarray(out.transpose(1, 2, 0))  # entry-major
         if partial:
-            out[:, :, 1] = 0.0
-            out[states[:, 1] < 10.0, :, 2] = 0.0
+            out[:, 1, :] = 0.0
+            out[:, 2, states[:, 1] < 10.0] = 0.0
             if len(states) < chunk_size:
-                out[:, :, 3] = 0.0
+                out[:, 3, :] = 0.0
         return out
 
     return jac
@@ -273,12 +275,25 @@ def test_non_finite_sampled_jacobian_is_rejected(example2, bad, column):
     # dead columns must still see a non-finite entry there.
     def jac(states):
         out = example2.meas_jacobian(states)
-        out[3, 1, column] = bad
+        out[1, column, 3] = bad
         return out
 
     model = dataclasses.replace(example2, meas_jacobian=jac)
     est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=100, seed=1)
     with pytest.raises(InvariantViolationError):
+        _sampled_measurement_info(model, [3], 4, est)
+
+
+def test_sample_major_states_are_rejected(example2):
+    # sample_states returns time-major (horizon + 1, count, state_dim); the
+    # sample-major layout of a batch is named rather than misread.
+    model = dataclasses.replace(
+        example2,
+        sample_states=lambda h, n, rng: example2.sample_states(h, n, rng).transpose(1, 0, 2),
+    )
+    est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=100, seed=1)
+    with pytest.raises(ModelBuildError,
+                       match=r"sample_states .* \(horizon \+ 1, count, state_dim\) = \(5, 100, 4\)"):
         _sampled_measurement_info(model, [3], 4, est)
 
 
@@ -300,8 +315,8 @@ def test_singularity_resampling_reported():
         states = orig(horizon, count, rng)
         calls["n"] += 1
         if calls["n"] == 1:  # poison one state in the first draw only
-            states[0, -1, 0] = 0.0
-            states[0, -1, 2] = 0.0
+            states[-1, 0, 0] = 0.0
+            states[-1, 0, 2] = 0.0
         return states
 
     model = dataclasses.replace(base, sample_states=tainted)

@@ -177,6 +177,28 @@ def test_jacobian_model_without_state_sampler_is_model_error(tmp_path, capsys, m
     assert "sample_states" in capsys.readouterr().err
 
 
+def test_sample_major_jacobian_is_model_error(tmp_path, capsys, monkeypatch):
+    # meas_jacobian returns entry-major (meas_dim, state_dim, n); a custom
+    # model still on the sample-major (n, meas_dim, state_dim) layout is
+    # rejected rather than misread.
+    def factory():
+        base = cb.build_example2()
+        return dataclasses.replace(
+            base, meas_jacobian=lambda s: base.meas_jacobian(s).transpose(2, 0, 1))
+
+    monkeypatch.setattr(examples, "example2_sample_major_jacobian", factory, raising=False)
+    config = tmp_path / "custom.json"
+    config.write_text(json.dumps({
+        "model": {"kind": "custom",
+                  "factory": "corrbound.examples:example2_sample_major_jacobian"},
+        "estimator": {"mode": "monte_carlo", "samples": 100, "seed": 0},
+    }))
+    assert run_cli(["run", "--config", str(config), "--horizon", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "meas_jacobian" in err
+    assert "(meas_dim, state_dim, n) = (2, 4, 100)" in err
+
+
 @pytest.mark.parametrize("ma_coeff", [1.0, 1.5, 1e10, 1e77, MA_COEFF_MAX])
 def test_nonstationary_ar_coeff_is_model_error(tmp_path, capsys, ma_coeff):
     # The AR(1) baseline has no stationary variance for |coeff| >= 1; the

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from corrbound.blocks import (
     _chunk_rng,
 )
 from corrbound.examples import (
+    STATE_DRAW_BLOCK,
     kinematic_matrices,
     planar_cv_matrices,
     range_azimuth,
@@ -138,6 +141,14 @@ def sample_major_example2_simulator(prior: cb.GaussianPrior):
     (6, 3, (_PURPOSE_RESAMPLE, 5, 1, 0)),  # a redraw: sample_states(k + 1, bad, rng)
     (0, 4, (4,)),  # the first prior state alone
     (40, 1000, (_PURPOSE_SAMPLE, 0)),  # a sampling chunk at the default horizon
+    # Around the draw's sample blocks, and the two chunks of a 50k-sample run.
+    (5, STATE_DRAW_BLOCK - 1, (5,)),
+    (5, STATE_DRAW_BLOCK, (6,)),
+    (5, STATE_DRAW_BLOCK + 1, (7,)),  # a remainder of one joins the last block
+    (5, STATE_DRAW_BLOCK + 2, (8,)),
+    (3, 2 * STATE_DRAW_BLOCK + 1, (9,)),
+    (40, 17232, (_PURPOSE_SAMPLE, 1)),
+    (40, 32768, (_PURPOSE_SAMPLE, 0)),
 ])
 def test_example2_sampler_matches_sample_major_reference(example2, horizon, count, substream):
     reference = sample_major_example2_simulator(example2.prior)
@@ -147,15 +158,29 @@ def test_example2_sampler_matches_sample_major_reference(example2, horizon, coun
     for name in ("states", "measurements", "trans_shift", "meas_shift"):
         assert getattr(got, name).shape == getattr(want, name).shape
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    # The Jacobian path's sampler: the same states, byte for byte.
+    # The Jacobian path's sampler: the same states, byte for byte, time-major.
     states = example2.sample_states(horizon, count, rng())
-    assert states.shape == want.states.shape
-    assert states.tobytes() == want.states.tobytes()
+    assert states.shape == (horizon + 1, count, 4)
+    assert states.flags.c_contiguous
+    assert states.transpose(1, 0, 2).tobytes() == want.states.tobytes()
+
+
+def test_example2_state_sampler_peak_memory(example2):
+    # The draw holds one block of seeds at a time: its peak allocation stays
+    # within 10 MB of the states it returns, so a full-size seed array or
+    # transposed copy fails here.
+    tracemalloc.start()
+    try:
+        out = example2.sample_states(40, 32768, np.random.default_rng(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 10_000_000
 
 
 def test_range_azimuth_jacobian_at_diagonal_point():
     state = np.array([[1000.0, 0.0, 1000.0, 0.0]])
-    jac = range_azimuth_jacobian(state)[0]
+    jac = range_azimuth_jacobian(state)[..., 0]
     expected = np.array([
         [1.0 / np.sqrt(2.0), 0.0, 1.0 / np.sqrt(2.0), 0.0],
         [-1.0 / 2000.0, 0.0, 1.0 / 2000.0, 0.0],
@@ -175,21 +200,21 @@ def test_range_azimuth_jacobian_matches_finite_differences():
             up[col] += eps
             dn[col] -= eps
             fd = (range_azimuth(up[None, :])[0] - range_azimuth(dn[None, :])[0]) / (2 * eps)
-            assert np.allclose(jac[s, :, col], fd, atol=1e-7)
+            assert np.allclose(jac[:, col, s], fd, atol=1e-7)
 
 
 def test_example2_single_point_measurement_curvature(example2):
     # Deterministic single sample at a known geometry: the sampled curvature
     # is exactly (Jacobian)' (noise information) (Jacobian).
     state = np.array([[1000.0, 0.0, 1000.0, 0.0]])
-    jac = range_azimuth_jacobian(state)[0]
+    jac = range_azimuth_jacobian(state)[..., 0]
     sigma2_inv = np.asarray(example2.meas_noise_information)
     expected = jac.T @ sigma2_inv @ jac
     import dataclasses
     frozen = dataclasses.replace(
         example2,
         sample_states=lambda horizon, count, rng: np.repeat(
-            state[:, None, :], horizon + 1, axis=1),
+            state[None, :, :], horizon + 1, axis=0),
     )
     est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=1, seed=0)
     _, c = blocks_at(frozen, 2, est)
