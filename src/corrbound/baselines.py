@@ -17,6 +17,8 @@ augmented process covariance is singular.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .blocks import ExpectationEstimator
@@ -24,7 +26,7 @@ from .errors import ModelBuildError
 from .linalg import psd_inverse, symmetrize
 from .models import GaussianPrior, LinearConditionalSpec, SystemModel, build_linear_model
 from .profiles import CorrelationProfile
-from .recursion import PCRBTrace, run, trace_entry
+from .recursion import PCRBTrace, TraceEntry, _entry_arrays, _StepTable, run
 
 
 def _require_linear(model: SystemModel):
@@ -56,14 +58,13 @@ def pcrb_ignore_correlation(model: SystemModel, horizon: int) -> PCRBTrace:
                               li.measurement, li.measurement_marginal, horizon)
 
 
-def pcrb_augmented(model: SystemModel, horizon: int) -> PCRBTrace:
-    """Bound from AR(1) approximations of the colored noises in an augmented state.
+def augmented_system(model: SystemModel) -> tuple[np.ndarray, ...]:
+    """``(f_aug, q_aug, h_aug, r_inv, p0)`` of :func:`pcrb_augmented`.
 
     Augmented state (x, w, v_prev): the process noise and the lagged
     measurement noise ride along as states, each driven by its white AR
-    residual; the measurement keeps the fresh residual as its own noise.
-    The bound is reported in the original coordinates (leading block of the
-    augmented bound, re-inverted).
+    residual; the measurement keeps the fresh residual, of information
+    ``r_inv``, as its own noise.  ``p0`` is the augmented prior covariance.
     """
     li = _require_linear(model)
     ar = model.ar_model
@@ -78,8 +79,6 @@ def pcrb_augmented(model: SystemModel, horizon: int) -> PCRBTrace:
                 f"model '{model.name}': AR {label} coefficient {coeff:g} has no "
                 "stationary variance; the augmented baseline needs |coeff| < 1"
             )
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
     r_dim = model.state_dim
     n_dim = li.measurement.shape[0]
     aug = r_dim + r_dim + n_dim
@@ -108,18 +107,40 @@ def pcrb_augmented(model: SystemModel, horizon: int) -> PCRBTrace:
         w_stat, context="stationary AR process noise covariance")
     j[2 * r_dim :, 2 * r_dim :] = psd_inverse(
         v_stat, context="stationary AR measurement noise covariance")
+    return f_aug, q_aug, h_aug, r_inv, psd_inverse(j, context="augmented information")
 
+
+def _augmented_step(p: np.ndarray, f_aug: np.ndarray, q_aug: np.ndarray,
+                    h_aug: np.ndarray, r_inv: np.ndarray, r_dim: int
+                    ) -> tuple[np.ndarray, ...]:
+    # Covariance-form propagation tolerates the singular augmented process
+    # covariance (the x-rows carry no fresh noise).
+    predicted = symmetrize(q_aug + f_aug @ p @ f_aug.T)
+    j = symmetrize(psd_inverse(predicted, context="augmented prediction")
+                   + h_aug.T @ r_inv @ h_aug)
+    p_next = psd_inverse(j, context="augmented information")
+    info_x = psd_inverse(p_next[:r_dim, :r_dim], context="augmented state bound")
+    return (p_next, *_entry_arrays(info_x))
+
+
+def pcrb_augmented(model: SystemModel, horizon: int) -> PCRBTrace:
+    """Bound from AR(1) approximations of the colored noises in an augmented state.
+
+    The noises ride along in the augmented state of :func:`augmented_system`.
+    The bound is reported in the original coordinates (leading block of the
+    augmented bound, re-inverted).  The step reads only the augmented
+    covariance ``p``, so a step whose ``p`` repeats an earlier one byte for
+    byte reuses its result (see ``recursion._StepTable``).
+    """
+    f_aug, q_aug, h_aug, r_inv, p = augmented_system(model)
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
     trace = PCRBTrace()
-    p = psd_inverse(j, context="augmented information")
+    table = _StepTable()
     for s in range(1, horizon + 1):
-        # Covariance-form propagation tolerates the singular augmented
-        # process covariance (the x-rows carry no fresh noise).
-        predicted = symmetrize(q_aug + f_aug @ p @ f_aug.T)
-        j = symmetrize(psd_inverse(predicted, context="augmented prediction")
-                       + h_aug.T @ r_inv @ h_aug)
-        p = psd_inverse(j, context="augmented information")
-        info_x = psd_inverse(p[:r_dim, :r_dim], context="augmented state bound")
-        trace.entries.append(trace_entry(s, s, info_x))
+        p, *arrays = table.result(p, (), partial(_augmented_step, p, f_aug, q_aug,
+                                                 h_aug, r_inv, model.state_dim))
+        trace.entries.append(TraceEntry(s, s, *arrays))
     return trace
 
 

@@ -10,6 +10,7 @@ information submatrix for the new state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -55,21 +56,80 @@ class PCRBTrace:
         return len(self.entries)
 
     def info_at(self, step: int) -> np.ndarray:
+        """Information submatrix of recursion step ``step`` (1-based)."""
+        if not 1 <= step <= len(self.entries):
+            raise IndexError(
+                f"step {step} outside the trace's steps 1..{len(self.entries)}"
+            )
         return self.entries[step - 1].info
 
     def component_bound_sqrt(self, component: int) -> np.ndarray:
         return np.array([e.bound_sqrt_diag[component] for e in self.entries])
 
 
-def trace_entry(step: int, time_index: int, info: np.ndarray) -> TraceEntry:
+def _entry_arrays(info: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``info``, the bound it implies and the bound's root diagonal."""
     bound = psd_inverse(info, context="information submatrix")
-    return TraceEntry(
-        step=step,
-        time_index=time_index,
-        info=info,
-        bound=bound,
-        bound_sqrt_diag=np.sqrt(np.maximum(np.diag(bound), 0.0)),
-    )
+    return info, bound, np.sqrt(np.maximum(np.diag(bound), 0.0))
+
+
+def trace_entry(step: int, time_index: int, info: np.ndarray) -> TraceEntry:
+    return TraceEntry(step, time_index, *_entry_arrays(info))
+
+
+# ---------------------------------------------------------------------------
+# Reuse of repeated steps
+# ---------------------------------------------------------------------------
+
+
+def _exact_key(a: np.ndarray) -> tuple:
+    return a.dtype, a.shape, a.tobytes()
+
+
+class _StepTable:
+    """Results of a loop's steps, kept by the exact bytes of their inputs.
+
+    A time-invariant model's recursion settles, in floating point, into a
+    fixed point or a short cycle, after which its steps repeat inputs byte
+    for byte.  :meth:`result` returns the stored result of an earlier step
+    whose inputs were identical instead of computing it again.
+
+    The key is every array the step reads: the carried matrix and the
+    blocks (arrays fixed for the whole loop may be left out).  It is exact
+    bytes, with dtype and shape, so a hit is an input the step has already
+    seen, and the step must be a pure function of those arrays.  Every
+    check the step makes (PSD, pivot rcond, finiteness, shape) runs once on
+    each distinct input; a hit returns only what an identical input already
+    passed, because an input that failed raised and stored nothing.  The
+    stored arrays are made read-only, since later steps and trace entries
+    share them.
+
+    The table is cleared whenever the blocks differ from the previous
+    step's.  Blocks that change at every step (Monte-Carlo curvature) keep
+    at most one entry.  Under fixed blocks there is one entry per computed
+    step, and each holds two carries beyond the arrays its trace entry
+    already keeps.
+    """
+
+    def __init__(self):
+        self._blocks: list[tuple] | None = None
+        self._results: dict[tuple, tuple[np.ndarray, ...]] = {}
+
+    def result(self, carry: np.ndarray, blocks: tuple[np.ndarray, ...],
+               compute) -> tuple[np.ndarray, ...]:
+        """``compute()``, or its stored value for byte-identical ``carry`` and ``blocks``."""
+        blocks_key = [_exact_key(a) for a in blocks]
+        if blocks_key != self._blocks:
+            self._blocks = blocks_key
+            self._results.clear()
+        key = _exact_key(carry)
+        found = self._results.get(key)
+        if found is None:
+            found = compute()
+            for a in found:
+                a.setflags(write=False)
+            self._results[key] = found
+        return found
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +197,24 @@ def step(state: RecursionState, b: np.ndarray, c: np.ndarray
 # ---------------------------------------------------------------------------
 
 
+def _computed_step(stepper, state: RecursionState, b: np.ndarray, c: np.ndarray
+                   ) -> tuple[np.ndarray, ...]:
+    info, state_next = stepper(state, b, c)
+    return (state_next.carry, *_entry_arrays(info))
+
+
 def run(model: SystemModel, est: ExpectationEstimator, horizon: int,
         stepper=None, provider: BlockProvider | None = None) -> PCRBTrace:
-    """Run ``horizon`` recursion steps from the model's prior window."""
+    """Run ``horizon`` recursion steps from the model's prior window.
+
+    ``stepper`` (default :func:`step`) must be a pure function of the
+    carried matrix and the blocks ``b`` and ``c``: a step whose three arrays
+    repeat an earlier step's byte for byte reuses that step's new carry,
+    information and bound instead of calling ``stepper`` (see
+    :class:`_StepTable`).  Every check still runs once on every distinct
+    input.  The entries' arrays are read-only, and repeated steps share
+    them.
+    """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     stepper = stepper or step
@@ -148,9 +223,12 @@ def run(model: SystemModel, est: ExpectationEstimator, horizon: int,
     if provider is None:
         provider = BlockProvider(model, est, start, start + horizon)
     trace = PCRBTrace()
+    table = _StepTable()
     for s in range(1, horizon + 1):
         b, c = provider.blocks(state.k)
-        info, state = stepper(state, b, c)
-        trace.entries.append(trace_entry(s, state.k, info))
+        carry, *arrays = table.result(state.carry, (b, c),
+                                      partial(_computed_step, stepper, state, b, c))
+        state = RecursionState(k=state.k + 1, carry=carry, profile=state.profile)
+        trace.entries.append(TraceEntry(s, state.k, *arrays))
     trace.mc_resampled = provider.report.resampled
     return trace

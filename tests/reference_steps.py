@@ -1,4 +1,4 @@
-"""Case-by-case reference steps and partitioned-matrix identities.
+"""Case-by-case reference steps, plain loops and partitioned-matrix identities.
 
 A profile's effective lags select one of three step layouts
 (:func:`select_case`); the library step does not need the case, only the
@@ -21,9 +21,19 @@ from enum import Enum
 
 import numpy as np
 
-from corrbound.linalg import block_slice, check_psd, psd_solve, symmetrize
+from corrbound.baselines import augmented_system
+from corrbound.blocks import BlockProvider, ExpectationEstimator
+from corrbound.linalg import block_slice, check_psd, psd_inverse, psd_solve, symmetrize
+from corrbound.models import SystemModel
 from corrbound.profiles import CorrelationProfile
-from corrbound.recursion import PSD_REL_TOL, RecursionState
+from corrbound.recursion import (
+    PSD_REL_TOL,
+    PCRBTrace,
+    RecursionState,
+    init_state,
+    step,
+    trace_entry,
+)
 
 
 class CaseTag(Enum):
@@ -227,6 +237,41 @@ def classical_step(j_k: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     d12 = block(b, 1, 2, r)
     d22 = block(b, 2, 2, r) + block(c, 1, 1, r)
     return symmetrize(d22 - d12.T @ psd_solve(d11 + j_k, d12, context="classical gram"))
+
+
+# ---------------------------------------------------------------------------
+# Plain loops: every step computed, nothing reused
+# ---------------------------------------------------------------------------
+
+
+def run_plain(model: SystemModel, est: ExpectationEstimator, horizon: int,
+              stepper=step, provider: BlockProvider | None = None) -> PCRBTrace:
+    """``corrbound.run`` without reuse of repeated steps."""
+    state = init_state(model)
+    if provider is None:
+        provider = BlockProvider(model, est, state.k, state.k + horizon)
+    trace = PCRBTrace()
+    for s in range(1, horizon + 1):
+        b, c = provider.blocks(state.k)
+        info, state = stepper(state, b, c)
+        trace.entries.append(trace_entry(s, state.k, info))
+    trace.mc_resampled = provider.report.resampled
+    return trace
+
+
+def pcrb_augmented_plain(model: SystemModel, horizon: int) -> PCRBTrace:
+    """``corrbound.pcrb_augmented`` without reuse of repeated steps."""
+    f_aug, q_aug, h_aug, r_inv, p = augmented_system(model)
+    r_dim = model.state_dim
+    trace = PCRBTrace()
+    for s in range(1, horizon + 1):
+        predicted = symmetrize(q_aug + f_aug @ p @ f_aug.T)
+        j = symmetrize(psd_inverse(predicted, context="augmented prediction")
+                       + h_aug.T @ r_inv @ h_aug)
+        p = psd_inverse(j, context="augmented information")
+        info_x = psd_inverse(p[:r_dim, :r_dim], context="augmented state bound")
+        trace.entries.append(trace_entry(s, s, info_x))
+    return trace
 
 
 # ---------------------------------------------------------------------------

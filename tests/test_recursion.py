@@ -243,3 +243,11 @@ def test_measurement_quality_monotonicity(example2):
     sharp = cb.run(scale_measurement_noise(example2, 0.5), est, 12)
     for good, ref in zip(sharp.entries, base.entries):
         assert psd_dominates(good.info, ref.info, tol=1e-10)
+
+
+@pytest.mark.parametrize("step", [0, -1, 41])
+def test_info_at_rejects_steps_outside_trace(step):
+    trace = cb.run(simple_scalar_model(), cb.ExpectationEstimator(), 40)
+    assert trace.info_at(40) is trace.entries[-1].info
+    with pytest.raises(IndexError, match=r"1\.\.40"):
+        trace.info_at(step)

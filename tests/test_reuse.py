@@ -1,0 +1,151 @@
+"""Reuse of steps whose inputs repeat byte for byte.
+
+``corrbound.run`` and ``corrbound.pcrb_augmented`` return a stored result
+for a step whose inputs an earlier step already had.  Every output must be
+byte-identical to the plain loops in ``reference_steps``, which compute
+every step.
+"""
+
+import numpy as np
+import pytest
+
+import corrbound as cb
+from corrbound import baselines, recursion, selection
+from corrbound.errors import InvariantViolationError
+from conftest import random_linear_model
+from reference_steps import pcrb_augmented_plain, run_plain
+
+EXACT = cb.ExpectationEstimator()
+
+
+def assert_same_bytes(trace: cb.PCRBTrace, plain: cb.PCRBTrace) -> None:
+    assert len(trace) == len(plain)
+    assert trace.mc_resampled == plain.mc_resampled
+    for got, want in zip(trace.entries, plain.entries, strict=True):
+        assert (got.step, got.time_index) == (want.step, want.time_index)
+        for name in ("info", "bound", "bound_sqrt_diag"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), (got.step, name)
+            assert a.tobytes() == b.tobytes(), (got.step, name)
+
+
+def test_example1_unified_matches_plain_loop(example1):
+    assert_same_bytes(cb.run(example1, EXACT, 3000), run_plain(example1, EXACT, 3000))
+
+
+@pytest.mark.parametrize("baseline", [cb.pcrb_ignore_correlation, cb.pcrb_prewhiten])
+def test_example1_white_noise_baselines_match_plain_loop(example1, baseline, monkeypatch):
+    reused = baseline(example1, 3000)
+    monkeypatch.setattr(baselines, "run", run_plain)
+    assert_same_bytes(reused, baseline(example1, 3000))
+
+
+def test_augmented_matches_plain_loop(example1):
+    assert_same_bytes(cb.pcrb_augmented(example1, 3000), pcrb_augmented_plain(example1, 3000))
+
+
+@pytest.mark.parametrize("profile", [(2, 1, 3, 2), (2, 2, 3, 0), (1, 3, 2, 0), (3, 3, 1, 3)])
+@pytest.mark.parametrize("seed", [3, 11])
+def test_random_linear_models_match_plain_loop(profile, seed):
+    prof = cb.CorrelationProfile(*profile)
+    assert prof.window in (2, 3)
+    model = random_linear_model(prof, 2, 2, seed=seed)
+    assert_same_bytes(cb.run(model, EXACT, 500), run_plain(model, EXACT, 500))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_example2_monte_carlo_matches_plain_loop(example2, workers):
+    est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=2000, seed=7,
+                                  workers=workers)
+    start = example2.start_time
+    provider = cb.BlockProvider(example2, est, start, start + 40)
+    assert_same_bytes(cb.run(example2, est, 40, provider=provider),
+                      run_plain(example2, est, 40, provider=provider))
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_scaled_measurement_stepper_matches_plain_loop(example1, m):
+    def stepper(state, b, c):
+        # The sweep's replica rule, as in ``selection.sweep``.
+        return cb.step(state, b, m * c)
+
+    assert_same_bytes(cb.run(example1, EXACT, 3000, stepper=stepper),
+                      run_plain(example1, EXACT, 3000, stepper=stepper))
+
+
+def test_sweep_matches_plain_loop(example1, monkeypatch):
+    reused = selection.sweep(example1, 4, horizon=500)
+    monkeypatch.setattr(selection, "run", run_plain)
+    assert reused == selection.sweep(example1, 4, horizon=500)
+
+
+class _ChangingBlocks:
+    """example1's closed-form blocks, with one grid doubled from step 500
+    and non-finite from step 800, long after the recursion has settled."""
+
+    def __init__(self, model: cb.SystemModel, grid: int):
+        start = model.start_time
+        self._inner = cb.BlockProvider(model, EXACT, start, start + 800)
+        self._start = start
+        self._grid = grid
+        self.report = self._inner.report
+
+    def blocks(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        grids = list(self._inner.blocks(k))
+        step = k - self._start + 1
+        if step >= 500:
+            grids[self._grid] = 2.0 * grids[self._grid]
+        if step >= 800:
+            grids[self._grid][0, 0] = np.nan
+        return grids[0], grids[1]
+
+
+@pytest.mark.parametrize("grid, name", [(0, "transition blocks"), (1, "measurement blocks")])
+def test_blocks_that_change_after_the_fixed_point(example1, grid, name):
+    plain = run_plain(example1, EXACT, 799, provider=_ChangingBlocks(example1, grid))
+    # The change reaches the bound, so a stale stored step would show.
+    assert plain.info_at(500).tobytes() != plain.info_at(499).tobytes()
+    assert plain.info_at(499).tobytes() == plain.info_at(497).tobytes()
+    reused = cb.run(example1, EXACT, 799, provider=_ChangingBlocks(example1, grid))
+    assert_same_bytes(reused, plain)
+    with pytest.raises(InvariantViolationError, match=name):
+        cb.run(example1, EXACT, 800, provider=_ChangingBlocks(example1, grid))
+
+
+def _assert_read_only(trace: cb.PCRBTrace) -> None:
+    for entry in (trace.entries[0], trace.entries[-1]):
+        for a in (entry.info, entry.bound, entry.bound_sqrt_diag):
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 0.0
+
+
+def test_example1_computes_few_steps(example1):
+    calls = 0
+
+    def counting(state, b, c):
+        nonlocal calls
+        calls += 1
+        return cb.step(state, b, c)
+
+    trace = cb.run(example1, EXACT, 3000, stepper=counting)
+    assert len(trace) == 3000
+    assert calls <= 64
+    _assert_read_only(trace)
+
+
+def test_augmented_computes_few_steps(example1, monkeypatch):
+    calls = 0
+    inverse = baselines.psd_inverse
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return inverse(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "psd_inverse", counting)
+    monkeypatch.setattr(recursion, "psd_inverse", counting)
+    trace = cb.pcrb_augmented(example1, 3000)
+    assert len(trace) == 3000
+    # Five inversions build the augmented prior; each computed step makes four.
+    assert calls <= 5 + 4 * 64
+    _assert_read_only(trace)
