@@ -17,8 +17,6 @@ augmented process covariance is singular.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from .blocks import ExpectationEstimator
@@ -26,7 +24,7 @@ from .errors import ModelBuildError
 from .linalg import psd_inverse, symmetrize
 from .models import GaussianPrior, LinearConditionalSpec, SystemModel, build_linear_model
 from .profiles import CorrelationProfile
-from .recursion import PCRBTrace, TraceEntry, _entry_arrays, _StepTable, run
+from .recursion import PCRBTrace, _distinct_steps, run
 
 
 def _require_linear(model: SystemModel):
@@ -112,15 +110,18 @@ def augmented_system(model: SystemModel) -> tuple[np.ndarray, ...]:
 
 def _augmented_step(p: np.ndarray, f_aug: np.ndarray, q_aug: np.ndarray,
                     h_aug: np.ndarray, r_inv: np.ndarray, r_dim: int
-                    ) -> tuple[np.ndarray, ...]:
+                    ) -> tuple[np.ndarray, np.ndarray]:
     # Covariance-form propagation tolerates the singular augmented process
     # covariance (the x-rows carry no fresh noise).
     predicted = symmetrize(q_aug + f_aug @ p @ f_aug.T)
     j = symmetrize(psd_inverse(predicted, context="augmented prediction")
                    + h_aug.T @ r_inv @ h_aug)
     p_next = psd_inverse(j, context="augmented information")
-    info_x = psd_inverse(p_next[:r_dim, :r_dim], context="augmented state bound")
-    return (p_next, *_entry_arrays(info_x))
+    return p_next, psd_inverse(p_next[:r_dim, :r_dim], context="augmented state bound")
+
+
+def _no_blocks(k: int) -> tuple:
+    return ()
 
 
 def pcrb_augmented(model: SystemModel, horizon: int) -> PCRBTrace:
@@ -129,19 +130,20 @@ def pcrb_augmented(model: SystemModel, horizon: int) -> PCRBTrace:
     The noises ride along in the augmented state of :func:`augmented_system`.
     The bound is reported in the original coordinates (leading block of the
     augmented bound, re-inverted).  The step reads only the augmented
-    covariance ``p``, so a step whose ``p`` repeats an earlier one byte for
-    byte reuses its result (see ``recursion._StepTable``).
+    covariance ``p``, so it runs in ``run``'s loop helper
+    (``recursion._distinct_steps``) with no blocks: a step whose ``p``
+    repeats an earlier one byte for byte reuses its result, and the trace
+    stores each distinct row once.
     """
     f_aug, q_aug, h_aug, r_inv, p = augmented_system(model)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    trace = PCRBTrace()
-    table = _StepTable()
-    for s in range(1, horizon + 1):
-        p, *arrays = table.result(p, (), partial(_augmented_step, p, f_aug, q_aug,
-                                                 h_aug, r_inv, model.state_dim))
-        trace.entries.append(TraceEntry(s, s, *arrays))
-    return trace
+
+    def compute(k: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _augmented_step(p, f_aug, q_aug, h_aug, r_inv, model.state_dim)
+
+    rows, index = _distinct_steps(p, range(1, horizon + 1), _no_blocks, compute)
+    return PCRBTrace(rows, index)
 
 
 def pcrb_prewhiten(model: SystemModel, horizon: int) -> PCRBTrace:

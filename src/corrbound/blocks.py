@@ -81,9 +81,16 @@ def _chunk_rng(seed: int, purpose: int, *key: int) -> np.random.Generator:
 
 
 def _validated(grid: np.ndarray, size: int, block_dim: int, what: str) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
+    # A copy, so the provider's block can be read-only while the model's
+    # array stays writable.
+    grid = np.array(grid, dtype=float)
     _require_shape(grid, size, block_dim, what)
     _require_finite(grid, what)
+    return _read_only(grid)
+
+
+def _read_only(grid: np.ndarray) -> np.ndarray:
+    grid.setflags(write=False)
     return grid
 
 
@@ -165,7 +172,7 @@ def _fd_mc_grid(model: SystemModel, k: int, est: ExpectationEstimator,
                 )
             total += h
         done += size
-    return symmetrize(total / done)
+    return _read_only(symmetrize(total / done))
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +245,7 @@ def _sampled_measurement_info(
     ses = {}
     for k in ks:
         mean = sums[k] / n
-        blocks[k] = symmetrize(mean)
+        blocks[k] = _read_only(symmetrize(mean))
         # Before the SE pass, whose deviations would turn inf into NaN.
         _require_finite(blocks[k], "sampled measurement information")
         if n > 1:
@@ -387,7 +394,10 @@ class BlockProvider:
 
     A closed form is the mean that sampling would estimate, so
     ``monte_carlo`` takes it wherever the model has one.  ``report.samples``
-    counts every trajectory drawn for either factor.
+    counts every trajectory drawn for either factor.  The blocks are the
+    provider's own read-only arrays (a closed form is copied, so the
+    model's arrays stay writable), so a run can tell a repeated block by
+    identity.
     """
 
     def __init__(self, model: SystemModel, est: ExpectationEstimator,
@@ -419,31 +429,35 @@ class BlockProvider:
             self._b = _fd_mc_grid(model, start, est, _transition_point_hessian, l2e + 1)
             b_draws = est.sample_count
 
+        # Each time's (b, c) pair.  Times that share a measurement grid share
+        # one pair object, so a run can tell repeated blocks at a glance.
+        b = self._b
         if est.mode == "monte_carlo" and model.meas_jacobian is not None:
-            self._c, self._c_se, self.report = _sampled_measurement_info(
+            sampled, self._c_se, self.report = _sampled_measurement_info(
                 model, list(times), stop, est)
+            self._blocks = {k: (b, sampled[k]) for k in times}
         elif model.analytic_c is not None and not fd:
             c = _validated(model.analytic_c(start), l3e, r, "measurement blocks")
-            self._c = dict.fromkeys(times, c)
+            self._blocks = dict.fromkeys(times, (b, c))
         elif est.mode == "analytic":
             raise ModelBuildError(
                 f"model '{model.name}' has no closed-form measurement blocks"
             )
         elif model.meas_jacobian is not None:
-            self._c = {k: _fd_mc_grid(model, k, est, _measurement_point_hessian, l3e)
-                       for k in times}
+            self._blocks = {k: (b, _fd_mc_grid(model, k, est, _measurement_point_hessian, l3e))
+                            for k in times}
             self.report.samples = est.sample_count * len(times)
         else:
             c = _fd_mc_grid(model, start, est, _measurement_point_hessian, l3e)
-            self._c = dict.fromkeys(times, c)
+            self._blocks = dict.fromkeys(times, (b, c))
             self.report.samples = est.sample_count
         self.report.samples += b_draws
 
     def blocks(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        return self._b, self._c[k]
+        return self._blocks[k]
 
     def measurement(self, k: int) -> np.ndarray:
-        return self._c[k]
+        return self._blocks[k][1]
 
     def measurement_stderr(self, k: int) -> np.ndarray | None:
         return self._c_se.get(k)

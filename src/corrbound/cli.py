@@ -13,8 +13,6 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import baselines as _baselines
 from . import oracle as _oracle
 from .blocks import ESTIMATOR_MODES, ExpectationEstimator
@@ -219,31 +217,22 @@ def _trace_csv(trace: PCRBTrace, r: int) -> str:
     header += [f"J_{i}{j}" for i in range(r) for j in range(r)]
     header += [f"bound_{i}{j}" for i in range(r) for j in range(r)]
     header += [f"sqrt_bound_{i}" for i in range(r)]
+    # Repeated steps share a row, so each distinct row is formatted once.
+    texts = [",".join([_fmt(v) for a in row for v in a.reshape(-1)]) for row in trace.rows]
     lines = [",".join(header)]
-    for e in trace.entries:
-        row = [str(e.step)]
-        row += [_fmt(v) for v in e.info.reshape(-1)]
-        row += [_fmt(v) for v in e.bound.reshape(-1)]
-        row += [_fmt(v) for v in e.bound_sqrt_diag]
-        lines.append(",".join(row))
+    lines += [f"{s},{texts[i]}" for s, i in enumerate(trace.index.tolist(), 1)]
     return "\n".join(lines) + "\n"
 
 
 def _trace_json(trace: PCRBTrace, model: SystemModel, config: RunConfig) -> str:
+    rows = [{"info": info.tolist(), "bound": bound.tolist(), "sqrt_bound": root.tolist()}
+            for info, bound, root in trace.rows]
     payload = {
         "model": model.name,
         "horizon": config.horizon,
         "seed": config.estimator.seed,
-        "entries": [
-            {
-                "k": e.step,
-                "time_index": e.time_index,
-                "info": e.info.tolist(),
-                "bound": e.bound.tolist(),
-                "sqrt_bound": e.bound_sqrt_diag.tolist(),
-            }
-            for e in trace.entries
-        ],
+        "entries": [{"k": s, "time_index": trace.start + s, **rows[i]}
+                    for s, i in enumerate(trace.index.tolist(), 1)],
     }
     return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
@@ -264,22 +253,21 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    names = config.baselines or ("i", "a", "p")
+    names = dict.fromkeys(config.baselines or ("i", "a", "p"))  # one column per name
     model = config.model
-    unified = run(model, config.estimator, config.horizon)
-    columns: dict[str, np.ndarray] = {
-        "pcrb_t": unified.component_bound_sqrt(config.component)
-    }
-    for name in names:
-        trace = _baselines.BASELINES[name](model, config.horizon)
-        columns[_baselines.BASELINE_LABELS[name]] = trace.component_bound_sqrt(
-            config.component
-        )
-    header = ["k"] + list(columns)
+    traces = [run(model, config.estimator, config.horizon)]
+    traces += [_baselines.BASELINES[name](model, config.horizon) for name in names]
+    header = ["k", "pcrb_t"] + [_baselines.BASELINE_LABELS[name] for name in names]
+    # A step's values are fixed by its traces' row indices, so each distinct
+    # tuple of rows is formatted once.
+    texts: dict[tuple[int, ...], str] = {}
     lines = [",".join(header)]
-    for idx in range(config.horizon):
-        row = [str(idx + 1)] + [_fmt(columns[c][idx]) for c in columns]
-        lines.append(",".join(row))
+    for k, rows in enumerate(zip(*(t.index.tolist() for t in traces)), 1):
+        text = texts.get(rows)
+        if text is None:
+            text = texts[rows] = ",".join(
+                _fmt(t.rows[i][2][config.component]) for t, i in zip(traces, rows))
+        lines.append(f"{k},{text}")
     _write_text(config.out_path, "\n".join(lines) + "\n")
     return EXIT_OK
 

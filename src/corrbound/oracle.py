@@ -38,10 +38,12 @@ class JointInformation:
         check_psd(m, rel_tol=1e-9, context="joint information matrix")
 
 
-def _place(matrix: np.ndarray, grid: np.ndarray, states: list[int], r: int) -> None:
-    """Add ``grid``, whose block slots are ``states`` in order, into the joint."""
-    rows = np.concatenate([np.arange(s * r, (s + 1) * r) for s in states])
-    matrix[np.ix_(rows, rows)] += grid
+def _place(matrix: np.ndarray, grid: np.ndarray, first_state: int, r: int) -> None:
+    """Add ``grid``, whose block slots are consecutive states from
+    ``first_state``, into the joint."""
+    lo = first_state * r
+    hi = lo + grid.shape[0]
+    matrix[lo:hi, lo:hi] += grid
 
 
 def factor_state_indices(model: SystemModel, k: int) -> tuple[list[int], list[int]]:
@@ -61,9 +63,17 @@ def _check_horizon(model: SystemModel, k: int) -> None:
         )
 
 
-def build_joint(model: SystemModel, est: ExpectationEstimator, k: int,
-                provider: BlockProvider | None = None) -> JointInformation:
-    """Joint information over ``x[0] .. x[k]`` under the factorized density."""
+def _prefixes(model: SystemModel, est: ExpectationEstimator, k: int,
+              provider: BlockProvider | None):
+    """Yield ``(t, view)`` for every ``t`` from the window end to ``k``: the
+    joint over ``x[0] .. x[t]``, unsymmetrized, as a view of one matrix that
+    later prefixes keep adding to.
+
+    The factors are placed in time order.  The factors at times before ``t``
+    reach no state past ``x[t]``, and the ones at ``t`` and later are not
+    placed yet, so every entry of the view has received the same additions,
+    in the same order, as an assembly that stopped at ``t``.
+    """
     _check_horizon(model, k)
     start = model.start_time
     r = model.state_dim
@@ -72,14 +82,28 @@ def build_joint(model: SystemModel, est: ExpectationEstimator, k: int,
     matrix = np.zeros(((k + 1) * r, (k + 1) * r))
     w = model.prior.window_len
     matrix[: w * r, : w * r] = model.prior.information()
-    for t in range(start, k):
-        b, c = provider.blocks(t)
-        trans_states, meas_states = factor_state_indices(model, t)
-        _place(matrix, b, trans_states, r)
-        _place(matrix, c, meas_states, r)
-    joint = JointInformation(horizon=k, block_dim=r, matrix=symmetrize(matrix))
+    for t in range(start, k + 1):
+        if t > start:
+            b, c = provider.blocks(t - 1)
+            trans_states, meas_states = factor_state_indices(model, t - 1)
+            _place(matrix, b, trans_states[0], r)
+            _place(matrix, c, meas_states[0], r)
+        n = (t + 1) * r
+        yield t, matrix[:n, :n]
+
+
+def _joint(t: int, r: int, prefix: np.ndarray) -> JointInformation:
+    joint = JointInformation(horizon=t, block_dim=r, matrix=symmetrize(prefix))
     joint.validate()
     return joint
+
+
+def build_joint(model: SystemModel, est: ExpectationEstimator, k: int,
+                provider: BlockProvider | None = None) -> JointInformation:
+    """Joint information over ``x[0] .. x[k]`` under the factorized density."""
+    for t, prefix in _prefixes(model, est, k, provider):
+        pass  # the last prefix is the whole joint
+    return _joint(t, model.state_dim, prefix)
 
 
 def schur_submatrix(joint: JointInformation) -> np.ndarray:
@@ -92,13 +116,14 @@ def schur_submatrix(joint: JointInformation) -> np.ndarray:
 
 def information_sequence(model: SystemModel, est: ExpectationEstimator, k_max: int,
                          provider: BlockProvider | None = None) -> dict[int, np.ndarray]:
-    """Oracle information submatrices for every time from the window end to ``k_max``."""
-    _check_horizon(model, k_max)
-    start = model.start_time
-    if provider is None and k_max > start:
-        provider = BlockProvider(model, est, start, k_max)
-    return {t: schur_submatrix(build_joint(model, est, t, provider))
-            for t in range(start, k_max + 1)}
+    """Oracle information submatrices for every time from the window end to ``k_max``.
+
+    One assembly serves every time: each prefix of it is validated and
+    reduced on its own.
+    """
+    r = model.state_dim
+    return {t: schur_submatrix(_joint(t, r, prefix))
+            for t, prefix in _prefixes(model, est, k_max, provider)}
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ information submatrix for the new state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,36 +45,52 @@ class TraceEntry:
     bound_sqrt_diag: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class PCRBTrace:
-    """Per-step information submatrices and the bounds they imply."""
+    """Per-step information submatrices and the bounds they imply.
 
-    entries: list[TraceEntry] = field(default_factory=list)
+    Steps that repeat share one stored result: ``rows`` holds each distinct
+    ``(info, bound, bound_sqrt_diag)`` once, with read-only arrays, and
+    ``index[s - 1]`` is the row of recursion step ``s`` (1-based), which
+    reaches time index ``start + s``.
+    """
+
+    rows: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    index: np.ndarray
+    start: int = 0
     mc_resampled: int = 0
 
+    def __post_init__(self):
+        self.index = np.array(self.index, dtype=np.intp)
+        self.index.setflags(write=False)
+
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.index)
+
+    @cached_property
+    def entries(self) -> list[TraceEntry]:
+        """One entry per step; repeated steps share their arrays."""
+        rows, start = self.rows, self.start
+        return [TraceEntry(s, start + s, *rows[i])
+                for s, i in enumerate(self.index.tolist(), 1)]
 
     def info_at(self, step: int) -> np.ndarray:
         """Information submatrix of recursion step ``step`` (1-based)."""
-        if not 1 <= step <= len(self.entries):
-            raise IndexError(
-                f"step {step} outside the trace's steps 1..{len(self.entries)}"
-            )
-        return self.entries[step - 1].info
+        if not 1 <= step <= len(self):
+            raise IndexError(f"step {step} outside the trace's steps 1..{len(self)}")
+        return self.rows[self.index[step - 1]][0]
 
     def component_bound_sqrt(self, component: int) -> np.ndarray:
-        return np.array([e.bound_sqrt_diag[component] for e in self.entries])
+        return np.array([row[2][component] for row in self.rows])[self.index]
 
 
-def _entry_arrays(info: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``info``, the bound it implies and the bound's root diagonal."""
+def trace_row(info: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``info``, the bound it implies and the bound's root diagonal, read-only."""
     bound = psd_inverse(info, context="information submatrix")
-    return info, bound, np.sqrt(np.maximum(np.diag(bound), 0.0))
-
-
-def trace_entry(step: int, time_index: int, info: np.ndarray) -> TraceEntry:
-    return TraceEntry(step, time_index, *_entry_arrays(info))
+    row = (info, bound, np.sqrt(np.maximum(np.diag(bound), 0.0)))
+    for a in row:
+        a.setflags(write=False)
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -82,54 +98,73 @@ def trace_entry(step: int, time_index: int, info: np.ndarray) -> TraceEntry:
 # ---------------------------------------------------------------------------
 
 
-def _exact_key(a: np.ndarray) -> tuple:
-    return a.dtype, a.shape, a.tobytes()
+def _hold(blocks: tuple[np.ndarray, ...]) -> list[tuple]:
+    """What :func:`_same_blocks` compares later steps' blocks against.
 
-
-class _StepTable:
-    """Results of a loop's steps, kept by the exact bytes of their inputs.
-
-    A time-invariant model's recursion settles, in floating point, into a
-    fixed point or a short cycle, after which its steps repeat inputs byte
-    for byte.  :meth:`result` returns the stored result of an earlier step
-    whose inputs were identical instead of computing it again.
-
-    The key is every array the step reads: the carried matrix and the
-    blocks (arrays fixed for the whole loop may be left out).  It is exact
-    bytes, with dtype and shape, so a hit is an input the step has already
-    seen, and the step must be a pure function of those arrays.  Every
-    check the step makes (PSD, pivot rcond, finiteness, shape) runs once on
-    each distinct input; a hit returns only what an identical input already
-    passed, because an input that failed raised and stored nothing.  The
-    stored arrays are made read-only, since later steps and trace entries
-    share them.
-
-    The table is cleared whenever the blocks differ from the previous
-    step's.  Blocks that change at every step (Monte-Carlo curvature) keep
-    at most one entry.  Under fixed blocks there is one entry per computed
-    step, and each holds two carries beyond the arrays its trace entry
-    already keeps.
+    Each array is held by its exact bytes, dtype and shape as they are now.
+    One that owns its data and is read-only (a :class:`BlockProvider` block)
+    cannot change while held, so it also matches by identity alone.
     """
+    return [(a if a.flags.owndata and not a.flags.writeable else None,
+             a.dtype, a.shape, a.tobytes()) for a in blocks]
 
-    def __init__(self):
-        self._blocks: list[tuple] | None = None
-        self._results: dict[tuple, tuple[np.ndarray, ...]] = {}
 
-    def result(self, carry: np.ndarray, blocks: tuple[np.ndarray, ...],
-               compute) -> tuple[np.ndarray, ...]:
-        """``compute()``, or its stored value for byte-identical ``carry`` and ``blocks``."""
-        blocks_key = [_exact_key(a) for a in blocks]
-        if blocks_key != self._blocks:
-            self._blocks = blocks_key
-            self._results.clear()
-        key = _exact_key(carry)
-        found = self._results.get(key)
+def _same_blocks(blocks: tuple[np.ndarray, ...], held: list[tuple]) -> bool:
+    if len(blocks) != len(held):
+        return False
+    for a, (frozen, dtype, shape, data) in zip(blocks, held):
+        if a is frozen:
+            continue
+        if a.dtype != dtype or a.shape != shape or a.tobytes() != data:
+            return False
+    return True
+
+
+def _distinct_steps(carry: np.ndarray, times: range, blocks_at, compute
+                    ) -> tuple[list[tuple[np.ndarray, ...]], list[int]]:
+    """Trace rows of the steps at ``times`` and the row of each step.
+
+    ``compute(k, carry, *blocks_at(k))`` returns the next carry and the
+    step's information submatrix, and must be a pure function of ``carry``
+    and the blocks.  A time-invariant model's recursion settles, in floating
+    point, into a fixed point or a short cycle, after which its steps repeat
+    inputs byte for byte; such a step takes the stored next carry and row of
+    the earlier step instead of calling ``compute``.
+
+    The carry is keyed by its exact bytes (it keeps one dtype and shape from
+    step to step).  The stored results are cleared whenever the blocks
+    differ from the previous step's (:func:`_same_blocks`), so blocks that
+    change at every step (Monte-Carlo curvature) keep at most one.  A step
+    handed the very tuple of the step before, whose arrays all match by
+    identity, skips even that comparison.  Every check ``compute`` makes
+    (PSD, pivot rcond, finiteness, shape) runs once on each distinct input;
+    a repeat returns only what an identical input already passed, because
+    an input that failed raised and stored nothing.  Stored carries and
+    rows are read-only, since later steps share them.
+    """
+    rows: list[tuple[np.ndarray, ...]] = []
+    index: list[int] = []
+    seen: dict[bytes, tuple[int, np.ndarray, bytes]] = {}
+    held: list[tuple] | None = None
+    last = None  # the previous step's blocks, if identity alone matches them
+    key = carry.tobytes()
+    for k in times:
+        blocks = blocks_at(k)
+        if blocks is not last:
+            if held is None or not _same_blocks(blocks, held):
+                held = _hold(blocks)
+                seen.clear()
+            frozen = type(blocks) is tuple and all(h[0] is not None for h in held)
+            last = blocks if frozen else None
+        found = seen.get(key)
         if found is None:
-            found = compute()
-            for a in found:
-                a.setflags(write=False)
-            self._results[key] = found
-        return found
+            carry_next, info = compute(k, carry, *blocks)
+            carry_next.setflags(write=False)
+            found = seen[key] = (len(rows), carry_next, carry_next.tobytes())
+            rows.append(trace_row(info))
+        row, carry, key = found
+        index.append(row)
+    return rows, index
 
 
 # ---------------------------------------------------------------------------
@@ -197,38 +232,30 @@ def step(state: RecursionState, b: np.ndarray, c: np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def _computed_step(stepper, state: RecursionState, b: np.ndarray, c: np.ndarray
-                   ) -> tuple[np.ndarray, ...]:
-    info, state_next = stepper(state, b, c)
-    return (state_next.carry, *_entry_arrays(info))
-
-
 def run(model: SystemModel, est: ExpectationEstimator, horizon: int,
         stepper=None, provider: BlockProvider | None = None) -> PCRBTrace:
     """Run ``horizon`` recursion steps from the model's prior window.
 
     ``stepper`` (default :func:`step`) must be a pure function of the
-    carried matrix and the blocks ``b`` and ``c``: a step whose three arrays
-    repeat an earlier step's byte for byte reuses that step's new carry,
-    information and bound instead of calling ``stepper`` (see
-    :class:`_StepTable`).  Every check still runs once on every distinct
-    input.  The entries' arrays are read-only, and repeated steps share
-    them.
+    carried matrix and the blocks ``b`` and ``c``: it is called only on a
+    ``(carry, b, c)`` not seen since the blocks last changed, and a step
+    whose three arrays repeat an earlier step's byte for byte reuses that
+    step's new carry and trace row (see :func:`_distinct_steps`).  Every check still runs once on every
+    distinct input.  The trace stores each distinct row once, with
+    read-only arrays, and an index of the row of every step.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     stepper = stepper or step
     state = init_state(model)
-    start = state.k
+    start, profile = state.k, state.profile
     if provider is None:
         provider = BlockProvider(model, est, start, start + horizon)
-    trace = PCRBTrace()
-    table = _StepTable()
-    for s in range(1, horizon + 1):
-        b, c = provider.blocks(state.k)
-        carry, *arrays = table.result(state.carry, (b, c),
-                                      partial(_computed_step, stepper, state, b, c))
-        state = RecursionState(k=state.k + 1, carry=carry, profile=state.profile)
-        trace.entries.append(TraceEntry(s, state.k, *arrays))
-    trace.mc_resampled = provider.report.resampled
-    return trace
+
+    def compute(k: int, carry: np.ndarray, b: np.ndarray, c: np.ndarray):
+        info, state_next = stepper(RecursionState(k, carry, profile), b, c)
+        return state_next.carry, info
+
+    rows, index = _distinct_steps(state.carry, range(start, start + horizon),
+                                  provider.blocks, compute)
+    return PCRBTrace(rows, index, start, provider.report.resampled)

@@ -32,7 +32,7 @@ from corrbound.recursion import (
     RecursionState,
     init_state,
     step,
-    trace_entry,
+    trace_row,
 )
 
 
@@ -248,30 +248,30 @@ def run_plain(model: SystemModel, est: ExpectationEstimator, horizon: int,
               stepper=step, provider: BlockProvider | None = None) -> PCRBTrace:
     """``corrbound.run`` without reuse of repeated steps."""
     state = init_state(model)
+    start = state.k
     if provider is None:
-        provider = BlockProvider(model, est, state.k, state.k + horizon)
-    trace = PCRBTrace()
+        provider = BlockProvider(model, est, start, start + horizon)
+    rows = []
     for s in range(1, horizon + 1):
         b, c = provider.blocks(state.k)
         info, state = stepper(state, b, c)
-        trace.entries.append(trace_entry(s, state.k, info))
-    trace.mc_resampled = provider.report.resampled
-    return trace
+        rows.append(trace_row(info))
+    return PCRBTrace(rows, range(horizon), start, provider.report.resampled)
 
 
 def pcrb_augmented_plain(model: SystemModel, horizon: int) -> PCRBTrace:
     """``corrbound.pcrb_augmented`` without reuse of repeated steps."""
     f_aug, q_aug, h_aug, r_inv, p = augmented_system(model)
     r_dim = model.state_dim
-    trace = PCRBTrace()
+    rows = []
     for s in range(1, horizon + 1):
         predicted = symmetrize(q_aug + f_aug @ p @ f_aug.T)
         j = symmetrize(psd_inverse(predicted, context="augmented prediction")
                        + h_aug.T @ r_inv @ h_aug)
         p = psd_inverse(j, context="augmented information")
         info_x = psd_inverse(p[:r_dim, :r_dim], context="augmented state bound")
-        trace.entries.append(trace_entry(s, s, info_x))
-    return trace
+        rows.append(trace_row(info_x))
+    return PCRBTrace(rows, range(horizon))
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,25 @@ def test_provider_resolver_table(mode, name):
     assert provider.report.samples == est.sample_count * draws
 
 
+@pytest.mark.parametrize("mode", ["analytic", "monte_carlo", "finite_difference_mc"])
+def test_provider_blocks_are_read_only_copies(example1, example2, mode):
+    # The closed forms return the same arrays at every call, so a provider
+    # that froze them in place would freeze the model's arrays.
+    b_grid = example1.analytic_b(example1.start_time)
+    c_grid = example1.analytic_c(example1.start_time)
+    model = example2 if mode == "monte_carlo" else dataclasses.replace(
+        example1, analytic_b=lambda k: b_grid, analytic_c=lambda k: c_grid)
+    start = model.start_time
+    est = cb.ExpectationEstimator(mode=mode, sample_count=20, seed=2)
+    provider = cb.BlockProvider(model, est, start, start + 2)
+    for k in (start, start + 1):
+        for grid in provider.blocks(k):
+            with pytest.raises(ValueError, match="read-only"):
+                grid[0, 0] = 1.0
+    assert b_grid.flags.writeable and c_grid.flags.writeable
+    b_grid[0, 0] += 0.0  # the model's own arrays stay writable
+
+
 def test_analytic_blocks_are_psd(example1, analytic_est):
     for grid in blocks_at(example1, 2, analytic_est):
         eigs = np.linalg.eigvalsh(grid)

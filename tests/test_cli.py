@@ -9,6 +9,7 @@ import pytest
 import corrbound as cb
 from corrbound import cli, examples
 from corrbound.examples import MA_COEFF_MAX
+from reference_steps import run_plain
 
 
 def run_cli(args):
@@ -68,6 +69,38 @@ def test_json_output(tmp_path):
     model = cb.build_example1()
     trace = cb.run(model, cb.ExpectationEstimator(), 3)
     assert payload["entries"][0]["info"] == trace.entries[0].info.tolist()
+
+
+def _plain_csv(plain: cb.PCRBTrace, r: int) -> str:
+    """The run CSV of a trace with one row per step, formatted row by row."""
+    lines = [",".join(["k"] + [f"J_{i}{j}" for i in range(r) for j in range(r)]
+                      + [f"bound_{i}{j}" for i in range(r) for j in range(r)]
+                      + [f"sqrt_bound_{i}" for i in range(r)])]
+    for step, (info, bound, root) in enumerate(plain.rows, 1):
+        values = [*info.reshape(-1), *bound.reshape(-1), *root]
+        lines.append(",".join([str(step)] + [repr(float(v)) for v in values]))
+    return "\n".join(lines) + "\n"
+
+
+def _plain_json(plain: cb.PCRBTrace, name: str, horizon: int) -> str:
+    """The run JSON of a trace with one row per step, built row by row."""
+    entries = [{"k": step, "time_index": plain.start + step, "info": info.tolist(),
+                "bound": bound.tolist(), "sqrt_bound": root.tolist()}
+               for step, (info, bound, root) in enumerate(plain.rows, 1)]
+    payload = {"model": name, "horizon": horizon, "seed": 0, "entries": entries}
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
+def test_run_output_matches_plain_formatter(tmp_path, example1):
+    plain = run_plain(example1, cb.ExpectationEstimator(), 3000)
+    csv_out, json_out = tmp_path / "run.csv", tmp_path / "run.json"
+    base = ["run", "--model", "example1", "--horizon", "3000"]
+    assert run_cli(base + ["--out", str(csv_out)]) == 0
+    assert run_cli(base + ["--format", "json", "--out", str(json_out)]) == 0
+    # Line lists, so a failure names its first line instead of diffing them all.
+    assert csv_out.read_text().splitlines(True) == _plain_csv(plain, 2).splitlines(True)
+    assert json_out.read_text().splitlines(True) == \
+        _plain_json(plain, "example1", 3000).splitlines(True)
 
 
 def test_missing_seed_for_sampling_is_config_error(capsys):
@@ -222,14 +255,18 @@ def test_ma_coeff_limit_is_largest_with_finite_fourth_power():
 
 
 def test_compare_matches_reference_prefix(tmp_path):
+    # The whole reference, so every row the compare emits from a repeated
+    # step is checked byte for byte.
     reference = Path(__file__).resolve().parents[1] / "benchmarks" / "reference" \
         / "e1_compare_h3000.csv.gz"
     with gzip.open(reference, "rb") as fh:
-        expected = b"".join(fh.readline() for _ in range(301))
+        expected = fh.read()
+    assert expected.count(b"\n") == 3001
     out = tmp_path / "cmp.csv"
-    assert run_cli(["compare", "--model", "example1", "--horizon", "300",
+    assert run_cli(["compare", "--model", "example1", "--horizon", "3000",
                     "--out", str(out)]) == 0
-    assert out.read_bytes() == expected
+    # Line lists, so a failure names its first row instead of diffing 3000.
+    assert out.read_bytes().splitlines(True) == expected.splitlines(True)
 
 
 def test_compare_columns(tmp_path):

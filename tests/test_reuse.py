@@ -18,15 +18,44 @@ from reference_steps import pcrb_augmented_plain, run_plain
 EXACT = cb.ExpectationEstimator()
 
 
+def same_array(a: np.ndarray, b: np.ndarray) -> bool:
+    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
 def assert_same_bytes(trace: cb.PCRBTrace, plain: cb.PCRBTrace) -> None:
-    assert len(trace) == len(plain)
+    """``trace`` equals ``plain`` byte for byte.  ``plain`` holds one row per
+    step, in order, so its rows are read directly, not through the views
+    under test."""
+    assert len(trace) == len(plain.rows)
     assert trace.mc_resampled == plain.mc_resampled
-    for got, want in zip(trace.entries, plain.entries, strict=True):
-        assert (got.step, got.time_index) == (want.step, want.time_index)
-        for name in ("info", "bound", "bound_sqrt_diag"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert (a.dtype, a.shape) == (b.dtype, b.shape), (got.step, name)
-            assert a.tobytes() == b.tobytes(), (got.step, name)
+    for step, (got, want) in enumerate(zip(trace.entries, plain.rows, strict=True), 1):
+        assert (got.step, got.time_index) == (step, plain.start + step)
+        for name, b in zip(("info", "bound", "bound_sqrt_diag"), want):
+            a = getattr(got, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), (step, name)
+            assert a.tobytes() == b.tobytes(), (step, name)
+    assert_same_views(trace, plain)
+
+
+def same_array(a: np.ndarray, b: np.ndarray) -> bool:
+    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def assert_same_views(trace: cb.PCRBTrace, plain: cb.PCRBTrace) -> None:
+    """The trace's other views agree with the plain loop's rows, and every
+    entry array is read-only."""
+    n = len(plain.rows)
+    for step in range(1, n + 1):
+        assert same_array(trace.info_at(step), plain.rows[step - 1][0]), step
+    for step in (0, -1, n + 1):
+        with pytest.raises(IndexError, match=f"1..{n}"):
+            trace.info_at(step)
+    for component in range(plain.rows[0][0].shape[0]):
+        want = np.array([row[2][component] for row in plain.rows])
+        assert same_array(trace.component_bound_sqrt(component), want), component
+    for entry in trace.entries:
+        for a in (entry.info, entry.bound, entry.bound_sqrt_diag):
+            assert not a.flags.writeable, entry.step
 
 
 def test_example1_unified_matches_plain_loop(example1):
@@ -110,6 +139,33 @@ def test_blocks_that_change_after_the_fixed_point(example1, grid, name):
     assert_same_bytes(reused, plain)
     with pytest.raises(InvariantViolationError, match=name):
         cb.run(example1, EXACT, 800, provider=_ChangingBlocks(example1, grid))
+
+
+class _WritableBlocks:
+    """example1's closed-form blocks as writable arrays, the same pair of
+    objects at every step, with one of them doubled in place from step 500."""
+
+    def __init__(self, model: cb.SystemModel, grid: int):
+        start = model.start_time
+        inner = cb.BlockProvider(model, EXACT, start, start + 799)
+        self._pair = tuple(g.copy() for g in inner.blocks(start))
+        self._start = start
+        self._grid = grid
+        self.report = inner.report
+
+    def blocks(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        if k - self._start + 1 == 500:
+            self._pair[self._grid][...] *= 2.0
+        return self._pair
+
+
+@pytest.mark.parametrize("grid", [0, 1])
+def test_writable_blocks_changed_in_place(example1, grid):
+    # The same writable object is no promise of the same bytes.
+    plain = run_plain(example1, EXACT, 799, provider=_WritableBlocks(example1, grid))
+    assert plain.info_at(500).tobytes() != plain.info_at(499).tobytes()
+    assert_same_bytes(cb.run(example1, EXACT, 799, provider=_WritableBlocks(example1, grid)),
+                      plain)
 
 
 def _assert_read_only(trace: cb.PCRBTrace) -> None:
