@@ -181,15 +181,19 @@ def _fd_mc_grid(model: SystemModel, k: int, est: ExpectationEstimator,
 
 
 def _sampled_measurement_info(
-    model: SystemModel, ks: list[int], horizon: int, est: ExpectationEstimator
+    model: SystemModel, ks: range, horizon: int, est: ExpectationEstimator
 ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray], McReport]:
-    """Sample-mean measurement information at each requested time.
+    """Sample-mean measurement information at each time of ``ks``.
 
     Uses the measurement Jacobian at the sampled state, contracted through
     the measurement noise information (the term whose conditional expectation
-    over the measurement equals the full curvature).  One draw of states per
-    chunk, from ``model.sample_states``, serves every requested time index;
-    each time's states are read, redrawn where singular, in place.
+    over the measurement equals the full curvature).  Each chunk's states
+    arrive from ``model.sample_states`` as a stream of time-major sample
+    blocks, so no chunk is held whole.  For each block, the states at the
+    consecutive times of ``ks`` form one ``(len(ks) * n, state_dim)`` view,
+    which gets one ``singular_states`` and one ``meas_jacobian`` call; the
+    per-time partial sums of all ``(chunk, block)`` pairs are then combined
+    in that order.
     """
     if model.profile.l3_eff != 1:
         raise ModelBuildError(
@@ -208,94 +212,119 @@ def _sampled_measurement_info(
     r = model.state_dim
     noise_info = symmetrize(np.asarray(model.meas_noise_information, dtype=float))
     report = McReport(samples=est.sample_count)
-    sums = {k: np.zeros((r, r)) for k in ks}
-
-    sizes = _chunk_sizes(est.sample_count, est.chunk_size)
 
     def run_chunk(args):
         c, size = args
         rng = _chunk_rng(est.seed, _PURPOSE_SAMPLE, c)
-        sampled = _sample_states(model, horizon, size, rng)
-        chunk_sums = {}
-        chunk_m2 = {}
+        partials = []
         resampled = 0
-        for k in ks:
-            states = sampled[k + 1]
-            resampled += _resample_singular(model, states, k, est.seed, c)
+        for b, block in enumerate(_state_blocks(model, horizon, size, rng)):
+            n = block.shape[1]
+            states = block[ks.start + 1:ks.stop + 1].reshape(-1, r)
+            resampled += _resample_singular(model, states, ks, est.seed, c, b)
             jac = np.asarray(model.meas_jacobian(states))
-            _require_layout(jac, (model.meas_dim, r, size), model, "meas_jacobian",
+            _require_layout(jac, (model.meas_dim, r, len(states)), model, "meas_jacobian",
                             "(meas_dim, state_dim, n)")
-            chunk_sums[k], chunk_m2[k] = _contract(jac, noise_info)
-        return chunk_sums, chunk_m2, resampled
+            partials.append((n, *_contract(jac.reshape(model.meas_dim, r, len(ks), n),
+                                           noise_info)))
+        return partials, resampled
 
-    tasks = list(enumerate(sizes))
+    tasks = list(enumerate(_chunk_sizes(est.sample_count, est.chunk_size)))
     if est.workers > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=est.workers) as pool:
             results = list(pool.map(run_chunk, tasks))
     else:
         results = [run_chunk(t) for t in tasks]
-    # Fixed reduction order: chunk index order, independent of worker count.
-    for chunk_sums, _, resampled in results:
-        report.resampled += resampled
-        for k in ks:
-            sums[k] += chunk_sums[k]
+    # Fixed reduction order: (chunk, block) order, independent of worker count.
+    partials = [p for chunk_partials, _ in results for p in chunk_partials]
+    report.resampled = sum(resampled for _, resampled in results)
+    sums = np.zeros((len(ks), r, r))
+    for _, part_sums, _ in partials:
+        sums += part_sums
 
     n = est.sample_count
+    mean = sums / n
     blocks = {}
-    ses = {}
-    for k in ks:
-        mean = sums[k] / n
-        blocks[k] = _read_only(symmetrize(mean))
+    for k, grid in zip(ks, mean):
+        blocks[k] = _read_only(symmetrize(grid))
         # Before the SE pass, whose deviations would turn inf into NaN.
         _require_finite(blocks[k], "sampled measurement information")
-        if n > 1:
-            # Squared deviations about the overall mean, summed from each
-            # chunk's deviations about its own mean; the one-pass
-            # E[x^2] - E[x]^2 loses most digits when the spread is small.
-            m2 = np.zeros((r, r))
-            for size, (chunk_sums, chunk_m2, _) in zip(sizes, results):
-                m2 += chunk_m2[k] + size * (chunk_sums[k] / size - mean) ** 2
-            ses[k] = np.sqrt(m2 / (n - 1) / n)
-        else:
-            ses[k] = np.full((r, r), np.inf)
-    return blocks, ses, report
+    if n > 1:
+        # Squared deviations about the overall mean, summed from each
+        # block's deviations about its own mean; the one-pass
+        # E[x^2] - E[x]^2 loses most digits when the spread is small.
+        m2 = np.zeros((len(ks), r, r))
+        for size, part_sums, part_m2 in partials:
+            m2 += part_m2 + size * (part_sums / size - mean) ** 2
+        se = np.sqrt(m2 / (n - 1) / n)
+    else:
+        se = np.full((len(ks), r, r), np.inf)
+    return blocks, dict(zip(ks, se)), report
 
 
 def _contract(jac: np.ndarray, noise_info: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum over samples of ``J' Lambda J``, and of its squared deviations about
-    the mean of these samples.
+    """Per-time sums over one sample block of ``J' Lambda J``, and of its
+    squared deviations about that block-time's own mean, each
+    ``(times, state_dim, state_dim)``.
 
-    ``jac`` is entry-major, ``(meas_dim, state_dim, n)``: ``jac[j, a]`` holds
-    ``J[j, a]`` for every sample, contiguous for the model's own arrays.  Only
-    live Jacobian columns (any nonzero entry; NaN and inf count) are
-    contracted, one entry pair at a time over the samples, so a dead column's
-    entries stay exact zeros.  The reductions are numpy sums, which do not
-    depend on the BLAS thread count.
+    ``jac`` is entry-major by time, ``(meas_dim, state_dim, times, n)``:
+    ``jac[j, a, t]`` holds ``J[j, a]`` for every sample at time ``t``.  Only
+    the block's live columns (any nonzero entry at any time; NaN and inf
+    count) are contracted, one entry pair at a time over all times' samples
+    at once.  A dead column's entries stay exact zeros; where a live column
+    is all zeros at one time, its products there are zeros of either sign,
+    which the caller's sums from +0.0 turn into +0.0.  The reductions are
+    numpy sums, which do not depend on the BLAS thread count.
     """
-    _, r, n = jac.shape
-    live = np.flatnonzero((jac != 0).any(axis=(0, 2)))
-    sums = np.zeros((r, r))
-    m2 = np.zeros((r, r))
+    _, r, t, n = jac.shape
+    sums = np.zeros((t, r, r))
+    m2 = np.zeros((t, r, r))
+    left = np.empty((len(jac), t, n))
+    per = np.empty((t, n))
+    term = np.empty((t, n))
+
+    def dot(u, v, out):
+        # out = sum_j u[j] * v[j], added in j order.
+        np.multiply(u[0], v[0], out=out)
+        for j in range(1, len(u)):
+            out += np.multiply(u[j], v[j], out=term)
+        return out
+
+    live = np.flatnonzero((jac != 0).any(axis=(0, 2, 3)))
     # 0 * inf gives NaN here on purpose: the caller rejects non-finite means.
     with np.errstate(invalid="ignore"):
-        # left[i, p] = sum_j J[j, a] Lambda[j, i] for the p-th live column a.
-        left = (noise_info[:, :, None, None] * jac[:, None, live, :]).sum(axis=0)
         for p, a in enumerate(live):
+            for i in range(len(jac)):
+                dot(noise_info[:, i], jac[:, a], left[i])  # (Lambda J)[i, a]
             for b in live[p:]:
-                per = (left[:, p] * jac[:, b]).sum(axis=0)
-                total = per.sum()
-                per -= total / n
-                sums[a, b] = sums[b, a] = total
-                m2[a, b] = m2[b, a] = np.square(per, out=per).sum()
+                total = dot(left, jac[:, b], per).sum(axis=1)
+                per -= (total / n)[:, None]
+                sums[:, a, b] = sums[:, b, a] = total
+                m2[:, a, b] = m2[:, b, a] = np.square(per, out=per).sum(axis=1)
     return sums, m2
 
 
-def _sample_states(model: SystemModel, horizon: int, count: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    states = np.asarray(model.sample_states(horizon, count, rng))
-    _require_layout(states, (horizon + 1, count, model.state_dim), model,
-                    "sample_states", "(horizon + 1, count, state_dim)")
-    return states
+def _state_blocks(model: SystemModel, horizon: int, count: int,
+                  rng: np.random.Generator):
+    """The blocks of ``model.sample_states(horizon, count, rng)``, each
+    checked to be time-major and all of them to hold ``count`` samples."""
+    def wrong(got: str) -> ModelBuildError:
+        return ModelBuildError(
+            f"model '{model.name}': sample_states returned {got}, expected blocks "
+            "along axis 1 of (horizon + 1, count, state_dim) = "
+            f"{(horizon + 1, count, model.state_dim)}"
+        )
+
+    done = 0
+    for block in model.sample_states(horizon, count, rng):
+        block = np.asarray(block)
+        n = block.shape[1] if block.ndim == 3 else 0
+        if block.shape != (horizon + 1, n, model.state_dim) or not 0 < n <= count - done:
+            raise wrong(f"a block of shape {block.shape}")
+        done += n
+        yield block
+    if done != count:
+        raise wrong(f"blocks of {done} samples")
 
 
 def _require_layout(arr: np.ndarray, shape: tuple[int, ...], model: SystemModel,
@@ -307,29 +336,40 @@ def _require_layout(arr: np.ndarray, shape: tuple[int, ...], model: SystemModel,
         )
 
 
-def _resample_singular(model: SystemModel, states: np.ndarray, k: int,
-                       seed: int, chunk: int) -> int:
+def _resample_singular(model: SystemModel, states: np.ndarray, ks: range,
+                       seed: int, chunk: int, block: int) -> int:
     """Replace states that sit on a measurement-function singularity.
 
-    Replacement states come from fresh draws of ``model.sample_states`` on a
-    dedicated substream; the number of replacements is returned and surfaced
-    in the MC report.
+    ``states`` holds one sample block's states at each time of ``ks`` in
+    turn, the same number of rows per time, and one ``singular_states`` call
+    checks them all.  A time's flagged rows are replaced from fresh draws of
+    ``model.sample_states`` on the substream ``(k, chunk, block, attempt)``,
+    so no two blocks share replacements, and are checked again until none is
+    left.  The number of replacements is returned and surfaced in the MC
+    report.
     """
     if model.singular_states is None:
         return 0
+    n = len(states) // len(ks)
+    masks = np.asarray(model.singular_states(states), dtype=bool).reshape(len(ks), n)
     replaced = 0
-    for attempt in range(_MAX_RESAMPLE_ROUNDS):
-        mask = np.asarray(model.singular_states(states), dtype=bool)
-        bad = int(mask.sum())
-        if bad == 0:
-            return replaced
-        replaced += bad
-        rng = _chunk_rng(seed, _PURPOSE_RESAMPLE, k, chunk, attempt)
-        states[mask] = _sample_states(model, k + 1, bad, rng)[k + 1]
-    raise InvariantViolationError(
-        f"resampling failed to leave the measurement singularity after "
-        f"{_MAX_RESAMPLE_ROUNDS} rounds at time {k}"
-    )
+    for i in np.flatnonzero(masks.any(axis=1)):
+        k, rows, mask = ks[i], states[i * n:(i + 1) * n], masks[i]
+        for attempt in range(_MAX_RESAMPLE_ROUNDS):
+            bad = int(mask.sum())
+            if bad == 0:
+                break
+            replaced += bad
+            rng = _chunk_rng(seed, _PURPOSE_RESAMPLE, k, chunk, block, attempt)
+            rows[mask] = np.concatenate(
+                [b[k + 1] for b in _state_blocks(model, k + 1, bad, rng)])
+            mask = np.asarray(model.singular_states(rows), dtype=bool)
+        else:
+            raise InvariantViolationError(
+                f"resampling failed to leave the measurement singularity after "
+                f"{_MAX_RESAMPLE_ROUNDS} rounds at time {k}"
+            )
+    return replaced
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +474,7 @@ class BlockProvider:
         b = self._b
         if est.mode == "monte_carlo" and model.meas_jacobian is not None:
             sampled, self._c_se, self.report = _sampled_measurement_info(
-                model, list(times), stop, est)
+                model, times, stop, est)
             self._blocks = {k: (b, sampled[k]) for k in times}
         elif model.analytic_c is not None and not fd:
             c = _validated(model.analytic_c(start), l3e, r, "measurement blocks")

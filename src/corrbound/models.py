@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -126,7 +126,7 @@ class TrajectoryBatch:
 # first, shift (r,)) -> float, and the measurement analog.
 LogDensity = Callable[[Array, Array, Array, Array], float]
 Simulator = Callable[[int, int, np.random.Generator], TrajectoryBatch]
-StateSampler = Callable[[int, int, np.random.Generator], Array]
+StateSampler = Callable[[int, int, np.random.Generator], Iterable[Array]]
 
 
 @dataclass(frozen=True)
@@ -163,11 +163,14 @@ class SystemModel:
     ``meas_jacobian``) reads two fields in layouts of its own, both checked:
 
     * ``sample_states(horizon, count, rng)``, which only models with a
-      ``meas_jacobian`` need, returns the states alone, time-major
-      ``(horizon + 1, count, state_dim)``: the values that
+      ``meas_jacobian`` need, returns the states alone as an iterable (a
+      generator, say) of time-major sample blocks ``(horizon + 1, n,
+      state_dim)``.  Joined along axis 1, the blocks are the values that
       ``simulate(horizon, count, rng).states`` holds at ``[:, t]`` for the
       same generator state, drawn without measurements or shifts.  The
-      caller owns the array and may overwrite it.
+      caller reduces each block before it asks for the next, so a generator
+      never holds all ``count`` samples' states at once.  The caller owns
+      each block and may overwrite it.
     * ``meas_jacobian(states)`` takes ``(n, state_dim)`` states and returns
       the Jacobians entry-major, ``(meas_dim, state_dim, n)``.
     """

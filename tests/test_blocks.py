@@ -5,6 +5,7 @@ import pytest
 
 import corrbound as cb
 from corrbound.blocks import (
+    _PURPOSE_RESAMPLE,
     _PURPOSE_SAMPLE,
     _chunk_rng,
     _chunk_sizes,
@@ -13,6 +14,7 @@ from corrbound.blocks import (
     factor_frame,
 )
 from corrbound.errors import InvariantViolationError, ModelBuildError
+from corrbound.examples import STATE_DRAW_BLOCK, _draw_blocks
 from corrbound.linalg import symmetrize
 from conftest import blocks_at, random_linear_model, random_spd, simple_scalar_model
 from reference_steps import block
@@ -195,15 +197,19 @@ def test_mc_error_scales_as_root_n(example2):
 
 def _per_sample_reference(model, ks, horizon, est):
     """``J' Lambda J`` sample by sample over the states the estimator draws
-    (and redraws), with the number of redrawn states."""
+    (and redraws, per time and sample block of example2's sampler), with the
+    number of redrawn states."""
     lam = np.asarray(model.meas_noise_information)
     per = {k: [] for k in ks}
     replaced = 0
     for c, size in enumerate(_chunk_sizes(est.sample_count, est.chunk_size)):
         batch = model.simulate(horizon, size, _chunk_rng(est.seed, _PURPOSE_SAMPLE, c))
+        bounds = _draw_blocks(size)
         for k in ks:
             states = batch.states[:, k + 1, :].copy()
-            replaced += _resample_singular(model, states, k, est.seed, c)
+            for b, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+                replaced += _resample_singular(model, states[lo:hi], range(k, k + 1),
+                                               est.seed, c, b)
             jac = model.meas_jacobian(states)
             per[k] += [jac[:, :, s].T @ lam @ jac[:, :, s] for s in range(size)]
     return {k: np.array(v) for k, v in per.items()}, replaced
@@ -226,25 +232,29 @@ def test_sampled_information_matches_per_sample_loop(example2, workers, resample
     if resample:
         # Flags about 30% of all states, redraws included, at every step.
         model = dataclasses.replace(example2, singular_states=lambda s: s[:, 0] % 1.0 < 0.3)
-    est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=200, seed=5,
-                                  workers=workers, chunk_size=64)
     horizon = 8
-    ks = list(range(model.start_time, horizon))
-    blocks, ses, report = _sampled_measurement_info(model, ks, horizon, est)
+    ks = range(model.start_time, horizon)
+    # One sample block per chunk; then chunks of three sample blocks (the
+    # last of 100 samples) and a last chunk of one sample.
+    chunk = 2 * STATE_DRAW_BLOCK + 100
+    for samples, chunk_size in ((200, 64), (2 * chunk + 1, chunk)):
+        est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=samples, seed=5,
+                                      workers=workers, chunk_size=chunk_size)
+        blocks, ses, report = _sampled_measurement_info(model, ks, horizon, est)
 
-    per, replaced = _per_sample_reference(model, ks, horizon, est)
-    assert report.samples == 200
-    assert report.resampled == replaced
-    assert (replaced > 0) == resample
-    _assert_matches_reference(blocks, ses, per)
+        per, replaced = _per_sample_reference(model, ks, horizon, est)
+        assert report.samples == samples
+        assert report.resampled == replaced
+        assert (replaced > 0) == resample
+        _assert_matches_reference(blocks, ses, per)
 
 
-def _generic_jacobian(meas_dim, chunk_size, partial):
+def _generic_jacobian(meas_dim, partial):
     """Order-one Jacobian of the scaled state with every entry nonzero.
 
     With ``partial``, column 1 is zero everywhere, column 2 in about half of
-    the samples, and column 3 in batches shorter than ``chunk_size`` (the
-    last chunk) only.
+    the samples, and column 3 in all but about one sample of ten, so that it
+    is dead at some times in all of a short block.
     """
     w = np.random.default_rng(meas_dim).normal(size=(4, meas_dim * 4))
     scale = np.array([1.0e4, 10.0, 1.0e4, 10.0])
@@ -255,8 +265,7 @@ def _generic_jacobian(meas_dim, chunk_size, partial):
         if partial:
             out[:, 1, :] = 0.0
             out[:, 2, states[:, 1] < 10.0] = 0.0
-            if len(states) < chunk_size:
-                out[:, 3, :] = 0.0
+            out[:, 3, np.sin(states[:, 0]) < 0.95] = 0.0
         return out
 
     return jac
@@ -267,24 +276,30 @@ def _generic_jacobian(meas_dim, chunk_size, partial):
 @pytest.mark.parametrize("partial", [False, True])
 def test_sampled_information_generic_jacobian(example2, workers, meas_dim, partial):
     # The contraction on Jacobians other than range/azimuth: a full SPD noise
-    # information, all columns live, or a live set that changes by chunk.
+    # information, all columns live, or a live set that changes by time and
+    # sample block.
     noise_info = random_spd(np.random.default_rng(10 + meas_dim), meas_dim)
     model = dataclasses.replace(
         example2, meas_dim=meas_dim, meas_noise_information=noise_info,
-        meas_jacobian=_generic_jacobian(meas_dim, 64, partial),
+        meas_jacobian=_generic_jacobian(meas_dim, partial),
     )
     est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=200, seed=5,
                                   workers=workers, chunk_size=64)
     horizon = 8
-    ks = list(range(model.start_time, horizon))
+    ks = range(model.start_time, horizon)
     blocks, ses, _ = _sampled_measurement_info(model, ks, horizon, est)
 
     per, _ = _per_sample_reference(model, ks, horizon, est)
     _assert_matches_reference(blocks, ses, per)
     for k in ks:
         assert np.all(blocks[k][3, [0, 2, 3]] != 0.0)
-        # A column dead in every chunk leaves exact zeros in mean and SE.
+        # A column dead in every block leaves exact +0.0 in mean and SE.
         assert (not blocks[k][1].any() and not ses[k][1].any()) == partial
+        if partial:
+            assert not np.signbit(blocks[k][1]).any() and not np.signbit(ses[k][1]).any()
+    # Column 3 is dead in all of the last chunk's eight samples at some
+    # time: its one block's partial sums there are zeros.
+    assert any(not per[k][-8:, 3, 3].any() for k in ks) == partial
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -300,7 +315,7 @@ def test_non_finite_sampled_jacobian_is_rejected(example2, bad, column):
     model = dataclasses.replace(example2, meas_jacobian=jac)
     est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=100, seed=1)
     with pytest.raises(InvariantViolationError):
-        _sampled_measurement_info(model, [3], 4, est)
+        _sampled_measurement_info(model, range(3, 4), 4, est)
 
 
 def test_sample_major_states_are_rejected(example2):
@@ -308,19 +323,34 @@ def test_sample_major_states_are_rejected(example2):
     # sample-major layout of a batch is named rather than misread.
     model = dataclasses.replace(
         example2,
-        sample_states=lambda h, n, rng: example2.sample_states(h, n, rng).transpose(1, 0, 2),
+        sample_states=lambda h, n, rng: [
+            b.transpose(1, 0, 2) for b in example2.sample_states(h, n, rng)],
     )
     est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=100, seed=1)
     with pytest.raises(ModelBuildError,
                        match=r"sample_states .* \(horizon \+ 1, count, state_dim\) = \(5, 100, 4\)"):
-        _sampled_measurement_info(model, [3], 4, est)
+        _sampled_measurement_info(model, range(3, 4), 4, est)
+
+
+def test_state_blocks_must_hold_every_sample(example2):
+    # The blocks must add up to the chunk: a sampler that drops its last
+    # block is named rather than averaged over too few samples.
+    model = dataclasses.replace(
+        example2,
+        sample_states=lambda h, n, rng: list(example2.sample_states(h, n, rng))[:-1],
+    )
+    est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=2100, seed=1)
+    with pytest.raises(ModelBuildError,
+                       match=r"sample_states returned blocks of 2048 samples, .* "
+                             r"\(horizon \+ 1, count, state_dim\) = \(5, 2100, 4\)"):
+        _sampled_measurement_info(model, range(3, 4), 4, est)
 
 
 def test_singularity_resampling_counted(example2):
     states = example2.simulate(3, 8, np.random.default_rng(0)).states[:, 3, :].copy()
     states[2, 0] = 0.0
     states[2, 2] = 0.0
-    replaced = _resample_singular(example2, states, 2, seed=0, chunk=0)
+    replaced = _resample_singular(example2, states, range(2, 3), seed=0, chunk=0, block=0)
     assert replaced == 1
     assert not example2.singular_states(states).any()
 
@@ -331,18 +361,53 @@ def test_singularity_resampling_reported():
     orig = base.sample_states
 
     def tainted(horizon, count, rng):
-        states = orig(horizon, count, rng)
+        blocks = list(orig(horizon, count, rng))
         calls["n"] += 1
         if calls["n"] == 1:  # poison one state in the first draw only
-            states[-1, 0, 0] = 0.0
-            states[-1, 0, 2] = 0.0
-        return states
+            blocks[0][-1, 0, 0] = 0.0
+            blocks[0][-1, 0, 2] = 0.0
+        return blocks
 
     model = dataclasses.replace(base, sample_states=tainted)
     est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=64, seed=0)
     provider = cb.BlockProvider(model, est, model.start_time, model.start_time + 1)
     assert provider.report.resampled >= 1
     assert np.all(np.isfinite(provider.measurement(model.start_time)))
+
+
+def test_singular_states_redrawn_per_block(example2):
+    # One singular state in each of the two sample blocks of the first
+    # chunk, at the same time: each block redraws its own replacement.
+    k = example2.start_time + 1
+    redraws = []
+
+    def tainted(horizon, count, rng):
+        for b, block in enumerate(example2.sample_states(horizon, count, rng)):
+            if count == 2 * STATE_DRAW_BLOCK:  # the first chunk's draw
+                block[k + 1, 3 + b, [0, 2]] = 0.0
+            elif count == 1:  # a redraw
+                redraws.append(block[k + 1, 0].copy())
+            yield block
+
+    model = dataclasses.replace(example2, sample_states=tainted)
+    # Block b's replacement comes from the substream (k, chunk, block, attempt).
+    want = [next(iter(example2.sample_states(
+        k + 1, 1, _chunk_rng(4, _PURPOSE_RESAMPLE, k, 0, b, 0))))[k + 1, 0] for b in (0, 1)]
+    results = []
+    for workers in (1, 2):
+        redraws.clear()
+        # Chunks of two blocks and of one block and 100 samples.
+        est = cb.ExpectationEstimator(mode="monte_carlo",
+                                      sample_count=3 * STATE_DRAW_BLOCK + 100, seed=4,
+                                      workers=workers, chunk_size=2 * STATE_DRAW_BLOCK)
+        provider = cb.BlockProvider(model, est, k - 1, k + 2)
+        assert provider.report.resampled == 2
+        assert len(redraws) == 2 and not np.array_equal(redraws[0], redraws[1])
+        assert all(np.array_equal(got, w) for got, w in zip(redraws, want))
+        results.append(b"".join(provider.measurement(t).tobytes()
+                                + provider.measurement_stderr(t).tobytes()
+                                for t in range(k - 1, k + 2)))
+    assert results[0] == results[1]
 
 
 # ---------------------------------------------------------------------------

@@ -229,7 +229,8 @@ def test_sample_major_jacobian_is_model_error(tmp_path, capsys, monkeypatch):
     assert run_cli(["run", "--config", str(config), "--horizon", "3"]) == 2
     err = capsys.readouterr().err
     assert "meas_jacobian" in err
-    assert "(meas_dim, state_dim, n) = (2, 4, 100)" in err
+    # One call per sample block takes its 100 samples at each of the 3 steps.
+    assert "(meas_dim, state_dim, n) = (2, 4, 300)" in err
 
 
 @pytest.mark.parametrize("ma_coeff", [1.0, 1.5, 1e10, 1e77, MA_COEFF_MAX])

@@ -11,6 +11,7 @@ from corrbound.blocks import (
 )
 from corrbound.examples import (
     STATE_DRAW_BLOCK,
+    _draw_blocks,
     kinematic_matrices,
     planar_cv_matrices,
     range_azimuth,
@@ -138,15 +139,15 @@ def sample_major_example2_simulator(prior: cb.GaussianPrior):
     (2, 3, (1,)),
     (40, 1, (2,)),
     (12, 257, (3,)),
-    (6, 3, (_PURPOSE_RESAMPLE, 5, 1, 0)),  # a redraw: sample_states(k + 1, bad, rng)
+    (6, 3, (_PURPOSE_RESAMPLE, 5, 1, 0, 0)),  # a redraw: sample_states(k + 1, bad, rng)
     (0, 4, (4,)),  # the first prior state alone
     (40, 1000, (_PURPOSE_SAMPLE, 0)),  # a sampling chunk at the default horizon
     # Around the draw's sample blocks, and the two chunks of a 50k-sample run.
-    (5, STATE_DRAW_BLOCK - 1, (5,)),
-    (5, STATE_DRAW_BLOCK, (6,)),
-    (5, STATE_DRAW_BLOCK + 1, (7,)),  # a remainder of one joins the last block
-    (5, STATE_DRAW_BLOCK + 2, (8,)),
-    (3, 2 * STATE_DRAW_BLOCK + 1, (9,)),
+    (5, 2 * STATE_DRAW_BLOCK - 1, (5,)),
+    (5, 2 * STATE_DRAW_BLOCK, (6,)),
+    (5, 2 * STATE_DRAW_BLOCK + 1, (7,)),  # a remainder of one joins the last block
+    (5, 2 * STATE_DRAW_BLOCK + 2, (8,)),
+    (3, 4 * STATE_DRAW_BLOCK + 1, (9,)),
     (40, 17232, (_PURPOSE_SAMPLE, 1)),
     (40, 32768, (_PURPOSE_SAMPLE, 0)),
 ])
@@ -158,24 +159,30 @@ def test_example2_sampler_matches_sample_major_reference(example2, horizon, coun
     for name in ("states", "measurements", "trans_shift", "meas_shift"):
         assert getattr(got, name).shape == getattr(want, name).shape
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    # The Jacobian path's sampler: the same states, byte for byte, time-major.
-    states = example2.sample_states(horizon, count, rng())
-    assert states.shape == (horizon + 1, count, 4)
-    assert states.flags.c_contiguous
+    # The Jacobian path's sampler: the same states, byte for byte, in
+    # time-major blocks of the draw's sample blocks.
+    blocks = list(example2.sample_states(horizon, count, rng()))
+    bounds = _draw_blocks(count)
+    assert [b.shape for b in blocks] == [
+        (horizon + 1, hi - lo, 4) for lo, hi in zip(bounds, bounds[1:])]
+    assert all(b.flags.c_contiguous for b in blocks)
+    states = np.concatenate(blocks, axis=1)
     assert states.transpose(1, 0, 2).tobytes() == want.states.tobytes()
 
 
 def test_example2_state_sampler_peak_memory(example2):
-    # The draw holds one block of seeds at a time: its peak allocation stays
-    # within 10 MB of the states it returns, so a full-size seed array or
-    # transposed copy fails here.
+    # The sampled curvature streams each chunk one sample block at a time:
+    # a 32768-sample chunk over 40 steps peaked at 9.1 MB of allocations
+    # (numpy 2.4; 3.1 MB of it the prior window of every sample), where one
+    # array of all its states alone takes 45 MB.
+    est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=32768, seed=0)
     tracemalloc.start()
     try:
-        out = example2.sample_states(40, 32768, np.random.default_rng(0))
+        cb.BlockProvider(example2, est, example2.start_time, example2.start_time + 40)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= out.nbytes + 10_000_000
+    assert peak <= 15_000_000
 
 
 def test_range_azimuth_jacobian_at_diagonal_point():
@@ -213,8 +220,8 @@ def test_example2_single_point_measurement_curvature(example2):
     import dataclasses
     frozen = dataclasses.replace(
         example2,
-        sample_states=lambda horizon, count, rng: np.repeat(
-            state[None, :, :], horizon + 1, axis=0),
+        sample_states=lambda horizon, count, rng: [np.repeat(
+            state[None, :, :], horizon + 1, axis=0)],
     )
     est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=1, seed=0)
     _, c = blocks_at(frozen, 2, est)
