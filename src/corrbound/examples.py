@@ -42,8 +42,8 @@ AZIMUTH_SINGULAR_RADIUS_SQ = 1e-12
 # block of the sampled curvature kernel.  At the default horizon a block's
 # seeds take 0.7 MB and its Jacobians at every step 1.3 MB, which stay in
 # the L2 cache; in-process, 512-sample blocks drew and contracted 10k and
-# 50k samples 4-8% faster than 1024-sample blocks (2-vCPU Xeon, 2 MB L2
-# per core).
+# 50k samples 10% and 6% faster than 1024-sample blocks (2-vCPU Xeon, 2 MB
+# L2 per core).
 STATE_DRAW_BLOCK = 512
 
 
@@ -290,16 +290,15 @@ def build_example2(dt: float = 3.0, psd: float = 10.0,
         bounds = _draw_blocks(count)
         size = min(count, STATE_DRAW_BLOCK + 1)  # the largest block
         normal = np.empty((size, length + 1, 4))
+        drawn = np.empty_like(normal)
         if seeds is None:
             held = np.empty((length + 1, size, 4))
         for lo, hi in zip(bounds, bounds[1:]):
             n = hi - lo
             rng.standard_normal(out=normal[:n])
+            np.matmul(normal[:n], chol_q.T, out=drawn[:n])
             ws = held[:, :n] if seeds is None else seeds[:, lo:hi]
-            if n > 1:
-                np.matmul(normal[:n].transpose(1, 0, 2), chol_q.T, out=ws)
-            else:  # count 1: a one-row product can round differently (see _draw_blocks)
-                np.matmul(normal[0], chol_q.T, out=ws[:, 0])
+            ws[...] = drawn[:n].transpose(1, 0, 2)
             block = np.empty((length, n, 4))
             block[: len(window)] = window[:, lo:hi]
             # The model checks that the prior window is 3, so k - 2 >= 0 below.

@@ -302,6 +302,58 @@ def test_sampled_information_generic_jacobian(example2, workers, meas_dim, parti
     assert any(not per[k][-8:, 3, 3].any() for k in ks) == partial
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_column_dead_at_one_time_stays_positive_zero(example2, workers):
+    # Column 2 is -0.0 in every sample at one time only, so each block's
+    # column is live over its times but gives zeros of either sign there;
+    # the mean and SE at that time are exact +0.0.
+    pinned = example2.start_time + 2
+    generic = _generic_jacobian(3, partial=False)
+
+    def jac(states):
+        out = generic(states)
+        out[:, 2, states[:, 1] == 0.0] = -0.0
+        return out
+
+    def sample_states(horizon, count, rng):
+        for block in example2.sample_states(horizon, count, rng):
+            if horizon >= pinned:
+                block[pinned, :, 1] = 0.0
+            yield block
+
+    def simulate(horizon, count, rng):
+        batch = example2.simulate(horizon, count, rng)
+        states = batch.states.copy()
+        states[:, pinned, 1] = 0.0
+        return dataclasses.replace(batch, states=states)
+
+    noise_info = random_spd(np.random.default_rng(13), 3)
+    model = dataclasses.replace(
+        example2, meas_dim=3, meas_noise_information=noise_info, meas_jacobian=jac,
+        sample_states=sample_states, simulate=simulate,
+    )
+    # Two chunks, the first of two sample blocks, the last of 100 samples.
+    est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=3 * STATE_DRAW_BLOCK + 100,
+                                  seed=6, workers=workers, chunk_size=2 * STATE_DRAW_BLOCK)
+    horizon = pinned + 2
+    ks = range(model.start_time, horizon)
+    blocks, ses, _ = _sampled_measurement_info(model, ks, horizon, est)
+
+    per, _ = _per_sample_reference(model, ks, horizon, est)
+    _assert_matches_reference(blocks, ses, per)
+    for k in ks:
+        dead = k + 1 == pinned
+        for m in (blocks[k], ses[k]):
+            assert (not m[2].any() and not m[:, 2].any()) == dead
+            if dead:
+                assert not np.signbit(m[2]).any() and not np.signbit(m[:, 2]).any()
+    # The column is -0.0 at the dead time, so products with a positive
+    # entry of another column are -0.0 there: the test sees the sign.
+    states = model.simulate(horizon, 64, np.random.default_rng(0)).states[:, pinned]
+    j = model.meas_jacobian(states)
+    assert np.signbit(j[:, 2]).all() and np.signbit(j[:, 2] * j[:, 0]).any()
+
+
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 @pytest.mark.parametrize("column", [0, 1])
 def test_non_finite_sampled_jacobian_is_rejected(example2, bad, column):

@@ -172,7 +172,7 @@ def test_example2_sampler_matches_sample_major_reference(example2, horizon, coun
 
 def test_example2_state_sampler_peak_memory(example2):
     # The sampled curvature streams each chunk one sample block at a time:
-    # a 32768-sample chunk over 40 steps peaked at 9.1 MB of allocations
+    # a 32768-sample chunk over 40 steps peaked at 9.8 MB of allocations
     # (numpy 2.4; 3.1 MB of it the prior window of every sample), where one
     # array of all its states alone takes 45 MB.
     est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=32768, seed=0)
