@@ -24,13 +24,7 @@ from .models import (
     default_prior,
     model_from_config,
 )
-from .oracle import (
-    JointInformation,
-    build_joint,
-    information_sequence,
-    schur_submatrix,
-    verify_recursion,
-)
+from .oracle import build_joint, information_sequence, verify_recursion
 from .profiles import CorrelationProfile, required_prior_window
 from .recursion import PCRBTrace, RecursionState, TraceEntry, init_state, run, step
 from .selection import SensorSweepResult, SweepPoint, min_sensors, sweep
@@ -46,7 +40,6 @@ __all__ = [
     "ExpectationEstimator",
     "GaussianPrior",
     "InvariantViolationError",
-    "JointInformation",
     "LinearConditionalSpec",
     "LinearModelInfo",
     "ModelBuildError",
@@ -73,7 +66,6 @@ __all__ = [
     "pcrb_prewhiten",
     "required_prior_window",
     "run",
-    "schur_submatrix",
     "step",
     "sweep",
     "verify_recursion",

@@ -187,10 +187,10 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         # Without closed forms for both factors the provider has to sample.
         closed = model.analytic_b is not None and model.analytic_c is not None
         mode = "analytic" if closed else "monte_carlo"
-    if mode != "analytic" and seed is None:
-        raise ConfigError("estimator.seed: required whenever sampling is active")
     estimator = ExpectationEstimator(mode=mode, sample_count=samples,
                                      seed=0 if seed is None else seed, workers=workers)
+    if mode != "analytic" and seed is None:
+        raise ConfigError("estimator.seed: required whenever sampling is active")
 
     return RunConfig(
         model=model,
@@ -275,14 +275,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_oracle_verify(args: argparse.Namespace) -> int:
     config = _build_config(args)
     model = config.model
-    from .oracle import MAX_ORACLE_HORIZON
-
     depth = min(config.horizon, args.max_k or config.horizon)
-    requested = model.start_time + depth
-    k_max = min(requested, MAX_ORACLE_HORIZON)
-    if k_max < requested:
-        print(f"note: verifying up to time index {k_max} (brute-force cap), "
-              f"not the requested {requested}", file=sys.stderr)
+    k_max = model.start_time + depth
     deviations = _oracle.verify_recursion(model, config.estimator, k_max)
     worst = 0.0
     for k in sorted(deviations):

@@ -519,18 +519,18 @@ def model_from_config(config: dict) -> SystemModel:
                 "process_cov", "measurement_state_coeffs", "measurement_cov"):
         if key not in config:
             raise ConfigError(f"model.{key}: required for kind linear_gaussian_ma")
+    for key in ("state_dim", "meas_dim"):
+        value = config[key]
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise ConfigError(f"model.{key}: expected a positive integer, got {value!r}")
     r = config["state_dim"]
     n = config["meas_dim"]
-    if not isinstance(r, int) or r < 1 or not isinstance(n, int) or n < 1:
-        raise ConfigError("model.state_dim / model.meas_dim: expected positive integers")
     profile = _parse_lags(config["lags"], "model.lags")
 
     def matrices(key, count, rows, cols, required):
         raw = config.get(key, [])
-        if required and len(raw) != count:
-            raise ConfigError(f"model.{key}: expected {count} matrices")
-        if not required and raw and len(raw) != count:
-            raise ConfigError(f"model.{key}: expected {count} matrices")
+        if not isinstance(raw, list) or (required or raw) and len(raw) != count:
+            raise ConfigError(f"model.{key}: expected a list of {count} matrices")
         return tuple(
             _as_matrix(m, rows, cols, f"model.{key}[{i}]") for i, m in enumerate(raw)
         )

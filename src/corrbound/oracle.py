@@ -3,47 +3,34 @@
 The joint information matrix over all states up to a horizon is assembled
 factor by factor from the same conditional-density factorization the
 recursion uses; the information submatrix for the last state then falls out
-of a single Schur complement.  Agreement with the recursion is the package's
-primary correctness check.
+of one Cholesky factorization.  Agreement with the recursion is the
+package's primary correctness check.
+
+Layout.  A factor couples states at most ``max(l2', l3' - 1)`` steps apart,
+so the joint over ``x[0] .. x[k]`` (``r``-dimensional states) is banded with
+upper bandwidth ``u = max(l2' + 1, l3') * r - 1``: the size of the larger
+factor grid, less one.  It is kept in LAPACK upper band storage ``ab`` of
+shape ``(u + 1, (k + 1) * r)``, with ``ab[u + i - j, j] = A[i, j]`` for
+``j - u <= i <= j``.  The joint over ``x[0] .. x[t]`` is the leading
+``(t + 1) * r`` columns of ``ab`` once the factors up to time ``t - 1`` are
+placed.
+
+Reduction.  Partition the upper Cholesky factor ``A = U^T U`` of that prefix
+at its last ``r`` columns, ``U = [[U11, U12], [0, U22]]``.  Then
+``A22 - A21 A11^-1 A12 = U22^T U22``: the information of ``x[t]`` is the
+trailing block of the factor, squared, with no solve and no inverse.  None of
+this goes through the recursion's linear-algebra helpers, so the check stays
+independent of the step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+from scipy.linalg import LinAlgError, cholesky_banded
 
 from .blocks import BlockProvider, ExpectationEstimator
-from .errors import InvariantViolationError
-from .linalg import check_psd, schur_complement_keep_last, symmetrize
+from .errors import SingularMatrixError
 from .models import SystemModel
-
-# Building the joint costs O((k r)^3); past this horizon the recursion is the
-# only sensible tool and agreement at small horizons already pins the algebra.
-MAX_ORACLE_HORIZON = 24
-
-
-@dataclass
-class JointInformation:
-    """Joint information matrix over states ``x[0] .. x[horizon]``."""
-
-    horizon: int
-    block_dim: int
-    matrix: np.ndarray
-
-    def validate(self) -> None:
-        m = self.matrix
-        if not np.allclose(m, m.T, rtol=0.0, atol=1e-9 * max(1.0, float(np.abs(m).max()))):
-            raise InvariantViolationError("joint information matrix is not symmetric")
-        check_psd(m, rel_tol=1e-9, context="joint information matrix")
-
-
-def _place(matrix: np.ndarray, grid: np.ndarray, first_state: int, r: int) -> None:
-    """Add ``grid``, whose block slots are consecutive states from
-    ``first_state``, into the joint."""
-    lo = first_state * r
-    hi = lo + grid.shape[0]
-    matrix[lo:hi, lo:hi] += grid
 
 
 def factor_state_indices(model: SystemModel, k: int) -> tuple[list[int], list[int]]:
@@ -54,75 +41,86 @@ def factor_state_indices(model: SystemModel, k: int) -> tuple[list[int], list[in
     return trans, meas
 
 
-def _check_horizon(model: SystemModel, k: int) -> None:
-    if k < model.start_time:
-        raise ValueError(f"horizon {k} precedes the prior window end {model.start_time}")
-    if k > MAX_ORACLE_HORIZON:
-        raise ValueError(
-            f"horizon {k} exceeds the brute-force cap {MAX_ORACLE_HORIZON}"
-        )
+def _place(ab: np.ndarray, grid: np.ndarray, first_state: int, r: int) -> None:
+    """Add ``grid``, whose block slots are consecutive states from
+    ``first_state``, into the band storage ``ab``, one diagonal at a time.
+
+    Each entry is the mean of the grid's two mirror entries, so the joint is
+    symmetric by construction.  Diagonals past the band are not read: the
+    factor grids fit inside it, and the prior information is block-diagonal.
+    """
+    u = ab.shape[0] - 1
+    lo = first_state * r
+    m = grid.shape[0]
+    for d in range(min(m, u + 1)):
+        ab[u - d, lo + d: lo + m] += 0.5 * (np.diagonal(grid, d) + np.diagonal(grid, -d))
 
 
 def _prefixes(model: SystemModel, est: ExpectationEstimator, k: int,
               provider: BlockProvider | None):
-    """Yield ``(t, view)`` for every ``t`` from the window end to ``k``: the
-    joint over ``x[0] .. x[t]``, unsymmetrized, as a view of one matrix that
-    later prefixes keep adding to.
+    """Yield ``(t, prefix)`` for every ``t`` from the window end to ``k``:
+    the band storage of the joint over ``x[0] .. x[t]``, as a view of one
+    array that later prefixes keep adding to.
 
     The factors are placed in time order.  The factors at times before ``t``
     reach no state past ``x[t]``, and the ones at ``t`` and later are not
     placed yet, so every entry of the view has received the same additions,
     in the same order, as an assembly that stopped at ``t``.
     """
-    _check_horizon(model, k)
     start = model.start_time
+    if k < start:
+        raise ValueError(f"horizon {k} precedes the prior window end {start}")
+    p = model.profile
     r = model.state_dim
     if provider is None and k > start:
         provider = BlockProvider(model, est, start, k)
-    matrix = np.zeros(((k + 1) * r, (k + 1) * r))
-    w = model.prior.window_len
-    matrix[: w * r, : w * r] = model.prior.information()
+    ab = np.zeros((max(p.l2_eff + 1, p.l3_eff) * r, (k + 1) * r))
+    _place(ab, model.prior.information(), 0, r)
     for t in range(start, k + 1):
         if t > start:
             b, c = provider.blocks(t - 1)
             trans_states, meas_states = factor_state_indices(model, t - 1)
-            _place(matrix, b, trans_states[0], r)
-            _place(matrix, c, meas_states[0], r)
-        n = (t + 1) * r
-        yield t, matrix[:n, :n]
-
-
-def _joint(t: int, r: int, prefix: np.ndarray) -> JointInformation:
-    joint = JointInformation(horizon=t, block_dim=r, matrix=symmetrize(prefix))
-    joint.validate()
-    return joint
+            _place(ab, b, trans_states[0], r)
+            _place(ab, c, meas_states[0], r)
+        yield t, ab[:, : (t + 1) * r]
 
 
 def build_joint(model: SystemModel, est: ExpectationEstimator, k: int,
-                provider: BlockProvider | None = None) -> JointInformation:
-    """Joint information over ``x[0] .. x[k]`` under the factorized density."""
-    for t, prefix in _prefixes(model, est, k, provider):
+                provider: BlockProvider | None = None) -> np.ndarray:
+    """Joint information over ``x[0] .. x[k]`` under the factorized density,
+    in the upper band storage described in the module docstring."""
+    for _, prefix in _prefixes(model, est, k, provider):
         pass  # the last prefix is the whole joint
-    return _joint(t, model.state_dim, prefix)
+    return prefix
 
 
-def schur_submatrix(joint: JointInformation) -> np.ndarray:
-    """Information submatrix for the final state of the joint."""
-    if joint.matrix.shape[0] == joint.block_dim:
-        return joint.matrix.copy()
-    return schur_complement_keep_last(joint.matrix, joint.block_dim,
-                                      context="joint information")
+def last_state_information(prefix: np.ndarray, r: int, t: int) -> np.ndarray:
+    """Information of ``x[t]`` from the band-stored joint over ``x[0] .. x[t]``.
+
+    Raises :class:`SingularMatrixError` naming ``t`` when LAPACK ``pbtrf``
+    finds the joint not positive definite.
+    """
+    try:
+        factor = cholesky_banded(prefix)
+    except LinAlgError as exc:
+        raise SingularMatrixError(
+            f"joint information over x[0] .. x[{t}] is not positive definite ({exc})"
+        ) from exc
+    u = prefix.shape[0] - 1
+    u22 = np.zeros((r, r))
+    for j in range(r):
+        u22[: j + 1, j] = factor[u - j:, j - r]
+    return u22.T @ u22
 
 
 def information_sequence(model: SystemModel, est: ExpectationEstimator, k_max: int,
                          provider: BlockProvider | None = None) -> dict[int, np.ndarray]:
     """Oracle information submatrices for every time from the window end to ``k_max``.
 
-    One assembly serves every time: each prefix of it is validated and
-    reduced on its own.
+    One assembly serves every time: each prefix of it is factored on its own.
     """
     r = model.state_dim
-    return {t: schur_submatrix(_joint(t, r, prefix))
+    return {t: last_state_information(prefix, r, t)
             for t, prefix in _prefixes(model, est, k_max, provider)}
 
 

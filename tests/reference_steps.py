@@ -1,4 +1,5 @@
-"""Case-by-case reference steps, plain loops and partitioned-matrix identities.
+"""Case-by-case reference steps, plain loops, the dense full-horizon joint and
+partitioned-matrix identities.
 
 A profile's effective lags select one of three step layouts
 (:func:`select_case`); the library step does not need the case, only the
@@ -23,7 +24,14 @@ import numpy as np
 
 from corrbound.baselines import augmented_system
 from corrbound.blocks import BlockProvider, ExpectationEstimator
-from corrbound.linalg import block_slice, check_psd, psd_inverse, psd_solve, symmetrize
+from corrbound.linalg import (
+    block_slice,
+    check_psd,
+    psd_inverse,
+    psd_solve,
+    schur_complement_keep_last,
+    symmetrize,
+)
 from corrbound.models import SystemModel
 from corrbound.profiles import CorrelationProfile
 from corrbound.recursion import (
@@ -272,6 +280,62 @@ def pcrb_augmented_plain(model: SystemModel, horizon: int) -> PCRBTrace:
         info_x = psd_inverse(p[:r_dim, :r_dim], context="augmented state bound")
         rows.append(trace_row(info_x))
     return PCRBTrace(rows, range(horizon))
+
+
+# ---------------------------------------------------------------------------
+# Dense full-horizon reference (small horizons)
+# ---------------------------------------------------------------------------
+
+
+def dense_joint(model: SystemModel, provider: BlockProvider | None, k: int) -> np.ndarray:
+    """Joint information over ``x[0] .. x[k]``, assembled densely factor by
+    factor, symmetrized once at the end and eigen-checked.
+
+    The transition factor at time ``t`` covers states ``t - l2' + 1 ..
+    t + 1`` and the measurement factor states ``t - l3' + 2 .. t + 1``.
+    """
+    p = model.profile
+    r = model.state_dim
+    matrix = np.zeros(((k + 1) * r, (k + 1) * r))
+    w = model.prior.window_len
+    matrix[: w * r, : w * r] = model.prior.information()
+    for t in range(model.start_time, k):
+        b, c = provider.blocks(t)
+        for grid, first in ((b, t - p.l2_eff + 1), (c, t - p.l3_eff + 2)):
+            lo = first * r
+            hi = lo + grid.shape[0]
+            matrix[lo:hi, lo:hi] += grid
+    matrix = symmetrize(matrix)
+    check_psd(matrix, rel_tol=1e-9, context="joint information matrix")
+    return matrix
+
+
+def schur_submatrix(joint: np.ndarray, r: int) -> np.ndarray:
+    """Information submatrix for the final ``r``-block of a dense joint."""
+    if joint.shape[0] == r:
+        return joint.copy()
+    return schur_complement_keep_last(joint, r, context="joint information")
+
+
+def dense_information_sequence(model: SystemModel, est: ExpectationEstimator, k_max: int,
+                               provider: BlockProvider | None = None
+                               ) -> dict[int, np.ndarray]:
+    """``corrbound.information_sequence`` from one dense joint per time."""
+    start = model.start_time
+    if provider is None and k_max > start:
+        provider = BlockProvider(model, est, start, k_max)
+    return {t: schur_submatrix(dense_joint(model, provider, t), model.state_dim)
+            for t in range(start, k_max + 1)}
+
+
+def band_to_dense(ab: np.ndarray) -> np.ndarray:
+    """Symmetric dense matrix from LAPACK upper band storage."""
+    u, n = ab.shape[0] - 1, ab.shape[1]
+    out = np.zeros((n, n))
+    for d in range(min(u + 1, n)):
+        i = np.arange(n - d)
+        out[i, i + d] = out[i + d, i] = ab[u - d, d:]
+    return out
 
 
 # ---------------------------------------------------------------------------

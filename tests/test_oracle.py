@@ -2,10 +2,18 @@ import numpy as np
 import pytest
 
 import corrbound as cb
-from corrbound import oracle
-from corrbound.errors import InvariantViolationError
-from conftest import random_linear_model, random_spd, simple_scalar_model
-from reference_steps import contract_through_inverse, partitioned_inverse
+from corrbound import cli, oracle
+from corrbound.errors import SingularMatrixError
+from conftest import CASE_SPANNING_PROFILES, random_linear_model, random_spd, simple_scalar_model
+from reference_steps import (
+    CaseTag,
+    band_to_dense,
+    contract_through_inverse,
+    dense_information_sequence,
+    partitioned_inverse,
+    schur_submatrix,
+    select_case,
+)
 
 
 def test_scalar_joint_hand_assembled():
@@ -14,47 +22,87 @@ def test_scalar_joint_hand_assembled():
     # measurement adds 1 on its state's diagonal (measurements enter from
     # the first step after the window).
     model = simple_scalar_model()
-    joint = cb.build_joint(model, cb.ExpectationEstimator(), 2)
+    est = cb.ExpectationEstimator()
+    band = cb.build_joint(model, est, 2)
+    assert band.shape == (2, 3)  # upper bandwidth max(l2' + 1, l3') * r - 1 = 1
     expected = np.array([
         [2.0, -1.0, 0.0],
         [-1.0, 3.0, -1.0],
         [0.0, -1.0, 2.0],
     ])
-    assert np.allclose(joint.matrix, expected)
+    assert np.allclose(band_to_dense(band), expected)
     # Reduction reproduces the recursion value at that horizon.
-    assert np.allclose(cb.schur_submatrix(joint), [[1.6]])
+    assert np.allclose(cb.information_sequence(model, est, 2)[2], [[1.6]])
 
 
 def test_prior_only_window_equals_prior_information(example1):
-    joint = cb.build_joint(example1, cb.ExpectationEstimator(), example1.start_time)
-    assert np.allclose(joint.matrix, example1.prior.information())
+    est = cb.ExpectationEstimator()
+    band = cb.build_joint(example1, est, example1.start_time)
+    assert np.allclose(band_to_dense(band), example1.prior.information())
+    with pytest.raises(ValueError, match="precedes"):
+        cb.build_joint(example1, est, example1.start_time - 1)
 
 
 def test_example1_joint_structure(example1):
-    joint = cb.build_joint(example1, cb.ExpectationEstimator(), 5)
-    assert joint.matrix.shape == (12, 12)
-    assert np.allclose(joint.matrix, joint.matrix.T)
-    eigs = np.linalg.eigvalsh(joint.matrix)
+    band = cb.build_joint(example1, cb.ExpectationEstimator(), 5)
+    # Profile (1, 1, 2, 1), r = 2: three diagonal blocks of band, 12 columns.
+    assert band.shape == (4, 12)
+    joint = band_to_dense(band)
+    eigs = np.linalg.eigvalsh(joint)
     assert eigs[0] >= -1e-9 * eigs[-1]
 
 
 def test_schur_submatrix_block_diagonal():
-    j = cb.JointInformation(horizon=1, block_dim=1,
-                            matrix=np.diag([2.0, 5.0]))
-    assert np.allclose(cb.schur_submatrix(j), [[5.0]])
+    # The band storage of diag(2, 5) with upper bandwidth 1.
+    band = np.array([[0.0, 0.0], [2.0, 5.0]])
+    assert np.allclose(oracle.last_state_information(band, 1, 1), [[5.0]])
+    assert np.allclose(schur_submatrix(np.diag([2.0, 5.0]), 1), [[5.0]])
 
 
 def test_schur_submatrix_direct_arithmetic():
-    j = cb.JointInformation(horizon=1, block_dim=1,
-                            matrix=np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert np.allclose(cb.schur_submatrix(j), [[1.5]])
+    # [[2, 1], [1, 2]]: 2 - 1 * 1 / 2 = 1.5.
+    band = np.array([[0.0, 1.0], [2.0, 2.0]])
+    assert np.allclose(oracle.last_state_information(band, 1, 1), [[1.5]])
+    assert np.allclose(schur_submatrix(np.array([[2.0, 1.0], [1.0, 2.0]]), 1), [[1.5]])
+    # Two-dimensional trailing block: the full Schur complement, not its diagonal.
+    rng = np.random.default_rng(13)
+    a = random_spd(rng, 5)
+    u = 4
+    band = np.zeros((u + 1, 5))
+    for d in range(u + 1):
+        band[u - d, d:] = np.diagonal(a, d)
+    expected = a[3:, 3:] - a[3:, :3] @ np.linalg.solve(a[:3, :3], a[:3, 3:])
+    assert np.allclose(oracle.last_state_information(band, 2, 2), expected)
 
 
-def test_joint_validation_rejects_indefinite():
-    j = cb.JointInformation(horizon=1, block_dim=1,
-                            matrix=np.array([[1.0, 2.0], [2.0, 1.0]]))
-    with pytest.raises(InvariantViolationError):
-        j.validate()
+class _IndefiniteAt:
+    """Blocks of ``provider``, but at time ``bad`` the measurement grid's last
+    diagonal entry is strongly negative, so the grid is indefinite."""
+
+    def __init__(self, provider, bad):
+        self.provider, self.bad = provider, bad
+
+    def blocks(self, k):
+        b, c = self.provider.blocks(k)
+        if k == self.bad:
+            c = c.copy()
+            c[-1, -1] = -1e6
+        return b, c
+
+
+def test_joint_validation_rejects_indefinite(example1, monkeypatch, capsys):
+    # The factors at time 5 first enter the joint over x[0] .. x[6].
+    est = cb.ExpectationEstimator()
+    provider = _IndefiniteAt(cb.BlockProvider(example1, est, example1.start_time, 9), 5)
+    with pytest.raises(SingularMatrixError, match=r"x\[0\] \.\. x\[6\]"):
+        cb.information_sequence(example1, est, 9, provider=provider)
+    assert set(cb.information_sequence(example1, est, 5, provider=provider)) == {2, 3, 4, 5}
+
+    monkeypatch.setattr(oracle, "BlockProvider",
+                        lambda *args: _IndefiniteAt(cb.BlockProvider(*args), 5))
+    assert cli.main(["oracle-verify", "--model", "example1", "--horizon", "7"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error:") and "x[6]" in err
 
 
 def test_factor_sparsity_pattern():
@@ -69,13 +117,15 @@ def test_factor_sparsity_pattern():
             trans, meas = oracle.factor_state_indices(model, t)
             assert max(trans) - min(trans) == profile.l2_eff
             assert max(meas) - min(meas) == profile.l3_eff - 1
-        joint = cb.build_joint(model, cb.ExpectationEstimator(), k)
+        band_storage = cb.build_joint(model, cb.ExpectationEstimator(), k)
         band = max(profile.l2_eff, profile.l3_eff - 1)
         r = model.state_dim
+        assert band_storage.shape == ((band + 1) * r, (k + 1) * r)
+        joint = band_to_dense(band_storage)
         for i in range(k + 1):
             for j in range(k + 1):
                 if abs(i - j) > band:
-                    assert not joint.matrix[i * r:(i + 1) * r, j * r:(j + 1) * r].any()
+                    assert not joint[i * r:(i + 1) * r, j * r:(j + 1) * r].any()
 
 
 def test_partitioned_inverse_reconstruction():
@@ -144,9 +194,32 @@ def test_recursion_matches_oracle_with_sampled_blocks(example2):
         assert np.max(np.abs(entry.info - seq[entry.time_index])) < tol
 
 
-def test_oracle_horizon_cap(example1):
-    with pytest.raises(ValueError, match="cap"):
-        cb.build_joint(example1, cb.ExpectationEstimator(), oracle.MAX_ORACLE_HORIZON + 1)
-    with pytest.raises(ValueError, match="cap"):
-        oracle.information_sequence(example1, cb.ExpectationEstimator(),
-                                    oracle.MAX_ORACLE_HORIZON + 1)
+def _worst(seq, ref):
+    assert seq.keys() == ref.keys()
+    return max(oracle.max_relative_deviation(seq[t], ref[t]) for t in seq)
+
+
+def test_banded_oracle_matches_dense_reference(example1, example2):
+    # Measured worst relative deviations: 1.1e-15 for example1 to k = 24;
+    # 4.8e-14 for example2 to k = 12 on one Monte-Carlo provider (6.1e-14 and
+    # 7.6e-14 at seeds 6 and 7); 3.4e-15 over the random linear models.  The
+    # bounds leave a factor of at least 13 above those.
+    est = cb.ExpectationEstimator()
+    assert _worst(cb.information_sequence(example1, est, 24),
+                  dense_information_sequence(example1, est, 24)) < 1e-13
+
+    mc = cb.ExpectationEstimator(mode="monte_carlo", sample_count=2_000, seed=5)
+    k_max = example2.start_time + 10
+    provider = cb.BlockProvider(example2, mc, example2.start_time, k_max)
+    assert _worst(cb.information_sequence(example2, mc, k_max, provider=provider),
+                  dense_information_sequence(example2, mc, k_max, provider=provider)) < 1e-12
+
+    cases = set()
+    for i, lags in enumerate(CASE_SPANNING_PROFILES):
+        profile = cb.CorrelationProfile(*lags)
+        model = random_linear_model(profile, 1 + i % 3, 2, 5000 + i)
+        k_max = min(24, model.start_time + 12)
+        assert _worst(cb.information_sequence(model, est, k_max),
+                      dense_information_sequence(model, est, k_max)) < 1e-13
+        cases.add(select_case(profile))
+    assert cases == {CaseTag.GREATER, CaseTag.LESS, CaseTag.EQUAL}
