@@ -458,11 +458,10 @@ def _parse_lags(obj, path: str) -> CorrelationProfile:
 
 
 def _parse_prior(obj, profile: CorrelationProfile, state_dim: int, path: str) -> GaussianPrior:
-    window = required_prior_window(profile)
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: expected an object with keys mean, cov")
     _require_keys(obj, {"mean", "cov"}, path)
-    mean = np.asarray(obj.get("mean", np.zeros(state_dim)), dtype=float)
-    if mean.shape != (state_dim,):
-        raise ConfigError(f"{path}.mean: expected {state_dim} entries")
+    mean = _as_matrix(obj.get("mean", [0.0] * state_dim), 1, state_dim, f"{path}.mean")[0]
     cov = _as_matrix(obj["cov"], state_dim, state_dim, f"{path}.cov") if "cov" in obj \
         else None
     return default_prior(profile, state_dim, mean=mean, cov=cov)

@@ -175,6 +175,8 @@ LINEAR_1D = {
     ("run", [], {"model": {**LINEAR_1D, "transition_coeffs": -1.5}},
      "model.transition_coeffs"),
     ("run", [], {"estimator": {"mode": "bad"}}, "mode 'bad'"),
+    ("run", [], {"model": {**LINEAR_1D, "prior": -1.5}}, "model.prior"),
+    ("run", [], {"model": {**LINEAR_1D, "prior": {"mean": "bad"}}}, "model.prior.mean"),
 ])
 def test_bad_field_is_config_error(tmp_path, capsys, command, extra, config, field):
     args = [command, *extra, "--horizon", "3"]

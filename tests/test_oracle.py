@@ -45,7 +45,7 @@ def test_prior_only_window_equals_prior_information(example1):
 
 def test_example1_joint_structure(example1):
     band = cb.build_joint(example1, cb.ExpectationEstimator(), 5)
-    # Profile (1, 1, 2, 1), r = 2: three diagonal blocks of band, 12 columns.
+    # Profile (1, 1, 2, 1), r = 2: upper bandwidth max(2, 2) * 2 - 1 = 3.
     assert band.shape == (4, 12)
     joint = band_to_dense(band)
     eigs = np.linalg.eigvalsh(joint)

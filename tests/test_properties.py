@@ -1,8 +1,8 @@
 """Property-based checks over random linear-Gaussian models and configs.
 
 Each model is drawn as a ``linear_gaussian_ma`` JSON config: lags 0-3 in one
-of the three step layouts, state dimension 1-4, and SPD noise covariances of
-a drawn condition number.  Draws are derandomized, so a run is repeatable,
+of the three step layouts, state dimension 1-4, and SPD noise and prior
+covariances of drawn condition numbers.  Draws are derandomized, so a run is repeatable,
 and no example database is kept.
 """
 
@@ -55,7 +55,7 @@ def linear_configs(draw, case: CaseTag, min_log_cond: float, max_log_cond: float
     l2, l3 = draw(st.sampled_from(LAYOUT_LAGS[case]))
     l1, l4 = draw(st.integers(0, 3)), draw(st.integers(0, 3))
     r, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
-    log_conds = draw(st.lists(st.floats(min_log_cond, max_log_cond), min_size=2, max_size=2))
+    log_conds = draw(st.lists(st.floats(min_log_cond, max_log_cond), min_size=3, max_size=3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     l2e, l3e = max(l2, 1), max(l3, 1)
 
@@ -73,6 +73,7 @@ def linear_configs(draw, case: CaseTag, min_log_cond: float, max_log_cond: float
         "measurement_state_coeffs": coeffs(l3e, n, r, 0.8 / l3e),
         "measurement_meas_coeffs": coeffs(l1, n, n, 0.1),
         "measurement_cov": _spd(rng, n, log_conds[1]),
+        "prior": {"mean": [0.0] * r, "cov": _spd(rng, r, log_conds[2])},
     }
 
 
@@ -136,6 +137,10 @@ CONFIG_FIELDS = [
     (("model", "process_cov"), "model.process_cov"),
     (("model", "measurement_state_coeffs"), "model.measurement_state_coeffs"),
     (("model", "measurement_cov"), "model.measurement_cov"),
+    (("model", "prior"), "model.prior"),
+    (("model", "prior", "mean"), "model.prior.mean"),
+    (("model", "prior", "cov"), "model.prior.cov"),
+    (("model", "prior", "bogus"), "bogus"),
     (("model", "bogus"), "bogus"),
     (("horizon",), "horizon"),
     (("estimator",), "estimator"),
