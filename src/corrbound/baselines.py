@@ -120,10 +120,6 @@ def _augmented_step(p: np.ndarray, f_aug: np.ndarray, q_aug: np.ndarray,
     return p_next, psd_inverse(p_next[:r_dim, :r_dim], context="augmented state bound")
 
 
-def _no_blocks(k: int) -> tuple:
-    return ()
-
-
 def pcrb_augmented(model: SystemModel, horizon: int) -> PCRBTrace:
     """Bound from AR(1) approximations of the colored noises in an augmented state.
 
@@ -131,18 +127,18 @@ def pcrb_augmented(model: SystemModel, horizon: int) -> PCRBTrace:
     The bound is reported in the original coordinates (leading block of the
     augmented bound, re-inverted).  The step reads only the augmented
     covariance ``p``, so it runs in ``run``'s loop helper
-    (``recursion._distinct_steps``) with no blocks: a step whose ``p``
-    repeats an earlier one byte for byte reuses its result, and the trace
-    stores each distinct row once.
+    (``recursion._distinct_steps``) on empty block tuples: a step whose
+    ``p`` repeats an earlier one byte for byte reuses its result, and the
+    trace stores each distinct row once.
     """
     f_aug, q_aug, h_aug, r_inv, p = augmented_system(model)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
 
-    def compute(k: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def compute(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _augmented_step(p, f_aug, q_aug, h_aug, r_inv, model.state_dim)
 
-    rows, index = _distinct_steps(p, range(1, horizon + 1), _no_blocks, compute)
+    rows, index = _distinct_steps(p, [()] * horizon, compute)
     return PCRBTrace(rows, index)
 
 

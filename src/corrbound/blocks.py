@@ -46,12 +46,13 @@ class ExpectationEstimator:
             raise ConfigError(
                 f"estimator mode {self.mode!r} not one of {ESTIMATOR_MODES}"
             )
-        if self.sample_count < 1:
-            raise ConfigError("estimator sample_count must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("estimator workers must be >= 1")
-        if self.chunk_size < 1:
-            raise ConfigError("estimator chunk_size must be >= 1")
+        for field, minimum in (("sample_count", 1), ("seed", 0), ("workers", 1),
+                               ("chunk_size", 1)):
+            value = getattr(self, field)
+            if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+                    or value < minimum):
+                raise ConfigError(
+                    f"estimator {field} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass

@@ -10,7 +10,7 @@ information submatrix for the new state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -25,15 +25,6 @@ from .models import SystemModel
 from .profiles import CorrelationProfile
 
 PSD_REL_TOL = 1e-10
-
-
-@dataclass
-class RecursionState:
-    """Everything needed to advance the recursion one step."""
-
-    k: int
-    carry: np.ndarray
-    profile: CorrelationProfile
 
 
 @dataclass(frozen=True)
@@ -98,67 +89,44 @@ def trace_row(info: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _hold(blocks: tuple[np.ndarray, ...]) -> list[tuple]:
-    """What :func:`_same_blocks` compares later steps' blocks against.
-
-    Each array is held by its exact bytes, dtype and shape as they are now.
-    One that owns its data and is read-only (a :class:`BlockProvider` block)
-    cannot change while held, so it also matches by identity alone.
-    """
-    return [(a if a.flags.owndata and not a.flags.writeable else None,
-             a.dtype, a.shape, a.tobytes()) for a in blocks]
-
-
-def _same_blocks(blocks: tuple[np.ndarray, ...], held: list[tuple]) -> bool:
-    if len(blocks) != len(held):
-        return False
-    for a, (frozen, dtype, shape, data) in zip(blocks, held):
-        if a is frozen:
-            continue
-        if a.dtype != dtype or a.shape != shape or a.tobytes() != data:
-            return False
-    return True
-
-
-def _distinct_steps(carry: np.ndarray, times: range, blocks_at, compute
+def _distinct_steps(carry: np.ndarray, blocks_seq, compute
                     ) -> tuple[list[tuple[np.ndarray, ...]], list[int]]:
-    """Trace rows of the steps at ``times`` and the row of each step.
+    """Trace rows of one step per block tuple of ``blocks_seq``, and the row
+    of each step.
 
-    ``compute(k, carry, *blocks_at(k))`` returns the next carry and the
-    step's information submatrix, and must be a pure function of ``carry``
-    and the blocks.  A time-invariant model's recursion settles, in floating
-    point, into a fixed point or a short cycle, after which its steps repeat
-    inputs byte for byte; such a step takes the stored next carry and row of
-    the earlier step instead of calling ``compute``.
+    ``compute(carry, *blocks)`` returns the next carry and the step's
+    information submatrix, and must be a pure function of its arguments.  A
+    time-invariant model's recursion settles, in floating point, into a
+    fixed point or a short cycle, after which its carry repeats byte for
+    byte; such a step takes the stored next carry and row of the earlier
+    step instead of calling ``compute``.
 
     The carry is keyed by its exact bytes (it keeps one dtype and shape from
-    step to step).  The stored results are cleared whenever the blocks
-    differ from the previous step's (:func:`_same_blocks`), so blocks that
-    change at every step (Monte-Carlo curvature) keep at most one.  A step
-    handed the very tuple of the step before, whose arrays all match by
-    identity, skips even that comparison.  Every check ``compute`` makes
-    (PSD, pivot rcond, finiteness, shape) runs once on each distinct input;
-    a repeat returns only what an identical input already passed, because
-    an input that failed raised and stored nothing.  Stored carries and
-    rows are read-only, since later steps share them.
+    step to step).  A stored result is reused only while every block is the
+    very array (``is``) of the previous step, read-only and owning its data,
+    as a :class:`BlockProvider`'s blocks are; any other blocks clear the
+    store, so blocks that change at every step (Monte-Carlo curvature) keep
+    at most one stored result, and writable blocks get none.  Every check
+    ``compute`` makes (PSD, pivot rcond, finiteness, shape) runs once on
+    each distinct input; a repeat returns only what an identical input
+    already passed, because an input that failed raised and stored nothing.
+    Stored carries and rows are read-only, since later steps share them.
     """
     rows: list[tuple[np.ndarray, ...]] = []
     index: list[int] = []
     seen: dict[bytes, tuple[int, np.ndarray, bytes]] = {}
-    held: list[tuple] | None = None
-    last = None  # the previous step's blocks, if identity alone matches them
+    last = None  # the previous step's blocks, if all read-only and data-owning
     key = carry.tobytes()
-    for k in times:
-        blocks = blocks_at(k)
+    for blocks in blocks_seq:
         if blocks is not last:
-            if held is None or not _same_blocks(blocks, held):
-                held = _hold(blocks)
+            if (last is None or len(blocks) != len(last)
+                    or any(a is not b for a, b in zip(blocks, last))):
                 seen.clear()
-            frozen = type(blocks) is tuple and all(h[0] is not None for h in held)
-            last = blocks if frozen else None
+            frozen = all(a.flags.owndata and not a.flags.writeable for a in blocks)
+            last = tuple(blocks) if frozen else None
         found = seen.get(key)
         if found is None:
-            carry_next, info = compute(k, carry, *blocks)
+            carry_next, info = compute(carry, *blocks)
             carry_next.setflags(write=False)
             found = seen[key] = (len(rows), carry_next, carry_next.tobytes())
             rows.append(trace_row(info))
@@ -172,21 +140,21 @@ def _distinct_steps(carry: np.ndarray, times: range, blocks_at, compute
 # ---------------------------------------------------------------------------
 
 
-def init_state(model: SystemModel) -> RecursionState:
+def init_state(model: SystemModel) -> np.ndarray:
     """Carry matrix at the model's start time, from the prior window.
 
     The joint information of the prior window is reduced to the trailing
     ``window`` states by marginalizing the leading ones, which is exactly
     what the full-horizon construction would produce before any dynamics
-    factor is applied.
+    factor is applied.  The carry spans ``x[start + 1 - window] ..
+    x[start]``, with ``start = model.start_time``.
     """
-    profile = model.profile
-    m = profile.window
+    m = model.profile.window
     r = model.state_dim
     joint = model.prior.information()
     carry = schur_complement_keep_last(joint, m * r, context="prior window")
     check_psd(carry, rel_tol=PSD_REL_TOL, context="carry matrix")
-    return RecursionState(k=model.start_time, carry=carry, profile=profile)
+    return carry
 
 
 # ---------------------------------------------------------------------------
@@ -194,22 +162,22 @@ def init_state(model: SystemModel) -> RecursionState:
 # ---------------------------------------------------------------------------
 
 
-def step(state: RecursionState, b: np.ndarray, c: np.ndarray
-         ) -> tuple[np.ndarray, RecursionState]:
-    """Advance one step with the time-``k`` factor blocks.
+def step(profile: CorrelationProfile, carry: np.ndarray, b: np.ndarray, c: np.ndarray
+         ) -> tuple[np.ndarray, np.ndarray]:
+    """Advance the carry over ``x[k+1-window] .. x[k]`` one step with the
+    time-``k`` factor blocks ``b`` and ``c``.
 
-    Returns the information submatrix for the new state and the updated
-    recursion state.  Eliminating the state that leaves the window from the
-    frame gives the new carry over ``x[k+2-window] .. x[k+1]``; by the
-    quotient property of Schur complements, the information submatrix of
-    ``x[k+1]`` is then the Schur complement of the new carry's last block.
-    At window 1 the new carry is that submatrix.
+    Returns the next carry and the information submatrix of ``x[k+1]``, and
+    reads nothing but its arguments.  Eliminating the state that leaves the
+    window from the frame gives the new carry over ``x[k+2-window] ..
+    x[k+1]``; by the quotient property of Schur complements, the information
+    submatrix of ``x[k+1]`` is then the Schur complement of the new carry's
+    last block.  At window 1 the new carry is that submatrix.
     """
-    profile = state.profile
     m = profile.window
-    r = state.carry.shape[0] // m
+    r = carry.shape[0] // m
     frame = factor_frame(b, c, profile)
-    frame[:-r, :-r] += state.carry
+    frame[:-r, :-r] += carry
     carry_next = schur_complement_remove_first(frame, r, context="carry pivot")
     if m == 1:
         j_next = carry_next
@@ -224,7 +192,7 @@ def step(state: RecursionState, b: np.ndarray, c: np.ndarray
     # * J <= D, the trailing block of C, so lambda_max(J) <= lambda_max(C),
     #   and J's floor, -rel_tol * max(lambda_max, 1), is no looser than C's.
     check_psd(j_next, rel_tol=PSD_REL_TOL, context="information submatrix")
-    return j_next, RecursionState(k=state.k + 1, carry=carry_next, profile=profile)
+    return carry_next, j_next
 
 
 # ---------------------------------------------------------------------------
@@ -236,26 +204,21 @@ def run(model: SystemModel, est: ExpectationEstimator, horizon: int,
         stepper=None, provider: BlockProvider | None = None) -> PCRBTrace:
     """Run ``horizon`` recursion steps from the model's prior window.
 
-    ``stepper`` (default :func:`step`) must be a pure function of the
-    carried matrix and the blocks ``b`` and ``c``: it is called only on a
-    ``(carry, b, c)`` not seen since the blocks last changed, and a step
-    whose three arrays repeat an earlier step's byte for byte reuses that
-    step's new carry and trace row (see :func:`_distinct_steps`).  Every check still runs once on every
-    distinct input.  The trace stores each distinct row once, with
-    read-only arrays, and an index of the row of every step.
+    ``stepper`` (default :func:`step`) is called as ``stepper(profile,
+    carry, b, c)``, returns ``(carry_next, J)`` as :func:`step` does, and
+    must be a pure function of its arguments: a step whose carry repeats an
+    earlier step's byte for byte, on the very same read-only blocks, reuses
+    that step's new carry and trace row instead of calling it (see
+    :func:`_distinct_steps`).  Every check still runs once on every distinct
+    input.  The trace stores each distinct row once, with read-only arrays,
+    and an index of the row of every step.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    stepper = stepper or step
-    state = init_state(model)
-    start, profile = state.k, state.profile
+    start = model.start_time
+    carry = init_state(model)
     if provider is None:
         provider = BlockProvider(model, est, start, start + horizon)
-
-    def compute(k: int, carry: np.ndarray, b: np.ndarray, c: np.ndarray):
-        info, state_next = stepper(RecursionState(k, carry, profile), b, c)
-        return state_next.carry, info
-
-    rows, index = _distinct_steps(state.carry, range(start, start + horizon),
-                                  provider.blocks, compute)
+    rows, index = _distinct_steps(carry, map(provider.blocks, range(start, start + horizon)),
+                                  partial(stepper or step, model.profile))
     return PCRBTrace(rows, index, start, provider.report.resampled)

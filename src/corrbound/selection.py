@@ -25,7 +25,6 @@ DEFAULT_AVERAGE_WINDOW = 40
 class SweepPoint:
     sensors: int
     avg_bound: float
-    final_bound: float
 
 
 @dataclass(frozen=True)
@@ -36,9 +35,6 @@ class SensorSweepResult:
 
     def avg_bounds(self) -> np.ndarray:
         return np.array([p.avg_bound for p in self.points])
-
-    def counts(self) -> np.ndarray:
-        return np.array([p.sensors for p in self.points])
 
 
 def sweep(model: SystemModel, m_max: int, horizon: int = DEFAULT_AVERAGE_WINDOW,
@@ -53,7 +49,7 @@ def sweep(model: SystemModel, m_max: int, horizon: int = DEFAULT_AVERAGE_WINDOW,
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    if component >= model.state_dim:
+    if not 0 <= component < model.state_dim:
         raise ValueError(
             f"component {component} out of range for state dim {model.state_dim}"
         )
@@ -63,10 +59,9 @@ def sweep(model: SystemModel, m_max: int, horizon: int = DEFAULT_AVERAGE_WINDOW,
     points = []
     for m in range(1, m_max + 1):
         trace = run(model, est, horizon, provider=provider,
-                    stepper=lambda state, b, c: step(state, b, m * c))
+                    stepper=lambda profile, carry, b, c: step(profile, carry, b, m * c))
         series = trace.component_bound_sqrt(component)
-        points.append(SweepPoint(sensors=m, avg_bound=float(series.mean()),
-                                 final_bound=float(series[-1])))
+        points.append(SweepPoint(sensors=m, avg_bound=float(series.mean())))
 
     for prev, nxt in zip(points, points[1:]):
         if not nxt.avg_bound < prev.avg_bound:

@@ -34,14 +34,7 @@ from corrbound.linalg import (
 )
 from corrbound.models import SystemModel
 from corrbound.profiles import CorrelationProfile
-from corrbound.recursion import (
-    PSD_REL_TOL,
-    PCRBTrace,
-    RecursionState,
-    init_state,
-    step,
-    trace_row,
-)
+from corrbound.recursion import PSD_REL_TOL, PCRBTrace, init_state, step, trace_row
 
 
 class CaseTag(Enum):
@@ -85,23 +78,18 @@ def _grid(blocks: dict[tuple[int, int], np.ndarray], size: int, r: int) -> np.nd
     return out
 
 
-def _block_dim(state: RecursionState) -> int:
-    return state.carry.shape[0] // state.profile.window
-
-
 def _solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return psd_solve(a, rhs, context="specialized-step pivot")
 
 
-def step_cross_correlated(state: RecursionState, b: np.ndarray, c: np.ndarray
-                          ) -> tuple[np.ndarray, RecursionState]:
+def step_cross_correlated(p: CorrelationProfile, carry: np.ndarray, b: np.ndarray,
+                          c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Step for backward cross-correlated measurement noise only (l1=l2=l4=0)."""
-    p = state.profile
     if not (p.l1 == 0 and p.l2 == 0 and p.l4 == 0):
         raise ValueError("cross-correlated path requires a profile (0, 0, l, 0)")
     lag = p.l3
-    r = _block_dim(state)
-    e, bb, cc = _reader(state.carry, r), _reader(b, r), _reader(c, r)
+    r = carry.shape[0] // p.window
+    e, bb, cc = _reader(carry, r), _reader(b, r), _reader(c, r)
 
     if lag <= 1:
         pivot = e(1, 1) + bb(1, 1)
@@ -110,7 +98,7 @@ def step_cross_correlated(state: RecursionState, b: np.ndarray, c: np.ndarray
         d21 = bb(2, 1)
         d22 = bb(2, 2) + cc(1, 1)
         j_next = symmetrize(d22 - d21 @ _solve(d11 + e(1, 1), d21.T))
-        carry = symmetrize(e_new)
+        carry_next = symmetrize(e_new)
     elif lag == 2:
         pivot = e(1, 1) + bb(1, 1) + cc(1, 1)
         left = bb(2, 1) + cc(2, 1)
@@ -120,7 +108,7 @@ def step_cross_correlated(state: RecursionState, b: np.ndarray, c: np.ndarray
         d21 = bb(2, 1) + cc(2, 1)
         d22 = bb(2, 2) + cc(2, 2)
         j_next = symmetrize(d22 - d21 @ _solve(d11 + e(1, 1), d21.T))
-        carry = symmetrize(e_new)
+        carry_next = symmetrize(e_new)
     else:
         size = lag - 1
         pivot = e(1, 1) + cc(1, 1)
@@ -135,29 +123,28 @@ def step_cross_correlated(state: RecursionState, b: np.ndarray, c: np.ndarray
                     + cc(i + 1, j + 1)
                     - left @ _solve(pivot, right)
                 )
-        carry = symmetrize(_grid(carry_blocks, size, r))
+        carry_next = symmetrize(_grid(carry_blocks, size, r))
         d11 = _grid({
             (i, j): cc(i, j) + bb(i + 2 - lag, j + 2 - lag)
             for i in range(1, size + 1) for j in range(1, size + 1)
         }, size, r)
         d21 = np.hstack([cc(lag, j) + bb(2, j + 2 - lag) for j in range(1, size + 1)])
         d22 = cc(lag, lag) + bb(2, 2)
-        gram = d11 + state.carry
+        gram = d11 + carry
         j_next = symmetrize(d22 - d21 @ _solve(gram, d21.T))
 
     check_psd(j_next, rel_tol=PSD_REL_TOL, context="information submatrix")
-    return j_next, RecursionState(state.k + 1, carry, p)
+    return carry_next, j_next
 
 
-def step_autocorrelated_process(state: RecursionState, b: np.ndarray, c: np.ndarray
-                                ) -> tuple[np.ndarray, RecursionState]:
+def step_autocorrelated_process(p: CorrelationProfile, carry: np.ndarray, b: np.ndarray,
+                                c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Step for auto-correlated process noise only (l1=l3=l4=0)."""
-    p = state.profile
     if not (p.l1 == 0 and p.l3 == 0 and p.l4 == 0):
         raise ValueError("auto-correlated-process path requires a profile (0, l, 0, 0)")
     l2e = p.l2_eff
-    r = _block_dim(state)
-    e, bb, cc = _reader(state.carry, r), _reader(b, r), _reader(c, r)
+    r = carry.shape[0] // p.window
+    e, bb, cc = _reader(carry, r), _reader(b, r), _reader(c, r)
 
     pivot = e(1, 1) + bb(1, 1)
     carry_blocks = {}
@@ -171,27 +158,26 @@ def step_autocorrelated_process(state: RecursionState, b: np.ndarray, c: np.ndar
                 + bb(i + 1, j + 1)
                 - left @ _solve(pivot, right)
             )
-    carry = symmetrize(_grid(carry_blocks, l2e, r))
+    carry_next = symmetrize(_grid(carry_blocks, l2e, r))
 
     d11 = _grid({
         (i, j): bb(i, j) for i in range(1, l2e + 1) for j in range(1, l2e + 1)
     }, l2e, r)
     d21 = np.hstack([bb(l2e + 1, j) for j in range(1, l2e + 1)])
     d22 = bb(l2e + 1, l2e + 1) + cc(1, 1)
-    gram = d11 + state.carry
+    gram = d11 + carry
     j_next = symmetrize(d22 - d21 @ _solve(gram, d21.T))
     check_psd(j_next, rel_tol=PSD_REL_TOL, context="information submatrix")
-    return j_next, RecursionState(state.k + 1, carry, p)
+    return carry_next, j_next
 
 
-def step_process_lag2(state: RecursionState, b: np.ndarray, c: np.ndarray
-                      ) -> tuple[np.ndarray, RecursionState]:
+def step_process_lag2(p: CorrelationProfile, carry: np.ndarray, b: np.ndarray,
+                      c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Simplified two-lag auto-correlated-process step (explicit 2x2 carry update)."""
-    p = state.profile
     if not (p.l1 == 0 and p.l3 == 0 and p.l4 == 0 and p.l2 == 2):
         raise ValueError("simplified path requires a profile (0, 2, 0, 0)")
-    r = _block_dim(state)
-    e, bb, cc = _reader(state.carry, r), _reader(b, r), _reader(c, r)
+    r = carry.shape[0] // p.window
+    e, bb, cc = _reader(carry, r), _reader(b, r), _reader(c, r)
     pivot = e(1, 1) + bb(1, 1)
     left = e(2, 1) + bb(2, 1)
 
@@ -201,7 +187,7 @@ def step_process_lag2(state: RecursionState, b: np.ndarray, c: np.ndarray
         bb(3, 3) + cc(1, 1)
         - bb(3, 1) @ _solve(pivot, bb(1, 3))
     )
-    carry = symmetrize(_grid({(1, 1): e11, (1, 2): e12, (2, 1): e12.T, (2, 2): e22}, 2, r))
+    carry_next = symmetrize(_grid({(1, 1): e11, (1, 2): e12, (2, 1): e12.T, (2, 2): e22}, 2, r))
 
     d11 = np.block([
         [bb(1, 1), bb(1, 2)],
@@ -209,9 +195,9 @@ def step_process_lag2(state: RecursionState, b: np.ndarray, c: np.ndarray
     ])
     d21 = np.hstack([bb(3, 1), bb(3, 2)])
     d22 = bb(3, 3) + cc(1, 1)
-    j_next = symmetrize(d22 - d21 @ _solve(d11 + state.carry, d21.T))
+    j_next = symmetrize(d22 - d21 @ _solve(d11 + carry, d21.T))
     check_psd(j_next, rel_tol=PSD_REL_TOL, context="information submatrix")
-    return j_next, RecursionState(state.k + 1, carry, p)
+    return carry_next, j_next
 
 
 def step_autocorrelated_measurement(j_k: np.ndarray, d11: np.ndarray, d12: np.ndarray,
@@ -223,19 +209,19 @@ def step_autocorrelated_measurement(j_k: np.ndarray, d11: np.ndarray, d12: np.nd
     return symmetrize(d22 - d12.T @ psd_solve(gram, d12, context="step gram matrix"))
 
 
-def step_autocorrelated_measurement_state(state: RecursionState, b: np.ndarray,
-                                          c: np.ndarray) -> tuple[np.ndarray, RecursionState]:
-    """State-threaded wrapper around :func:`step_autocorrelated_measurement`."""
-    p = state.profile
+def step_autocorrelated_measurement_state(p: CorrelationProfile, carry: np.ndarray,
+                                          b: np.ndarray, c: np.ndarray
+                                          ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`step_autocorrelated_measurement` as a ``run`` stepper."""
     if not (p.l2 == 0 and p.l3 == 0 and p.l4 == 0):
         raise ValueError("measurement-only path requires a profile (l, 0, 0, 0)")
-    r = _block_dim(state)
+    r = carry.shape[0] // p.window
     bb, cc = _reader(b, r), _reader(c, r)
     j_next = step_autocorrelated_measurement(
-        block(state.carry, 1, 1, r), bb(1, 1), bb(1, 2), bb(2, 2) + cc(1, 1)
+        block(carry, 1, 1, r), bb(1, 1), bb(1, 2), bb(2, 2) + cc(1, 1)
     )
     check_psd(j_next, rel_tol=PSD_REL_TOL, context="information submatrix")
-    return j_next, RecursionState(state.k + 1, j_next, p)
+    return j_next, j_next
 
 
 def classical_step(j_k: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -255,14 +241,14 @@ def classical_step(j_k: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 def run_plain(model: SystemModel, est: ExpectationEstimator, horizon: int,
               stepper=step, provider: BlockProvider | None = None) -> PCRBTrace:
     """``corrbound.run`` without reuse of repeated steps."""
-    state = init_state(model)
-    start = state.k
+    carry = init_state(model)
+    start = model.start_time
     if provider is None:
         provider = BlockProvider(model, est, start, start + horizon)
     rows = []
-    for s in range(1, horizon + 1):
-        b, c = provider.blocks(state.k)
-        info, state = stepper(state, b, c)
+    for k in range(start, start + horizon):
+        b, c = provider.blocks(k)
+        carry, info = stepper(model.profile, carry, b, c)
         rows.append(trace_row(info))
     return PCRBTrace(rows, range(horizon), start, provider.report.resampled)
 

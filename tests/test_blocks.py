@@ -13,7 +13,7 @@ from corrbound.blocks import (
     _sampled_measurement_info,
     factor_frame,
 )
-from corrbound.errors import InvariantViolationError, ModelBuildError
+from corrbound.errors import ConfigError, InvariantViolationError, ModelBuildError
 from corrbound.examples import STATE_DRAW_BLOCK, _draw_blocks
 from corrbound.linalg import symmetrize
 from conftest import blocks_at, random_linear_model, random_spd, simple_scalar_model
@@ -146,13 +146,26 @@ def test_non_finite_grid_is_rejected(example1, analytic_est):
     with pytest.raises(InvariantViolationError, match="non-finite"):
         blocks_at(broken, 2, analytic_est)
     # The step names the grid that is not finite.
-    state = cb.init_state(example1)
+    carry = cb.init_state(example1)
     for bad in (np.nan, np.inf):
         for which, what in (("b", "transition blocks"), ("c", "measurement blocks")):
             grids = {"b": b.copy(), "c": c.copy()}
             grids[which][-1, 0] = bad
             with pytest.raises(InvariantViolationError, match=f"{what} contains non-finite"):
-                cb.step(state, grids["b"], grids["c"])
+                cb.step(example1.profile, carry, grids["b"], grids["c"])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("sample_count", 100.5), ("sample_count", True), ("sample_count", 0),
+    ("seed", -1), ("seed", 1.5), ("seed", False), ("seed", "7"),
+    ("workers", 0), ("workers", 2.0), ("chunk_size", 0), ("chunk_size", None),
+])
+def test_estimator_rejects_bad_integer_fields(field, value):
+    with pytest.raises(ConfigError, match=f"estimator {field} must be an integer"):
+        cb.ExpectationEstimator(mode="monte_carlo", **{field: value})
+    # numpy integers are integers.
+    est = cb.ExpectationEstimator(mode="monte_carlo", **{field: np.int64(3)})
+    assert getattr(est, field) == 3
 
 
 def test_mc_seed_determinism_and_sensitivity(example2):
@@ -517,7 +530,7 @@ def test_assembly_rejects_mismatches(example1, analytic_est):
     with pytest.raises(ModelBuildError):
         factor_frame(wrong, c, example1.profile)
     # The same checks hold inside the step, for either grid.
-    state = cb.init_state(example1)
+    carry = cb.init_state(example1)
     for bad_b, bad_c in ((wrong, c), (b, wrong), (b, c[:2, :2]), (b[:, :3], c)):
         with pytest.raises(ModelBuildError):
-            cb.step(state, bad_b, bad_c)
+            cb.step(example1.profile, carry, bad_b, bad_c)

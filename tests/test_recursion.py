@@ -28,26 +28,25 @@ GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
 def test_init_state_scalar():
     model = simple_scalar_model()
-    state = cb.init_state(model)
-    assert state.k == 0
-    assert np.allclose(state.carry, [[1.0]])
+    assert model.start_time == 0
+    assert np.allclose(cb.init_state(model), [[1.0]])
 
 
 def test_init_state_matches_prior_reduction(example1):
     # Three prior states; the carry keeps the last one after marginalizing
     # the first two.
-    state = cb.init_state(example1)
-    assert state.k == 2
+    carry = cb.init_state(example1)
+    assert example1.start_time == 2
     joint = example1.prior.information()
     from corrbound.linalg import schur_complement_keep_last
     expected = schur_complement_keep_last(joint, 2)
-    assert np.max(np.abs(state.carry - expected)) < 1e-10
+    assert np.max(np.abs(carry - expected)) < 1e-10
 
 
 def test_init_state_example2_shape(example2):
-    state = cb.init_state(example2)
-    assert state.carry.shape == (8, 8)  # two carried 4-state blocks
-    eigs = np.linalg.eigvalsh(state.carry)
+    carry = cb.init_state(example2)
+    assert carry.shape == (8, 8)  # two carried 4-state blocks
+    eigs = np.linalg.eigvalsh(carry)
     assert eigs[0] > 0
 
 
@@ -77,21 +76,21 @@ def test_information_shrinks_without_measurements():
 def test_singular_step_reports_condition():
     model = simple_scalar_model()
     est = cb.ExpectationEstimator()
-    state = cb.init_state(model)
-    state.carry[0, 0] = 0.0
+    carry = cb.init_state(model)
+    carry[0, 0] = 0.0
     b = np.zeros((2, 2))  # no transition coupling
     _, c = blocks_at(model, 0, est)
     with pytest.raises(SingularMatrixError):
-        cb.step(state, b, c)
+        cb.step(model.profile, carry, b, c)
     # Window 2: the carried block of the state leaving the window is zero.
     model = random_linear_model(cb.CorrelationProfile(0, 2, 0, 0), 2, 2, 31)
-    state = cb.init_state(model)
-    state.carry[:2, :] = 0.0
-    state.carry[:, :2] = 0.0
+    carry = cb.init_state(model)
+    carry[:2, :] = 0.0
+    carry[:, :2] = 0.0
     b = np.zeros((6, 6))
     _, c = blocks_at(model, model.start_time, est)
     with pytest.raises(SingularMatrixError) as exc:
-        cb.step(state, b, c)
+        cb.step(model.profile, carry, b, c)
     assert "carry pivot" in str(exc.value) and exc.value.rcond is not None
 
 
@@ -102,12 +101,12 @@ def test_step_rejects_lost_psd(window):
     profile = cb.CorrelationProfile(0, window, 0, 0)
     model = random_linear_model(profile, 2, 2, 40 + window)
     est = cb.ExpectationEstimator()
-    state = cb.init_state(model)
-    assert state.profile.window == window
+    carry = cb.init_state(model)
+    assert model.profile.window == window
     b, _ = blocks_at(model, model.start_time, est)
     c = -1e3 * np.eye(2)
     with pytest.raises(InvariantViolationError, match="information submatrix lost"):
-        cb.step(state, b, c)
+        cb.step(model.profile, carry, b, c)
 
 
 @pytest.mark.parametrize("window", [2, 3])
@@ -120,10 +119,10 @@ def test_lost_carry_psd_is_caught_by_j(window, direction):
     # eigenvalue while A stays positive definite; J's check must catch it.
     profile = cb.CorrelationProfile(0, window, window, 0)
     model = random_linear_model(profile, 2, 2, 60 + window)
-    state = cb.init_state(model)
-    assert state.profile.window == window
+    carry0 = cb.init_state(model)
+    assert model.profile.window == window
     b, c = blocks_at(model, model.start_time, cb.ExpectationEstimator())
-    carry = cb.step(state, b, c)[1].carry
+    carry = cb.step(model.profile, carry0, b, c)[0]
     pivot = carry[:-2, :-2]
     u = np.zeros(carry.shape[0])
     if direction == "new":
@@ -142,17 +141,17 @@ def test_lost_carry_psd_is_caught_by_j(window, direction):
         check_psd(carry - s * np.outer(u, u), rel_tol=PSD_REL_TOL, context="carry matrix")
     np.linalg.cholesky(pivot - s * np.outer(u1, u1))
     with pytest.raises(InvariantViolationError, match="information submatrix lost"):
-        cb.step(state, b, c - s * np.outer(u, u))
+        cb.step(model.profile, carry0, b, c - s * np.outer(u, u))
 
 
 def test_step_symmetry_exact(example1, analytic_est):
-    state = cb.init_state(example1)
-    provider = BlockProvider(example1, analytic_est, state.k, state.k + 10)
-    for _ in range(10):
-        b, c = provider.blocks(state.k)
-        info, state = cb.step(state, b, c)
+    carry = cb.init_state(example1)
+    start = example1.start_time
+    provider = BlockProvider(example1, analytic_est, start, start + 10)
+    for k in range(start, start + 10):
+        carry, info = cb.step(example1.profile, carry, *provider.blocks(k))
         assert np.array_equal(info, info.T)
-        assert np.array_equal(state.carry, state.carry.T)
+        assert np.array_equal(carry, carry.T)
 
 
 def test_trace_invariants(example1, analytic_est):

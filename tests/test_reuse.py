@@ -1,9 +1,9 @@
-"""Reuse of steps whose inputs repeat byte for byte.
+"""Reuse of steps whose inputs repeat.
 
 ``corrbound.run`` and ``corrbound.pcrb_augmented`` return a stored result
-for a step whose inputs an earlier step already had.  Every output must be
-byte-identical to the plain loops in ``reference_steps``, which compute
-every step.
+for a step whose carry an earlier step already had, byte for byte, on the
+very same read-only blocks.  Every output must be byte-identical to the
+plain loops in ``reference_steps``, which compute every step.
 """
 
 import numpy as np
@@ -35,10 +35,6 @@ def assert_same_bytes(trace: cb.PCRBTrace, plain: cb.PCRBTrace) -> None:
             assert (a.dtype, a.shape) == (b.dtype, b.shape), (step, name)
             assert a.tobytes() == b.tobytes(), (step, name)
     assert_same_views(trace, plain)
-
-
-def same_array(a: np.ndarray, b: np.ndarray) -> bool:
-    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 def assert_same_views(trace: cb.PCRBTrace, plain: cb.PCRBTrace) -> None:
@@ -94,9 +90,9 @@ def test_example2_monte_carlo_matches_plain_loop(example2, workers):
 
 @pytest.mark.parametrize("m", [1, 3])
 def test_scaled_measurement_stepper_matches_plain_loop(example1, m):
-    def stepper(state, b, c):
+    def stepper(profile, carry, b, c):
         # The sweep's replica rule, as in ``selection.sweep``.
-        return cb.step(state, b, m * c)
+        return cb.step(profile, carry, b, m * c)
 
     assert_same_bytes(cb.run(example1, EXACT, 3000, stepper=stepper),
                       run_plain(example1, EXACT, 3000, stepper=stepper))
@@ -106,6 +102,21 @@ def test_sweep_matches_plain_loop(example1, monkeypatch):
     reused = selection.sweep(example1, 4, horizon=500)
     monkeypatch.setattr(selection, "run", run_plain)
     assert reused == selection.sweep(example1, 4, horizon=500)
+
+
+def test_sweep_computes_few_steps(example1, monkeypatch):
+    calls = 0
+    step = selection.step
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return step(*args)
+
+    monkeypatch.setattr(selection, "step", counting)
+    result = selection.sweep(example1, 4, horizon=3000)
+    assert len(result.points) == 4
+    assert calls <= 4 * 64
 
 
 class _ChangingBlocks:
@@ -161,11 +172,21 @@ class _WritableBlocks:
 
 @pytest.mark.parametrize("grid", [0, 1])
 def test_writable_blocks_changed_in_place(example1, grid):
-    # The same writable object is no promise of the same bytes.
+    # The same writable object is no promise of the same bytes, so only
+    # read-only blocks that own their data are matched: every step here
+    # calls the stepper.
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return cb.step(*args)
+
     plain = run_plain(example1, EXACT, 799, provider=_WritableBlocks(example1, grid))
     assert plain.info_at(500).tobytes() != plain.info_at(499).tobytes()
-    assert_same_bytes(cb.run(example1, EXACT, 799, provider=_WritableBlocks(example1, grid)),
-                      plain)
+    assert_same_bytes(cb.run(example1, EXACT, 799, stepper=counting,
+                             provider=_WritableBlocks(example1, grid)), plain)
+    assert calls == 799
 
 
 def _assert_read_only(trace: cb.PCRBTrace) -> None:
@@ -178,10 +199,10 @@ def _assert_read_only(trace: cb.PCRBTrace) -> None:
 def test_example1_computes_few_steps(example1):
     calls = 0
 
-    def counting(state, b, c):
+    def counting(profile, carry, b, c):
         nonlocal calls
         calls += 1
-        return cb.step(state, b, c)
+        return cb.step(profile, carry, b, c)
 
     trace = cb.run(example1, EXACT, 3000, stepper=counting)
     assert len(trace) == 3000

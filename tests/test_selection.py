@@ -55,7 +55,7 @@ def test_sweep_samples_once(example2):
 
 def test_min_sensors_threshold_queries():
     points = tuple(
-        cb.SweepPoint(sensors=m, avg_bound=v, final_bound=v)
+        cb.SweepPoint(sensors=m, avg_bound=v)
         for m, v in enumerate((10.0, 8.0, 6.0, 5.0), start=1)
     )
     result = cb.SensorSweepResult(points=points, component=0, horizon=40)
@@ -87,7 +87,8 @@ def test_replica_and_stack_traces_agree(example1, analytic_est, monkeypatch):
 
 
 def test_sweep_component_bounds(example1, analytic_est):
-    with pytest.raises(ValueError):
-        cb.sweep(example1, 2, horizon=5, component=5, est=analytic_est)
+    for component in (5, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            cb.sweep(example1, 2, horizon=5, component=component, est=analytic_est)
     with pytest.raises(ValueError):
         cb.sweep(example1, 0, horizon=5, est=analytic_est)
