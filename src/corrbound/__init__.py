@@ -27,7 +27,7 @@ from .models import (
 from .oracle import build_joint, information_sequence, verify_recursion
 from .profiles import CorrelationProfile, required_prior_window
 from .recursion import PCRBTrace, TraceEntry, init_state, run, step
-from .selection import SensorSweepResult, SweepPoint, min_sensors, sweep
+from .selection import min_sensors, sweep
 
 __version__ = "0.1.0"
 
@@ -45,9 +45,7 @@ __all__ = [
     "ModelBuildError",
     "NumericalError",
     "PCRBTrace",
-    "SensorSweepResult",
     "SingularMatrixError",
-    "SweepPoint",
     "SystemModel",
     "TraceEntry",
     "TrajectoryBatch",

@@ -22,7 +22,13 @@ import numpy as np
 from .blocks import ExpectationEstimator
 from .errors import ModelBuildError
 from .linalg import psd_inverse, symmetrize
-from .models import GaussianPrior, LinearConditionalSpec, SystemModel, build_linear_model
+from .models import (
+    GaussianPrior,
+    LinearConditionalSpec,
+    SystemModel,
+    build_linear_model,
+    require_int,
+)
 from .profiles import CorrelationProfile
 from .recursion import PCRBTrace, _distinct_steps, run
 
@@ -131,9 +137,8 @@ def pcrb_augmented(model: SystemModel, horizon: int) -> PCRBTrace:
     ``p`` repeats an earlier one byte for byte reuses its result, and the
     trace stores each distinct row once.
     """
+    require_int(horizon, "horizon", 1)
     f_aug, q_aug, h_aug, r_inv, p = augmented_system(model)
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
 
     def compute(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _augmented_step(p, f_aug, q_aug, h_aug, r_inv, model.state_dim)

@@ -19,7 +19,13 @@ import numpy as np
 
 from .errors import ConfigError, InvariantViolationError, ModelBuildError
 from .linalg import finite_difference_hessian, symmetrize
-from .models import SystemModel, TrajectoryBatch
+from .models import (
+    SystemModel,
+    TrajectoryBatch,
+    _read_only,
+    _require_finite,
+    _require_shape,
+)
 from .profiles import CorrelationProfile
 
 ESTIMATOR_MODES = ("analytic", "monte_carlo", "finite_difference_mc")
@@ -77,36 +83,8 @@ def _chunk_rng(seed: int, purpose: int, *key: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form and finite-difference blocks
+# Finite-difference blocks
 # ---------------------------------------------------------------------------
-
-
-def _validated(grid: np.ndarray, size: int, block_dim: int, what: str) -> np.ndarray:
-    # A copy, so the provider's block can be read-only while the model's
-    # array stays writable.
-    grid = np.array(grid, dtype=float)
-    _require_shape(grid, size, block_dim, what)
-    _require_finite(grid, what)
-    return _read_only(grid)
-
-
-def _read_only(grid: np.ndarray) -> np.ndarray:
-    grid.setflags(write=False)
-    return grid
-
-
-def _require_shape(grid: np.ndarray, size: int, block_dim: int, what: str) -> None:
-    n = size * block_dim
-    if grid.shape != (n, n):
-        raise ModelBuildError(
-            f"{what}: expected a {size}x{size} grid of {block_dim}-blocks "
-            f"({n}x{n}), got shape {grid.shape}"
-        )
-
-
-def _require_finite(grid: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(grid)):
-        raise InvariantViolationError(f"{what} contains non-finite entries")
 
 
 def _transition_point_hessian(model: SystemModel, batch: TrajectoryBatch,
@@ -211,7 +189,7 @@ def _sampled_measurement_info(
             "state sampler (sample_states)"
         )
     r = model.state_dim
-    noise_info = symmetrize(np.asarray(model.meas_noise_information, dtype=float))
+    noise_info = model.meas_noise_information
     report = McReport(samples=est.sample_count)
 
     def run_chunk(args):
@@ -421,24 +399,24 @@ class BlockProvider:
     several runs may share one.  This is the one place that picks a block's
     source:
 
-    * Transition: once, at ``start``.  The closed form ``analytic_b`` unless
-      the mode is ``finite_difference_mc``; under ``analytic`` with no closed
-      form, a :class:`ModelBuildError`; otherwise a finite-difference
-      Monte-Carlo (FD-MC) mean.
+    * Transition: one grid for every time.  The closed form ``analytic_b``
+      unless the mode is ``finite_difference_mc``; under ``analytic`` with no
+      closed form, a :class:`ModelBuildError`; otherwise a finite-difference
+      Monte-Carlo (FD-MC) mean at ``start``.
     * Measurement: under ``monte_carlo`` with a ``meas_jacobian``, the sample
       mean of ``J' Lambda J`` at every time from one draw of states (the only
       blocks with standard errors).  Otherwise the closed form ``analytic_c``
-      at ``start`` unless the mode is ``finite_difference_mc``; under
+      unless the mode is ``finite_difference_mc``; under
       ``analytic`` with no closed form, a :class:`ModelBuildError`; otherwise
       FD-MC, at every time for a model with a ``meas_jacobian`` and once at
       ``start`` for one without.
 
     A closed form is the mean that sampling would estimate, so
     ``monte_carlo`` takes it wherever the model has one.  ``report.samples``
-    counts every trajectory drawn for either factor.  The blocks are the
-    provider's own read-only arrays (a closed form is copied, so the
-    model's arrays stay writable), so a run can tell a repeated block by
-    identity.
+    counts every trajectory drawn for either factor.  The blocks are
+    read-only arrays that own their data, so a run can tell a repeated block
+    by identity; a closed form is the model's own array, which every
+    provider of the model shares.
     """
 
     def __init__(self, model: SystemModel, est: ExpectationEstimator,
@@ -454,14 +432,13 @@ class BlockProvider:
         self.stop = stop
         self.report = McReport()
         self._c_se: dict[int, np.ndarray] = {}
-        r = model.state_dim
         l2e, l3e = model.profile.l2_eff, model.profile.l3_eff
         fd = est.mode == "finite_difference_mc"
         times = range(start, stop)
         b_draws = 0
 
         if model.analytic_b is not None and not fd:
-            self._b = _validated(model.analytic_b(start), l2e + 1, r, "transition blocks")
+            self._b = model.analytic_b
         elif est.mode == "analytic":
             raise ModelBuildError(
                 f"model '{model.name}' has no closed-form transition blocks"
@@ -478,8 +455,7 @@ class BlockProvider:
                 model, times, stop, est)
             self._blocks = {k: (b, sampled[k]) for k in times}
         elif model.analytic_c is not None and not fd:
-            c = _validated(model.analytic_c(start), l3e, r, "measurement blocks")
-            self._blocks = dict.fromkeys(times, (b, c))
+            self._blocks = dict.fromkeys(times, (b, model.analytic_c))
         elif est.mode == "analytic":
             raise ModelBuildError(
                 f"model '{model.name}' has no closed-form measurement blocks"

@@ -295,20 +295,18 @@ def cmd_oracle_verify(args: argparse.Namespace) -> int:
 def cmd_sensors(args: argparse.Namespace) -> int:
     config = _build_config(args)
     model = config.model
-    result = sweep(
+    avg = sweep(
         model,
         config.max_sensors,
         horizon=config.horizon,
         component=config.component,
         est=config.estimator,
     )
-    lines = ["sensors,avg_bound"]
-    for point in result.points:
-        lines.append(f"{point.sensors},{_fmt(point.avg_bound)}")
+    lines = ["sensors,avg_bound"] + [f"{m},{_fmt(v)}" for m, v in enumerate(avg, 1)]
     body = "\n".join(lines) + "\n"
     _write_text(config.out_path, body)
     if config.target is not None:
-        needed = min_sensors(result, config.target)
+        needed = min_sensors(avg, config.target)
         if needed is None:
             print(f"target {config.target:g}: unachievable with up to "
                   f"{config.max_sensors} sensors")
@@ -332,7 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", choices=ESTIMATOR_MODES, help="expectation estimator mode")
         p.add_argument("--samples", type=int, help="Monte-Carlo sample count")
         p.add_argument("--seed", type=int, help="Monte-Carlo seed")
-        p.add_argument("--workers", type=int, help="worker threads for sampling")
+        p.add_argument("--workers", type=int,
+                       help="worker threads for sampling; work is split by 32768-sample "
+                            "chunk, so a run under 32768 samples uses one thread")
         p.add_argument("--component", type=int, help="state component for scalar summaries")
         if with_output:
             p.add_argument("--out", help="output path ('-' for stdout)")

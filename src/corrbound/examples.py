@@ -245,7 +245,6 @@ def build_example2(dt: float = 3.0, psd: float = 10.0,
         meas_state_coeffs=(np.zeros((2, 4)),),  # placeholder; measurement is nonlinear
         meas_cov=sigma2,
     )
-    b_grid = linear_transition_blocks(coeff_spec)
 
     q_inv = psd_inverse(q)
     log_norm_q = -0.5 * (4 * np.log(2.0 * np.pi) + np.linalg.slogdet(q)[1])
@@ -336,7 +335,7 @@ def build_example2(dt: float = 3.0, psd: float = 10.0,
         trans_logpdf=trans_logpdf,
         meas_logpdf=meas_logpdf,
         simulate=simulate,
-        analytic_b=lambda k: b_grid.copy(),
+        analytic_b=linear_transition_blocks(coeff_spec),
         analytic_c=None,
         meas_jacobian=range_azimuth_jacobian,
         meas_noise_information=sigma2_inv,

@@ -6,7 +6,8 @@ A :class:`SystemModel` supplies, for a fixed correlation profile:
 * a vectorized trajectory sampler (used for Monte-Carlo expectations) and,
   for models with a measurement Jacobian, a states-only sampler,
 * a Gaussian prior over the initial window of states,
-* optionally closed-form curvature blocks and a measurement Jacobian.
+* optionally time-invariant closed-form curvature blocks and a measurement
+  Jacobian.
 
 The log-density evaluators take the factor's state arguments explicitly so
 they can be differentiated block by block; any residual terms that the
@@ -23,11 +24,39 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import ConfigError, ModelBuildError
+from .errors import ConfigError, InvariantViolationError, ModelBuildError
 from .linalg import block_slice, psd_inverse, symmetrize
 from .profiles import CorrelationProfile, required_prior_window
 
 Array = np.ndarray
+
+
+def require_int(value, name: str, minimum: int | None = None) -> None:
+    """Reject a ``value`` of ``name`` that is a bool, not an integer, or
+    below ``minimum``, with a :class:`ValueError` naming ``name``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+
+
+def _read_only(grid: Array) -> Array:
+    grid.setflags(write=False)
+    return grid
+
+
+def _require_shape(grid: Array, size: int, block_dim: int, what: str) -> None:
+    n = size * block_dim
+    if grid.shape != (n, n):
+        raise ModelBuildError(
+            f"{what}: expected a {size}x{size} grid of {block_dim}-blocks "
+            f"({n}x{n}), got shape {grid.shape}"
+        )
+
+
+def _require_finite(grid: Array, what: str) -> None:
+    if not np.all(np.isfinite(grid)):
+        raise InvariantViolationError(f"{what} contains non-finite entries")
 
 
 @dataclass(frozen=True)
@@ -173,6 +202,19 @@ class SystemModel:
       each block and may overwrite it.
     * ``meas_jacobian(states)`` takes ``(n, state_dim)`` states and returns
       the Jacobians entry-major, ``(meas_dim, state_dim, n)``.
+
+    The array fields are checked once, here, and stored as read-only float
+    copies, so the caller's arrays stay writable:
+
+    * ``analytic_b`` and ``analytic_c``, the closed-form transition and
+      measurement curvature grids, time-invariant (one grid serves every
+      time), shaped as in :func:`corrbound.blocks.factor_frame`.  A wrong
+      shape, or a value that is not a numeric array, is a
+      :class:`ModelBuildError`; a non-finite entry an
+      :class:`InvariantViolationError`.
+    * ``meas_noise_information``, the ``(meas_dim, meas_dim)`` information
+      of the measurement noise, stored symmetrized; a wrong shape or a
+      non-finite entry is a :class:`ModelBuildError`.
     """
 
     name: str
@@ -183,8 +225,8 @@ class SystemModel:
     trans_logpdf: LogDensity
     meas_logpdf: LogDensity
     simulate: Simulator
-    analytic_b: Callable[[int], Array] | None = None
-    analytic_c: Callable[[int], Array] | None = None
+    analytic_b: Array | None = None
+    analytic_c: Array | None = None
     meas_jacobian: Callable[[Array], Array] | None = None
     meas_noise_information: Array | None = None
     sample_states: StateSampler | None = None
@@ -204,6 +246,44 @@ class SystemModel:
                 f"model '{self.name}': prior state dim {self.prior.state_dim} "
                 f"!= state_dim {self.state_dim}"
             )
+        r = self.state_dim
+        for field, size, what in (("analytic_b", self.profile.l2_eff + 1, "transition blocks"),
+                                  ("analytic_c", self.profile.l3_eff, "measurement blocks")):
+            if getattr(self, field) is not None:
+                grid = self._float_array(field)
+                label = f"model '{self.name}': {field} ({what})"
+                _require_shape(grid, size, r, label)
+                _require_finite(grid, label)
+                object.__setattr__(self, field, _read_only(grid))
+        if self.meas_noise_information is not None:
+            info = self._float_array("meas_noise_information")
+            n = self.meas_dim
+            if info.shape != (n, n):
+                raise ModelBuildError(
+                    f"model '{self.name}': meas_noise_information: expected shape "
+                    f"(meas_dim, meas_dim) = {(n, n)}, got {info.shape}"
+                )
+            info = symmetrize(info)
+            if not np.all(np.isfinite(info)):
+                raise ModelBuildError(
+                    f"model '{self.name}': meas_noise_information contains "
+                    "non-finite entries"
+                )
+            object.__setattr__(self, "meas_noise_information", _read_only(info))
+
+    def _float_array(self, field: str) -> Array:
+        """A float copy of the array in ``field``."""
+        value = getattr(self, field)
+        try:
+            kind = np.asarray(value).dtype.kind
+        except ValueError:  # a ragged nesting of sequences
+            kind = "O"
+        if kind not in "iuf":
+            raise ModelBuildError(
+                f"model '{self.name}': {field}: expected a numeric array, "
+                f"got {type(value).__name__}"
+            )
+        return np.array(value, dtype=float)
 
     @property
     def start_time(self) -> int:
@@ -402,8 +482,6 @@ def build_linear_model(
             measurement_marginal=np.asarray(spec.meas_cov, dtype=float),
             cross_lag1=None,
         )
-    b_grid = linear_transition_blocks(spec)
-    c_grid = linear_measurement_blocks(spec)
     return SystemModel(
         name=name,
         state_dim=spec.state_dim,
@@ -413,8 +491,8 @@ def build_linear_model(
         trans_logpdf=trans_logpdf,
         meas_logpdf=meas_logpdf,
         simulate=_linear_simulator(spec, prior),
-        analytic_b=lambda k: b_grid.copy(),
-        analytic_c=lambda k: c_grid.copy(),
+        analytic_b=linear_transition_blocks(spec),
+        analytic_c=linear_measurement_blocks(spec),
         linear=linear_info,
     )
 

@@ -30,7 +30,7 @@ from scipy.linalg import LinAlgError, cholesky_banded
 
 from .blocks import BlockProvider, ExpectationEstimator
 from .errors import SingularMatrixError
-from .models import SystemModel
+from .models import SystemModel, require_int
 
 
 def factor_state_indices(model: SystemModel, k: int) -> tuple[list[int], list[int]]:
@@ -68,8 +68,6 @@ def _prefixes(model: SystemModel, est: ExpectationEstimator, k: int,
     in the same order, as an assembly that stopped at ``t``.
     """
     start = model.start_time
-    if k < start:
-        raise ValueError(f"horizon {k} precedes the prior window end {start}")
     p = model.profile
     r = model.state_dim
     if provider is None and k > start:
@@ -88,7 +86,9 @@ def _prefixes(model: SystemModel, est: ExpectationEstimator, k: int,
 def build_joint(model: SystemModel, est: ExpectationEstimator, k: int,
                 provider: BlockProvider | None = None) -> np.ndarray:
     """Joint information over ``x[0] .. x[k]`` under the factorized density,
-    in the upper band storage described in the module docstring."""
+    in the upper band storage described in the module docstring.  ``k`` is at
+    least the prior window end, ``model.start_time``."""
+    require_int(k, "k", model.start_time)
     for _, prefix in _prefixes(model, est, k, provider):
         pass  # the last prefix is the whole joint
     return prefix
@@ -118,7 +118,9 @@ def information_sequence(model: SystemModel, est: ExpectationEstimator, k_max: i
     """Oracle information submatrices for every time from the window end to ``k_max``.
 
     One assembly serves every time: each prefix of it is factored on its own.
+    ``k_max`` is at least the prior window end, ``model.start_time``.
     """
+    require_int(k_max, "k_max", model.start_time)
     r = model.state_dim
     return {t: last_state_information(prefix, r, t)
             for t, prefix in _prefixes(model, est, k_max, provider)}
@@ -139,13 +141,13 @@ def verify_recursion(model: SystemModel, est: ExpectationEstimator, k_max: int
     """Per-time maximum relative deviation between recursion and oracle.
 
     Both sides consume the same block provider, so the check isolates the
-    assembly and marginalization algebra from Monte-Carlo noise.
+    assembly and marginalization algebra from Monte-Carlo noise.  ``k_max``
+    is past the prior window end, ``model.start_time``.
     """
     from . import recursion
 
     start = model.start_time
-    if k_max <= start:
-        raise ValueError("k_max must exceed the prior window end")
+    require_int(k_max, "k_max", start + 1)
     provider = BlockProvider(model, est, start, k_max)
     oracle_seq = information_sequence(model, est, k_max, provider=provider)
     trace = recursion.run(model, est, k_max - start, provider=provider)

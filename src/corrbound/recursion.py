@@ -21,7 +21,7 @@ from .linalg import (
     schur_complement_keep_last,
     schur_complement_remove_first,
 )
-from .models import SystemModel
+from .models import SystemModel, require_int
 from .profiles import CorrelationProfile
 
 PSD_REL_TOL = 1e-10
@@ -213,8 +213,7 @@ def run(model: SystemModel, est: ExpectationEstimator, horizon: int,
     input.  The trace stores each distinct row once, with read-only arrays,
     and an index of the row of every step.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    require_int(horizon, "horizon", 1)
     start = model.start_time
     carry = init_state(model)
     if provider is None:

@@ -9,46 +9,29 @@ measurement blocks by ``m``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .blocks import BlockProvider, ExpectationEstimator
 from .errors import InvariantViolationError
-from .models import SystemModel
+from .models import SystemModel, require_int
 from .recursion import run, step
 
 DEFAULT_AVERAGE_WINDOW = 40
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    sensors: int
-    avg_bound: float
-
-
-@dataclass(frozen=True)
-class SensorSweepResult:
-    points: tuple[SweepPoint, ...]
-    component: int
-    horizon: int
-
-    def avg_bounds(self) -> np.ndarray:
-        return np.array([p.avg_bound for p in self.points])
-
-
 def sweep(model: SystemModel, m_max: int, horizon: int = DEFAULT_AVERAGE_WINDOW,
-          component: int = 0, est: ExpectationEstimator | None = None
-          ) -> SensorSweepResult:
+          component: int = 0, est: ExpectationEstimator | None = None) -> np.ndarray:
     """Average root bound of one state component versus sensor count.
 
-    The average runs over all recursion steps of the horizon.  The averaged
-    bound must decrease strictly with the sensor count (information adds
-    across independent sensors); a violation indicates a model whose sensor
-    carries no information.
+    Returns a read-only array ``avg`` of ``m_max`` floats, with ``avg[m - 1]``
+    the bound for ``m`` sensors.  The average runs over all recursion steps
+    of the horizon.  The averaged bound must decrease strictly with the
+    sensor count (information adds across independent sensors); a violation
+    indicates a model whose sensor carries no information.
     """
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
+    require_int(m_max, "m_max", 1)
+    require_int(horizon, "horizon", 1)
+    require_int(component, "component")
     if not 0 <= component < model.state_dim:
         raise ValueError(
             f"component {component} out of range for state dim {model.state_dim}"
@@ -56,25 +39,24 @@ def sweep(model: SystemModel, m_max: int, horizon: int = DEFAULT_AVERAGE_WINDOW,
     est = est or ExpectationEstimator()
     provider = BlockProvider(model, est, model.start_time, model.start_time + horizon)
 
-    points = []
+    avg = np.empty(m_max)
     for m in range(1, m_max + 1):
         trace = run(model, est, horizon, provider=provider,
                     stepper=lambda profile, carry, b, c: step(profile, carry, b, m * c))
-        series = trace.component_bound_sqrt(component)
-        points.append(SweepPoint(sensors=m, avg_bound=float(series.mean())))
+        avg[m - 1] = trace.component_bound_sqrt(component).mean()
 
-    for prev, nxt in zip(points, points[1:]):
-        if not nxt.avg_bound < prev.avg_bound:
+    for m in range(1, m_max):
+        if not avg[m] < avg[m - 1]:
             raise InvariantViolationError(
-                f"average bound failed to decrease from {prev.sensors} to "
-                f"{nxt.sensors} sensors ({prev.avg_bound!r} -> {nxt.avg_bound!r})"
+                f"average bound failed to decrease from {m} to {m + 1} sensors "
+                f"({float(avg[m - 1])!r} -> {float(avg[m])!r})"
             )
-    return SensorSweepResult(points=tuple(points), component=component, horizon=horizon)
+    avg.setflags(write=False)
+    return avg
 
 
-def min_sensors(result: SensorSweepResult, target: float) -> int | None:
-    """Smallest sensor count whose average bound meets ``target``; None if none does."""
-    for point in result.points:
-        if point.avg_bound <= target:
-            return point.sensors
-    return None
+def min_sensors(avg: np.ndarray, target: float) -> int | None:
+    """Smallest sensor count ``m`` with ``avg[m - 1] <= target``, for ``avg``
+    as :func:`sweep` returns it; None if none has."""
+    hits = np.flatnonzero(np.asarray(avg) <= target)
+    return int(hits[0]) + 1 if hits.size else None

@@ -221,11 +221,11 @@ def test_criterion_8_sensor_sweep_monotonicity(example1, example2):
     started = time.perf_counter()
     est1 = cb.ExpectationEstimator()
     sweep1 = cb.sweep(example1, 16, horizon=40, component=0, est=est1)
-    mono1 = bool(np.all(np.diff(sweep1.avg_bounds()) < -1e-12))
+    mono1 = bool(np.all(np.diff(sweep1) < -1e-12))
 
     est2 = cb.ExpectationEstimator(mode="monte_carlo", sample_count=20_000, seed=13)
     sweep2 = cb.sweep(example2, 16, horizon=40, component=0, est=est2)
-    mono2 = bool(np.all(np.diff(sweep2.avg_bounds()) < -1e-12))
+    mono2 = bool(np.all(np.diff(sweep2) < -1e-12))
 
     stacked = build_example1_stacked(2)
     stack_dev = max(cb.verify_recursion(stacked, cb.ExpectationEstimator(), 12).values())
@@ -236,7 +236,7 @@ def test_criterion_8_sensor_sweep_monotonicity(example1, example2):
         "criterion 8: sensor sweeps are strictly monotone",
         ok,
         f"stack dev {stack_dev:.2e}; "
-        f"1-vs-16 sensor bound {sweep1.avg_bounds()[0]:.2f}->{sweep1.avg_bounds()[-1]:.2f}"
+        f"1-vs-16 sensor bound {sweep1[0]:.2f}->{sweep1[-1]:.2f}"
         f", {elapsed:.1f}s",
     )
 

@@ -76,9 +76,8 @@ def test_provider_resolver_table(mode, name):
     (b0, c0), (b1, c1) = (provider.blocks(k) for k in times)
 
     assert b0 is b1
-    assert np.array_equal(b0, model.analytic_b(start)) == (b_source == "closed")
-    if c_source == "closed":
-        assert np.array_equal(c0, model.analytic_c(start))
+    assert (b0 is model.analytic_b) == (b_source == "closed")
+    assert (c0 is model.analytic_c) == (c_source == "closed")
     assert (c1 is c0) == (c_source in ("closed", "fd_once"))
     stderrs = [provider.measurement_stderr(k) for k in times]
     assert all((se is not None) == (c_source == "sampled") for se in stderrs)
@@ -89,21 +88,24 @@ def test_provider_resolver_table(mode, name):
 
 @pytest.mark.parametrize("mode", ["analytic", "monte_carlo", "finite_difference_mc"])
 def test_provider_blocks_are_read_only_copies(example1, example2, mode):
-    # The closed forms return the same arrays at every call, so a provider
-    # that froze them in place would freeze the model's arrays.
-    b_grid = example1.analytic_b(example1.start_time)
-    c_grid = example1.analytic_c(example1.start_time)
+    # The model keeps read-only copies of the caller's closed forms, and
+    # every provider of the model hands out those same arrays.
+    b_grid = np.array(example1.analytic_b)
+    c_grid = np.array(example1.analytic_c)
     model = example2 if mode == "monte_carlo" else dataclasses.replace(
-        example1, analytic_b=lambda k: b_grid, analytic_c=lambda k: c_grid)
+        example1, analytic_b=b_grid, analytic_c=c_grid)
     start = model.start_time
     est = cb.ExpectationEstimator(mode=mode, sample_count=20, seed=2)
-    provider = cb.BlockProvider(model, est, start, start + 2)
+    first, second = (cb.BlockProvider(model, est, start, start + 2) for _ in range(2))
     for k in (start, start + 1):
-        for grid in provider.blocks(k):
+        for grid in first.blocks(k):
             with pytest.raises(ValueError, match="read-only"):
                 grid[0, 0] = 1.0
+    (b1, c1), (b2, c2) = first.blocks(start), second.blocks(start)
+    assert (b1 is b2) == (mode != "finite_difference_mc")  # example2's b is closed form
+    assert (c1 is c2) == (mode == "analytic")
     assert b_grid.flags.writeable and c_grid.flags.writeable
-    b_grid[0, 0] += 0.0  # the model's own arrays stay writable
+    b_grid[0, 0] += 0.0  # the caller's own arrays stay writable
 
 
 def test_analytic_blocks_are_psd(example1, analytic_est):
@@ -142,9 +144,9 @@ def test_non_finite_grid_is_rejected(example1, analytic_est):
     b, c = blocks_at(example1, 2, analytic_est)
     grid = b.copy()
     grid[1, 2] = np.inf
-    broken = dataclasses.replace(example1, analytic_b=lambda k: grid)
-    with pytest.raises(InvariantViolationError, match="non-finite"):
-        blocks_at(broken, 2, analytic_est)
+    # The model checks its closed forms when it is built.
+    with pytest.raises(InvariantViolationError, match="analytic_b .* non-finite"):
+        dataclasses.replace(example1, analytic_b=grid)
     # The step names the grid that is not finite.
     carry = cb.init_state(example1)
     for bad in (np.nan, np.inf):

@@ -243,6 +243,59 @@ def test_sample_major_jacobian_is_model_error(tmp_path, capsys, monkeypatch):
     assert "(meas_dim, state_dim, n) = (2, 4, 300)" in err
 
 
+def _run_custom(tmp_path, monkeypatch, build, **changes):
+    """``run`` on ``build()`` with ``changes`` applied, through a custom factory."""
+    monkeypatch.setattr(examples, "malformed_model",
+                        lambda: dataclasses.replace(build(), **changes), raising=False)
+    config = tmp_path / "custom.json"
+    config.write_text(json.dumps({
+        "model": {"kind": "custom", "factory": "corrbound.examples:malformed_model"},
+        "estimator": {"mode": "monte_carlo", "samples": 100, "seed": 0},
+    }))
+    return run_cli(["run", "--config", str(config), "--horizon", "3",
+                    "--out", str(tmp_path / "run.csv")])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("meas_noise_information", np.eye(3)),
+    ("meas_noise_information", np.diag([np.nan, 1.0])),
+    ("analytic_b", np.eye(4)),
+    ("analytic_b", lambda k: np.eye(12)),  # a closed form of a time index
+    ("analytic_b", "12x12"),
+], ids=["lambda_3x3", "lambda_nan", "b_shape", "b_callable", "b_text"])
+def test_malformed_model_data_is_model_error(tmp_path, capsys, monkeypatch, field, value):
+    # Checked once, when the model is built, before any block is made.
+    assert _run_custom(tmp_path, monkeypatch, cb.build_example2, **{field: value}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("model error: model 'example2': ")
+    assert field in err
+
+
+def test_non_finite_closed_form_is_numerical_error(tmp_path, capsys, monkeypatch):
+    grid = np.array(cb.build_example1().analytic_c)
+    grid[0, 1] = np.nan
+    assert _run_custom(tmp_path, monkeypatch, cb.build_example1, analytic_c=grid) == 3
+    assert "analytic_c (measurement blocks) contains non-finite" in capsys.readouterr().err
+
+
+def test_example2_run_matches_reference(tmp_path):
+    # The sampled path: a change of seed stream moves every column at the
+    # percent level at 2000 samples, while reordered sums move it by about
+    # 1e-13 of the column's scale.
+    reference = Path(__file__).resolve().parent / "data" / "e2_run_h10_s2000_seed7.csv"
+    out = tmp_path / "e2.csv"
+    assert run_cli(["run", "--model", "example2", "--samples", "2000", "--horizon", "10",
+                    "--seed", "7", "--workers", "1", "--out", str(out)]) == 0
+    expected_lines = reference.read_text().splitlines()
+    got_lines = out.read_text().splitlines()
+    assert got_lines[0] == expected_lines[0]
+    expected = np.loadtxt(reference, delimiter=",", skiprows=1)
+    got = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert got.shape == expected.shape == (10, 37)
+    scale = np.max(np.abs(expected), axis=0)
+    assert np.all(np.abs(got - expected) <= 1e-11 * scale)
+
+
 @pytest.mark.parametrize("ma_coeff", [1.0, 1.5, 1e10, 1e77, MA_COEFF_MAX])
 def test_nonstationary_ar_coeff_is_model_error(tmp_path, capsys, ma_coeff):
     # The AR(1) baseline has no stationary variance for |coeff| >= 1; the

@@ -95,7 +95,7 @@ def test_example2_analytic_transition_blocks(example2):
     f, q = planar_cv_matrices()
     q_inv = psd_inverse(q)
     eye = np.eye(4)
-    b = example2.analytic_b(2)
+    b = example2.analytic_b
     assert np.allclose(block(b, 1, 3, 4), f.T @ q_inv)
     assert np.allclose(block(b, 3, 3, 4), q_inv)
     assert np.allclose(block(b, 2, 2, 4), (eye + f).T @ q_inv @ (eye + f))

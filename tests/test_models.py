@@ -107,7 +107,7 @@ def test_fd_matches_analytic_transition_planar_cv():
     prior = cb.default_prior(profile, 4, mean=np.array([100.0, 5.0, 80.0, 4.0]),
                              transition=f_mat)
     model = cb.build_example2(prior=prior)
-    ref = model.analytic_b(2)
+    ref = model.analytic_b
     batch = model.simulate(8, 10, np.random.default_rng(2))
     k = 3
     for s in range(10):
@@ -124,7 +124,7 @@ def test_fd_matches_analytic_transition_planar_cv():
 
 
 def test_fd_default_scale_sanity(example2):
-    ref = example2.analytic_b(2)
+    ref = example2.analytic_b
     batch = example2.simulate(6, 3, np.random.default_rng(3))
     k = 3
     for s in range(3):

@@ -171,6 +171,33 @@ def test_run_single_step(example1, analytic_est):
         cb.run(example1, analytic_est, 0)
 
 
+# Entry point -> (call with the count, argument name, least valid value).
+# example1's prior window ends at time 2.
+STEP_COUNT_ENTRY_POINTS = {
+    "run": (lambda m, v: cb.run(m, cb.ExpectationEstimator(), v), "horizon", 1),
+    "sweep.m_max": (lambda m, v: cb.sweep(m, v, horizon=5), "m_max", 1),
+    "sweep.horizon": (lambda m, v: cb.sweep(m, 2, horizon=v), "horizon", 1),
+    "sweep.component": (lambda m, v: cb.sweep(m, 2, horizon=5, component=v), "component", 0),
+    "pcrb_augmented": (lambda m, v: cb.pcrb_augmented(m, v), "horizon", 1),
+    "verify_recursion": (lambda m, v: cb.verify_recursion(m, cb.ExpectationEstimator(), v),
+                         "k_max", 3),
+    "information_sequence": (
+        lambda m, v: cb.information_sequence(m, cb.ExpectationEstimator(), v), "k_max", 2),
+    "build_joint": (lambda m, v: cb.build_joint(m, cb.ExpectationEstimator(), v), "k", 2),
+}
+
+
+@pytest.mark.parametrize("bad", ["bool", "float", "whole_float", "below"])
+@pytest.mark.parametrize("entry", sorted(STEP_COUNT_ENTRY_POINTS))
+def test_step_counts_are_checked_alike(example1, entry, bad):
+    call, name, least = STEP_COUNT_ENTRY_POINTS[entry]
+    value = {"bool": True, "float": 2.5, "whole_float": float(least + 3),
+             "below": least - 1}[bad]
+    with pytest.raises(ValueError, match=rf"^{name}\b"):
+        call(example1, value)
+    call(example1, least)  # the least valid value runs
+
+
 # ---------------------------------------------------------------------------
 # Reductions and specialized paths
 # ---------------------------------------------------------------------------

@@ -101,7 +101,7 @@ def test_scaled_measurement_stepper_matches_plain_loop(example1, m):
 def test_sweep_matches_plain_loop(example1, monkeypatch):
     reused = selection.sweep(example1, 4, horizon=500)
     monkeypatch.setattr(selection, "run", run_plain)
-    assert reused == selection.sweep(example1, 4, horizon=500)
+    assert np.array_equal(reused, selection.sweep(example1, 4, horizon=500))
 
 
 def test_sweep_computes_few_steps(example1, monkeypatch):
@@ -115,7 +115,7 @@ def test_sweep_computes_few_steps(example1, monkeypatch):
 
     monkeypatch.setattr(selection, "step", counting)
     result = selection.sweep(example1, 4, horizon=3000)
-    assert len(result.points) == 4
+    assert len(result) == 4
     assert calls <= 4 * 64
 
 

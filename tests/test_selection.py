@@ -10,12 +10,12 @@ from conftest import build_example1_stacked
 
 
 def test_sweep_monotone_and_m1_matches_run(example1, analytic_est):
-    result = cb.sweep(example1, 6, horizon=20, component=0, est=analytic_est)
-    bounds = result.avg_bounds()
-    assert np.all(np.diff(bounds) < 0)
+    avg = cb.sweep(example1, 6, horizon=20, component=0, est=analytic_est)
+    assert avg.shape == (6,) and avg.dtype == float and not avg.flags.writeable
+    assert np.all(np.diff(avg) < 0)
     trace = cb.run(example1, analytic_est, 20)
     expected = float(trace.component_bound_sqrt(0).mean())
-    assert result.points[0].avg_bound == pytest.approx(expected, rel=1e-12)
+    assert avg[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_sweep_rejects_flat_family(analytic_est):
@@ -28,7 +28,9 @@ def test_sweep_rejects_flat_family(analytic_est):
         meas_cov=np.array([[1.0]]),
     )
     blind = cb.build_linear_model(spec, name="zero_gain")
-    with pytest.raises(InvariantViolationError):
+    # The values print as floats, not as numpy scalars.
+    with pytest.raises(InvariantViolationError,
+                       match=r"from 1 to 2 sensors \([0-9.e+-]+ -> [0-9.e+-]+\)$"):
         cb.sweep(blind, 3, horizon=10, est=analytic_est)
 
 
@@ -54,14 +56,10 @@ def test_sweep_samples_once(example2):
 
 
 def test_min_sensors_threshold_queries():
-    points = tuple(
-        cb.SweepPoint(sensors=m, avg_bound=v)
-        for m, v in enumerate((10.0, 8.0, 6.0, 5.0), start=1)
-    )
-    result = cb.SensorSweepResult(points=points, component=0, horizon=40)
-    assert cb.min_sensors(result, 6.0) == 3
-    assert cb.min_sensors(result, 11.0) == 1
-    assert cb.min_sensors(result, 4.9) is None
+    avg = np.array([10.0, 8.0, 6.0, 5.0])  # avg[m - 1] for m sensors
+    assert cb.min_sensors(avg, 6.0) == 3
+    assert cb.min_sensors(avg, 11.0) == 1
+    assert cb.min_sensors(avg, 4.9) is None
 
 
 def test_two_sensor_stack_matches_full_horizon_reference():
