@@ -87,71 +87,49 @@ def _chunk_rng(seed: int, purpose: int, *key: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 
-def _transition_point_hessian(model: SystemModel, batch: TrajectoryBatch,
-                              sample: int, k: int) -> np.ndarray:
-    """Curvature of one transition factor at one sampled point, by central differences."""
+def _factor_hessian(model: SystemModel, batch: TrajectoryBatch, k: int,
+                    transition: bool) -> np.ndarray:
+    """Sum over ``batch``'s samples of one time-``k`` factor's negative
+    log-density Hessian in its slot states, by central differences over all
+    samples at once.  The slots are ``x[k+2-slots] .. x[k+1]``, as in
+    :func:`factor_frame`: ``slots = l2' + 1`` for the transition, whose
+    measurement history is ``l4`` deep, and ``l3'`` for the measurement,
+    whose history is ``l1`` deep."""
     p = model.profile
-    l2e = p.l2_eff
-    r = model.state_dim
-    x_next = batch.states[sample, k + 1]
-    x_hist = np.stack([batch.states[sample, k - i] for i in range(l2e)])
-    z_hist = (
-        np.stack([batch.measurements[sample, k - j] for j in range(p.l4)])
-        if p.l4 else np.zeros((0, model.meas_dim))
-    )
-    shift = batch.trans_shift[sample, k]
+    n, r = len(batch.states), model.state_dim
+    if transition:
+        field, slots, depth, shift = "trans_logpdf", p.l2_eff + 1, p.l4, batch.trans_shift[:, k]
+    else:
+        field, slots, depth, shift = "meas_logpdf", p.l3_eff, p.l1, batch.meas_shift[:, k]
+    logpdf = getattr(model, field)
+    z_next = batch.measurements[:, k + 1]
+    z_hist = batch.measurements[:, k + 1 - depth:k + 1][:, ::-1]
 
-    # Stacked in the transition grid's slot order (oldest first, x[k+1] last).
-    def f(stacked: np.ndarray) -> float:
-        parts = stacked.reshape(l2e + 1, r)
-        xs_hist = parts[:l2e][::-1]  # newest first
-        return model.trans_logpdf(parts[l2e], xs_hist, z_hist, shift)
+    def f(stacked: np.ndarray) -> np.ndarray:
+        xs = stacked.reshape(n, slots, r)[:, ::-1]  # newest first
+        if transition:
+            value = logpdf(xs[:, 0], xs[:, 1:], z_hist, shift)
+        else:
+            value = logpdf(z_next, xs, z_hist, shift)
+        value = np.asarray(value)
+        _require_layout(value, (n,), model, field, "(n,)")
+        return value
 
-    stacked0 = np.concatenate([x_hist[::-1].reshape(-1), x_next])
-    return -finite_difference_hessian(f, stacked0)
-
-
-def _measurement_point_hessian(model: SystemModel, batch: TrajectoryBatch,
-                               sample: int, k: int) -> np.ndarray:
-    p = model.profile
-    l3e = p.l3_eff
-    r = model.state_dim
-    z_next = batch.measurements[sample, k + 1]
-    x_hist = np.stack([batch.states[sample, k + 1 - i] for i in range(l3e)])
-    z_hist = (
-        np.stack([batch.measurements[sample, k - j] for j in range(p.l1)])
-        if p.l1 else np.zeros((0, model.meas_dim))
-    )
-    shift = batch.meas_shift[sample, k]
-
-    def f(stacked: np.ndarray) -> float:
-        parts = stacked.reshape(l3e, r)
-        xs_hist = parts[::-1]  # newest first
-        return model.meas_logpdf(z_next, xs_hist, z_hist, shift)
-
-    stacked0 = x_hist[::-1].reshape(-1)
-    return -finite_difference_hessian(f, stacked0)
+    return -finite_difference_hessian(f, batch.states[:, k + 2 - slots:k + 2].reshape(n, -1))
 
 
 def _fd_mc_grid(model: SystemModel, k: int, est: ExpectationEstimator,
-                point_hessian, grid_size: int) -> np.ndarray:
-    r = model.state_dim
-    dim = grid_size * r
-    total = np.zeros((dim, dim))
-    done = 0
+                transition: bool) -> np.ndarray:
+    total = 0.0
     for c, size in enumerate(_chunk_sizes(est.sample_count, est.chunk_size)):
         rng = _chunk_rng(est.seed, _PURPOSE_SAMPLE, k, c)
-        batch = model.simulate(k + 1, size, rng)
-        for s in range(size):
-            h = point_hessian(model, batch, s, k)
-            if not np.all(np.isfinite(h)):
-                raise InvariantViolationError(
-                    f"non-finite curvature sampled at time {k} "
-                    f"(density singularity at a sampled point)"
-                )
-            total += h
-        done += size
-    return _read_only(symmetrize(total / done))
+        total = total + _factor_hessian(model, model.simulate(k + 1, size, rng), k, transition)
+    if not np.all(np.isfinite(total)):
+        raise InvariantViolationError(
+            f"non-finite curvature sampled at time {k} "
+            f"(density singularity at a sampled point)"
+        )
+    return _read_only(symmetrize(total / est.sample_count))
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +410,6 @@ class BlockProvider:
         self.stop = stop
         self.report = McReport()
         self._c_se: dict[int, np.ndarray] = {}
-        l2e, l3e = model.profile.l2_eff, model.profile.l3_eff
         fd = est.mode == "finite_difference_mc"
         times = range(start, stop)
         b_draws = 0
@@ -444,7 +421,7 @@ class BlockProvider:
                 f"model '{model.name}' has no closed-form transition blocks"
             )
         else:
-            self._b = _fd_mc_grid(model, start, est, _transition_point_hessian, l2e + 1)
+            self._b = _fd_mc_grid(model, start, est, transition=True)
             b_draws = est.sample_count
 
         # Each time's (b, c) pair.  Times that share a measurement grid share
@@ -461,11 +438,11 @@ class BlockProvider:
                 f"model '{model.name}' has no closed-form measurement blocks"
             )
         elif model.meas_jacobian is not None:
-            self._blocks = {k: (b, _fd_mc_grid(model, k, est, _measurement_point_hessian, l3e))
+            self._blocks = {k: (b, _fd_mc_grid(model, k, est, transition=False))
                             for k in times}
             self.report.samples = est.sample_count * len(times)
         else:
-            c = _fd_mc_grid(model, start, est, _measurement_point_hessian, l3e)
+            c = _fd_mc_grid(model, start, est, transition=False)
             self._blocks = dict.fromkeys(times, (b, c))
             self.report.samples = est.sample_count
         self.report.samples += b_draws

@@ -17,7 +17,7 @@ from . import baselines as _baselines
 from . import oracle as _oracle
 from .blocks import ESTIMATOR_MODES, ExpectationEstimator
 from .errors import ConfigError, ModelBuildError, NumericalError
-from .models import SystemModel, model_from_config
+from .models import SystemModel, model_from_config, require_keys
 from .recursion import PCRBTrace, run
 from .selection import min_sensors, sweep
 
@@ -68,18 +68,8 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise ConfigError("config: expected a JSON object at the top level")
-    unknown = set(data) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ConfigError(f"config: unknown field(s) {sorted(unknown)!r}")
+    require_keys(data, _TOP_LEVEL_KEYS, "config")
     return data
-
-
-def _check_keys(obj: dict, allowed: set[str], path: str) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"{path}: unknown field(s) {sorted(unknown)!r}")
 
 
 def _int_field(value, field: str, minimum: int = 1) -> int:
@@ -108,7 +98,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"model: expected an object, got {model_config!r}")
 
     est_data = data.get("estimator", {})
-    _check_keys(est_data, _ESTIMATOR_KEYS, "config.estimator")
+    require_keys(est_data, _ESTIMATOR_KEYS, "config.estimator")
     mode = est_data.get("mode")
     samples = est_data.get("samples", 10_000)
     seed = est_data.get("seed")
@@ -127,7 +117,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     workers = _int_field(workers, "estimator.workers")
 
     out_data = data.get("output", {})
-    _check_keys(out_data, _OUTPUT_KEYS, "config.output")
+    require_keys(out_data, _OUTPUT_KEYS, "config.output")
     out_path = out_data.get("path")
     out_format = out_data.get("format", "csv")
     if getattr(args, "out", None):
@@ -165,7 +155,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     _int_field(component, "component", minimum=0)
 
     sweep_data = data.get("sweep", {})
-    _check_keys(sweep_data, _SWEEP_KEYS, "config.sweep")
+    require_keys(sweep_data, _SWEEP_KEYS, "config.sweep")
     max_sensors = sweep_data.get("max_sensors", 16)
     target = sweep_data.get("target")
     if getattr(args, "max_m", None) is not None:

@@ -28,6 +28,8 @@ from .models import (
     LinearModelInfo,
     SystemModel,
     TrajectoryBatch,
+    _gaussian_logpdf,
+    _linear_logdensities,
     build_linear_model,
     default_prior,
     linear_transition_blocks,
@@ -246,21 +248,14 @@ def build_example2(dt: float = 3.0, psd: float = 10.0,
         meas_cov=sigma2,
     )
 
-    q_inv = psd_inverse(q)
-    log_norm_q = -0.5 * (4 * np.log(2.0 * np.pi) + np.linalg.slogdet(q)[1])
+    # The transition is the spec's; only the measurement is nonlinear.
+    trans_logpdf, _, _ = _linear_logdensities(coeff_spec)
     log_norm_r = -0.5 * (2 * np.log(2.0 * np.pi) + np.linalg.slogdet(sigma2)[1])
-
-    def trans_logpdf(x_next, x_hist, z_hist, shift):
-        del z_hist
-        mean = (eye4 + f) @ x_hist[0] - f @ x_hist[1] + np.asarray(shift, dtype=float)
-        resid = np.asarray(x_next, dtype=float) - mean
-        return float(log_norm_q - 0.5 * resid @ q_inv @ resid)
 
     def meas_logpdf(z_next, x_hist, z_hist, shift):
         del z_hist
-        mean = range_azimuth(np.asarray(x_hist[0], dtype=float)) + np.asarray(shift)
-        resid = np.asarray(z_next, dtype=float) - mean
-        return float(log_norm_r - 0.5 * resid @ sigma2_inv @ resid)
+        mean = range_azimuth(x_hist[:, 0]) + shift
+        return _gaussian_logpdf(z_next - mean, sigma2_inv, log_norm_r)
 
     def singular_states(states: np.ndarray) -> np.ndarray:
         r2 = states[:, 0] ** 2 + states[:, 2] ** 2

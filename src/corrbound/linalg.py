@@ -114,26 +114,31 @@ def schur_complement_keep_last(m: np.ndarray, keep: int, *, context: str = "join
 
 
 def finite_difference_hessian(f, x: np.ndarray, base_step: float = 1e-4) -> np.ndarray:
-    """Central-difference Hessian of scalar ``f`` at ``x``.
+    """Sum over the rows of ``x`` ``(n, d)`` of each row's central-difference
+    Hessian of ``f``, which maps ``(n, d)`` points to ``(n,)`` values.
 
-    Step along coordinate ``i`` is ``base_step * (1 + |x_i|)``.
+    The step along coordinate ``i`` of a row is ``base_step * (1 + |x_i|)``.
+    Each entry is summed as soon as it is formed, so memory stays O(n * d);
+    a non-finite value in any row makes that entry's sum non-finite.
     """
     x = np.asarray(x, dtype=float)
-    n = x.size
+    d = x.shape[1]
     h = base_step * (1.0 + np.abs(x))
-    hess = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            ei = np.zeros(n)
-            ej = np.zeros(n)
-            ei[i] = h[i]
-            ej[j] = h[j]
-            if i == j:
-                value = (f(x + ei) - 2.0 * f(x) + f(x - ei)) / (h[i] * h[i])
-            else:
-                value = (
-                    f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
-                ) / (4.0 * h[i] * h[j])
-            hess[i, j] = value
-            hess[j, i] = value
+    f0 = f(x)
+    hess = np.zeros((d, d))
+
+    def at(*moves):  # f at x moved by sign * h along each (coordinate, sign)
+        y = x.copy()
+        for i, sign in moves:
+            y[:, i] += sign * h[:, i]
+        return f(y)
+
+    # An infinite value gives NaN here on purpose; callers reject non-finite sums.
+    with np.errstate(invalid="ignore"):
+        for i in range(d):
+            hess[i, i] = np.sum((at((i, 1)) - 2.0 * f0 + at((i, -1))) / (h[:, i] * h[:, i]))
+            for j in range(i + 1, d):
+                value = (at((i, 1), (j, 1)) - at((i, 1), (j, -1)) - at((i, -1), (j, 1))
+                         + at((i, -1), (j, -1))) / (4.0 * h[:, i] * h[:, j])
+                hess[i, j] = hess[j, i] = np.sum(value)
     return hess

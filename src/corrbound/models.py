@@ -13,13 +13,14 @@ The log-density evaluators take the factor's state arguments explicitly so
 they can be differentiated block by block; any residual terms that the
 conditional means carry (realized noise history) arrive as a precomputed
 shift vector per sampled trajectory and contribute nothing to state
-derivatives.
+derivatives.  Every argument leads with a sample axis and the result holds
+one value per sample, so one call evaluates a whole sampling chunk.
 """
 
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable
 
 import numpy as np
@@ -151,9 +152,10 @@ class TrajectoryBatch:
     meas_shift: Array
 
 
-# Signature: (x_next (r,), x_hist (l2', r) newest first, z_hist (l4, n) newest
-# first, shift (r,)) -> float, and the measurement analog.
-LogDensity = Callable[[Array, Array, Array, Array], float]
+# Every argument leads with the sample axis n: (x_next (n, r), x_hist (n, l2', r)
+# newest first, z_hist (n, l4, meas_dim) newest first, shift (n, r)) -> (n,),
+# and the measurement analog with z_next, l3' states and l1 measurements.
+LogDensity = Callable[[Array, Array, Array, Array], Array]
 Simulator = Callable[[int, int, np.random.Generator], TrajectoryBatch]
 StateSampler = Callable[[int, int, np.random.Generator], Iterable[Array]]
 
@@ -215,6 +217,10 @@ class SystemModel:
     * ``meas_noise_information``, the ``(meas_dim, meas_dim)`` information
       of the measurement noise, stored symmetrized; a wrong shape or a
       non-finite entry is a :class:`ModelBuildError`.
+    * the arrays of the ``linear`` view and the ``ar_model`` stand-in, when
+      present, shaped as their fields say; a value that is not a numeric
+      array, a wrong shape or a non-finite entry is a
+      :class:`ModelBuildError` naming the field (``linear.transition``, say).
     """
 
     name: str
@@ -250,30 +256,29 @@ class SystemModel:
         for field, size, what in (("analytic_b", self.profile.l2_eff + 1, "transition blocks"),
                                   ("analytic_c", self.profile.l3_eff, "measurement blocks")):
             if getattr(self, field) is not None:
-                grid = self._float_array(field)
+                grid = self._float_array(field, getattr(self, field))
                 label = f"model '{self.name}': {field} ({what})"
                 _require_shape(grid, size, r, label)
                 _require_finite(grid, label)
                 object.__setattr__(self, field, _read_only(grid))
         if self.meas_noise_information is not None:
-            info = self._float_array("meas_noise_information")
-            n = self.meas_dim
-            if info.shape != (n, n):
-                raise ModelBuildError(
-                    f"model '{self.name}': meas_noise_information: expected shape "
-                    f"(meas_dim, meas_dim) = {(n, n)}, got {info.shape}"
-                )
-            info = symmetrize(info)
-            if not np.all(np.isfinite(info)):
-                raise ModelBuildError(
-                    f"model '{self.name}': meas_noise_information contains "
-                    "non-finite entries"
-                )
-            object.__setattr__(self, "meas_noise_information", _read_only(info))
+            object.__setattr__(self, "meas_noise_information", self._checked_array(
+                "meas_noise_information", self.meas_noise_information,
+                "meas_dim", "meas_dim", symmetric=True))
+        rr, nr, nn = ("state_dim",) * 2, ("meas_dim", "state_dim"), ("meas_dim",) * 2
+        views = {"linear": {"transition": rr, "measurement": nr, "process_marginal": rr,
+                            "measurement_marginal": nn, "cross_lag1": nr},
+                 "ar_model": {"process_white_cov": rr, "meas_white_cov": nn}}
+        for view, fields in views.items():
+            value = getattr(self, view)
+            if value is not None:
+                object.__setattr__(self, view, replace(value, **{
+                    field: self._checked_array(f"{view}.{field}", getattr(value, field), *dims)
+                    for field, dims in fields.items() if getattr(value, field) is not None
+                }))
 
-    def _float_array(self, field: str) -> Array:
-        """A float copy of the array in ``field``."""
-        value = getattr(self, field)
+    def _float_array(self, field: str, value) -> Array:
+        """A float copy of ``value``, the array in ``field``."""
         try:
             kind = np.asarray(value).dtype.kind
         except ValueError:  # a ragged nesting of sequences
@@ -284,6 +289,23 @@ class SystemModel:
                 f"got {type(value).__name__}"
             )
         return np.array(value, dtype=float)
+
+    def _checked_array(self, field: str, value, rows: str, cols: str,
+                       symmetric: bool = False) -> Array:
+        """A read-only float copy of ``value``, the array in ``field``, checked to
+        be ``(rows, cols)`` and finite (once symmetrized, if ``symmetric``)."""
+        arr = self._float_array(field, value)
+        shape = (getattr(self, rows), getattr(self, cols))
+        if arr.shape != shape:
+            raise ModelBuildError(
+                f"model '{self.name}': {field}: expected shape ({rows}, {cols}) = "
+                f"{shape}, got {arr.shape}"
+            )
+        if symmetric:
+            arr = symmetrize(arr)
+        if not np.all(np.isfinite(arr)):
+            raise ModelBuildError(f"model '{self.name}': {field} contains non-finite entries")
+        return _read_only(arr)
 
     @property
     def start_time(self) -> int:
@@ -391,9 +413,9 @@ def linear_measurement_blocks(spec: LinearConditionalSpec) -> Array:
     return _curvature_grid(_measurement_coefficient_grid(spec), r_inv, spec.state_dim)
 
 
-def _gaussian_logpdf(residual: Array, cov_inv: Array, log_norm: float) -> float:
-    residual = np.asarray(residual, dtype=float)
-    return float(log_norm - 0.5 * residual @ cov_inv @ residual)
+def _gaussian_logpdf(residual: Array, cov_inv: Array, log_norm: float) -> Array:
+    """Gaussian log-density of each row of the ``(n, dim)`` ``residual``."""
+    return log_norm - 0.5 * np.sum((residual @ cov_inv) * residual, axis=1)
 
 
 def _linear_logdensities(spec: LinearConditionalSpec):
@@ -408,19 +430,19 @@ def _linear_logdensities(spec: LinearConditionalSpec):
     v = np.zeros(spec.meas_dim) if spec.meas_offset is None else np.asarray(spec.meas_offset)
 
     def trans_logpdf(x_next, x_hist, z_hist, shift):
-        mean = u + np.asarray(shift, dtype=float)
+        mean = u + shift
         for i, f_i in enumerate(spec.state_coeffs):
-            mean = mean + f_i @ x_hist[i]
+            mean = mean + x_hist[:, i] @ np.asarray(f_i).T
         for j, g_j in enumerate(spec.trans_meas_coeffs):
-            mean = mean + g_j @ z_hist[j]
+            mean = mean + z_hist[:, j] @ np.asarray(g_j).T
         return _gaussian_logpdf(x_next - mean, q_inv, log_norm_q)
 
     def meas_logpdf(z_next, x_hist, z_hist, shift):
-        mean = v + np.asarray(shift, dtype=float)
+        mean = v + shift
         for i, h_i in enumerate(spec.meas_state_coeffs):
-            mean = mean + h_i @ x_hist[i]
+            mean = mean + x_hist[:, i] @ np.asarray(h_i).T
         for j, l_j in enumerate(spec.meas_meas_coeffs):
-            mean = mean + l_j @ z_hist[j]
+            mean = mean + z_hist[:, j] @ np.asarray(l_j).T
         return _gaussian_logpdf(z_next - mean, r_inv, log_norm_r)
 
     return trans_logpdf, meas_logpdf, p
@@ -504,7 +526,11 @@ def build_linear_model(
 _LAG_KEYS = {"l1", "l2", "l3", "l4"}
 
 
-def _require_keys(obj: dict, allowed: set[str], path: str) -> None:
+def require_keys(obj, allowed: set[str], path: str) -> None:
+    """Reject an ``obj`` at config path ``path`` that is not an object or
+    has a key outside ``allowed``, with a :class:`ConfigError`."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: expected an object")
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"{path}: unknown field(s) {sorted(unknown)!r}")
@@ -525,7 +551,7 @@ def _as_matrix(value, rows: int, cols: int, path: str) -> Array:
 def _parse_lags(obj, path: str) -> CorrelationProfile:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object with keys l1..l4")
-    _require_keys(obj, _LAG_KEYS, path)
+    require_keys(obj, _LAG_KEYS, path)
     values = {}
     for key in sorted(_LAG_KEYS):
         raw = obj.get(key, 0)
@@ -538,7 +564,7 @@ def _parse_lags(obj, path: str) -> CorrelationProfile:
 def _parse_prior(obj, profile: CorrelationProfile, state_dim: int, path: str) -> GaussianPrior:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object with keys mean, cov")
-    _require_keys(obj, {"mean", "cov"}, path)
+    require_keys(obj, {"mean", "cov"}, path)
     mean = _as_matrix(obj.get("mean", [0.0] * state_dim), 1, state_dim, f"{path}.mean")[0]
     cov = _as_matrix(obj["cov"], state_dim, state_dim, f"{path}.cov") if "cov" in obj \
         else None
@@ -556,7 +582,7 @@ def model_from_config(config: dict) -> SystemModel:
         raise ConfigError("model.kind: required")
 
     if kind == "builtin_example1":
-        _require_keys(config, {"kind", "ma_coeff"}, "model")
+        require_keys(config, {"kind", "ma_coeff"}, "model")
         ma = config.get("ma_coeff", 0.2)
         if (not isinstance(ma, (int, float)) or isinstance(ma, bool)
                 or not abs(ma) <= examples.MA_COEFF_MAX):
@@ -566,10 +592,10 @@ def model_from_config(config: dict) -> SystemModel:
             )
         return examples.build_example1(ma_coeff=float(ma))
     if kind == "builtin_example2":
-        _require_keys(config, {"kind"}, "model")
+        require_keys(config, {"kind"}, "model")
         return examples.build_example2()
     if kind == "custom":
-        _require_keys(config, {"kind", "factory"}, "model")
+        require_keys(config, {"kind", "factory"}, "model")
         factory_path = config.get("factory")
         if not isinstance(factory_path, str) or ":" not in factory_path:
             raise ConfigError("model.factory: expected 'package.module:callable'")
@@ -591,7 +617,7 @@ def model_from_config(config: dict) -> SystemModel:
         "measurement_state_coeffs", "measurement_meas_coeffs", "measurement_cov",
         "prior",
     }
-    _require_keys(config, allowed, "model")
+    require_keys(config, allowed, "model")
     for key in ("state_dim", "meas_dim", "lags", "transition_coeffs",
                 "process_cov", "measurement_state_coeffs", "measurement_cov"):
         if key not in config:

@@ -1,5 +1,5 @@
-"""Case-by-case reference steps, plain loops, the dense full-horizon joint and
-partitioned-matrix identities.
+"""Case-by-case reference steps, plain loops, the dense full-horizon joint,
+partitioned-matrix identities and per-sample finite differences.
 
 A profile's effective lags select one of three step layouts
 (:func:`select_case`); the library step does not need the case, only the
@@ -23,7 +23,13 @@ from enum import Enum
 import numpy as np
 
 from corrbound.baselines import augmented_system
-from corrbound.blocks import BlockProvider, ExpectationEstimator
+from corrbound.blocks import (
+    _PURPOSE_SAMPLE,
+    BlockProvider,
+    ExpectationEstimator,
+    _chunk_rng,
+    _chunk_sizes,
+)
 from corrbound.linalg import (
     block_slice,
     check_psd,
@@ -32,7 +38,7 @@ from corrbound.linalg import (
     schur_complement_keep_last,
     symmetrize,
 )
-from corrbound.models import SystemModel
+from corrbound.models import SystemModel, TrajectoryBatch
 from corrbound.profiles import CorrelationProfile
 from corrbound.recursion import PSD_REL_TOL, PCRBTrace, init_state, step, trace_row
 
@@ -382,3 +388,97 @@ def contract_through_inverse(b_row: np.ndarray, a: np.ndarray, c_col: np.ndarray
         delta, c2 - a21 @ a11_inv @ c1
     )
     return direct, factored
+
+
+# ---------------------------------------------------------------------------
+# Per-sample finite differences
+# ---------------------------------------------------------------------------
+
+
+def point_hessian(f, x: np.ndarray, base_step: float = 1e-4) -> np.ndarray:
+    """Central-difference Hessian of scalar ``f`` at one point ``x``.
+
+    Step along coordinate ``i`` is ``base_step * (1 + |x_i|)``.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    h = base_step * (1.0 + np.abs(x))
+    hess = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            ei = np.zeros(n)
+            ej = np.zeros(n)
+            ei[i] = h[i]
+            ej[j] = h[j]
+            if i == j:
+                value = (f(x + ei) - 2.0 * f(x) + f(x - ei)) / (h[i] * h[i])
+            else:
+                value = (
+                    f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
+                ) / (4.0 * h[i] * h[j])
+            hess[i, j] = value
+            hess[j, i] = value
+    return hess
+
+
+def _transition_point_hessian(model: SystemModel, batch: TrajectoryBatch,
+                              sample: int, k: int) -> np.ndarray:
+    p = model.profile
+    l2e = p.l2_eff
+    r = model.state_dim
+    x_next = batch.states[sample, k + 1]
+    x_hist = np.stack([batch.states[sample, k - i] for i in range(l2e)])
+    z_hist = (
+        np.stack([batch.measurements[sample, k - j] for j in range(p.l4)])
+        if p.l4 else np.zeros((0, model.meas_dim))
+    )
+    shift = batch.trans_shift[sample, k]
+
+    # Stacked in the transition grid's slot order (oldest first, x[k+1] last).
+    def f(stacked: np.ndarray) -> float:
+        parts = stacked.reshape(l2e + 1, r)
+        xs_hist = parts[:l2e][::-1]  # newest first
+        return model.trans_logpdf(parts[l2e][None], xs_hist[None], z_hist[None],
+                                  shift[None])[0]
+
+    stacked0 = np.concatenate([x_hist[::-1].reshape(-1), x_next])
+    return -point_hessian(f, stacked0)
+
+
+def _measurement_point_hessian(model: SystemModel, batch: TrajectoryBatch,
+                               sample: int, k: int) -> np.ndarray:
+    p = model.profile
+    l3e = p.l3_eff
+    r = model.state_dim
+    z_next = batch.measurements[sample, k + 1]
+    x_hist = np.stack([batch.states[sample, k + 1 - i] for i in range(l3e)])
+    z_hist = (
+        np.stack([batch.measurements[sample, k - j] for j in range(p.l1)])
+        if p.l1 else np.zeros((0, model.meas_dim))
+    )
+    shift = batch.meas_shift[sample, k]
+
+    def f(stacked: np.ndarray) -> float:
+        parts = stacked.reshape(l3e, r)
+        xs_hist = parts[::-1]  # newest first
+        return model.meas_logpdf(z_next[None], xs_hist[None], z_hist[None], shift[None])[0]
+
+    stacked0 = x_hist[::-1].reshape(-1)
+    return -point_hessian(f, stacked0)
+
+
+def fd_mc_grid_per_sample(model: SystemModel, k: int, est: ExpectationEstimator,
+                          transition: bool) -> np.ndarray:
+    """The finite-difference Monte-Carlo grid of one factor at time ``k``,
+    from the same draws as the library's, one sample at a time: each
+    sample's Hessian from scalar log-density values of one-sample batches,
+    checked finite and added in sample order."""
+    point_hessian_of = _transition_point_hessian if transition else _measurement_point_hessian
+    total = 0.0
+    for c, size in enumerate(_chunk_sizes(est.sample_count, est.chunk_size)):
+        batch = model.simulate(k + 1, size, _chunk_rng(est.seed, _PURPOSE_SAMPLE, k, c))
+        for s in range(size):
+            h = point_hessian_of(model, batch, s, k)
+            assert np.all(np.isfinite(h)), f"non-finite curvature at sample {s}"
+            total = total + h
+    return symmetrize(total / est.sample_count)

@@ -16,8 +16,14 @@ from corrbound.blocks import (
 from corrbound.errors import ConfigError, InvariantViolationError, ModelBuildError
 from corrbound.examples import STATE_DRAW_BLOCK, _draw_blocks
 from corrbound.linalg import symmetrize
-from conftest import blocks_at, random_linear_model, random_spd, simple_scalar_model
-from reference_steps import block
+from conftest import (
+    CASE_SPANNING_PROFILES,
+    blocks_at,
+    random_linear_model,
+    random_spd,
+    simple_scalar_model,
+)
+from reference_steps import block, fd_mc_grid_per_sample
 
 
 def test_scalar_transition_block():
@@ -133,11 +139,100 @@ def test_finite_difference_mc_matches_analytic(example1):
     assert np.max(np.abs(c_fd - c)) / np.max(np.abs(c)) < 1e-6
 
 
+@pytest.mark.parametrize("lags", CASE_SPANNING_PROFILES)
+def test_finite_difference_mc_matches_closed_forms_on_every_layout(lags):
+    # A linear-Gaussian factor has the same curvature at every sample, so
+    # the FD-MC mean is its closed form up to central-difference rounding,
+    # at every slot count and measurement-history depth.
+    model = random_linear_model(cb.CorrelationProfile(*lags), 3, 2, seed=sum(lags))
+    est = cb.ExpectationEstimator(mode="finite_difference_mc", sample_count=200, seed=5)
+    b_fd, c_fd = blocks_at(model, model.start_time, est)
+    for fd, ref in ((b_fd, model.analytic_b), (c_fd, model.analytic_c)):
+        assert np.max(np.abs(fd - ref)) / np.max(np.abs(ref)) < 1e-6
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_finite_difference_mc_matches_per_sample_loop(name, request):
+    # Two chunks, so the chunk streams and their sum are covered too.
+    model = request.getfixturevalue(name)
+    est = cb.ExpectationEstimator(mode="finite_difference_mc", sample_count=30, seed=4,
+                                  chunk_size=16)
+    k = model.start_time
+    for grid, transition in zip(blocks_at(model, k, est), (True, False)):
+        ref = fd_mc_grid_per_sample(model, k, est, transition)
+        assert np.max(np.abs(grid - ref)) <= 1e-6 * np.max(np.abs(ref))
+
+
+def test_finite_difference_log_density_calls_do_not_grow_with_samples(example1):
+    sizes = []
+
+    def counted(logpdf):
+        def call(*args):
+            sizes.append(len(args[0]))
+            return logpdf(*args)
+        return call
+
+    model = dataclasses.replace(example1, trans_logpdf=counted(example1.trans_logpdf),
+                                meas_logpdf=counted(example1.meas_logpdf))
+    calls = []
+    for n in (10, 1000):
+        sizes.clear()
+        est = cb.ExpectationEstimator(mode="finite_difference_mc", sample_count=n, seed=0)
+        blocks_at(model, model.start_time, est)
+        assert set(sizes) == {n}  # every call takes all samples at once
+        calls.append(len(sizes))
+    assert calls[0] == calls[1]
+
+
+def test_finite_difference_log_density_arguments():
+    # Deep lags on every axis, so each history's order shows.  The linear
+    # curvature does not depend on the measurement history or the shift, so
+    # the closed-form checks cannot see them; the arguments are checked here.
+    model = random_linear_model(cb.CorrelationProfile(3, 3, 2, 3), 2, 2, seed=7)
+    batches, calls = [], {"trans_logpdf": [], "meas_logpdf": []}
+
+    def simulate(*args):
+        batches.append(model.simulate(*args))
+        return batches[-1]
+
+    def recorded(field):
+        def call(*args):
+            calls[field].append([np.array(a) for a in args])
+            return getattr(model, field)(*args)
+        return call
+
+    traced = dataclasses.replace(model, simulate=simulate, trans_logpdf=recorded("trans_logpdf"),
+                                 meas_logpdf=recorded("meas_logpdf"))
+    k = model.start_time
+    blocks_at(traced, k, cb.ExpectationEstimator(mode="finite_difference_mc", sample_count=5,
+                                                 seed=1))
+    p = model.profile
+    for field, batch in zip(calls, batches):
+        states, meas = batch.states, batch.measurements
+        if field == "trans_logpdf":
+            first = states[:, k + 1]
+            x_hist = [states[:, k - i] for i in range(p.l2_eff)]
+            z_hist, shift = [meas[:, k - j] for j in range(p.l4)], batch.trans_shift[:, k]
+        else:
+            first = meas[:, k + 1]
+            x_hist = [states[:, k + 1 - i] for i in range(p.l3_eff)]
+            z_hist, shift = [meas[:, k - j] for j in range(p.l1)], batch.meas_shift[:, k]
+        # Unmoved arguments are the same in every call; the states are
+        # unmoved in at least one.
+        for args in calls[field]:
+            assert np.array_equal(args[2], np.stack(z_hist, axis=1))
+            assert np.array_equal(args[3], shift)
+        assert any(np.array_equal(args[0], first)
+                   and np.array_equal(args[1], np.stack(x_hist, axis=1)) for args in calls[field])
+
+
 def test_non_finite_curvature_is_an_error():
-    broken = dataclasses.replace(simple_scalar_model(), trans_logpdf=lambda *a: float("nan"))
     est = cb.ExpectationEstimator(mode="finite_difference_mc", sample_count=2, seed=0)
-    with pytest.raises(InvariantViolationError):
-        blocks_at(broken, 0, est)
+    for bad in (np.nan, np.inf):
+        broken = dataclasses.replace(
+            simple_scalar_model(), trans_logpdf=lambda x_next, *a: np.full(len(x_next), bad))
+        with pytest.raises(InvariantViolationError):
+            blocks_at(broken, 0, est)
 
 
 def test_non_finite_grid_is_rejected(example1, analytic_est):

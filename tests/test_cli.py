@@ -243,17 +243,19 @@ def test_sample_major_jacobian_is_model_error(tmp_path, capsys, monkeypatch):
     assert "(meas_dim, state_dim, n) = (2, 4, 300)" in err
 
 
-def _run_custom(tmp_path, monkeypatch, build, **changes):
-    """``run`` on ``build()`` with ``changes`` applied, through a custom factory."""
+def _run_custom(tmp_path, monkeypatch, build, *, mode="monte_carlo", command=("run",),
+                **changes):
+    """``command`` on ``build()`` with ``changes`` applied, through a custom
+    factory, sampling under ``mode``."""
     monkeypatch.setattr(examples, "malformed_model",
                         lambda: dataclasses.replace(build(), **changes), raising=False)
     config = tmp_path / "custom.json"
     config.write_text(json.dumps({
         "model": {"kind": "custom", "factory": "corrbound.examples:malformed_model"},
-        "estimator": {"mode": "monte_carlo", "samples": 100, "seed": 0},
+        "estimator": {"mode": mode, "samples": 100, "seed": 0},
     }))
-    return run_cli(["run", "--config", str(config), "--horizon", "3",
-                    "--out", str(tmp_path / "run.csv")])
+    return run_cli([*command, "--config", str(config), "--horizon", "3",
+                    "--out", str(tmp_path / "out.csv")])
 
 
 @pytest.mark.parametrize("field, value", [
@@ -269,6 +271,42 @@ def test_malformed_model_data_is_model_error(tmp_path, capsys, monkeypatch, fiel
     err = capsys.readouterr().err
     assert err.startswith("model error: model 'example2': ")
     assert field in err
+
+
+def _example1_with(view, **arrays):
+    """A builder of example1 with ``arrays`` replaced in its ``view``."""
+    def build():
+        model = cb.build_example1()
+        return dataclasses.replace(
+            model, **{view: dataclasses.replace(getattr(model, view), **arrays)})
+    return build
+
+
+@pytest.mark.parametrize("baseline", ["i", "a", "p"])
+@pytest.mark.parametrize("view, field, value", [
+    ("linear", "transition", np.eye(3)),
+    ("ar_model", "meas_white_cov", np.eye(3)),
+    ("linear", "measurement", "2x2"),
+    ("linear", "process_marginal", np.diag([np.nan, 1.0])),
+], ids=["transition_3x3", "ar_meas_3x3", "measurement_text", "process_nan"])
+def test_malformed_linear_view_is_model_error(tmp_path, capsys, monkeypatch,
+                                              view, field, value, baseline):
+    # The baselines' linear view and AR stand-in are checked when the model
+    # is built, whichever baseline would read them.
+    build = _example1_with(view, **{field: value})
+    assert _run_custom(tmp_path, monkeypatch, build,
+                       command=("compare", "--baselines", baseline)) == 2
+    assert capsys.readouterr().err.startswith(
+        f"model error: model 'example1': {view}.{field}")
+
+
+@pytest.mark.parametrize("field", ["trans_logpdf", "meas_logpdf"])
+def test_scalar_log_density_is_model_error(tmp_path, capsys, monkeypatch, field):
+    # A log-density returns one value per sample; a scalar is rejected.
+    assert _run_custom(tmp_path, monkeypatch, cb.build_example1, mode="finite_difference_mc",
+                       **{field: lambda *args: 0.0}) == 2
+    assert capsys.readouterr().err.startswith(
+        f"model error: model 'example1': {field} returned shape (), expected (n,) = (100,)")
 
 
 def test_non_finite_closed_form_is_numerical_error(tmp_path, capsys, monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 from corrbound.errors import InvariantViolationError, SingularMatrixError
 from corrbound import linalg
 from conftest import psd_dominates
+from reference_steps import point_hessian
 
 
 def test_psd_solve_matches_direct_solve():
@@ -111,9 +112,13 @@ def test_finite_difference_hessian_quadratic_exact():
     h = h + h.T
     g = rng.normal(size=4)
 
-    def f(x):
-        return 0.5 * x @ h @ x + g @ x + 3.0
+    def f(x):  # one value per row of x
+        return 0.5 * np.sum((x @ h) * x, axis=1) + x @ g + 3.0
 
-    x0 = rng.normal(size=4)
+    x0 = rng.normal(size=(5, 4))
+    # The batched form sums the rows' Hessians; each is h.
     fd = linalg.finite_difference_hessian(f, x0)
-    assert np.allclose(fd, h, atol=1e-7)
+    assert np.allclose(fd, 5 * h, atol=5e-7)
+    # The scalar reference, at one point.
+    point = point_hessian(lambda x: f(x[None])[0], x0[0])
+    assert np.allclose(point, h, atol=1e-7)
