@@ -5,9 +5,9 @@ Each factor's curvature is a dense square array made of ``state_dim``-sized
 blocks, one block row and column per state the factor touches;
 :func:`factor_frame` states which states those are.  Expectations are taken
 over the joint trajectory distribution induced by the model sampler;
-Monte-Carlo estimation partitions samples into fixed-size chunks with one
-dedicated RNG substream per chunk so results are bit-identical regardless of
-worker count.
+Monte-Carlo estimation partitions samples into chunks of ``CHUNK_SIZE``
+with one dedicated RNG substream per chunk so results are bit-identical
+regardless of worker count.
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ _PURPOSE_RESAMPLE = 2
 
 _MAX_RESAMPLE_ROUNDS = 100
 
+# Samples per chunk: the unit of RNG substreams and of worker threads.
+CHUNK_SIZE = 32_768
+
 
 @dataclass(frozen=True)
 class ExpectationEstimator:
@@ -45,15 +48,13 @@ class ExpectationEstimator:
     sample_count: int = 10_000
     seed: int = 0
     workers: int = 1
-    chunk_size: int = 32_768
 
     def __post_init__(self):
         if self.mode not in ESTIMATOR_MODES:
             raise ConfigError(
                 f"estimator mode {self.mode!r} not one of {ESTIMATOR_MODES}"
             )
-        for field, minimum in (("sample_count", 1), ("seed", 0), ("workers", 1),
-                               ("chunk_size", 1)):
+        for field, minimum in (("sample_count", 1), ("seed", 0), ("workers", 1)):
             value = getattr(self, field)
             if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
                     or value < minimum):
@@ -69,10 +70,10 @@ class McReport:
     resampled: int = 0
 
 
-def _chunk_sizes(total: int, chunk: int) -> list[int]:
-    sizes = [chunk] * (total // chunk)
-    if total % chunk:
-        sizes.append(total % chunk)
+def _chunk_sizes(total: int) -> list[int]:
+    sizes = [CHUNK_SIZE] * (total // CHUNK_SIZE)
+    if total % CHUNK_SIZE:
+        sizes.append(total % CHUNK_SIZE)
     return sizes
 
 
@@ -91,8 +92,8 @@ def _factor_hessian(model: SystemModel, batch: TrajectoryBatch, k: int,
                     transition: bool) -> np.ndarray:
     """Sum over ``batch``'s samples of one time-``k`` factor's negative
     log-density Hessian in its slot states, by central differences over all
-    samples at once.  The slots are ``x[k+2-slots] .. x[k+1]``, as in
-    :func:`factor_frame`: ``slots = l2' + 1`` for the transition, whose
+    samples at once.  The slots end at ``x[k+1]``, as in
+    :func:`factor_frame`: ``l2' + 1`` of them for the transition, whose
     measurement history is ``l4`` deep, and ``l3'`` for the measurement,
     whose history is ``l1`` deep."""
     p = model.profile
@@ -121,7 +122,7 @@ def _factor_hessian(model: SystemModel, batch: TrajectoryBatch, k: int,
 def _fd_mc_grid(model: SystemModel, k: int, est: ExpectationEstimator,
                 transition: bool) -> np.ndarray:
     total = 0.0
-    for c, size in enumerate(_chunk_sizes(est.sample_count, est.chunk_size)):
+    for c, size in enumerate(_chunk_sizes(est.sample_count)):
         rng = _chunk_rng(est.seed, _PURPOSE_SAMPLE, k, c)
         total = total + _factor_hessian(model, model.simulate(k + 1, size, rng), k, transition)
     if not np.all(np.isfinite(total)):
@@ -186,7 +187,7 @@ def _sampled_measurement_info(
                                            noise_info)))
         return partials, resampled
 
-    tasks = list(enumerate(_chunk_sizes(est.sample_count, est.chunk_size)))
+    tasks = list(enumerate(_chunk_sizes(est.sample_count)))
     if est.workers > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=est.workers) as pool:
             results = list(pool.map(run_chunk, tasks))
@@ -337,28 +338,20 @@ def _resample_singular(model: SystemModel, states: np.ndarray, ks: range,
 def factor_frame(b: np.ndarray, c: np.ndarray, profile: CorrelationProfile) -> np.ndarray:
     """Dense overlay of both time-``k`` factor grids on the recursion frame.
 
-    This is the one statement of the slot layout.  With ``m = window``,
-    ``l2' = max(l2, 1)`` and ``l3' = max(l3, 1)``, slots counted from 0:
-
-    * the frame has ``m + 1`` slots; slot ``s`` is state ``x[k+1-m+s]``, so
-      slots ``0 .. m-1`` are the carried states and slot ``m`` is ``x[k+1]``;
-    * the transition grid ``b`` has ``l2' + 1`` slots; slot ``i`` is
-      ``x[k-l2'+1+i]`` and lands on frame slot ``m - l2' + i``;
-    * the measurement grid ``c`` has ``l3'`` slots; slot ``j`` is
-      ``x[k+2-l3'+j]`` and lands on frame slot ``m + 1 - l3' + j``.
-
-    Both grids end at ``x[k+1]``, so each fills the trailing corner of the
-    frame, and frame slots before a grid's first slot get nothing from it.
+    This is the one statement of the slot layout: every factor grid covers
+    consecutive states, oldest first, and its last slot is ``x[k+1]``.  The
+    transition grid ``b`` has ``l2' + 1`` slots, the measurement grid ``c``
+    has ``l3'`` and the frame has ``window + 1``, the carried states and
+    then ``x[k+1]``; with ``l2' = max(l2, 1)`` and ``l3' = max(l3, 1)``.  So
+    each grid fills the frame's trailing corner of its own size.
     """
-    m = profile.window
     r = b.shape[0] // (profile.l2_eff + 1)
     _require_shape(b, profile.l2_eff + 1, r, "transition blocks")
     _require_shape(c, profile.l3_eff, r, "measurement blocks")
-    frame = np.zeros(((m + 1) * r, (m + 1) * r))
-    b_at = (m - profile.l2_eff) * r
-    c_at = (m + 1 - profile.l3_eff) * r
-    frame[b_at:, b_at:] += b
-    frame[c_at:, c_at:] += c
+    size = (profile.window + 1) * r
+    frame = np.zeros((size, size))
+    frame[-len(b):, -len(b):] += b
+    frame[-len(c):, -len(c):] += c
     if not np.isfinite(frame).all():
         # One check covers both grids; name the one that failed.
         _require_finite(b, "transition blocks")

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import baselines as _baselines
 from . import oracle as _oracle
-from .blocks import ESTIMATOR_MODES, ExpectationEstimator
+from .blocks import CHUNK_SIZE, ESTIMATOR_MODES, ExpectationEstimator
 from .errors import ConfigError, ModelBuildError, NumericalError
 from .models import SystemModel, model_from_config, require_keys
 from .recursion import PCRBTrace, run
@@ -199,7 +199,10 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text, encoding="utf-8", newline="")
+        try:
+            Path(path).write_text(text, encoding="utf-8", newline="")
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {path!r}: {exc}")
 
 
 def _trace_csv(trace: PCRBTrace, r: int) -> str:
@@ -305,8 +308,16 @@ def cmd_sensors(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are configuration errors (exit
+    1); its subparsers are of this class too."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="corrbound",
         description="Recursive estimation-error lower bounds under "
                     "temporally correlated noise.",
@@ -321,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, help="Monte-Carlo sample count")
         p.add_argument("--seed", type=int, help="Monte-Carlo seed")
         p.add_argument("--workers", type=int,
-                       help="worker threads for sampling; work is split by 32768-sample "
-                            "chunk, so a run under 32768 samples uses one thread")
+                       help=f"worker threads for sampling; work is split by {CHUNK_SIZE}-sample "
+                            f"chunk, so a run under {CHUNK_SIZE} samples uses one thread")
         p.add_argument("--component", type=int, help="state component for scalar summaries")
         if with_output:
             p.add_argument("--out", help="output path ('-' for stdout)")
@@ -353,9 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -23,11 +23,6 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def block_slice(slot: int, block_dim: int) -> slice:
-    """Rows (or columns) of 0-based block ``slot`` in a grid of ``block_dim`` blocks."""
-    return slice(slot * block_dim, (slot + 1) * block_dim)
-
-
 def reciprocal_condition(a: np.ndarray) -> float:
     if a.size == 0:
         return 1.0

@@ -26,7 +26,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import ConfigError, InvariantViolationError, ModelBuildError
-from .linalg import block_slice, psd_inverse, symmetrize
+from .linalg import psd_inverse, symmetrize
 from .profiles import CorrelationProfile, required_prior_window
 
 Array = np.ndarray
@@ -371,46 +371,24 @@ class LinearConditionalSpec:
         return np.asarray(self.meas_cov).shape[0]
 
 
-def _transition_coefficient_grid(spec: LinearConditionalSpec) -> list[Array]:
-    """Residual gradient of the transition factor per block slot, oldest
-    state first (slot order as in :func:`corrbound.blocks.factor_frame`)."""
-    l2e = spec.profile.l2_eff
-    r = spec.state_dim
-    coefs = []
-    for i in range(1, l2e + 1):
-        coefs.append(-np.asarray(spec.state_coeffs[l2e - i], dtype=float))
-    coefs.append(np.eye(r))
-    return coefs
-
-
-def _measurement_coefficient_grid(spec: LinearConditionalSpec) -> list[Array]:
-    """Residual gradient of the measurement factor per block slot, oldest
-    state first (slot order as in :func:`corrbound.blocks.factor_frame`)."""
-    l3e = spec.profile.l3_eff
-    coefs = []
-    for i in range(1, l3e + 1):
-        coefs.append(-np.asarray(spec.meas_state_coeffs[l3e - i], dtype=float))
-    return coefs
-
-
-def _curvature_grid(coefs: list[Array], noise_info: Array, r: int) -> Array:
-    """Block ``(i, j)`` is ``coefs[i].T @ noise_info @ coefs[j]``."""
-    size = len(coefs)
-    grid = np.zeros((size * r, size * r))
-    for i in range(size):
-        for j in range(size):
-            grid[block_slice(i, r), block_slice(j, r)] = coefs[i].T @ noise_info @ coefs[j]
-    return grid
+def _curvature_grid(coefs: list[Array], cov: Array, context: str) -> Array:
+    """Curvature grid of a linear-Gaussian factor whose residual has
+    covariance ``cov`` and gradient ``coefs[i]`` in slot ``i``, slots as in
+    :func:`corrbound.blocks.factor_frame`: block ``(i, j)`` is
+    ``coefs[i].T @ inv(cov) @ coefs[j]``."""
+    info = psd_inverse(np.asarray(cov, dtype=float), context=context)
+    return np.block([[ci.T @ info @ cj for cj in coefs] for ci in coefs])
 
 
 def linear_transition_blocks(spec: LinearConditionalSpec) -> Array:
-    q_inv = psd_inverse(np.asarray(spec.process_cov, dtype=float), context="process covariance")
-    return _curvature_grid(_transition_coefficient_grid(spec), q_inv, spec.state_dim)
+    coefs = [-np.asarray(f, dtype=float) for f in reversed(spec.state_coeffs)]
+    return _curvature_grid(coefs + [np.eye(spec.state_dim)], spec.process_cov,
+                           "process covariance")
 
 
 def linear_measurement_blocks(spec: LinearConditionalSpec) -> Array:
-    r_inv = psd_inverse(np.asarray(spec.meas_cov, dtype=float), context="measurement covariance")
-    return _curvature_grid(_measurement_coefficient_grid(spec), r_inv, spec.state_dim)
+    coefs = [-np.asarray(h, dtype=float) for h in reversed(spec.meas_state_coeffs)]
+    return _curvature_grid(coefs, spec.meas_cov, "measurement covariance")
 
 
 def _gaussian_logpdf(residual: Array, cov_inv: Array, log_norm: float) -> Array:

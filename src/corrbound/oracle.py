@@ -6,12 +6,13 @@ recursion uses; the information submatrix for the last state then falls out
 of one Cholesky factorization.  Agreement with the recursion is the
 package's primary correctness check.
 
-Layout.  A factor couples states at most ``max(l2', l3' - 1)`` steps apart,
-so the joint over ``x[0] .. x[k]`` (``r``-dimensional states) is banded with
-upper bandwidth ``u = max(l2' + 1, l3') * r - 1``: the size of the larger
-factor grid, less one.  It is kept in LAPACK upper band storage ``ab`` of
-shape ``(u + 1, (k + 1) * r)``, with ``ab[u + i - j, j] = A[i, j]`` for
-``j - u <= i <= j``.  The joint over ``x[0] .. x[t]`` is the leading
+Layout.  The factor grids are shaped as in
+:func:`corrbound.blocks.factor_frame`, and none is larger than the
+recursion frame, ``window + 1`` states.  So the joint over ``x[0] .. x[k]``
+(``r``-dimensional states) is banded with upper bandwidth
+``u = (window + 1) * r - 1``.  It is kept in LAPACK upper band storage
+``ab`` of shape ``(u + 1, (k + 1) * r)``, with ``ab[u + i - j, j] = A[i, j]``
+for ``j - u <= i <= j``.  The joint over ``x[0] .. x[t]`` is the leading
 ``(t + 1) * r`` columns of ``ab`` once the factors up to time ``t - 1`` are
 placed.
 
@@ -33,27 +34,18 @@ from .errors import SingularMatrixError
 from .models import SystemModel, require_int
 
 
-def factor_state_indices(model: SystemModel, k: int) -> tuple[list[int], list[int]]:
-    """State indices covered by the transition and measurement factors at time ``k``."""
-    p = model.profile
-    trans = list(range(k - p.l2_eff + 1, k + 2))
-    meas = list(range(k - p.l3_eff + 2, k + 2))
-    return trans, meas
-
-
-def _place(ab: np.ndarray, grid: np.ndarray, first_state: int, r: int) -> None:
-    """Add ``grid``, whose block slots are consecutive states from
-    ``first_state``, into the band storage ``ab``, one diagonal at a time.
+def _place(ab: np.ndarray, grid: np.ndarray) -> None:
+    """Add ``grid`` into the band storage ``ab`` so that it ends at ``ab``'s
+    last state, one diagonal at a time.
 
     Each entry is the mean of the grid's two mirror entries, so the joint is
     symmetric by construction.  Diagonals past the band are not read: the
     factor grids fit inside it, and the prior information is block-diagonal.
     """
     u = ab.shape[0] - 1
-    lo = first_state * r
     m = grid.shape[0]
     for d in range(min(m, u + 1)):
-        ab[u - d, lo + d: lo + m] += 0.5 * (np.diagonal(grid, d) + np.diagonal(grid, -d))
+        ab[u - d, d - m:] += 0.5 * (np.diagonal(grid, d) + np.diagonal(grid, -d))
 
 
 def _prefixes(model: SystemModel, est: ExpectationEstimator, k: int,
@@ -68,19 +60,20 @@ def _prefixes(model: SystemModel, est: ExpectationEstimator, k: int,
     in the same order, as an assembly that stopped at ``t``.
     """
     start = model.start_time
-    p = model.profile
     r = model.state_dim
     if provider is None and k > start:
         provider = BlockProvider(model, est, start, k)
-    ab = np.zeros((max(p.l2_eff + 1, p.l3_eff) * r, (k + 1) * r))
-    _place(ab, model.prior.information(), 0, r)
+    ab = np.zeros(((model.profile.window + 1) * r, (k + 1) * r))
+    prior = model.prior.information()
+    _place(ab[:, :len(prior)], prior)
     for t in range(start, k + 1):
+        prefix = ab[:, : (t + 1) * r]
         if t > start:
+            # The factors of time t - 1 end at x[t], the prefix's last state.
             b, c = provider.blocks(t - 1)
-            trans_states, meas_states = factor_state_indices(model, t - 1)
-            _place(ab, b, trans_states[0], r)
-            _place(ab, c, meas_states[0], r)
-        yield t, ab[:, : (t + 1) * r]
+            _place(prefix, b)
+            _place(prefix, c)
+        yield t, prefix
 
 
 def build_joint(model: SystemModel, est: ExpectationEstimator, k: int,

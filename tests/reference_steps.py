@@ -31,7 +31,6 @@ from corrbound.blocks import (
     _chunk_sizes,
 )
 from corrbound.linalg import (
-    block_slice,
     check_psd,
     psd_inverse,
     psd_solve,
@@ -63,6 +62,11 @@ def select_case(profile: CorrelationProfile) -> CaseTag:
     if l3e < l2e + 1:
         return CaseTag.LESS
     return CaseTag.EQUAL
+
+
+def block_slice(slot: int, block_dim: int) -> slice:
+    """Rows (or columns) of 0-based block ``slot`` in a grid of ``block_dim`` blocks."""
+    return slice(slot * block_dim, (slot + 1) * block_dim)
 
 
 def block(grid: np.ndarray, i: int, j: int, r: int) -> np.ndarray:
@@ -475,7 +479,7 @@ def fd_mc_grid_per_sample(model: SystemModel, k: int, est: ExpectationEstimator,
     checked finite and added in sample order."""
     point_hessian_of = _transition_point_hessian if transition else _measurement_point_hessian
     total = 0.0
-    for c, size in enumerate(_chunk_sizes(est.sample_count, est.chunk_size)):
+    for c, size in enumerate(_chunk_sizes(est.sample_count)):
         batch = model.simulate(k + 1, size, _chunk_rng(est.seed, _PURPOSE_SAMPLE, k, c))
         for s in range(size):
             h = point_hessian_of(model, batch, s, k)

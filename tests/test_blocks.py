@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import corrbound as cb
+from corrbound import blocks as blocks_mod
 from corrbound.blocks import (
     _PURPOSE_RESAMPLE,
     _PURPOSE_SAMPLE,
@@ -152,11 +153,11 @@ def test_finite_difference_mc_matches_closed_forms_on_every_layout(lags):
 
 
 @pytest.mark.parametrize("name", ["example1", "example2"])
-def test_finite_difference_mc_matches_per_sample_loop(name, request):
+def test_finite_difference_mc_matches_per_sample_loop(name, request, monkeypatch):
     # Two chunks, so the chunk streams and their sum are covered too.
     model = request.getfixturevalue(name)
-    est = cb.ExpectationEstimator(mode="finite_difference_mc", sample_count=30, seed=4,
-                                  chunk_size=16)
+    monkeypatch.setattr(blocks_mod, "CHUNK_SIZE", 16)
+    est = cb.ExpectationEstimator(mode="finite_difference_mc", sample_count=30, seed=4)
     k = model.start_time
     for grid, transition in zip(blocks_at(model, k, est), (True, False)):
         ref = fd_mc_grid_per_sample(model, k, est, transition)
@@ -255,7 +256,7 @@ def test_non_finite_grid_is_rejected(example1, analytic_est):
 @pytest.mark.parametrize("field, value", [
     ("sample_count", 100.5), ("sample_count", True), ("sample_count", 0),
     ("seed", -1), ("seed", 1.5), ("seed", False), ("seed", "7"),
-    ("workers", 0), ("workers", 2.0), ("chunk_size", 0), ("chunk_size", None),
+    ("workers", 0), ("workers", 2.0),
 ])
 def test_estimator_rejects_bad_integer_fields(field, value):
     with pytest.raises(ConfigError, match=f"estimator {field} must be an integer"):
@@ -265,10 +266,10 @@ def test_estimator_rejects_bad_integer_fields(field, value):
     assert getattr(est, field) == 3
 
 
-def test_mc_seed_determinism_and_sensitivity(example2):
+def test_mc_seed_determinism_and_sensitivity(example2, monkeypatch):
+    monkeypatch.setattr(blocks_mod, "CHUNK_SIZE", 16_384)
     est = lambda seed, workers=1: cb.ExpectationEstimator(  # noqa: E731
         mode="monte_carlo", sample_count=50_000, seed=seed, workers=workers,
-        chunk_size=16_384,
     )
     a = blocks_at(example2, 5, est(7))[1]
     b = blocks_at(example2, 5, est(7))[1]
@@ -312,7 +313,7 @@ def _per_sample_reference(model, ks, horizon, est):
     lam = np.asarray(model.meas_noise_information)
     per = {k: [] for k in ks}
     replaced = 0
-    for c, size in enumerate(_chunk_sizes(est.sample_count, est.chunk_size)):
+    for c, size in enumerate(_chunk_sizes(est.sample_count)):
         batch = model.simulate(horizon, size, _chunk_rng(est.seed, _PURPOSE_SAMPLE, c))
         bounds = _draw_blocks(size)
         for k in ks:
@@ -335,7 +336,8 @@ def _assert_matches_reference(blocks, ses, per):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("resample", [False, True])
-def test_sampled_information_matches_per_sample_loop(example2, workers, resample):
+def test_sampled_information_matches_per_sample_loop(example2, workers, resample,
+                                                     monkeypatch):
     # Mean and standard error of J' Lambda J, recomputed sample by sample
     # over the same drawn (and redrawn) states, with an uneven last chunk.
     model = example2
@@ -348,8 +350,9 @@ def test_sampled_information_matches_per_sample_loop(example2, workers, resample
     # last of 100 samples) and a last chunk of one sample.
     chunk = 2 * STATE_DRAW_BLOCK + 100
     for samples, chunk_size in ((200, 64), (2 * chunk + 1, chunk)):
+        monkeypatch.setattr(blocks_mod, "CHUNK_SIZE", chunk_size)
         est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=samples, seed=5,
-                                      workers=workers, chunk_size=chunk_size)
+                                      workers=workers)
         blocks, ses, report = _sampled_measurement_info(model, ks, horizon, est)
 
         per, replaced = _per_sample_reference(model, ks, horizon, est)
@@ -384,7 +387,8 @@ def _generic_jacobian(meas_dim, partial):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("meas_dim", [1, 3])
 @pytest.mark.parametrize("partial", [False, True])
-def test_sampled_information_generic_jacobian(example2, workers, meas_dim, partial):
+def test_sampled_information_generic_jacobian(example2, workers, meas_dim, partial,
+                                              monkeypatch):
     # The contraction on Jacobians other than range/azimuth: a full SPD noise
     # information, all columns live, or a live set that changes by time and
     # sample block.
@@ -393,8 +397,9 @@ def test_sampled_information_generic_jacobian(example2, workers, meas_dim, parti
         example2, meas_dim=meas_dim, meas_noise_information=noise_info,
         meas_jacobian=_generic_jacobian(meas_dim, partial),
     )
+    monkeypatch.setattr(blocks_mod, "CHUNK_SIZE", 64)
     est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=200, seed=5,
-                                  workers=workers, chunk_size=64)
+                                  workers=workers)
     horizon = 8
     ks = range(model.start_time, horizon)
     blocks, ses, _ = _sampled_measurement_info(model, ks, horizon, est)
@@ -413,7 +418,7 @@ def test_sampled_information_generic_jacobian(example2, workers, meas_dim, parti
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_column_dead_at_one_time_stays_positive_zero(example2, workers):
+def test_column_dead_at_one_time_stays_positive_zero(example2, workers, monkeypatch):
     # Column 2 is -0.0 in every sample at one time only, so each block's
     # column is live over its times but gives zeros of either sign there;
     # the mean and SE at that time are exact +0.0.
@@ -443,8 +448,9 @@ def test_column_dead_at_one_time_stays_positive_zero(example2, workers):
         sample_states=sample_states, simulate=simulate,
     )
     # Two chunks, the first of two sample blocks, the last of 100 samples.
+    monkeypatch.setattr(blocks_mod, "CHUNK_SIZE", 2 * STATE_DRAW_BLOCK)
     est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=3 * STATE_DRAW_BLOCK + 100,
-                                  seed=6, workers=workers, chunk_size=2 * STATE_DRAW_BLOCK)
+                                  seed=6, workers=workers)
     horizon = pinned + 2
     ks = range(model.start_time, horizon)
     blocks, ses, _ = _sampled_measurement_info(model, ks, horizon, est)
@@ -537,7 +543,7 @@ def test_singularity_resampling_reported():
     assert np.all(np.isfinite(provider.measurement(model.start_time)))
 
 
-def test_singular_states_redrawn_per_block(example2):
+def test_singular_states_redrawn_per_block(example2, monkeypatch):
     # One singular state in each of the two sample blocks of the first
     # chunk, at the same time: each block redraws its own replacement.
     k = example2.start_time + 1
@@ -555,13 +561,14 @@ def test_singular_states_redrawn_per_block(example2):
     # Block b's replacement comes from the substream (k, chunk, block, attempt).
     want = [next(iter(example2.sample_states(
         k + 1, 1, _chunk_rng(4, _PURPOSE_RESAMPLE, k, 0, b, 0))))[k + 1, 0] for b in (0, 1)]
+    # Chunks of two blocks and of one block and 100 samples.
+    monkeypatch.setattr(blocks_mod, "CHUNK_SIZE", 2 * STATE_DRAW_BLOCK)
     results = []
     for workers in (1, 2):
         redraws.clear()
-        # Chunks of two blocks and of one block and 100 samples.
         est = cb.ExpectationEstimator(mode="monte_carlo",
                                       sample_count=3 * STATE_DRAW_BLOCK + 100, seed=4,
-                                      workers=workers, chunk_size=2 * STATE_DRAW_BLOCK)
+                                      workers=workers)
         provider = cb.BlockProvider(model, est, k - 1, k + 2)
         assert provider.report.resampled == 2
         assert len(redraws) == 2 and not np.array_equal(redraws[0], redraws[1])

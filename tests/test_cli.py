@@ -465,3 +465,30 @@ def test_no_model_is_config_error(capsys):
 def test_unknown_builtin_is_config_error(capsys):
     assert run_cli(["run", "--model", "example9"]) == 1
     assert "example9" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, flag", [
+    (["--horizon", "abc"], "--horizon"),
+    (["--bogus", "1"], "--bogus"),
+    (["--mode", "foo"], "--mode"),
+])
+def test_usage_error_is_config_error(capsys, extra, flag):
+    assert run_cli(["run", "--model", "example1"] + extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and flag in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", "--help"])
+    assert exc.value.code == 0
+    assert "--horizon" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_unwritable_output_is_config_error(tmp_path, capsys, where):
+    out = tmp_path / "missing" / "x.csv" if where == "missing_dir" else tmp_path
+    assert run_cli(["run", "--model", "example1", "--horizon", "3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot write output file")
+    assert str(out) in err

@@ -10,6 +10,7 @@ from reference_steps import (
     band_to_dense,
     contract_through_inverse,
     dense_information_sequence,
+    dense_joint,
     partitioned_inverse,
     schur_submatrix,
     select_case,
@@ -24,7 +25,7 @@ def test_scalar_joint_hand_assembled():
     model = simple_scalar_model()
     est = cb.ExpectationEstimator()
     band = cb.build_joint(model, est, 2)
-    assert band.shape == (2, 3)  # upper bandwidth max(l2' + 1, l3') * r - 1 = 1
+    assert band.shape == (2, 3)  # upper bandwidth (window + 1) * r - 1 = 1
     expected = np.array([
         [2.0, -1.0, 0.0],
         [-1.0, 3.0, -1.0],
@@ -106,26 +107,20 @@ def test_joint_validation_rejects_indefinite(example1, monkeypatch, capsys):
 
 
 def test_factor_sparsity_pattern():
-    # A single factor couples states at most max(l2', l3'-1) steps apart,
-    # so the assembled joint is block-banded with that bandwidth.
-    for lags, seed in [((0, 0, 3, 0), 1), ((1, 1, 2, 1), 2), ((0, 2, 0, 0), 3),
-                       ((2, 1, 3, 2), 4)]:
+    # The joint is block-banded with the recursion window as bandwidth, and
+    # every factor grid lands on the states it covers: a grid one slot off
+    # moves entries out of the band or away from the dense joint's.
+    est = cb.ExpectationEstimator()
+    for i, lags in enumerate(CASE_SPANNING_PROFILES):
         profile = cb.CorrelationProfile(*lags)
-        model = random_linear_model(profile, 2, 2, 900 + seed)
+        model = random_linear_model(profile, 1 + i % 3, 2, 900 + i)
         k = model.start_time + 6
-        for t in range(model.start_time, k):
-            trans, meas = oracle.factor_state_indices(model, t)
-            assert max(trans) - min(trans) == profile.l2_eff
-            assert max(meas) - min(meas) == profile.l3_eff - 1
-        band_storage = cb.build_joint(model, cb.ExpectationEstimator(), k)
-        band = max(profile.l2_eff, profile.l3_eff - 1)
         r = model.state_dim
-        assert band_storage.shape == ((band + 1) * r, (k + 1) * r)
-        joint = band_to_dense(band_storage)
-        for i in range(k + 1):
-            for j in range(k + 1):
-                if abs(i - j) > band:
-                    assert not joint[i * r:(i + 1) * r, j * r:(j + 1) * r].any()
+        band_storage = cb.build_joint(model, est, k)
+        assert band_storage.shape == ((profile.window + 1) * r, (k + 1) * r)
+        provider = cb.BlockProvider(model, est, model.start_time, k)
+        ref = dense_joint(model, provider, k)
+        assert np.max(np.abs(band_to_dense(band_storage) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_partitioned_inverse_reconstruction():

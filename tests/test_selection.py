@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import corrbound as cb
-from corrbound import selection
+from corrbound import blocks, selection
 from corrbound.errors import InvariantViolationError
 from conftest import build_example1_stacked
 
@@ -34,7 +34,7 @@ def test_sweep_rejects_flat_family(analytic_est):
         cb.sweep(blind, 3, horizon=10, est=analytic_est)
 
 
-def test_sweep_samples_once(example2):
+def test_sweep_samples_once(example2, monkeypatch):
     calls = []
 
     def counted(horizon, count, rng):
@@ -45,8 +45,8 @@ def test_sweep_samples_once(example2):
         raise AssertionError("the Jacobian path draws states only")
 
     model = dataclasses.replace(example2, sample_states=counted, simulate=full_batch)
-    est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=2_000, seed=3,
-                                  chunk_size=1_000)
+    monkeypatch.setattr(blocks, "CHUNK_SIZE", 1_000)
+    est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=2_000, seed=3)
     cb.run(model, est, 5)
     per_run = len(calls)
     assert per_run == 2  # one batch per chunk
