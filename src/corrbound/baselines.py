@@ -20,14 +20,13 @@ from __future__ import annotations
 import numpy as np
 
 from .blocks import ExpectationEstimator
-from .errors import ModelBuildError
+from .errors import ModelBuildError, require_int
 from .linalg import psd_inverse, symmetrize
 from .models import (
     GaussianPrior,
     LinearConditionalSpec,
     SystemModel,
     build_linear_model,
-    require_int,
 )
 from .profiles import CorrelationProfile
 from .recursion import PCRBTrace, _distinct_steps, run

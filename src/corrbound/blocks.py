@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvariantViolationError, ModelBuildError
+from .errors import ConfigError, InvariantViolationError, ModelBuildError, require_int
 from .linalg import finite_difference_hessian, symmetrize
 from .models import (
     SystemModel,
@@ -55,11 +55,7 @@ class ExpectationEstimator:
                 f"estimator mode {self.mode!r} not one of {ESTIMATOR_MODES}"
             )
         for field, minimum in (("sample_count", 1), ("seed", 0), ("workers", 1)):
-            value = getattr(self, field)
-            if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
-                    or value < minimum):
-                raise ConfigError(
-                    f"estimator {field} must be an integer >= {minimum}, got {value!r}")
+            require_int(getattr(self, field), f"estimator {field}", minimum)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import baselines as _baselines
 from . import oracle as _oracle
 from .blocks import CHUNK_SIZE, ESTIMATOR_MODES, ExpectationEstimator
-from .errors import ConfigError, ModelBuildError, NumericalError
+from .errors import ConfigError, ModelBuildError, NumericalError, require_int
 from .models import SystemModel, model_from_config, require_keys
 from .recursion import PCRBTrace, run
 from .selection import min_sensors, sweep
@@ -26,31 +26,38 @@ EXIT_CONFIG = 1
 EXIT_MODEL = 2
 EXIT_NUMERICAL = 3
 
-_BUILTIN_ALIASES = {
-    "example1": {"kind": "builtin_example1"},
-    "example2": {"kind": "builtin_example2"},
-}
+_BUILTINS = ("example1", "example2")  # --model NAME is model kind builtin_NAME
 
-_TOP_LEVEL_KEYS = {
-    "model", "horizon", "estimator", "baselines", "output", "component",
-    "sweep",
-}
-_ESTIMATOR_KEYS = {"mode", "samples", "seed", "workers"}
-_OUTPUT_KEYS = {"path", "format"}
-_SWEEP_KEYS = {"max_sensors", "target"}
+# Every setting, once: (config section, None at the top level; key; the flag
+# that overrides it; default).  A flag on the command line always wins over
+# the config file's entry.
+_SETTINGS = (
+    (None, "model", "model", None),
+    (None, "horizon", "horizon", 40),
+    (None, "component", "component", 0),
+    (None, "baselines", "baselines", []),
+    ("estimator", "mode", "mode", None),
+    ("estimator", "samples", "samples", 10_000),
+    ("estimator", "seed", "seed", None),
+    ("estimator", "workers", "workers", 1),
+    ("output", "path", "out", None),
+    ("output", "format", "format", "csv"),
+    ("sweep", "max_sensors", "max_m", 16),
+    ("sweep", "target", "target", None),
+)
 
 
 @dataclass
 class RunConfig:
     model: SystemModel
-    horizon: int = 40
-    estimator: ExpectationEstimator = ExpectationEstimator()
-    baselines: tuple[str, ...] = ()
-    out_path: str | None = None
-    out_format: str = "csv"
-    component: int = 0
-    max_sensors: int = 16
-    target: float | None = None
+    horizon: int
+    estimator: ExpectationEstimator
+    baselines: tuple[str, ...]
+    out_path: str | None
+    out_format: str
+    component: int
+    max_sensors: int
+    target: float | None
 
 
 def _fmt(value: float) -> str:
@@ -68,129 +75,102 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise ConfigError("config: expected a JSON object at the top level")
-    require_keys(data, _TOP_LEVEL_KEYS, "config")
     return data
 
 
-def _int_field(value, field: str, minimum: int = 1) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ConfigError(f"{field}: expected an integer >= {minimum}, got {value!r}")
-    return value
+def _settings(args: argparse.Namespace, data: dict) -> dict:
+    """Each setting's value by key: its flag if given, else the config
+    file's entry, else its default."""
+    keys: dict[str | None, set[str]] = {}
+    for section, key, _, _ in _SETTINGS:
+        keys.setdefault(section, set()).add(key)
+    require_keys(data, keys[None] | set(keys) - {None}, "config")
+    for section, allowed in keys.items():
+        if section is not None:
+            require_keys(data.get(section, {}), allowed, f"config.{section}")
+    values = {}
+    for section, key, flag, default in _SETTINGS:
+        value = getattr(args, flag, None)
+        if value is None:
+            value = (data if section is None else data.get(section, {})).get(key, default)
+        values[key] = value
+    return values
+
+
+def _require_writable(path) -> None:
+    """Reject an output path whose file cannot be made, before any work."""
+    if path is None or path == "-":
+        return
+    if not isinstance(path, str):
+        raise ConfigError(f"output.path: expected a file name, got {path!r}")
+    if Path(path).is_dir() or not Path(path).parent.is_dir():
+        raise ConfigError(
+            f"cannot write output file {path!r}: not a file in an existing directory")
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    data: dict = {}
-    if getattr(args, "config", None):
-        data = _load_config_file(args.config)
-
-    model_config = data.get("model")
-    if getattr(args, "model", None):
-        alias = _BUILTIN_ALIASES.get(args.model)
-        if alias is None:
-            raise ConfigError(
-                f"--model: unknown builtin {args.model!r} "
-                f"(choose from {sorted(_BUILTIN_ALIASES)})"
-            )
-        model_config = dict(alias)
-    if model_config is None:
+    data = _load_config_file(args.config) if args.config else {}
+    values = _settings(args, data)
+    if values["model"] is None:
         raise ConfigError("no model given: pass --model or a config file with a 'model' entry")
-    if not isinstance(model_config, dict):
-        raise ConfigError(f"model: expected an object, got {model_config!r}")
 
-    est_data = data.get("estimator", {})
-    require_keys(est_data, _ESTIMATOR_KEYS, "config.estimator")
-    mode = est_data.get("mode")
-    samples = est_data.get("samples", 10_000)
-    seed = est_data.get("seed")
-    workers = est_data.get("workers", 1)
-    if getattr(args, "mode", None):
-        mode = args.mode
-    if getattr(args, "samples", None) is not None:
-        samples = args.samples
-    if getattr(args, "seed", None) is not None:
-        seed = args.seed
-    if getattr(args, "workers", None) is not None:
-        workers = args.workers
-    samples = _int_field(samples, "estimator.samples")
-    if seed is not None:
-        _int_field(seed, "estimator.seed", minimum=0)
-    workers = _int_field(workers, "estimator.workers")
+    require_int(values["samples"], "estimator.samples", 1)
+    if values["seed"] is not None:
+        require_int(values["seed"], "estimator.seed", 0)
+    require_int(values["workers"], "estimator.workers", 1)
+    require_int(values["horizon"], "horizon", 1)
+    require_int(values["component"], "component", 0)
+    require_int(values["max_sensors"], "sweep.max_sensors (--max-m)", 1)
 
-    out_data = data.get("output", {})
-    require_keys(out_data, _OUTPUT_KEYS, "config.output")
-    out_path = out_data.get("path")
-    out_format = out_data.get("format", "csv")
-    if getattr(args, "out", None):
-        out_path = args.out
-    if getattr(args, "format", None):
-        out_format = args.format
-    if out_format not in ("csv", "json"):
-        raise ConfigError(f"output.format: expected 'csv' or 'json', got {out_format!r}")
-
-    horizon = data.get("horizon", 40)
-    if getattr(args, "horizon", None) is not None:
-        horizon = args.horizon
-    _int_field(horizon, "horizon")
-    if getattr(args, "max_k", None) is not None:
-        _int_field(args.max_k, "--max-k")
+    if values["format"] not in ("csv", "json"):
+        raise ConfigError(f"output.format: expected 'csv' or 'json', got {values['format']!r}")
+    _require_writable(values["path"])
     tolerance = getattr(args, "tolerance", None)
     if tolerance is not None and not 0.0 <= tolerance < math.inf:
         raise ConfigError(f"--tolerance: expected a finite number >= 0, got {tolerance!r}")
 
-    baseline_raw = data.get("baselines", [])
-    if getattr(args, "baselines", None):
-        baseline_raw = [b.strip() for b in args.baselines.split(",") if b.strip()]
-    if not isinstance(baseline_raw, list):
-        raise ConfigError(f"baselines: expected a list of names, got {baseline_raw!r}")
-    for b in baseline_raw:
+    baselines = values["baselines"]
+    if not isinstance(baselines, list):
+        raise ConfigError(f"baselines: expected a list of names, got {baselines!r}")
+    for b in baselines:
         if not isinstance(b, str) or b not in _baselines.BASELINES:
             raise ConfigError(
                 f"baselines: unknown baseline {b!r} "
                 f"(choose from {sorted(_baselines.BASELINES)})"
             )
 
-    component = data.get("component", 0)
-    if getattr(args, "component", None) is not None:
-        component = args.component
-    _int_field(component, "component", minimum=0)
-
-    sweep_data = data.get("sweep", {})
-    require_keys(sweep_data, _SWEEP_KEYS, "config.sweep")
-    max_sensors = sweep_data.get("max_sensors", 16)
-    target = sweep_data.get("target")
-    if getattr(args, "max_m", None) is not None:
-        max_sensors = args.max_m
-    if getattr(args, "target", None) is not None:
-        target = args.target
-    _int_field(max_sensors, "sweep.max_sensors (--max-m)")
+    target = values["target"]
     if target is not None and (not isinstance(target, (int, float))
                                or isinstance(target, bool)
                                or not abs(target) <= sys.float_info.max):
         raise ConfigError(f"sweep.target: expected a finite number, got {target!r}")
 
-    model = model_from_config(model_config)
+    model = model_from_config(values["model"])
+    component = values["component"]
     if component >= model.state_dim:
         raise ConfigError(
             f"component {component} out of range for state dim {model.state_dim}"
         )
+    mode, seed = values["mode"], values["seed"]
     if mode is None:
         # Without closed forms for both factors the provider has to sample.
         closed = model.analytic_b is not None and model.analytic_c is not None
         mode = "analytic" if closed else "monte_carlo"
-    estimator = ExpectationEstimator(mode=mode, sample_count=samples,
-                                     seed=0 if seed is None else seed, workers=workers)
+    estimator = ExpectationEstimator(mode=mode, sample_count=values["samples"],
+                                     seed=0 if seed is None else seed,
+                                     workers=values["workers"])
     if mode != "analytic" and seed is None:
         raise ConfigError("estimator.seed: required whenever sampling is active")
 
     return RunConfig(
         model=model,
-        horizon=horizon,
+        horizon=values["horizon"],
         estimator=estimator,
-        baselines=tuple(baseline_raw),
-        out_path=out_path,
-        out_format=out_format,
+        baselines=tuple(baselines),
+        out_path=values["path"],
+        out_format=values["format"],
         component=component,
-        max_sensors=max_sensors,
+        max_sensors=values["max_sensors"],
         target=target,
     )
 
@@ -268,8 +248,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_oracle_verify(args: argparse.Namespace) -> int:
     config = _build_config(args)
     model = config.model
-    depth = min(config.horizon, args.max_k or config.horizon)
-    k_max = model.start_time + depth
+    k_max = model.start_time + config.horizon
     deviations = _oracle.verify_recursion(model, config.estimator, k_max)
     worst = 0.0
     for k in sorted(deviations):
@@ -308,6 +287,17 @@ def cmd_sensors(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _builtin_model(name: str) -> dict:
+    if name not in _BUILTINS:
+        raise argparse.ArgumentTypeError(
+            f"unknown builtin {name!r} (choose from {list(_BUILTINS)})")
+    return {"kind": f"builtin_{name}"}
+
+
+def _name_list(text: str) -> list[str]:
+    return [name.strip() for name in text.split(",") if name.strip()]
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors are configuration errors (exit
     1); its subparsers are of this class too."""
@@ -325,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, with_output: bool = True):
-        p.add_argument("--model", help="builtin model name (example1, example2)")
+        p.add_argument("--model", type=_builtin_model,
+                       help=f"builtin model name ({', '.join(_BUILTINS)})")
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--horizon", type=int, help="number of recursion steps")
         p.add_argument("--mode", choices=ESTIMATOR_MODES, help="expectation estimator mode")
@@ -345,13 +336,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="unified bound next to baselines")
     common(p_cmp)
-    p_cmp.add_argument("--baselines", help="comma list from {i,a,p}")
+    p_cmp.add_argument("--baselines", type=_name_list, help="comma list from {i,a,p}")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_ver = sub.add_parser("oracle-verify",
                            help="check the recursion against the full-horizon reference")
     common(p_ver, with_output=False)
-    p_ver.add_argument("--max-k", type=int, help="cap on verified time steps")
     p_ver.add_argument("--tolerance", type=float, default=1e-8)
     p_ver.set_defaults(func=cmd_oracle_verify)
 

@@ -1,12 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer check."""
+
+import numpy as np
 
 
 class CorrboundError(Exception):
     """Base class for all package errors."""
 
 
-class ConfigError(CorrboundError):
-    """Bad user configuration (CLI exit code 1)."""
+class ConfigError(CorrboundError, ValueError):
+    """Bad user configuration or argument (CLI exit code 1).
+
+    Also a :class:`ValueError`, so a library caller that passes a bad
+    argument can catch it as one.
+    """
 
 
 class ModelBuildError(CorrboundError):
@@ -29,3 +35,12 @@ class SingularMatrixError(NumericalError):
 
 class InvariantViolationError(NumericalError):
     """A quantity left its mathematically guaranteed region (e.g. lost PSD-ness)."""
+
+
+def require_int(value, name: str, minimum: int | None = None) -> None:
+    """Reject a ``value`` of ``name`` that is a bool, not an integer, or
+    below ``minimum``, with a :class:`ConfigError` naming ``name``."""
+    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+            or minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")

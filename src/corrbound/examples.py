@@ -68,7 +68,10 @@ def _draw_blocks(count: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def kinematic_matrices(dt: float = 2.0, psd: float = 10.0):
+def kinematic_matrices():
+    """Transition and white process covariance of scenario 1: sampling
+    interval 2, process-noise spectral density 10."""
+    dt, psd = 2.0, 10.0
     f = np.array([[1.0, dt], [0.0, 1.0]])
     q = psd * np.array([[dt**3 / 3.0, dt**2 / 2.0], [dt**2 / 2.0, dt]])
     return f, q
@@ -79,9 +82,7 @@ def kinematic_matrices(dt: float = 2.0, psd: float = 10.0):
 MA_COEFF_MAX = 1.1579208923731618e77
 
 
-def build_example1(ma_coeff: float = 0.2, dt: float = 2.0, psd: float = 10.0,
-                   meas_var: tuple[float, float] = (400.0, 25.0),
-                   prior: GaussianPrior | None = None) -> SystemModel:
+def build_example1(ma_coeff: float = 0.2, prior: GaussianPrior | None = None) -> SystemModel:
     """Kinematic tracking model with correlated process/measurement noise.
 
     Process noise: ``w[k] = ws[k] + a*ws[k-1]`` with white ``ws``.
@@ -91,9 +92,9 @@ def build_example1(ma_coeff: float = 0.2, dt: float = 2.0, psd: float = 10.0,
     white seeds, so the curvature blocks are available in closed form.
     """
     a = float(ma_coeff)
-    f, q = kinematic_matrices(dt, psd)
+    f, q = kinematic_matrices()
     h = np.eye(2)
-    r = np.diag(meas_var).astype(float)
+    r = np.diag([400.0, 25.0])  # white measurement-noise variances
     profile = CorrelationProfile(l1=1, l2=1, l3=2, l4=1)
     if prior is None:
         prior = default_prior(profile, 2, cov=np.diag([100.0, 10.0]), transition=f)
@@ -180,7 +181,10 @@ def _example1_simulator(f: np.ndarray, q: np.ndarray, r: np.ndarray, a: float,
 # ---------------------------------------------------------------------------
 
 
-def planar_cv_matrices(dt: float = 3.0, psd: float = 10.0):
+def planar_cv_matrices():
+    """Transition and white process covariance of scenario 2: sampling
+    interval 3, process-noise spectral density 10 on each axis."""
+    dt, psd = 3.0, 10.0
     f = np.array([
         [1.0, dt, 0.0, 0.0],
         [0.0, 1.0, 0.0, 0.0],
@@ -217,9 +221,7 @@ def range_azimuth_jacobian(states: np.ndarray) -> np.ndarray:
     return jac
 
 
-def build_example2(dt: float = 3.0, psd: float = 10.0,
-                   meas_std: tuple[float, float] = (50.0, 0.01),
-                   prior: GaussianPrior | None = None) -> SystemModel:
+def build_example2(prior: GaussianPrior | None = None) -> SystemModel:
     """Planar constant-velocity model, two-step MA process noise, polar sensor.
 
     Process noise: ``w[k] = ws[k] + ws[k-1] + ws[k-2]`` with white ``ws``;
@@ -227,8 +229,8 @@ def build_example2(dt: float = 3.0, psd: float = 10.0,
     states reduces its residual to the newest white seed; the measurement
     curvature is sampled via the range/azimuth Jacobian.
     """
-    f, q = planar_cv_matrices(dt, psd)
-    sigma2 = np.diag([meas_std[0] ** 2, meas_std[1] ** 2])
+    f, q = planar_cv_matrices()
+    sigma2 = np.diag([50.0 ** 2, 0.01 ** 2])  # range and azimuth noise deviations
     sigma2_inv = psd_inverse(sigma2)
     profile = CorrelationProfile(l1=0, l2=2, l3=0, l4=0)
     if prior is None:

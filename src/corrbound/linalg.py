@@ -108,17 +108,17 @@ def schur_complement_keep_last(m: np.ndarray, keep: int, *, context: str = "join
     return schur_complement_remove_first(m, m.shape[0] - keep, context=context)
 
 
-def finite_difference_hessian(f, x: np.ndarray, base_step: float = 1e-4) -> np.ndarray:
+def finite_difference_hessian(f, x: np.ndarray) -> np.ndarray:
     """Sum over the rows of ``x`` ``(n, d)`` of each row's central-difference
     Hessian of ``f``, which maps ``(n, d)`` points to ``(n,)`` values.
 
-    The step along coordinate ``i`` of a row is ``base_step * (1 + |x_i|)``.
+    The step along coordinate ``i`` of a row is ``1e-4 * (1 + |x_i|)``.
     Each entry is summed as soon as it is formed, so memory stays O(n * d);
     a non-finite value in any row makes that entry's sum non-finite.
     """
     x = np.asarray(x, dtype=float)
     d = x.shape[1]
-    h = base_step * (1.0 + np.abs(x))
+    h = 1e-4 * (1.0 + np.abs(x))
     f0 = f(x)
     hess = np.zeros((d, d))
 

@@ -25,20 +25,11 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import ConfigError, InvariantViolationError, ModelBuildError
+from .errors import ConfigError, InvariantViolationError, ModelBuildError, require_int
 from .linalg import psd_inverse, symmetrize
 from .profiles import CorrelationProfile, required_prior_window
 
 Array = np.ndarray
-
-
-def require_int(value, name: str, minimum: int | None = None) -> None:
-    """Reject a ``value`` of ``name`` that is a bool, not an integer, or
-    below ``minimum``, with a :class:`ValueError` naming ``name``."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
 
 
 def _read_only(grid: Array) -> Array:
@@ -530,12 +521,9 @@ def _parse_lags(obj, path: str) -> CorrelationProfile:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object with keys l1..l4")
     require_keys(obj, _LAG_KEYS, path)
-    values = {}
-    for key in sorted(_LAG_KEYS):
-        raw = obj.get(key, 0)
-        if not isinstance(raw, int) or isinstance(raw, bool):
-            raise ConfigError(f"{path}.{key}: expected an integer")
-        values[key] = raw
+    values = {key: obj.get(key, 0) for key in sorted(_LAG_KEYS)}
+    for key, value in values.items():
+        require_int(value, f"{path}.{key}", 0)
     return CorrelationProfile(**values)
 
 
@@ -601,9 +589,7 @@ def model_from_config(config: dict) -> SystemModel:
         if key not in config:
             raise ConfigError(f"model.{key}: required for kind linear_gaussian_ma")
     for key in ("state_dim", "meas_dim"):
-        value = config[key]
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ConfigError(f"model.{key}: expected a positive integer, got {value!r}")
+        require_int(config[key], f"model.{key}", 1)
     r = config["state_dim"]
     n = config["meas_dim"]
     profile = _parse_lags(config["lags"], "model.lags")

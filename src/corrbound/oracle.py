@@ -30,8 +30,8 @@ import numpy as np
 from scipy.linalg import LinAlgError, cholesky_banded
 
 from .blocks import BlockProvider, ExpectationEstimator
-from .errors import SingularMatrixError
-from .models import SystemModel, require_int
+from .errors import SingularMatrixError, require_int
+from .models import SystemModel
 
 
 def _place(ab: np.ndarray, grid: np.ndarray) -> None:

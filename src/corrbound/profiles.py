@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ConfigError
+from .errors import ConfigError, require_int
 
 # Block-grid sizes grow as (lag * state_dim)^2; larger lags are almost
 # certainly a configuration mistake.
@@ -34,10 +34,7 @@ class CorrelationProfile:
     def __post_init__(self):
         for name in ("l1", "l2", "l3", "l4"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"lag {name} must be an integer, got {value!r}")
-            if value < 0:
-                raise ConfigError(f"lag {name} must be nonnegative, got {value}")
+            require_int(value, f"lag {name}", 0)
             if value > MAX_LAG:
                 raise ConfigError(
                     f"lag {name}={value} exceeds the supported maximum {MAX_LAG}"

@@ -15,13 +15,14 @@ from functools import cached_property, partial
 import numpy as np
 
 from .blocks import BlockProvider, ExpectationEstimator, factor_frame
+from .errors import require_int
 from .linalg import (
     check_psd,
     psd_inverse,
     schur_complement_keep_last,
     schur_complement_remove_first,
 )
-from .models import SystemModel, require_int
+from .models import SystemModel
 from .profiles import CorrelationProfile
 
 PSD_REL_TOL = 1e-10

@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .blocks import BlockProvider, ExpectationEstimator
-from .errors import InvariantViolationError
-from .models import SystemModel, require_int
+from .errors import InvariantViolationError, require_int
+from .models import SystemModel
 from .recursion import run, step
 
 DEFAULT_AVERAGE_WINDOW = 40

@@ -142,7 +142,7 @@ def test_augmented_requires_ar_view():
 @pytest.mark.parametrize("baseline", [cb.pcrb_ignore_correlation, cb.pcrb_augmented,
                                       cb.pcrb_prewhiten], ids=lambda f: f.__name__)
 def test_baselines_reject_empty_horizon(example1, baseline):
-    with pytest.raises(ValueError, match="horizon must be >= 1"):
+    with pytest.raises(ValueError, match="horizon must be an integer >= 1"):
         baseline(example1, 0)
 
 

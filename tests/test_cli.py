@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import corrbound as cb
-from corrbound import cli, examples
+from corrbound import cli, examples, selection
 from corrbound.examples import MA_COEFF_MAX
 from reference_steps import run_plain
 
@@ -177,6 +177,11 @@ LINEAR_1D = {
     ("run", [], {"estimator": {"mode": "bad"}}, "mode 'bad'"),
     ("run", [], {"model": {**LINEAR_1D, "prior": -1.5}}, "model.prior"),
     ("run", [], {"model": {**LINEAR_1D, "prior": {"mean": "bad"}}}, "model.prior.mean"),
+    ("run", [], {"model": {}}, "model.kind: required"),
+    ("run", [], {"output": {"format": "xml"}}, "output.format"),
+    ("compare", ["--baselines", "x"], None, "unknown baseline 'x'"),
+    ("run", ["--component", "2"], None, "component 2 out of range"),
+    ("run", [], {"output": {"path": 5}}, "output.path"),
 ])
 def test_bad_field_is_config_error(tmp_path, capsys, command, extra, config, field):
     args = [command, *extra, "--horizon", "3"]
@@ -190,6 +195,20 @@ def test_bad_field_is_config_error(tmp_path, capsys, command, extra, config, fie
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert field in err
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read config file"),
+    ("{bad", "is not valid JSON"),
+    ("[1, 2]", "expected a JSON object"),
+], ids=["missing", "not_json", "not_object"])
+def test_unusable_config_file_is_config_error(tmp_path, capsys, text, message):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    assert run_cli(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and message in err
 
 
 def test_model_error_exit_code(tmp_path, capsys):
@@ -256,6 +275,17 @@ def _run_custom(tmp_path, monkeypatch, build, *, mode="monte_carlo", command=("r
     }))
     return run_cli([*command, "--config", str(config), "--horizon", "3",
                     "--out", str(tmp_path / "out.csv")])
+
+
+@pytest.mark.parametrize("build, mode, field, message", [
+    (cb.build_example2, "monte_carlo", "meas_noise_information",
+     "no measurement noise information"),
+    (cb.build_example1, "analytic", "analytic_b", "no closed-form transition blocks"),
+], ids=["jacobian_without_noise_information", "analytic_without_closed_form_b"])
+def test_missing_capability_is_model_error(tmp_path, capsys, monkeypatch,
+                                           build, mode, field, message):
+    assert _run_custom(tmp_path, monkeypatch, build, mode=mode, **{field: None}) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field, value", [
@@ -457,6 +487,23 @@ def test_sensors_command(tmp_path, capsys):
     assert "sensor(s) suffice" in capsys.readouterr().out
 
 
+def test_sensors_unachievable_target(capsys):
+    assert run_cli(["sensors", "--model", "example1", "--max-m", "2", "--horizon", "5",
+                    "--target", "0.001"]) == 0
+    assert "target 0.001: unachievable with up to 2 sensors" in capsys.readouterr().out
+
+
+def test_sensors_component_matches_sweep(tmp_path, example1):
+    out = tmp_path / "sweep.csv"
+    assert run_cli(["sensors", "--model", "example1", "--component", "1", "--max-m", "3",
+                    "--horizon", "10", "--out", str(out)]) == 0
+    est = cb.ExpectationEstimator()
+    avg = cb.sweep(example1, 3, horizon=10, component=1, est=est)
+    assert not np.array_equal(avg, cb.sweep(example1, 3, horizon=10, component=0, est=est))
+    assert out.read_text().splitlines()[1:] == \
+        [f"{m},{v!r}" for m, v in enumerate(avg.tolist(), 1)]
+
+
 def test_no_model_is_config_error(capsys):
     assert run_cli(["run", "--horizon", "3"]) == 1
     assert "model" in capsys.readouterr().err
@@ -489,6 +536,21 @@ def test_help_exits_zero(capsys):
 def test_unwritable_output_is_config_error(tmp_path, capsys, where):
     out = tmp_path / "missing" / "x.csv" if where == "missing_dir" else tmp_path
     assert run_cli(["run", "--model", "example1", "--horizon", "3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: cannot write output file")
+    assert str(out) in err
+
+
+def test_unwritable_output_fails_before_the_work(tmp_path, capsys, monkeypatch):
+    # The output path is checked when the config is built, so a sweep whose
+    # file cannot be written never starts sampling.
+    def no_work(*args, **kwargs):
+        raise AssertionError("sampling started before the output path was checked")
+
+    monkeypatch.setattr(selection, "BlockProvider", no_work)
+    out = tmp_path / "missing" / "x.csv"
+    assert run_cli(["sensors", "--model", "example2", "--max-m", "8", "--samples", "1000",
+                    "--horizon", "40", "--seed", "7", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("configuration error: cannot write output file")
     assert str(out) in err

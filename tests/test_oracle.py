@@ -40,7 +40,7 @@ def test_prior_only_window_equals_prior_information(example1):
     est = cb.ExpectationEstimator()
     band = cb.build_joint(example1, est, example1.start_time)
     assert np.allclose(band_to_dense(band), example1.prior.information())
-    with pytest.raises(ValueError, match="k must be >= 2"):
+    with pytest.raises(ValueError, match="k must be an integer >= 2"):
         cb.build_joint(example1, est, example1.start_time - 1)
 
 
