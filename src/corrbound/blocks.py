@@ -4,14 +4,21 @@ recursion frame.
 Each factor's curvature is a dense square array made of ``state_dim``-sized
 blocks, one block row and column per state the factor touches;
 :func:`factor_frame` states which states those are.  Expectations are taken
-over the joint trajectory distribution induced by the model sampler;
-Monte-Carlo estimation partitions samples into chunks of ``CHUNK_SIZE``
-with one dedicated RNG substream per chunk so results are bit-identical
-regardless of worker count.
+over the joint trajectory distribution induced by the model sampler.
+Monte-Carlo estimation splits the samples into fixed units, each drawn from
+an RNG substream of its own and reduced in unit order, so results are
+bit-identical whatever the worker count.  The sampled Jacobian path's unit
+is a block of ``BLOCK_SIZE`` samples, which is also its unit of work: each
+block is one task of a thread pool, so ``sample_states``,
+``singular_states`` and ``meas_jacobian`` run concurrently on worker threads
+and must not share mutable scratch.  Finite-difference Monte Carlo (FD-MC)
+draws chunks of ``CHUNK_SIZE`` samples on the calling thread.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -36,7 +43,13 @@ _PURPOSE_RESAMPLE = 2
 
 _MAX_RESAMPLE_ROUNDS = 100
 
-# Samples per chunk: the unit of RNG substreams and of worker threads.
+# Samples per block of the sampled Jacobian path: its unit of RNG substreams
+# and of worker tasks.  At the default horizon a block's seeds take 0.7 MB
+# and its Jacobians at every step 1.3 MB, which fit a 2 MB L2 cache, and
+# 10k samples make 20 tasks.
+BLOCK_SIZE = 512
+
+# Samples per FD-MC chunk: its unit of RNG substreams.
 CHUNK_SIZE = 32_768
 
 
@@ -66,14 +79,12 @@ class McReport:
     resampled: int = 0
 
 
-def _chunk_sizes(total: int) -> list[int]:
-    sizes = [CHUNK_SIZE] * (total // CHUNK_SIZE)
-    if total % CHUNK_SIZE:
-        sizes.append(total % CHUNK_SIZE)
-    return sizes
+def _split(total: int, size: int) -> list[int]:
+    """Sizes of consecutive units of ``size`` samples, the last one short."""
+    return [size] * (total // size) + ([total % size] if total % size else [])
 
 
-def _chunk_rng(seed: int, purpose: int, *key: int) -> np.random.Generator:
+def _substream(seed: int, purpose: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(purpose, *key))
     )
@@ -118,8 +129,8 @@ def _factor_hessian(model: SystemModel, batch: TrajectoryBatch, k: int,
 def _fd_mc_grid(model: SystemModel, k: int, est: ExpectationEstimator,
                 transition: bool) -> np.ndarray:
     total = 0.0
-    for c, size in enumerate(_chunk_sizes(est.sample_count)):
-        rng = _chunk_rng(est.seed, _PURPOSE_SAMPLE, k, c)
+    for c, size in enumerate(_split(est.sample_count, CHUNK_SIZE)):
+        rng = _substream(est.seed, _PURPOSE_SAMPLE, k, c)
         total = total + _factor_hessian(model, model.simulate(k + 1, size, rng), k, transition)
     if not np.all(np.isfinite(total)):
         raise InvariantViolationError(
@@ -141,13 +152,13 @@ def _sampled_measurement_info(
 
     Uses the measurement Jacobian at the sampled state, contracted through
     the measurement noise information (the term whose conditional expectation
-    over the measurement equals the full curvature).  Each chunk's states
-    arrive from ``model.sample_states`` as a stream of time-major sample
-    blocks, so no chunk is held whole.  For each block, the states at the
-    consecutive times of ``ks`` form one ``(len(ks) * n, state_dim)`` view,
-    which gets one ``singular_states`` and one ``meas_jacobian`` call; the
-    per-time partial sums of all ``(chunk, block)`` pairs are then combined
-    in that order.
+    over the measurement equals the full curvature).  Block ``b`` of
+    ``BLOCK_SIZE`` samples (the last one short) is drawn by one
+    ``model.sample_states`` call on the substream ``(b,)`` and reduced as
+    one task: its states at the consecutive times of ``ks`` form one
+    ``(len(ks) * n, state_dim)`` view, which gets one ``singular_states`` and
+    one ``meas_jacobian`` call.  The per-time partial sums of all blocks are
+    then combined in block order.
     """
     if model.profile.l3_eff != 1:
         raise ModelBuildError(
@@ -165,35 +176,40 @@ def _sampled_measurement_info(
         )
     r = model.state_dim
     noise_info = model.meas_noise_information
-    report = McReport(samples=est.sample_count)
+    sizes = _split(est.sample_count, BLOCK_SIZE)
+    local = threading.local()
 
-    def run_chunk(args):
-        c, size = args
-        rng = _chunk_rng(est.seed, _PURPOSE_SAMPLE, c)
-        partials = []
-        resampled = 0
-        for b, block in enumerate(_state_blocks(model, horizon, size, rng)):
-            n = block.shape[1]
-            states = block[ks.start + 1:ks.stop + 1].reshape(-1, r)
-            resampled += _resample_singular(model, states, ks, est.seed, c, b)
-            jac = np.asarray(model.meas_jacobian(states))
-            _require_layout(jac, (model.meas_dim, r, len(states)), model, "meas_jacobian",
-                            "(meas_dim, state_dim, n)")
-            partials.append((n, *_contract(jac.reshape(model.meas_dim, r, len(ks), n),
-                                           noise_info)))
-        return partials, resampled
+    def run_block(b: int):
+        n = sizes[b]
+        # Each thread draws all its blocks into one buffer.  Blocks that
+        # allocated and freed their own states had malloc return the memory
+        # to the OS and fault it in again: 64k minor page faults for 50k
+        # samples on one worker, against 0.7k with the buffer kept.
+        if not hasattr(local, "buffer"):
+            local.buffer = np.empty((horizon + 1) * sizes[0] * r)
+        out = local.buffer[:(horizon + 1) * n * r].reshape(horizon + 1, n, r)
+        block = _sample_states(model, horizon, n, _substream(est.seed, _PURPOSE_SAMPLE, b), out)
+        states = block[ks.start + 1:ks.stop + 1].reshape(-1, r)
+        resampled = _resample_singular(model, states, ks, est.seed, b)
+        jac = np.asarray(model.meas_jacobian(states))
+        _require_layout(jac, (model.meas_dim, r, len(states)), model, "meas_jacobian",
+                        "(meas_dim, state_dim, n)")
+        return (n, *_contract(jac.reshape(model.meas_dim, r, len(ks), n), noise_info),
+                resampled)
 
-    tasks = list(enumerate(_chunk_sizes(est.sample_count)))
-    if est.workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=est.workers) as pool:
-            results = list(pool.map(run_chunk, tasks))
+    # No more threads than tasks or than the CPUs this process may run on.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(est.workers, len(sizes), cpus or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            partials = list(pool.map(run_block, range(len(sizes))))
     else:
-        results = [run_chunk(t) for t in tasks]
-    # Fixed reduction order: (chunk, block) order, independent of worker count.
-    partials = [p for chunk_partials, _ in results for p in chunk_partials]
-    report.resampled = sum(resampled for _, resampled in results)
+        partials = [run_block(b) for b in range(len(sizes))]
+    # Fixed reduction order: block order, independent of worker count.
+    report = McReport(samples=est.sample_count,
+                      resampled=sum(part[3] for part in partials))
     sums = np.zeros((len(ks), r, r))
-    for _, part_sums, _ in partials:
+    for _, part_sums, _, _ in partials:
         sums += part_sums
 
     n = est.sample_count
@@ -208,7 +224,7 @@ def _sampled_measurement_info(
         # block's deviations about its own mean; the one-pass
         # E[x^2] - E[x]^2 loses most digits when the spread is small.
         m2 = np.zeros((len(ks), r, r))
-        for size, part_sums, part_m2 in partials:
+        for size, part_sums, part_m2, _ in partials:
             m2 += part_m2 + size * (part_sums / size - mean) ** 2
         se = np.sqrt(m2 / (n - 1) / n)
     else:
@@ -258,27 +274,14 @@ def _contract(jac: np.ndarray, noise_info: np.ndarray) -> tuple[np.ndarray, np.n
     return sums, m2
 
 
-def _state_blocks(model: SystemModel, horizon: int, count: int,
-                  rng: np.random.Generator):
-    """The blocks of ``model.sample_states(horizon, count, rng)``, each
-    checked to be time-major and all of them to hold ``count`` samples."""
-    def wrong(got: str) -> ModelBuildError:
-        return ModelBuildError(
-            f"model '{model.name}': sample_states returned {got}, expected blocks "
-            "along axis 1 of (horizon + 1, count, state_dim) = "
-            f"{(horizon + 1, count, model.state_dim)}"
-        )
-
-    done = 0
-    for block in model.sample_states(horizon, count, rng):
-        block = np.asarray(block)
-        n = block.shape[1] if block.ndim == 3 else 0
-        if block.shape != (horizon + 1, n, model.state_dim) or not 0 < n <= count - done:
-            raise wrong(f"a block of shape {block.shape}")
-        done += n
-        yield block
-    if done != count:
-        raise wrong(f"blocks of {done} samples")
+def _sample_states(model: SystemModel, horizon: int, count: int,
+                   rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
+    """``model.sample_states(horizon, count, rng, out)``, checked to be
+    time-major."""
+    states = np.asarray(model.sample_states(horizon, count, rng, out))
+    _require_layout(states, (horizon + 1, count, model.state_dim), model, "sample_states",
+                    "(horizon + 1, count, state_dim)")
+    return states
 
 
 def _require_layout(arr: np.ndarray, shape: tuple[int, ...], model: SystemModel,
@@ -291,13 +294,13 @@ def _require_layout(arr: np.ndarray, shape: tuple[int, ...], model: SystemModel,
 
 
 def _resample_singular(model: SystemModel, states: np.ndarray, ks: range,
-                       seed: int, chunk: int, block: int) -> int:
+                       seed: int, block: int) -> int:
     """Replace states that sit on a measurement-function singularity.
 
     ``states`` holds one sample block's states at each time of ``ks`` in
     turn, the same number of rows per time, and one ``singular_states`` call
     checks them all.  A time's flagged rows are replaced from fresh draws of
-    ``model.sample_states`` on the substream ``(k, chunk, block, attempt)``,
+    ``model.sample_states`` on the substream ``(k, block, attempt)``,
     so no two blocks share replacements, and are checked again until none is
     left.  The number of replacements is returned and surfaced in the MC
     report.
@@ -314,9 +317,8 @@ def _resample_singular(model: SystemModel, states: np.ndarray, ks: range,
             if bad == 0:
                 break
             replaced += bad
-            rng = _chunk_rng(seed, _PURPOSE_RESAMPLE, k, chunk, block, attempt)
-            rows[mask] = np.concatenate(
-                [b[k + 1] for b in _state_blocks(model, k + 1, bad, rng)])
+            rng = _substream(seed, _PURPOSE_RESAMPLE, k, block, attempt)
+            rows[mask] = _sample_states(model, k + 1, bad, rng)[k + 1]
             mask = np.asarray(model.singular_states(rows), dtype=bool)
         else:
             raise InvariantViolationError(

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import baselines as _baselines
 from . import oracle as _oracle
-from .blocks import CHUNK_SIZE, ESTIMATOR_MODES, ExpectationEstimator
+from .blocks import BLOCK_SIZE, ESTIMATOR_MODES, ExpectationEstimator
 from .errors import ConfigError, ModelBuildError, NumericalError, require_int
 from .models import SystemModel, model_from_config, require_keys
 from .recursion import PCRBTrace, run
@@ -323,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, help="Monte-Carlo sample count")
         p.add_argument("--seed", type=int, help="Monte-Carlo seed")
         p.add_argument("--workers", type=int,
-                       help=f"worker threads for sampling; work is split by {CHUNK_SIZE}-sample "
-                            f"chunk, so a run under {CHUNK_SIZE} samples uses one thread")
+                       help=f"worker threads for Jacobian sampling, one {BLOCK_SIZE}-sample "
+                            "block per task; at most one per block and per CPU")
         p.add_argument("--component", type=int, help="state component for scalar summaries")
         if with_output:
             p.add_argument("--out", help="output path ('-' for stdout)")

@@ -40,29 +40,6 @@ from .profiles import CorrelationProfile
 # Jacobian is treated as singular and the sample redrawn.
 AZIMUTH_SINGULAR_RADIUS_SQ = 1e-12
 
-# Samples per block of example2's seed draw and state recursion, and so per
-# block of the sampled curvature kernel.  At the default horizon a block's
-# seeds take 0.7 MB and its Jacobians at every step 1.3 MB, which stay in
-# the L2 cache; in-process, 512-sample blocks drew and contracted 10k and
-# 50k samples 10% and 6% faster than 1024-sample blocks (2-vCPU Xeon, 2 MB
-# L2 per core).
-STATE_DRAW_BLOCK = 512
-
-
-def _draw_blocks(count: int) -> list[int]:
-    """Bounds ``[0, ..., count]`` of consecutive sample blocks of
-    ``STATE_DRAW_BLOCK``; the last block absorbs a remainder of one sample.
-
-    A one-sample block would send the recursion's ``(1, 4) @ (4, 4)``
-    product to a different BLAS kernel than the same row takes inside a
-    larger product, which can round differently.
-    """
-    bounds = list(range(0, count, STATE_DRAW_BLOCK)) + [count]
-    if count > 1 and count - bounds[-2] == 1:
-        del bounds[-2]
-    return bounds
-
-
 # ---------------------------------------------------------------------------
 # Scenario 1: kinematic model, MA noises with a cross term
 # ---------------------------------------------------------------------------
@@ -267,52 +244,31 @@ def build_example2(prior: GaussianPrior | None = None) -> SystemModel:
     chol_s2 = np.linalg.cholesky(sigma2)
     w = prior.window_len
 
-    def draw_states(horizon: int, count: int, rng: np.random.Generator,
-                    seeds: np.ndarray | None = None):
-        """Yield the states time-major, one block ``(horizon + 1, n, 4)`` per
-        ``_draw_blocks`` block; joined along axis 1 the blocks are the states
-        of all ``count`` samples.
+    def draw(horizon: int, count: int, rng: np.random.Generator,
+             out: np.ndarray | None = None):
+        """States ``(horizon + 1, count, 4)``, written into ``out`` if given,
+        and white seeds ``(horizon + 2, count, 4)``, both time-major, with
+        ``seeds[j + 1]`` holding ws[j].
 
-        The prior window of every sample is drawn first, then each block's
-        white seeds ws[j], j = -1..horizon, which the block's state recursion
-        reads while they are in cache; the generator's numbers are taken in
-        the order one draw of all samples would take them.  A
-        ``(horizon + 2, count, 4)`` array ``seeds`` receives the seeds
-        time-major, ``seeds[j + 1]`` holding ws[j].  Each block is a new
-        array that the caller owns.
-        """
+        The prior window of every sample is drawn first, then the seeds."""
         length = horizon + 1
-        window = prior.sample(count, rng).transpose(1, 0, 2)[:length]
-        bounds = _draw_blocks(count)
-        size = min(count, STATE_DRAW_BLOCK + 1)  # the largest block
-        normal = np.empty((size, length + 1, 4))
-        drawn = np.empty_like(normal)
-        if seeds is None:
-            held = np.empty((length + 1, size, 4))
-        for lo, hi in zip(bounds, bounds[1:]):
-            n = hi - lo
-            rng.standard_normal(out=normal[:n])
-            np.matmul(normal[:n], chol_q.T, out=drawn[:n])
-            ws = held[:, :n] if seeds is None else seeds[:, lo:hi]
-            ws[...] = drawn[:n].transpose(1, 0, 2)
-            block = np.empty((length, n, 4))
-            block[: len(window)] = window[:, lo:hi]
-            # The model checks that the prior window is 3, so k - 2 >= 0 below.
-            for k in range(w - 1, length - 1):
-                nxt = np.matmul(block[k], f.T, out=block[k + 1])
-                nxt += ws[k + 1]
-                nxt += ws[k]
-                nxt += ws[k - 1]
-            yield block
+        states = np.empty((length, count, 4)) if out is None else out
+        states[:min(w, length)] = prior.sample(count, rng).transpose(1, 0, 2)[:length]
+        # One product over every row, so a one-sample draw rounds as a row
+        # of a larger one does.
+        seeds = (rng.standard_normal(((length + 1) * count, 4)) @ chol_q.T).reshape(
+            length + 1, count, 4)
+        # The model checks that the prior window is 3, so k - 2 >= 0 below.
+        for k in range(w - 1, length - 1):
+            nxt = np.matmul(states[k], f.T, out=states[k + 1])
+            nxt += seeds[k + 1]
+            nxt += seeds[k]
+            nxt += seeds[k - 1]
+        return states, seeds
 
     def simulate(horizon: int, count: int, rng: np.random.Generator) -> TrajectoryBatch:
         length = horizon + 1
-        seeds = np.empty((length + 1, count, 4))
-        states = np.empty((length, count, 4))
-        lo = 0
-        for block in draw_states(horizon, count, rng, seeds):
-            states[:, lo:lo + block.shape[1]] = block
-            lo += block.shape[1]
+        states, seeds = draw(horizon, count, rng)
         # trans_shift[k] = -ws[k-3] = -seeds[k-2]; zero while k - 3 < -1.
         trans_shift = np.zeros((length, count, 4))
         np.negative(seeds[:-3], out=trans_shift[2:])
@@ -336,7 +292,7 @@ def build_example2(prior: GaussianPrior | None = None) -> SystemModel:
         analytic_c=None,
         meas_jacobian=range_azimuth_jacobian,
         meas_noise_information=sigma2_inv,
-        sample_states=draw_states,
+        sample_states=lambda horizon, count, rng, out=None: draw(horizon, count, rng, out)[0],
         singular_states=singular_states,
         linear=None,
     )

@@ -4,7 +4,8 @@ A :class:`SystemModel` supplies, for a fixed correlation profile:
 
 * conditional log-densities of the transition and measurement factors,
 * a vectorized trajectory sampler (used for Monte-Carlo expectations) and,
-  for models with a measurement Jacobian, a states-only sampler,
+  for models with a measurement Jacobian, a states-only sampler that worker
+  threads call concurrently,
 * a Gaussian prior over the initial window of states,
 * optionally time-invariant closed-form curvature blocks and a measurement
   Jacobian.
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -148,7 +149,7 @@ class TrajectoryBatch:
 # and the measurement analog with z_next, l3' states and l1 measurements.
 LogDensity = Callable[[Array, Array, Array, Array], Array]
 Simulator = Callable[[int, int, np.random.Generator], TrajectoryBatch]
-StateSampler = Callable[[int, int, np.random.Generator], Iterable[Array]]
+StateSampler = Callable[[int, int, np.random.Generator, Array | None], Array]
 
 
 @dataclass(frozen=True)
@@ -184,17 +185,20 @@ class SystemModel:
     The Jacobian curvature path (``monte_carlo`` mode with a
     ``meas_jacobian``) reads two fields in layouts of its own, both checked:
 
-    * ``sample_states(horizon, count, rng)``, which only models with a
-      ``meas_jacobian`` need, returns the states alone as an iterable (a
-      generator, say) of time-major sample blocks ``(horizon + 1, n,
-      state_dim)``.  Joined along axis 1, the blocks are the values that
+    * ``sample_states(horizon, count, rng, out=None)``, which only models
+      with a ``meas_jacobian`` need, returns the states alone as one
+      time-major array ``(horizon + 1, count, state_dim)``: the values that
       ``simulate(horizon, count, rng).states`` holds at ``[:, t]`` for the
-      same generator state, drawn without measurements or shifts.  The
-      caller reduces each block before it asks for the next, so a generator
-      never holds all ``count`` samples' states at once.  The caller owns
-      each block and may overwrite it.
+      same generator state, drawn without measurements or shifts.  Given
+      ``out``, an array of that shape, it writes the states there and
+      returns ``out``.  The caller owns the states and may overwrite them.
     * ``meas_jacobian(states)`` takes ``(n, state_dim)`` states and returns
       the Jacobians entry-major, ``(meas_dim, state_dim, n)``.
+
+    ``sample_states``, ``singular_states`` and ``meas_jacobian`` are called
+    concurrently from worker threads, one sample block of
+    :data:`corrbound.blocks.BLOCK_SIZE` each, so they must not share
+    mutable scratch.
 
     The array fields are checked once, here, and stored as read-only float
     copies, so the caller's arrays stay writable:

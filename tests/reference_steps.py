@@ -23,12 +23,13 @@ from enum import Enum
 import numpy as np
 
 from corrbound.baselines import augmented_system
+from corrbound import blocks as _blocks
 from corrbound.blocks import (
     _PURPOSE_SAMPLE,
     BlockProvider,
     ExpectationEstimator,
-    _chunk_rng,
-    _chunk_sizes,
+    _split,
+    _substream,
 )
 from corrbound.linalg import (
     check_psd,
@@ -479,8 +480,8 @@ def fd_mc_grid_per_sample(model: SystemModel, k: int, est: ExpectationEstimator,
     checked finite and added in sample order."""
     point_hessian_of = _transition_point_hessian if transition else _measurement_point_hessian
     total = 0.0
-    for c, size in enumerate(_chunk_sizes(est.sample_count)):
-        batch = model.simulate(k + 1, size, _chunk_rng(est.seed, _PURPOSE_SAMPLE, k, c))
+    for c, size in enumerate(_split(est.sample_count, _blocks.CHUNK_SIZE)):
+        batch = model.simulate(k + 1, size, _substream(est.seed, _PURPOSE_SAMPLE, k, c))
         for s in range(size):
             h = point_hessian_of(model, batch, s, k)
             assert np.all(np.isfinite(h)), f"non-finite curvature at sample {s}"

@@ -1,6 +1,7 @@
 import dataclasses
 import gzip
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,41 @@ def test_run_deterministic_across_workers(tmp_path):
     assert run_cli(base + ["--workers", "1", "--out", str(a)]) == 0
     assert run_cli(base + ["--workers", "3", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_sensors_deterministic_across_workers(tmp_path):
+    # 10k samples are 20 sample blocks, spread over every worker.
+    base = ["sensors", "--model", "example2", "--samples", "10000", "--max-m", "3",
+            "--horizon", "10", "--seed", "7"]
+    outs = []
+    for workers in (1, 2, 4):
+        outs.append(tmp_path / f"w{workers}.csv")
+        assert run_cli(base + ["--workers", str(workers), "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+
+
+def test_run_with_one_sample_block_deterministic_across_workers(tmp_path):
+    # 1025 samples: two full blocks and a last block of one sample.
+    base = ["run", "--model", "example2", "--horizon", "8", "--samples", "1025",
+            "--seed", "3"]
+    outs = [tmp_path / "w1.csv", tmp_path / "w3.csv"]
+    assert run_cli(base + ["--workers", "1", "--out", str(outs[0])]) == 0
+    assert run_cli(base + ["--workers", "3", "--out", str(outs[1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def test_readme_config_example_serves_its_commands(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Configuration files", 1)[1]
+    block, after = section.split("```json\n", 1)[1].split("```", 1)
+    config = json.loads(block)
+    config["output"]["path"] = str(tmp_path / "out.csv")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    commands = re.findall(r"`([a-z-]+)`", re.search(r"This file serves (.*?)\.", after)[1])
+    assert commands and set(commands) <= {"run", "compare", "oracle-verify", "sensors"}
+    for command in commands:
+        assert run_cli([command, "--config", str(path)]) == 0, command
 
 
 def test_json_output(tmp_path):

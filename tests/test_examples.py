@@ -7,11 +7,10 @@ import corrbound as cb
 from corrbound.blocks import (
     _PURPOSE_RESAMPLE,
     _PURPOSE_SAMPLE,
-    _chunk_rng,
+    BLOCK_SIZE,
+    _substream,
 )
 from corrbound.examples import (
-    STATE_DRAW_BLOCK,
-    _draw_blocks,
     kinematic_matrices,
     planar_cv_matrices,
     range_azimuth,
@@ -103,7 +102,9 @@ def test_example2_analytic_transition_blocks(example2):
 
 
 def sample_major_example2_simulator(prior: cb.GaussianPrior):
-    """The default example2 sampler written sample-major, one step at a time."""
+    """The default example2 sampler written sample-major, one step at a time,
+    from the same draws: the prior window, the white seeds drawn time-major,
+    then the measurement noise."""
     f, q = planar_cv_matrices()
     chol_q = np.linalg.cholesky(symmetrize(q))
     chol_s2 = np.linalg.cholesky(np.diag([50.0 ** 2, 0.01 ** 2]))
@@ -112,7 +113,8 @@ def sample_major_example2_simulator(prior: cb.GaussianPrior):
     def simulate(horizon, count, rng):
         length = horizon + 1
         window = prior.sample(count, rng)
-        ws = rng.standard_normal((count, length + 1, 4)) @ chol_q.T  # ws[j], j >= -1
+        normal = rng.standard_normal((length + 1, count, 4)).transpose(1, 0, 2)
+        ws = normal @ chol_q.T  # ws[:, j + 1] holds ws[j], j >= -1
 
         def w_seed(j):
             return ws[:, j + 1] if j >= -1 else np.zeros((count, 4))
@@ -139,42 +141,42 @@ def sample_major_example2_simulator(prior: cb.GaussianPrior):
     (2, 3, (1,)),
     (40, 1, (2,)),
     (12, 257, (3,)),
-    (6, 3, (_PURPOSE_RESAMPLE, 5, 1, 0, 0)),  # a redraw: sample_states(k + 1, bad, rng)
+    (6, 3, (_PURPOSE_RESAMPLE, 5, 1, 0)),  # a redraw: sample_states(k + 1, bad, rng)
     (0, 4, (4,)),  # the first prior state alone
-    (40, 1000, (_PURPOSE_SAMPLE, 0)),  # a sampling chunk at the default horizon
-    # Around the draw's sample blocks, and the two chunks of a 50k-sample run.
-    (5, 2 * STATE_DRAW_BLOCK - 1, (5,)),
-    (5, 2 * STATE_DRAW_BLOCK, (6,)),
-    (5, 2 * STATE_DRAW_BLOCK + 1, (7,)),  # a remainder of one joins the last block
-    (5, 2 * STATE_DRAW_BLOCK + 2, (8,)),
-    (3, 4 * STATE_DRAW_BLOCK + 1, (9,)),
-    (40, 17232, (_PURPOSE_SAMPLE, 1)),
-    (40, 32768, (_PURPOSE_SAMPLE, 0)),
+    (40, 1000, (_PURPOSE_SAMPLE, 0)),
+    # Around multiples of the sampled path's block, which draws a block at a
+    # time, and the two FD-MC chunks of a 50k-sample run.
+    (5, 2 * BLOCK_SIZE - 1, (5,)),
+    (5, 2 * BLOCK_SIZE, (6,)),
+    (5, 2 * BLOCK_SIZE + 1, (7,)),
+    (5, 2 * BLOCK_SIZE + 2, (8,)),
+    (3, 4 * BLOCK_SIZE + 1, (9,)),
+    (40, 17232, (_PURPOSE_SAMPLE, 0, 1)),
+    (40, 32768, (_PURPOSE_SAMPLE, 0, 0)),
 ])
 def test_example2_sampler_matches_sample_major_reference(example2, horizon, count, substream):
     reference = sample_major_example2_simulator(example2.prior)
-    rng = lambda: _chunk_rng(11, *substream)  # noqa: E731
+    rng = lambda: _substream(11, *substream)  # noqa: E731
     got = example2.simulate(horizon, count, rng())
     want = reference(horizon, count, rng())
     for name in ("states", "measurements", "trans_shift", "meas_shift"):
         assert getattr(got, name).shape == getattr(want, name).shape
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    # The Jacobian path's sampler: the same states, byte for byte, in
-    # time-major blocks of the draw's sample blocks.
-    blocks = list(example2.sample_states(horizon, count, rng()))
-    bounds = _draw_blocks(count)
-    assert [b.shape for b in blocks] == [
-        (horizon + 1, hi - lo, 4) for lo, hi in zip(bounds, bounds[1:])]
-    assert all(b.flags.c_contiguous for b in blocks)
-    states = np.concatenate(blocks, axis=1)
+    # The Jacobian path's sampler: the same states, byte for byte, as one
+    # time-major array, written into ``out`` when one is given.
+    states = example2.sample_states(horizon, count, rng())
+    assert states.shape == (horizon + 1, count, 4) and states.flags.c_contiguous
     assert states.transpose(1, 0, 2).tobytes() == want.states.tobytes()
+    out = np.full((horizon + 1, count, 4), np.nan)
+    assert example2.sample_states(horizon, count, rng(), out) is out
+    assert out.tobytes() == states.tobytes()
 
 
 def test_example2_state_sampler_peak_memory(example2):
-    # The sampled curvature streams each chunk one sample block at a time:
-    # a 32768-sample chunk over 40 steps peaked at 9.8 MB of allocations
-    # (numpy 2.4; 3.1 MB of it the prior window of every sample), where one
-    # array of all its states alone takes 45 MB.
+    # The sampled curvature draws one block of samples at a time into a
+    # buffer it keeps: 32768 samples over 40 steps peaked at 3.8 MB of
+    # allocations on one worker (numpy 2.4), where one array of all their
+    # states alone takes 45 MB.
     est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=32768, seed=0)
     tracemalloc.start()
     try:
@@ -220,8 +222,8 @@ def test_example2_single_point_measurement_curvature(example2):
     import dataclasses
     frozen = dataclasses.replace(
         example2,
-        sample_states=lambda horizon, count, rng: [np.repeat(
-            state[None, :, :], horizon + 1, axis=0)],
+        sample_states=lambda horizon, count, rng, out=None: np.repeat(
+            state[None, :, :], horizon + 1, axis=0),
     )
     est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=1, seed=0)
     _, c = blocks_at(frozen, 2, est)

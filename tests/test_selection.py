@@ -37,19 +37,19 @@ def test_sweep_rejects_flat_family(analytic_est):
 def test_sweep_samples_once(example2, monkeypatch):
     calls = []
 
-    def counted(horizon, count, rng):
+    def counted(horizon, count, rng, out=None):
         calls.append(count)
-        return example2.sample_states(horizon, count, rng)
+        return example2.sample_states(horizon, count, rng, out)
 
     def full_batch(horizon, count, rng):
         raise AssertionError("the Jacobian path draws states only")
 
     model = dataclasses.replace(example2, sample_states=counted, simulate=full_batch)
-    monkeypatch.setattr(blocks, "CHUNK_SIZE", 1_000)
+    monkeypatch.setattr(blocks, "BLOCK_SIZE", 1_000)
     est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=2_000, seed=3)
     cb.run(model, est, 5)
     per_run = len(calls)
-    assert per_run == 2  # one batch per chunk
+    assert per_run == 2  # one draw per sample block
     calls.clear()
     cb.sweep(model, 4, horizon=5, est=est)
     assert len(calls) == per_run
