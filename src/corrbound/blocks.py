@@ -7,12 +7,13 @@ blocks, one block row and column per state the factor touches;
 over the joint trajectory distribution induced by the model sampler.
 Monte-Carlo estimation splits the samples into fixed units, each drawn from
 an RNG substream of its own and reduced in unit order, so results are
-bit-identical whatever the worker count.  The sampled Jacobian path's unit
-is a block of ``BLOCK_SIZE`` samples, which is also its unit of work: each
-block is one task of a thread pool, so ``sample_states``,
-``singular_states`` and ``meas_jacobian`` run concurrently on worker threads
-and must not share mutable scratch.  Finite-difference Monte Carlo (FD-MC)
-draws chunks of ``CHUNK_SIZE`` samples on the calling thread.
+bit-identical whatever the worker count.  Each unit is also one task of a
+thread pool of at most ``workers`` threads, so the model callables run
+concurrently on worker threads and must not share mutable scratch.  The
+sampled Jacobian path's unit is a block of ``BLOCK_SIZE`` samples.
+Finite-difference Monte Carlo (FD-MC) draws chunks of ``CHUNK_SIZE``
+samples, one ``simulate`` call each, and sums every FD-MC grid of a
+provider from that one batch.
 """
 
 from __future__ import annotations
@@ -126,18 +127,59 @@ def _factor_hessian(model: SystemModel, batch: TrajectoryBatch, k: int,
     return -finite_difference_hessian(f, batch.states[:, k + 2 - slots:k + 2].reshape(n, -1))
 
 
-def _fd_mc_grid(model: SystemModel, k: int, est: ExpectationEstimator,
-                transition: bool) -> np.ndarray:
-    total = 0.0
-    for c, size in enumerate(_split(est.sample_count, CHUNK_SIZE)):
-        rng = _substream(est.seed, _PURPOSE_SAMPLE, k, c)
-        total = total + _factor_hessian(model, model.simulate(k + 1, size, rng), k, transition)
-    if not np.all(np.isfinite(total)):
-        raise InvariantViolationError(
-            f"non-finite curvature sampled at time {k} "
-            f"(density singularity at a sampled point)"
-        )
-    return _read_only(symmetrize(total / est.sample_count))
+def _fd_mc_grids(model: SystemModel, keys: list[tuple[int, bool]],
+                 est: ExpectationEstimator) -> dict[tuple[int, bool], np.ndarray]:
+    """FD-MC mean of each factor grid of ``keys``, ``(time, transition?)``
+    pairs, from one draw of trajectories.
+
+    Chunk ``c`` of ``CHUNK_SIZE`` samples (the last one short) is one
+    ``simulate`` call up to the last key's time plus one, on the substream
+    ``(start, c)`` with ``start`` the first key's time, and one task of the
+    pool; every grid is summed from that batch, and the per-chunk sums are
+    combined in chunk order.
+    """
+    sizes = _split(est.sample_count, CHUNK_SIZE)
+    horizon = max(k for k, _ in keys) + 1
+
+    def run_chunk(c: int) -> list[np.ndarray]:
+        rng = _substream(est.seed, _PURPOSE_SAMPLE, keys[0][0], c)
+        batch = _simulate(model, horizon, sizes[c], rng)
+        return [_factor_hessian(model, batch, k, transition) for k, transition in keys]
+
+    grids = {}
+    for key, parts in zip(keys, zip(*_map_units(run_chunk, len(sizes), est.workers))):
+        grids[key] = _read_only(symmetrize(sum(parts) / est.sample_count))
+        _require_finite(grids[key], f"curvature sampled at time {key[0]}")
+    return grids
+
+
+def _simulate(model: SystemModel, horizon: int, count: int,
+              rng: np.random.Generator) -> TrajectoryBatch:
+    """``model.simulate(horizon, count, rng)``, checked to hold ``count``
+    trajectories over times ``0..horizon``, with every field an array."""
+    batch = model.simulate(horizon, count, rng)
+    if not isinstance(batch, TrajectoryBatch):
+        raise ModelBuildError(f"model '{model.name}': simulate returned "
+                              f"{type(batch).__name__}, expected a TrajectoryBatch")
+    fields = {}
+    for field, dim in (("states", "state_dim"), ("measurements", "meas_dim"),
+                       ("trans_shift", "state_dim"), ("meas_shift", "meas_dim")):
+        fields[field] = np.asarray(getattr(batch, field))
+        _require_layout(fields[field], (count, horizon + 1, getattr(model, dim)), model,
+                        f"simulate {field}", f"(count, horizon + 1, {dim})")
+    return TrajectoryBatch(**fields)
+
+
+def _map_units(run, count: int, workers: int) -> list:
+    """``[run(0), ..., run(count - 1)]``, spread over a pool of at most
+    ``workers`` threads, and no more than there are units or CPUs this
+    process may run on."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, count, cpus or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(run, range(count)))
+    return [run(u) for u in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -164,16 +206,11 @@ def _sampled_measurement_info(
         raise ModelBuildError(
             "Jacobian-based measurement sampling supports single-state measurements only"
         )
-    if model.meas_noise_information is None:
-        raise ModelBuildError(
-            f"model '{model.name}' provides a measurement Jacobian but no "
-            "measurement noise information matrix"
-        )
-    if model.sample_states is None:
-        raise ModelBuildError(
-            f"model '{model.name}' provides a measurement Jacobian but no "
-            "state sampler (sample_states)"
-        )
+    for field, what in (("meas_noise_information", "measurement noise information matrix"),
+                        ("sample_states", "state sampler (sample_states)")):
+        if getattr(model, field) is None:
+            raise ModelBuildError(
+                f"model '{model.name}' provides a measurement Jacobian but no {what}")
     r = model.state_dim
     noise_info = model.meas_noise_information
     sizes = _split(est.sample_count, BLOCK_SIZE)
@@ -197,14 +234,7 @@ def _sampled_measurement_info(
         return (n, *_contract(jac.reshape(model.meas_dim, r, len(ks), n), noise_info),
                 resampled)
 
-    # No more threads than tasks or than the CPUs this process may run on.
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(est.workers, len(sizes), cpus or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(run_block, range(len(sizes))))
-    else:
-        partials = [run_block(b) for b in range(len(sizes))]
+    partials = _map_units(run_block, len(sizes), est.workers)
     # Fixed reduction order: block order, independent of worker count.
     report = McReport(samples=est.sample_count,
                       resampled=sum(part[3] for part in partials))
@@ -380,9 +410,11 @@ class BlockProvider:
       FD-MC, at every time for a model with a ``meas_jacobian`` and once at
       ``start`` for one without.
 
-    A closed form is the mean that sampling would estimate, so
+    Every FD-MC grid of the provider comes from one draw of trajectories,
+    up to ``start + 1``, or up to ``stop`` for a measurement grid at every
+    time.  A closed form is the mean that sampling would estimate, so
     ``monte_carlo`` takes it wherever the model has one.  ``report.samples``
-    counts every trajectory drawn for either factor.  The blocks are
+    counts every trajectory drawn, once per draw.  The blocks are
     read-only arrays that own their data, so a run can tell a repeated block
     by identity; a closed form is the model's own array, which every
     provider of the model shares.
@@ -401,42 +433,37 @@ class BlockProvider:
         self.stop = stop
         self.report = McReport()
         self._c_se: dict[int, np.ndarray] = {}
+        if est.mode == "analytic":
+            for grid, what in ((model.analytic_b, "transition"),
+                               (model.analytic_c, "measurement")):
+                if grid is None:
+                    raise ModelBuildError(
+                        f"model '{model.name}' has no closed-form {what} blocks"
+                    )
         fd = est.mode == "finite_difference_mc"
         times = range(start, stop)
-        b_draws = 0
-
-        if model.analytic_b is not None and not fd:
-            self._b = model.analytic_b
-        elif est.mode == "analytic":
-            raise ModelBuildError(
-                f"model '{model.name}' has no closed-form transition blocks"
-            )
-        else:
-            self._b = _fd_mc_grid(model, start, est, transition=True)
-            b_draws = est.sample_count
+        per_time = model.meas_jacobian is not None and est.mode != "analytic"
+        # The FD-MC grids, as (time, transition?) pairs, all from one draw.
+        keys = [(start, True)] if fd or model.analytic_b is None else []
+        if per_time and not fd:
+            c, self._c_se, self.report = _sampled_measurement_info(model, times, stop, est)
+        elif fd or model.analytic_c is None:
+            keys += [(k, False) for k in (times if per_time else times[:1])]
+        grids = {}
+        if keys:
+            grids = _fd_mc_grids(model, keys, est)
+            self.report.samples += est.sample_count
+        b = grids.get((start, True), model.analytic_b)
 
         # Each time's (b, c) pair.  Times that share a measurement grid share
         # one pair object, so a run can tell repeated blocks at a glance.
-        b = self._b
-        if est.mode == "monte_carlo" and model.meas_jacobian is not None:
-            sampled, self._c_se, self.report = _sampled_measurement_info(
-                model, times, stop, est)
-            self._blocks = {k: (b, sampled[k]) for k in times}
-        elif model.analytic_c is not None and not fd:
-            self._blocks = dict.fromkeys(times, (b, model.analytic_c))
-        elif est.mode == "analytic":
-            raise ModelBuildError(
-                f"model '{model.name}' has no closed-form measurement blocks"
-            )
-        elif model.meas_jacobian is not None:
-            self._blocks = {k: (b, _fd_mc_grid(model, k, est, transition=False))
-                            for k in times}
-            self.report.samples = est.sample_count * len(times)
+        if per_time:
+            if fd:
+                c = {k: grids[k, False] for k in times}
+            self._blocks = {k: (b, c[k]) for k in times}
         else:
-            c = _fd_mc_grid(model, start, est, transition=False)
-            self._blocks = dict.fromkeys(times, (b, c))
-            self.report.samples = est.sample_count
-        self.report.samples += b_draws
+            self._blocks = dict.fromkeys(times, (b, grids.get((start, False),
+                                                              model.analytic_c)))
 
     def blocks(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         return self._blocks[k]

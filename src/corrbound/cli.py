@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import baselines as _baselines
 from . import oracle as _oracle
-from .blocks import BLOCK_SIZE, ESTIMATOR_MODES, ExpectationEstimator
+from .blocks import BLOCK_SIZE, CHUNK_SIZE, ESTIMATOR_MODES, ExpectationEstimator
 from .errors import ConfigError, ModelBuildError, NumericalError, require_int
 from .models import SystemModel, model_from_config, require_keys
 from .recursion import PCRBTrace, run
@@ -267,16 +267,10 @@ def cmd_oracle_verify(args: argparse.Namespace) -> int:
 def cmd_sensors(args: argparse.Namespace) -> int:
     config = _build_config(args)
     model = config.model
-    avg = sweep(
-        model,
-        config.max_sensors,
-        horizon=config.horizon,
-        component=config.component,
-        est=config.estimator,
-    )
+    avg = sweep(model, config.max_sensors, horizon=config.horizon,
+                component=config.component, est=config.estimator)
     lines = ["sensors,avg_bound"] + [f"{m},{_fmt(v)}" for m, v in enumerate(avg, 1)]
-    body = "\n".join(lines) + "\n"
-    _write_text(config.out_path, body)
+    _write_text(config.out_path, "\n".join(lines) + "\n")
     if config.target is not None:
         needed = min_sensors(avg, config.target)
         if needed is None:
@@ -323,8 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, help="Monte-Carlo sample count")
         p.add_argument("--seed", type=int, help="Monte-Carlo seed")
         p.add_argument("--workers", type=int,
-                       help=f"worker threads for Jacobian sampling, one {BLOCK_SIZE}-sample "
-                            "block per task; at most one per block and per CPU")
+                       help=f"worker threads for sampling, one task per {BLOCK_SIZE}-sample "
+                            f"Jacobian block or {CHUNK_SIZE}-sample FD-MC chunk; at most "
+                            "one per task and per CPU")
         p.add_argument("--component", type=int, help="state component for scalar summaries")
         if with_output:
             p.add_argument("--out", help="output path ('-' for stdout)")

@@ -118,36 +118,24 @@ def _example1_simulator(f: np.ndarray, q: np.ndarray, r: np.ndarray, a: float,
     def simulate(horizon: int, count: int, rng: np.random.Generator) -> TrajectoryBatch:
         length = horizon + 1
         window = prior.sample(count, rng)
-        # White seeds: ws[j] for j = -2..length-1, vs[j] for j = -1..length-1.
+        # White seeds: ws[:, j + 2] holds ws[j] for j = -2..length-1, and
+        # vs[:, j + 1] holds vs[j] for j = -1..length-1.
         ws = rng.standard_normal((count, length + 2, 2)) @ chol_q.T
         vs = rng.standard_normal((count, length + 1, 2)) @ chol_r.T
-
-        def w_seed(j):  # noqa: E306
-            return ws[:, j + 2]
-
-        def v_seed(j):
-            return vs[:, j + 1]
-
-        # Colored sequences: omega[j] = ws[j] + a*ws[j-1] for j = -1..length-1;
-        # nu[k] = vs[k] + a*vs[k-1] + omega[k-1].
-        omega = ws[:, 1:] + a * ws[:, :-1]  # index j+1 holds omega[j], j >= -1
-
-        def omega_at(j):
-            return omega[:, j + 1]
+        # Colored process noise omega[j] = ws[j] + a*ws[j-1] for j = -1..length-1,
+        # held at omega[:, j + 1].
+        omega = ws[:, 1:] + a * ws[:, :-1]
 
         states = np.zeros((count, length, 2))
         states[:, : min(w, length)] = window[:, :length]
         for k in range(w - 1, length - 1):
-            states[:, k + 1] = states[:, k] @ f.T + omega_at(k)
-        meas = np.zeros((count, length, 2))
-        for k in range(length):
-            meas[:, k] = states[:, k] + (v_seed(k) + a * v_seed(k - 1) + omega_at(k - 1))
-
-        trans_shift = np.zeros((count, length, 2))
-        meas_shift = np.zeros((count, length, 2))
-        for k in range(length):
-            trans_shift[:, k] = -a * v_seed(k) - a * a * v_seed(k - 1) - a * a * w_seed(k - 2)
-            meas_shift[:, k] = -a * a * v_seed(k - 1) - a * omega_at(k - 1)
+            states[:, k + 1] = states[:, k] @ f.T + omega[:, k + 1]
+        # Time k of each below: nu[k] = vs[k] + a*vs[k-1] + omega[k-1] is the
+        # measurement noise; the shifts are -a*vs[k] - a^2*vs[k-1] - a^2*ws[k-2]
+        # and -a^2*vs[k-1] - a*omega[k-1].
+        meas = states + (vs[:, 1:] + a * vs[:, :-1] + omega[:, :-1])
+        trans_shift = -a * vs[:, 1:] - a * a * vs[:, :-1] - a * a * ws[:, :-2]
+        meas_shift = -a * a * vs[:, :-1] - a * omega[:, :-1]
         return TrajectoryBatch(states, meas, trans_shift, meas_shift)
 
     return simulate

@@ -4,8 +4,8 @@ A :class:`SystemModel` supplies, for a fixed correlation profile:
 
 * conditional log-densities of the transition and measurement factors,
 * a vectorized trajectory sampler (used for Monte-Carlo expectations) and,
-  for models with a measurement Jacobian, a states-only sampler that worker
-  threads call concurrently,
+  for models with a measurement Jacobian, a states-only sampler, both
+  called concurrently from worker threads,
 * a Gaussian prior over the initial window of states,
 * optionally time-invariant closed-form curvature blocks and a measurement
   Jacobian.
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -94,10 +95,16 @@ class GaussianPrior:
             )
         return info
 
+    @cached_property
+    def _cholesky(self) -> list[Array]:
+        """Lower Cholesky factor of each window covariance, formed on the
+        first draw, so a covariance that is not positive definite fails
+        there; a failed factorization is not cached."""
+        return [np.linalg.cholesky(symmetrize(cov)) for cov in self.covariances]
+
     def sample(self, count: int, rng: np.random.Generator) -> Array:
         out = np.empty((count, self.window_len, self.state_dim))
-        for j in range(self.window_len):
-            chol = np.linalg.cholesky(symmetrize(self.covariances[j]))
+        for j, chol in enumerate(self._cholesky):
             out[:, j, :] = self.means[j] + rng.standard_normal(
                 (count, self.state_dim)
             ) @ chol.T
@@ -195,10 +202,15 @@ class SystemModel:
     * ``meas_jacobian(states)`` takes ``(n, state_dim)`` states and returns
       the Jacobians entry-major, ``(meas_dim, state_dim, n)``.
 
-    ``sample_states``, ``singular_states`` and ``meas_jacobian`` are called
-    concurrently from worker threads, one sample block of
-    :data:`corrbound.blocks.BLOCK_SIZE` each, so they must not share
-    mutable scratch.
+    Every model callable may run on worker threads, concurrently with
+    itself and the others: the Jacobian path calls ``sample_states``,
+    ``singular_states`` and ``meas_jacobian`` once per sample block of
+    :data:`corrbound.blocks.BLOCK_SIZE`, and finite-difference Monte Carlo
+    calls ``simulate`` and the log-densities once per chunk of
+    :data:`corrbound.blocks.CHUNK_SIZE`.  So none of them may share mutable
+    scratch.  ``simulate``'s batch is checked: a :class:`TrajectoryBatch`
+    whose fields are ``(count, horizon + 1, dim)``, ``dim`` the state or
+    the measurement dimension.
 
     The array fields are checked once, here, and stored as read-only float
     copies, so the caller's arrays stay writable:
@@ -317,8 +329,8 @@ class SystemModel:
 class LinearConditionalSpec:
     """Linear-Gaussian conditionals written directly in factorized form.
 
-    Transition:  x[k+1] = sum_i F_i x[k-i] + sum_j G_j z[k-j] + u + w,  w ~ N(0, Q)
-    Measurement: z[k+1] = sum_i H_i x[k+1-i] + sum_j L_j z[k-j] + v + e,  e ~ N(0, R)
+    Transition:  x[k+1] = sum_i F_i x[k-i] + sum_j G_j z[k-j] + w,  w ~ N(0, Q)
+    Measurement: z[k+1] = sum_i H_i x[k+1-i] + sum_j L_j z[k-j] + e,  e ~ N(0, R)
 
     with ``i`` running over the profile's effective state lags and ``j`` over
     its measurement lags.
@@ -331,31 +343,17 @@ class LinearConditionalSpec:
     meas_cov: Array
     trans_meas_coeffs: tuple[Array, ...] = ()
     meas_meas_coeffs: tuple[Array, ...] = ()
-    trans_offset: Array | None = None
-    meas_offset: Array | None = None
 
     def __post_init__(self):
         p = self.profile
-        if len(self.state_coeffs) != p.l2_eff:
-            raise ModelBuildError(
-                f"expected {p.l2_eff} transition state coefficients, "
-                f"got {len(self.state_coeffs)}"
-            )
-        if len(self.meas_state_coeffs) != p.l3_eff:
-            raise ModelBuildError(
-                f"expected {p.l3_eff} measurement state coefficients, "
-                f"got {len(self.meas_state_coeffs)}"
-            )
-        if len(self.trans_meas_coeffs) != p.l4:
-            raise ModelBuildError(
-                f"expected {p.l4} transition measurement coefficients, "
-                f"got {len(self.trans_meas_coeffs)}"
-            )
-        if len(self.meas_meas_coeffs) != p.l1:
-            raise ModelBuildError(
-                f"expected {p.l1} measurement feedback coefficients, "
-                f"got {len(self.meas_meas_coeffs)}"
-            )
+        for coeffs, count, what in (
+                (self.state_coeffs, p.l2_eff, "transition state"),
+                (self.meas_state_coeffs, p.l3_eff, "measurement state"),
+                (self.trans_meas_coeffs, p.l4, "transition measurement"),
+                (self.meas_meas_coeffs, p.l1, "measurement feedback")):
+            if len(coeffs) != count:
+                raise ModelBuildError(
+                    f"expected {count} {what} coefficients, got {len(coeffs)}")
 
     @property
     def state_dim(self) -> int:
@@ -392,33 +390,29 @@ def _gaussian_logpdf(residual: Array, cov_inv: Array, log_norm: float) -> Array:
 
 
 def _linear_logdensities(spec: LinearConditionalSpec):
-    p = spec.profile
-    q = np.asarray(spec.process_cov, dtype=float)
-    rr = np.asarray(spec.meas_cov, dtype=float)
-    q_inv = psd_inverse(q, context="process covariance")
-    r_inv = psd_inverse(rr, context="measurement covariance")
-    log_norm_q = -0.5 * (q.shape[0] * np.log(2.0 * np.pi) + np.linalg.slogdet(q)[1])
-    log_norm_r = -0.5 * (rr.shape[0] * np.log(2.0 * np.pi) + np.linalg.slogdet(rr)[1])
-    u = np.zeros(spec.state_dim) if spec.trans_offset is None else np.asarray(spec.trans_offset)
-    v = np.zeros(spec.meas_dim) if spec.meas_offset is None else np.asarray(spec.meas_offset)
+    """Transition and measurement log-densities of ``spec``, and its profile."""
 
-    def trans_logpdf(x_next, x_hist, z_hist, shift):
-        mean = u + shift
-        for i, f_i in enumerate(spec.state_coeffs):
-            mean = mean + x_hist[:, i] @ np.asarray(f_i).T
-        for j, g_j in enumerate(spec.trans_meas_coeffs):
-            mean = mean + z_hist[:, j] @ np.asarray(g_j).T
-        return _gaussian_logpdf(x_next - mean, q_inv, log_norm_q)
+    def density(state_coeffs, meas_coeffs, cov, context):
+        # The residual is the next value less its conditional mean: the
+        # shift plus the coefficients applied to the newest-first histories.
+        cov = np.asarray(cov, dtype=float)
+        cov_inv = psd_inverse(cov, context=context)
+        log_norm = -0.5 * (cov.shape[0] * np.log(2.0 * np.pi) + np.linalg.slogdet(cov)[1])
 
-    def meas_logpdf(z_next, x_hist, z_hist, shift):
-        mean = v + shift
-        for i, h_i in enumerate(spec.meas_state_coeffs):
-            mean = mean + x_hist[:, i] @ np.asarray(h_i).T
-        for j, l_j in enumerate(spec.meas_meas_coeffs):
-            mean = mean + z_hist[:, j] @ np.asarray(l_j).T
-        return _gaussian_logpdf(z_next - mean, r_inv, log_norm_r)
+        def logpdf(nxt, x_hist, z_hist, shift):
+            mean = shift
+            for i, a_i in enumerate(state_coeffs):
+                mean = mean + x_hist[:, i] @ np.asarray(a_i).T
+            for j, b_j in enumerate(meas_coeffs):
+                mean = mean + z_hist[:, j] @ np.asarray(b_j).T
+            return _gaussian_logpdf(nxt - mean, cov_inv, log_norm)
+        return logpdf
 
-    return trans_logpdf, meas_logpdf, p
+    return (density(spec.state_coeffs, spec.trans_meas_coeffs, spec.process_cov,
+                    "process covariance"),
+            density(spec.meas_state_coeffs, spec.meas_meas_coeffs, spec.meas_cov,
+                    "measurement covariance"),
+            spec.profile)
 
 
 def _linear_simulator(spec: LinearConditionalSpec, prior: GaussianPrior) -> Simulator:
@@ -428,8 +422,6 @@ def _linear_simulator(spec: LinearConditionalSpec, prior: GaussianPrior) -> Simu
     w = prior.window_len
     chol_q = np.linalg.cholesky(symmetrize(np.asarray(spec.process_cov, dtype=float)))
     chol_r = np.linalg.cholesky(symmetrize(np.asarray(spec.meas_cov, dtype=float)))
-    u = np.zeros(r) if spec.trans_offset is None else np.asarray(spec.trans_offset)
-    v = np.zeros(n) if spec.meas_offset is None else np.asarray(spec.meas_offset)
 
     def simulate(horizon: int, count: int, rng: np.random.Generator) -> TrajectoryBatch:
         length = horizon + 1
@@ -438,13 +430,13 @@ def _linear_simulator(spec: LinearConditionalSpec, prior: GaussianPrior) -> Simu
         states[:, : min(w, length)] = prior.sample(count, rng)[:, :length]
         for k in range(length):
             if k >= w:
-                mean = np.broadcast_to(u, (count, r)).copy()
+                mean = np.zeros((count, r))
                 for i, f_i in enumerate(spec.state_coeffs):
                     mean += states[:, k - 1 - i] @ np.asarray(f_i).T
                 for j, g_j in enumerate(spec.trans_meas_coeffs):
                     mean += meas[:, k - 1 - j] @ np.asarray(g_j).T
                 states[:, k] = mean + rng.standard_normal((count, r)) @ chol_q.T
-            mean_z = np.broadcast_to(v, (count, n)).copy()
+            mean_z = np.zeros((count, n))
             for i, h_i in enumerate(spec.meas_state_coeffs):
                 if k - i >= 0:
                     mean_z += states[:, k - i] @ np.asarray(h_i).T

@@ -48,10 +48,6 @@ class CorrelationProfile:
     def l3_eff(self) -> int:
         return max(self.l3, 1)
 
-    @property
-    def lag_max(self) -> int:
-        return max(self.l1, self.l2, self.l3, self.l4)
-
     @cached_property
     def window(self) -> int:
         """Number of past states the recursion carries (grid size of the carry matrix)."""
@@ -72,4 +68,4 @@ def required_prior_window(profile: CorrelationProfile) -> int:
     measurement factors stays inside the window, and that the carried matrix
     fits.
     """
-    return max(profile.lag_max + 1, profile.window)
+    return max(max(profile.as_dict().values()) + 1, profile.window)

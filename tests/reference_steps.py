@@ -472,16 +472,18 @@ def _measurement_point_hessian(model: SystemModel, batch: TrajectoryBatch,
     return -point_hessian(f, stacked0)
 
 
-def fd_mc_grid_per_sample(model: SystemModel, k: int, est: ExpectationEstimator,
-                          transition: bool) -> np.ndarray:
+def fd_mc_grid_per_sample(model: SystemModel, start: int, horizon: int, k: int,
+                          est: ExpectationEstimator, transition: bool) -> np.ndarray:
     """The finite-difference Monte-Carlo grid of one factor at time ``k``,
-    from the same draws as the library's, one sample at a time: each
-    sample's Hessian from scalar log-density values of one-sample batches,
-    checked finite and added in sample order."""
+    from the same draws as the library's, one sample at a time: chunks of
+    trajectories up to ``horizon`` on the substreams of the provider's
+    first time ``start``, each sample's Hessian from scalar log-density
+    values of one-sample batches, checked finite and added in sample
+    order."""
     point_hessian_of = _transition_point_hessian if transition else _measurement_point_hessian
     total = 0.0
     for c, size in enumerate(_split(est.sample_count, _blocks.CHUNK_SIZE)):
-        batch = model.simulate(k + 1, size, _substream(est.seed, _PURPOSE_SAMPLE, k, c))
+        batch = model.simulate(horizon, size, _substream(est.seed, _PURPOSE_SAMPLE, start, c))
         for s in range(size):
             h = point_hessian_of(model, batch, s, k)
             assert np.all(np.isfinite(h)), f"non-finite curvature at sample {s}"

@@ -44,22 +44,25 @@ def test_analytic_mode_requires_closed_form(example2):
         blocks_at(example2, 2, cb.ExpectationEstimator(mode="analytic"))
 
 
-# (mode, model) -> (transition source, measurement source).  "fd_once" is
-# one finite-difference Monte-Carlo evaluation at ``start`` that serves every
-# time, "fd_each" one per time; "error" is a ModelBuildError.
+# (mode, model) -> (transition source, measurement source, trajectory
+# draws).  "fd_once" is one finite-difference Monte-Carlo evaluation at
+# ``start`` that serves every time, "fd_each" one per time; "error" is a
+# ModelBuildError.  Every FD-MC grid of a provider comes from one draw, so a
+# provider draws once for its FD-MC grids and once for its sampled ones.
 RESOLVER_TABLE = {
-    ("analytic", "example1"): ("closed", "closed"),
-    ("analytic", "example2"): ("closed", "error"),
-    ("analytic", "scalar"): ("closed", "closed"),
-    ("analytic", "example2_no_jacobian"): ("closed", "error"),
-    ("monte_carlo", "example1"): ("closed", "closed"),
-    ("monte_carlo", "example2"): ("closed", "sampled"),
-    ("monte_carlo", "scalar"): ("closed", "closed"),
-    ("monte_carlo", "example2_no_jacobian"): ("closed", "fd_once"),
-    ("finite_difference_mc", "example1"): ("fd", "fd_once"),
-    ("finite_difference_mc", "example2"): ("fd", "fd_each"),
-    ("finite_difference_mc", "scalar"): ("fd", "fd_once"),
-    ("finite_difference_mc", "example2_no_jacobian"): ("fd", "fd_once"),
+    ("analytic", "example1"): ("closed", "closed", 0),
+    ("analytic", "example2"): ("closed", "error", 0),
+    ("analytic", "scalar"): ("closed", "closed", 0),
+    ("analytic", "example2_no_jacobian"): ("closed", "error", 0),
+    ("monte_carlo", "example1"): ("closed", "closed", 0),
+    ("monte_carlo", "example2"): ("closed", "sampled", 1),
+    ("monte_carlo", "scalar"): ("closed", "closed", 0),
+    ("monte_carlo", "example2_no_jacobian"): ("closed", "fd_once", 1),
+    ("monte_carlo", "example2_no_closed_b"): ("fd", "sampled", 2),
+    ("finite_difference_mc", "example1"): ("fd", "fd_once", 1),
+    ("finite_difference_mc", "example2"): ("fd", "fd_each", 1),
+    ("finite_difference_mc", "scalar"): ("fd", "fd_once", 1),
+    ("finite_difference_mc", "example2_no_jacobian"): ("fd", "fd_once", 1),
 }
 
 
@@ -71,8 +74,10 @@ def test_provider_resolver_table(mode, name):
         "scalar": simple_scalar_model,
         "example2_no_jacobian": lambda: dataclasses.replace(cb.build_example2(),
                                                             meas_jacobian=None),
+        "example2_no_closed_b": lambda: dataclasses.replace(cb.build_example2(),
+                                                            analytic_b=None),
     }[name]()
-    b_source, c_source = RESOLVER_TABLE[mode, name]
+    b_source, c_source, draws = RESOLVER_TABLE[mode, name]
     est = cb.ExpectationEstimator(mode=mode, sample_count=3, seed=0)
     start = model.start_time
     times = (start, start + 1)
@@ -89,9 +94,31 @@ def test_provider_resolver_table(mode, name):
     assert (c1 is c0) == (c_source in ("closed", "fd_once"))
     stderrs = [provider.measurement_stderr(k) for k in times]
     assert all((se is not None) == (c_source == "sampled") for se in stderrs)
-    draws = {"closed": 0, "sampled": 1, "fd_once": 1, "fd_each": len(times)}[c_source]
-    draws += b_source == "fd"  # the transition's FD-MC mean draws once
     assert provider.report.samples == est.sample_count * draws
+
+
+@pytest.mark.parametrize("name, per_time", [("example1", False), ("example2", True),
+                                            ("example2_no_jacobian", False)])
+def test_finite_difference_mc_simulates_once_per_chunk(name, per_time, monkeypatch):
+    # One simulate call per chunk serves the transition grid and every
+    # measurement grid, up to the last time that needs one.
+    model = cb.build_example1() if name == "example1" else cb.build_example2()
+    if name == "example2_no_jacobian":
+        model = dataclasses.replace(model, meas_jacobian=None)
+    calls = []
+
+    def recorded(horizon, count, rng):
+        calls.append((horizon, count))
+        return model.simulate(horizon, count, rng)
+
+    monkeypatch.setattr(blocks_mod, "CHUNK_SIZE", 16)
+    traced = dataclasses.replace(model, simulate=recorded)
+    est = cb.ExpectationEstimator(mode="finite_difference_mc", sample_count=40, seed=2)
+    start = model.start_time
+    provider = cb.BlockProvider(traced, est, start, start + 4)
+    horizon = start + 4 if per_time else start + 1
+    assert calls == [(horizon, 16), (horizon, 16), (horizon, 8)]
+    assert provider.report.samples == est.sample_count
 
 
 @pytest.mark.parametrize("mode", ["analytic", "monte_carlo", "finite_difference_mc"])
@@ -155,14 +182,19 @@ def test_finite_difference_mc_matches_closed_forms_on_every_layout(lags):
 
 @pytest.mark.parametrize("name", ["example1", "example2"])
 def test_finite_difference_mc_matches_per_sample_loop(name, request, monkeypatch):
-    # Two chunks, so the chunk streams and their sum are covered too.
+    # Two chunks, so the chunk streams and their sum are covered too, and
+    # the grids at the first and the last time of the shared draw.
     model = request.getfixturevalue(name)
     monkeypatch.setattr(blocks_mod, "CHUNK_SIZE", 16)
     est = cb.ExpectationEstimator(mode="finite_difference_mc", sample_count=30, seed=4)
-    k = model.start_time
-    for grid, transition in zip(blocks_at(model, k, est), (True, False)):
-        ref = fd_mc_grid_per_sample(model, k, est, transition)
-        assert np.max(np.abs(grid - ref)) <= 1e-6 * np.max(np.abs(ref))
+    start, stop = model.start_time, model.start_time + 3
+    provider = cb.BlockProvider(model, est, start, stop)
+    horizon = stop if model.meas_jacobian is not None else start + 1
+    for k in (start, stop - 1):
+        for grid, transition in zip(provider.blocks(k), (True, False)):
+            at = start if transition or model.meas_jacobian is None else k
+            ref = fd_mc_grid_per_sample(model, start, horizon, at, est, transition)
+            assert np.max(np.abs(grid - ref)) <= 1e-6 * np.max(np.abs(ref))
 
 
 def test_finite_difference_log_density_calls_do_not_grow_with_samples(example1):
@@ -209,8 +241,9 @@ def test_finite_difference_log_density_arguments():
     blocks_at(traced, k, cb.ExpectationEstimator(mode="finite_difference_mc", sample_count=5,
                                                  seed=1))
     p = model.profile
-    for field, batch in zip(calls, batches):
-        states, meas = batch.states, batch.measurements
+    [batch] = batches  # one draw serves both factors
+    states, meas = batch.states, batch.measurements
+    for field in calls:
         if field == "trans_logpdf":
             first = states[:, k + 1]
             x_hist = [states[:, k - i] for i in range(p.l2_eff)]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import corrbound as cb
-from corrbound import cli, examples, selection
+from corrbound import blocks, cli, examples, selection
 from corrbound.examples import MA_COEFF_MAX
 from reference_steps import run_plain
 
@@ -79,6 +79,21 @@ def test_run_with_one_sample_block_deterministic_across_workers(tmp_path):
     assert run_cli(base + ["--workers", "1", "--out", str(outs[0])]) == 0
     assert run_cli(base + ["--workers", "3", "--out", str(outs[1])]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+@pytest.mark.parametrize("model", ["example1", "example2"])
+def test_finite_difference_mc_deterministic_across_workers(tmp_path, monkeypatch, model):
+    # 40 samples in chunks of 16: three chunks, spread over up to three
+    # threads and summed in chunk order.
+    monkeypatch.setattr(blocks, "CHUNK_SIZE", 16)
+    monkeypatch.setattr(blocks.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    base = ["run", "--model", model, "--mode", "finite_difference_mc", "--horizon", "6",
+            "--samples", "40", "--seed", "5"]
+    outs = []
+    for workers in (1, 2, 3):
+        outs.append(tmp_path / f"w{workers}.csv")
+        assert run_cli(base + ["--workers", str(workers), "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
 
 
 def test_readme_config_example_serves_its_commands(tmp_path):
@@ -373,6 +388,40 @@ def test_scalar_log_density_is_model_error(tmp_path, capsys, monkeypatch, field)
                        **{field: lambda *args: 0.0}) == 2
     assert capsys.readouterr().err.startswith(
         f"model error: model 'example1': {field} returned shape (), expected (n,) = (100,)")
+
+
+def _batch_with_extra_sample(simulate):
+    return lambda horizon, count, rng: simulate(horizon, count + 1, rng)
+
+
+def _batch_one_time_short(simulate):
+    def short(horizon, count, rng):
+        batch = simulate(horizon, count, rng)
+        return dataclasses.replace(batch, states=batch.states[:, :-1])
+    return short
+
+
+def _batch_as_tuple(simulate):
+    def plain(horizon, count, rng):
+        batch = simulate(horizon, count, rng)
+        return batch.states, batch.measurements, batch.trans_shift, batch.meas_shift
+    return plain
+
+
+@pytest.mark.parametrize("wrap, message", [
+    # example1 starts at time 2, so its FD-MC draw runs to horizon 3.
+    (_batch_with_extra_sample, "simulate states returned shape (101, 4, 2), "
+                               "expected (count, horizon + 1, state_dim) = (100, 4, 2)"),
+    (_batch_one_time_short, "simulate states returned shape (100, 3, 2), "
+                            "expected (count, horizon + 1, state_dim) = (100, 4, 2)"),
+    (_batch_as_tuple, "simulate returned tuple, expected a TrajectoryBatch"),
+], ids=["extra_sample", "one_time_short", "tuple"])
+def test_malformed_simulate_batch_is_model_error(tmp_path, capsys, monkeypatch, wrap, message):
+    # FD-MC checks every batch it draws before it reads one.
+    simulate = wrap(cb.build_example1().simulate)
+    assert _run_custom(tmp_path, monkeypatch, cb.build_example1, mode="finite_difference_mc",
+                       simulate=simulate) == 2
+    assert capsys.readouterr().err == f"model error: model 'example1': {message}\n"
 
 
 def test_non_finite_closed_form_is_numerical_error(tmp_path, capsys, monkeypatch):

@@ -23,6 +23,22 @@ def test_prior_information_block_diagonal():
     assert np.allclose(info, np.diag([0.5, 0.25]))
 
 
+def test_prior_factors_each_covariance_once(monkeypatch):
+    # The factors are formed on the first draw and reused; a covariance
+    # that is not positive definite fails on every draw, as it is not cached.
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or cholesky(a))
+    prior = cb.GaussianPrior(means=np.zeros((2, 2)), covariances=np.array([np.eye(2)] * 2))
+    first = prior.sample(4, np.random.default_rng(0))
+    second = prior.sample(4, np.random.default_rng(0))
+    assert len(calls) == 2 and np.array_equal(first, second)
+    bad = cb.GaussianPrior(means=np.zeros((1, 2)), covariances=-np.eye(2)[None])
+    for _ in range(2):
+        with pytest.raises(np.linalg.LinAlgError):
+            bad.sample(4, np.random.default_rng(0))
+
+
 def test_default_prior_scales():
     prior = cb.default_prior(cb.CorrelationProfile(0, 2, 0, 0), 4)
     assert prior.window_len == 3
