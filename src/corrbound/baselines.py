@@ -12,7 +12,9 @@ Three baselines, each a white-noise bound after a model transformation:
 ``pcrb_ignore_correlation`` and ``pcrb_prewhiten`` run :func:`corrbound.step`
 on a window-1 white-noise model, where it is the classical information
 recursion.  ``pcrb_augmented`` keeps a covariance-form loop, because its
-augmented process covariance is singular.
+augmented process covariance is singular.  Each starts from the model's last
+prior state, so its step ``s`` reaches time index ``model.start_time + s``,
+as the unified trace's does.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ def _white_noise_trace(model: SystemModel, f: np.ndarray, q: np.ndarray,
     )
     prior = GaussianPrior(model.prior.means[-1:], model.prior.covariances[-1:])
     white = build_linear_model(spec, prior=prior, name=f"{model.name}_white")
-    return run(white, ExpectationEstimator(), horizon)
+    trace = run(white, ExpectationEstimator(), horizon)
+    return PCRBTrace(trace.rows, trace.index, model.start_time)
 
 
 def pcrb_ignore_correlation(model: SystemModel, horizon: int) -> PCRBTrace:
@@ -143,7 +146,7 @@ def pcrb_augmented(model: SystemModel, horizon: int) -> PCRBTrace:
         return _augmented_step(p, f_aug, q_aug, h_aug, r_inv, model.state_dim)
 
     rows, index = _distinct_steps(p, [()] * horizon, compute)
-    return PCRBTrace(rows, index)
+    return PCRBTrace(rows, index, model.start_time)
 
 
 def pcrb_prewhiten(model: SystemModel, horizon: int) -> PCRBTrace:

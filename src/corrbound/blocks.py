@@ -466,10 +466,14 @@ class BlockProvider:
                                                               model.analytic_c)))
 
     def blocks(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        return self._blocks[k]
+        try:
+            return self._blocks[k]
+        except KeyError:
+            raise ValueError(f"time index {k} outside the provider's range "
+                             f"[{self.start}, {self.stop})") from None
 
     def measurement(self, k: int) -> np.ndarray:
-        return self._blocks[k][1]
+        return self.blocks(k)[1]
 
     def measurement_stderr(self, k: int) -> np.ndarray | None:
         return self._c_se.get(k)

@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import baselines as _baselines
@@ -45,19 +44,6 @@ _SETTINGS = (
     ("sweep", "max_sensors", "max_m", 16),
     ("sweep", "target", "target", None),
 )
-
-
-@dataclass
-class RunConfig:
-    model: SystemModel
-    horizon: int
-    estimator: ExpectationEstimator
-    baselines: tuple[str, ...]
-    out_path: str | None
-    out_format: str
-    component: int
-    max_sensors: int
-    target: float | None
 
 
 def _fmt(value: float) -> str:
@@ -108,7 +94,10 @@ def _require_writable(path) -> None:
             f"cannot write output file {path!r}: not a file in an existing directory")
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
+def _build_config(args: argparse.Namespace
+                  ) -> tuple[dict, SystemModel, ExpectationEstimator]:
+    """Each setting's checked value by key (see :func:`_settings`), the
+    model built from the ``model`` entry and the estimator."""
     data = _load_config_file(args.config) if args.config else {}
     values = _settings(args, data)
     if values["model"] is None:
@@ -122,8 +111,11 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     require_int(values["component"], "component", 0)
     require_int(values["max_sensors"], "sweep.max_sensors (--max-m)", 1)
 
-    if values["format"] not in ("csv", "json"):
-        raise ConfigError(f"output.format: expected 'csv' or 'json', got {values['format']!r}")
+    # compare and sensors write CSV only.
+    formats = ("csv",) if args.command in ("compare", "sensors") else ("csv", "json")
+    if values["format"] not in formats:
+        raise ConfigError(f"output.format: expected {' or '.join(map(repr, formats))} "
+                          f"for {args.command}, got {values['format']!r}")
     _require_writable(values["path"])
     tolerance = getattr(args, "tolerance", None)
     if tolerance is not None and not 0.0 <= tolerance < math.inf:
@@ -161,18 +153,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
                                      workers=values["workers"])
     if mode != "analytic" and seed is None:
         raise ConfigError("estimator.seed: required whenever sampling is active")
-
-    return RunConfig(
-        model=model,
-        horizon=values["horizon"],
-        estimator=estimator,
-        baselines=tuple(baselines),
-        out_path=values["path"],
-        out_format=values["format"],
-        component=component,
-        max_sensors=values["max_sensors"],
-        target=target,
-    )
+    return values, model, estimator
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -197,13 +178,13 @@ def _trace_csv(trace: PCRBTrace, r: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _trace_json(trace: PCRBTrace, model: SystemModel, config: RunConfig) -> str:
+def _trace_json(trace: PCRBTrace, model: SystemModel, horizon: int, seed: int) -> str:
     rows = [{"info": info.tolist(), "bound": bound.tolist(), "sqrt_bound": root.tolist()}
             for info, bound, root in trace.rows]
     payload = {
         "model": model.name,
-        "horizon": config.horizon,
-        "seed": config.estimator.seed,
+        "horizon": horizon,
+        "seed": seed,
         "entries": [{"k": s, "time_index": trace.start + s, **rows[i]}
                     for s, i in enumerate(trace.index.tolist(), 1)],
     }
@@ -211,13 +192,12 @@ def _trace_json(trace: PCRBTrace, model: SystemModel, config: RunConfig) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    model = config.model
-    trace = run(model, config.estimator, config.horizon)
-    if config.out_format == "csv":
-        _write_text(config.out_path, _trace_csv(trace, model.state_dim))
+    values, model, est = _build_config(args)
+    trace = run(model, est, values["horizon"])
+    if values["format"] == "csv":
+        _write_text(values["path"], _trace_csv(trace, model.state_dim))
     else:
-        _write_text(config.out_path, _trace_json(trace, model, config))
+        _write_text(values["path"], _trace_json(trace, model, values["horizon"], est.seed))
     if trace.mc_resampled:
         print(f"note: {trace.mc_resampled} sample(s) redrawn near a "
               "measurement singularity", file=sys.stderr)
@@ -225,11 +205,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    names = dict.fromkeys(config.baselines or ("i", "a", "p"))  # one column per name
-    model = config.model
-    traces = [run(model, config.estimator, config.horizon)]
-    traces += [_baselines.BASELINES[name](model, config.horizon) for name in names]
+    values, model, est = _build_config(args)
+    names = dict.fromkeys(values["baselines"] or ("i", "a", "p"))  # one column per name
+    component = values["component"]
+    traces = [run(model, est, values["horizon"])]
+    traces += [_baselines.BASELINES[name](model, values["horizon"]) for name in names]
     header = ["k", "pcrb_t"] + [_baselines.BASELINE_LABELS[name] for name in names]
     # A step's values are fixed by its traces' row indices, so each distinct
     # tuple of rows is formatted once.
@@ -239,17 +219,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
         text = texts.get(rows)
         if text is None:
             text = texts[rows] = ",".join(
-                _fmt(t.rows[i][2][config.component]) for t, i in zip(traces, rows))
+                _fmt(t.rows[i][2][component]) for t, i in zip(traces, rows))
         lines.append(f"{k},{text}")
-    _write_text(config.out_path, "\n".join(lines) + "\n")
+    _write_text(values["path"], "\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def cmd_oracle_verify(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    model = config.model
-    k_max = model.start_time + config.horizon
-    deviations = _oracle.verify_recursion(model, config.estimator, k_max)
+    values, model, est = _build_config(args)
+    k_max = model.start_time + values["horizon"]
+    deviations = _oracle.verify_recursion(model, est, k_max)
     worst = 0.0
     for k in sorted(deviations):
         print(f"k={k} max_rel_dev={deviations[k]:.3e}")
@@ -265,19 +244,18 @@ def cmd_oracle_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_sensors(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    model = config.model
-    avg = sweep(model, config.max_sensors, horizon=config.horizon,
-                component=config.component, est=config.estimator)
+    values, model, est = _build_config(args)
+    max_sensors, target = values["max_sensors"], values["target"]
+    avg = sweep(model, max_sensors, horizon=values["horizon"],
+                component=values["component"], est=est)
     lines = ["sensors,avg_bound"] + [f"{m},{_fmt(v)}" for m, v in enumerate(avg, 1)]
-    _write_text(config.out_path, "\n".join(lines) + "\n")
-    if config.target is not None:
-        needed = min_sensors(avg, config.target)
+    _write_text(values["path"], "\n".join(lines) + "\n")
+    if target is not None:
+        needed = min_sensors(avg, target)
         if needed is None:
-            print(f"target {config.target:g}: unachievable with up to "
-                  f"{config.max_sensors} sensors")
+            print(f"target {target:g}: unachievable with up to {max_sensors} sensors")
         else:
-            print(f"target {config.target:g}: {needed} sensor(s) suffice")
+            print(f"target {target:g}: {needed} sensor(s) suffice")
     return EXIT_OK
 
 
@@ -308,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_output: bool = True):
+    def common(p: argparse.ArgumentParser, output: bool = True, component: bool = False):
         p.add_argument("--model", type=_builtin_model,
                        help=f"builtin model name ({', '.join(_BUILTINS)})")
         p.add_argument("--config", help="JSON configuration file")
@@ -320,28 +298,30 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"worker threads for sampling, one task per {BLOCK_SIZE}-sample "
                             f"Jacobian block or {CHUNK_SIZE}-sample FD-MC chunk; at most "
                             "one per task and per CPU")
-        p.add_argument("--component", type=int, help="state component for scalar summaries")
-        if with_output:
+        if output:
             p.add_argument("--out", help="output path ('-' for stdout)")
-            p.add_argument("--format", choices=("csv", "json"), help="output format")
+        if component:
+            p.add_argument("--component", type=int,
+                           help="state component for scalar summaries")
 
     p_run = sub.add_parser("run", help="compute a bound trace")
     common(p_run)
+    p_run.add_argument("--format", choices=("csv", "json"), help="output format")
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="unified bound next to baselines")
-    common(p_cmp)
+    common(p_cmp, component=True)
     p_cmp.add_argument("--baselines", type=_name_list, help="comma list from {i,a,p}")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_ver = sub.add_parser("oracle-verify",
                            help="check the recursion against the full-horizon reference")
-    common(p_ver, with_output=False)
+    common(p_ver, output=False)
     p_ver.add_argument("--tolerance", type=float, default=1e-8)
     p_ver.set_defaults(func=cmd_oracle_verify)
 
     p_sen = sub.add_parser("sensors", help="averaged bound versus sensor count")
-    common(p_sen)
+    common(p_sen, component=True)
     p_sen.add_argument("--max-m", type=int, help="largest sensor count")
     p_sen.add_argument("--target", type=float, help="desired average bound")
     p_sen.set_defaults(func=cmd_sensors)

@@ -29,10 +29,9 @@ from .models import (
     SystemModel,
     TrajectoryBatch,
     _gaussian_logpdf,
-    _linear_logdensities,
+    _linear_factor,
     build_linear_model,
     default_prior,
-    linear_transition_blocks,
 )
 from .profiles import CorrelationProfile
 
@@ -206,17 +205,9 @@ def build_example2(prior: GaussianPrior | None = None) -> SystemModel:
             transition=f,
         )
 
-    eye4 = np.eye(4)
-    coeff_spec = LinearConditionalSpec(
-        profile=profile,
-        state_coeffs=(eye4 + f, -f),
-        process_cov=q,
-        meas_state_coeffs=(np.zeros((2, 4)),),  # placeholder; measurement is nonlinear
-        meas_cov=sigma2,
-    )
-
-    # The transition is the spec's; only the measurement is nonlinear.
-    trans_logpdf, _, _ = _linear_logdensities(coeff_spec)
+    # The transition is linear; only the measurement is not.
+    trans_logpdf, analytic_b = _linear_factor((np.eye(4) + f, -f), (), q,
+                                              "process covariance", next_state=True)
     log_norm_r = -0.5 * (2 * np.log(2.0 * np.pi) + np.linalg.slogdet(sigma2)[1])
 
     def meas_logpdf(z_next, x_hist, z_hist, shift):
@@ -276,7 +267,7 @@ def build_example2(prior: GaussianPrior | None = None) -> SystemModel:
         trans_logpdf=trans_logpdf,
         meas_logpdf=meas_logpdf,
         simulate=simulate,
-        analytic_b=linear_transition_blocks(coeff_spec),
+        analytic_b=analytic_b,
         analytic_c=None,
         meas_jacobian=range_azimuth_jacobian,
         meas_noise_information=sigma2_inv,

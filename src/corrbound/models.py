@@ -364,59 +364,44 @@ class LinearConditionalSpec:
         return np.asarray(self.meas_cov).shape[0]
 
 
-def _curvature_grid(coefs: list[Array], cov: Array, context: str) -> Array:
-    """Curvature grid of a linear-Gaussian factor whose residual has
-    covariance ``cov`` and gradient ``coefs[i]`` in slot ``i``, slots as in
-    :func:`corrbound.blocks.factor_frame`: block ``(i, j)`` is
-    ``coefs[i].T @ inv(cov) @ coefs[j]``."""
-    info = psd_inverse(np.asarray(cov, dtype=float), context=context)
-    return np.block([[ci.T @ info @ cj for cj in coefs] for ci in coefs])
-
-
-def linear_transition_blocks(spec: LinearConditionalSpec) -> Array:
-    coefs = [-np.asarray(f, dtype=float) for f in reversed(spec.state_coeffs)]
-    return _curvature_grid(coefs + [np.eye(spec.state_dim)], spec.process_cov,
-                           "process covariance")
-
-
-def linear_measurement_blocks(spec: LinearConditionalSpec) -> Array:
-    coefs = [-np.asarray(h, dtype=float) for h in reversed(spec.meas_state_coeffs)]
-    return _curvature_grid(coefs, spec.meas_cov, "measurement covariance")
-
-
 def _gaussian_logpdf(residual: Array, cov_inv: Array, log_norm: float) -> Array:
     """Gaussian log-density of each row of the ``(n, dim)`` ``residual``."""
     return log_norm - 0.5 * np.sum((residual @ cov_inv) * residual, axis=1)
 
 
-def _linear_logdensities(spec: LinearConditionalSpec):
-    """Transition and measurement log-densities of ``spec``, and its profile."""
+def _linear_factor(state_coeffs, meas_coeffs, cov, context: str, next_state: bool
+                   ) -> tuple[LogDensity, Array]:
+    """Log-density and curvature grid of one linear-Gaussian factor.
 
-    def density(state_coeffs, meas_coeffs, cov, context):
-        # The residual is the next value less its conditional mean: the
-        # shift plus the coefficients applied to the newest-first histories.
-        cov = np.asarray(cov, dtype=float)
-        cov_inv = psd_inverse(cov, context=context)
-        log_norm = -0.5 * (cov.shape[0] * np.log(2.0 * np.pi) + np.linalg.slogdet(cov)[1])
+    The factor's value is the shift plus ``state_coeffs[i]`` applied to the
+    ``i``-th state of its newest-first history and ``meas_coeffs[j]`` to the
+    ``j``-th measurement, plus noise of covariance ``cov`` (``context``
+    names it in errors); the value is the state ``x[k+1]`` if
+    ``next_state``, else a measurement.  The grid's slots are those of
+    :func:`corrbound.blocks.factor_frame`, and its block ``(i, j)`` is
+    ``g_i.T @ inv(cov) @ g_j``, with ``g_i`` the gradient of the residual in
+    slot ``i``.
+    """
+    cov = np.asarray(cov, dtype=float)
+    cov_inv = psd_inverse(cov, context=context)
+    log_norm = -0.5 * (cov.shape[0] * np.log(2.0 * np.pi) + np.linalg.slogdet(cov)[1])
+    state_coeffs = [np.asarray(a, dtype=float) for a in state_coeffs]
+    meas_coeffs = [np.asarray(b, dtype=float) for b in meas_coeffs]
 
-        def logpdf(nxt, x_hist, z_hist, shift):
-            mean = shift
-            for i, a_i in enumerate(state_coeffs):
-                mean = mean + x_hist[:, i] @ np.asarray(a_i).T
-            for j, b_j in enumerate(meas_coeffs):
-                mean = mean + z_hist[:, j] @ np.asarray(b_j).T
-            return _gaussian_logpdf(nxt - mean, cov_inv, log_norm)
-        return logpdf
+    def logpdf(nxt, x_hist, z_hist, shift):
+        # The residual is the value less its conditional mean.
+        mean = shift
+        for i, a_i in enumerate(state_coeffs):
+            mean = mean + x_hist[:, i] @ a_i.T
+        for j, b_j in enumerate(meas_coeffs):
+            mean = mean + z_hist[:, j] @ b_j.T
+        return _gaussian_logpdf(nxt - mean, cov_inv, log_norm)
 
-    return (density(spec.state_coeffs, spec.trans_meas_coeffs, spec.process_cov,
-                    "process covariance"),
-            density(spec.meas_state_coeffs, spec.meas_meas_coeffs, spec.meas_cov,
-                    "measurement covariance"),
-            spec.profile)
+    grads = [-a for a in reversed(state_coeffs)] + ([np.eye(len(cov))] if next_state else [])
+    return logpdf, np.block([[gi.T @ cov_inv @ gj for gj in grads] for gi in grads])
 
 
 def _linear_simulator(spec: LinearConditionalSpec, prior: GaussianPrior) -> Simulator:
-    p = spec.profile
     r = spec.state_dim
     n = spec.meas_dim
     w = prior.window_len
@@ -460,7 +445,12 @@ def build_linear_model(
     """Assemble a :class:`SystemModel` from linear conditional coefficients."""
     if prior is None:
         prior = default_prior(spec.profile, spec.state_dim)
-    trans_logpdf, meas_logpdf, profile = _linear_logdensities(spec)
+    trans_logpdf, analytic_b = _linear_factor(
+        spec.state_coeffs, spec.trans_meas_coeffs, spec.process_cov,
+        "process covariance", next_state=True)
+    meas_logpdf, analytic_c = _linear_factor(
+        spec.meas_state_coeffs, spec.meas_meas_coeffs, spec.meas_cov,
+        "measurement covariance", next_state=False)
     if linear_info is None and spec.profile.uncorrelated:
         linear_info = LinearModelInfo(
             transition=np.asarray(spec.state_coeffs[0], dtype=float),
@@ -473,13 +463,13 @@ def build_linear_model(
         name=name,
         state_dim=spec.state_dim,
         meas_dim=spec.meas_dim,
-        profile=profile,
+        profile=spec.profile,
         prior=prior,
         trans_logpdf=trans_logpdf,
         meas_logpdf=meas_logpdf,
         simulate=_linear_simulator(spec, prior),
-        analytic_b=linear_transition_blocks(spec),
-        analytic_c=linear_measurement_blocks(spec),
+        analytic_b=analytic_b,
+        analytic_c=analytic_c,
         linear=linear_info,
     )
 

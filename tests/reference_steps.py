@@ -276,7 +276,7 @@ def pcrb_augmented_plain(model: SystemModel, horizon: int) -> PCRBTrace:
         p = psd_inverse(j, context="augmented information")
         info_x = psd_inverse(p[:r_dim, :r_dim], context="augmented state bound")
         rows.append(trace_row(info_x))
-    return PCRBTrace(rows, range(horizon))
+    return PCRBTrace(rows, range(horizon), model.start_time)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,17 @@ def test_independent_model_all_equal():
     assert max_trace_deviation(prewhite, ignore) < 1e-12
 
 
+def test_baseline_traces_share_the_model_time_axis(example1):
+    # Every baseline starts from the model's last prior state, as the
+    # unified recursion does, so step s reaches the same time on all four.
+    baselines = (cb.pcrb_ignore_correlation, cb.pcrb_augmented, cb.pcrb_prewhiten)
+    traces = [cb.run(example1, cb.ExpectationEstimator(), 5)]
+    traces += [baseline(example1, 5) for baseline in baselines]
+    start = example1.start_time
+    for trace in traces:
+        assert [e.time_index for e in trace.entries] == list(range(start + 1, start + 6))
+
+
 def _classical_reference(f, q, h, r, prior_cov, horizon):
     """Information sequence of the classical white-noise recursion, with its
     blocks written out from ``(f, q, h, r)`` by plain inverses."""

@@ -231,8 +231,12 @@ LINEAR_1D = {
     ("run", [], {"model": {}}, "model.kind: required"),
     ("run", [], {"output": {"format": "xml"}}, "output.format"),
     ("compare", ["--baselines", "x"], None, "unknown baseline 'x'"),
-    ("run", ["--component", "2"], None, "component 2 out of range"),
+    ("compare", ["--component", "2"], None, "component 2 out of range"),
     ("run", [], {"output": {"path": 5}}, "output.path"),
+    # Each command takes only the flags it reads; compare and sensors write CSV.
+    ("compare", ["--format", "json"], None, "--format"),
+    ("sensors", [], {"output": {"format": "json"}}, "output.format"),
+    ("run", ["--component", "0"], None, "--component"),
 ])
 def test_bad_field_is_config_error(tmp_path, capsys, command, extra, config, field):
     args = [command, *extra, "--horizon", "3"]

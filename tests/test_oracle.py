@@ -174,6 +174,15 @@ def test_recursion_matches_oracle_example1(example1):
     assert max(deviations.values()) < 1e-8
 
 
+def test_information_sequence_names_a_provider_that_falls_short(example1):
+    est = cb.ExpectationEstimator()
+    start = example1.start_time
+    provider = cb.BlockProvider(example1, est, start, start + 5)
+    with pytest.raises(ValueError, match=rf"time index {start + 5} outside the "
+                                         rf"provider's range \[{start}, {start + 5}\)"):
+        oracle.information_sequence(example1, est, start + 8, provider=provider)
+
+
 def test_recursion_matches_oracle_with_sampled_blocks(example2):
     # Different seeds on the two sides: agreement within 3 combined standard
     # errors of the sampled measurement curvature, propagated loosely through

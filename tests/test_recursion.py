@@ -171,6 +171,16 @@ def test_run_single_step(example1, analytic_est):
         cb.run(example1, analytic_est, 0)
 
 
+def test_run_names_a_provider_that_falls_short(example1, analytic_est):
+    start = example1.start_time
+    provider = BlockProvider(example1, analytic_est, start, start + 5)
+    miss = rf"time index {start + 5} outside the provider's range \[{start}, {start + 5}\)"
+    with pytest.raises(ValueError, match=miss):
+        cb.run(example1, analytic_est, 8, provider=provider)
+    with pytest.raises(ValueError, match=miss):
+        provider.measurement(start + 5)
+
+
 # Entry point -> (call with the count, argument name, least valid value).
 # example1's prior window ends at time 2.
 STEP_COUNT_ENTRY_POINTS = {
