@@ -23,7 +23,7 @@ import numpy as np
 
 from .blocks import ExpectationEstimator
 from .errors import ModelBuildError, require_int
-from .linalg import psd_inverse, symmetrize
+from .linalg import psd_factor, psd_inverse, symmetrize
 from .models import (
     GaussianPrior,
     LinearConditionalSpec,
@@ -117,15 +117,17 @@ def augmented_system(model: SystemModel) -> tuple[np.ndarray, ...]:
 
 
 def _augmented_step(p: np.ndarray, f_aug: np.ndarray, q_aug: np.ndarray,
-                    h_aug: np.ndarray, r_inv: np.ndarray, r_dim: int
-                    ) -> tuple[np.ndarray, np.ndarray]:
+                    info_meas: np.ndarray, r_dim: int) -> tuple[np.ndarray, np.ndarray]:
     # Covariance-form propagation tolerates the singular augmented process
     # covariance (the x-rows carry no fresh noise).
     predicted = symmetrize(q_aug + f_aug @ p @ f_aug.T)
-    j = symmetrize(psd_inverse(predicted, context="augmented prediction")
-                   + h_aug.T @ r_inv @ h_aug)
-    p_next = psd_inverse(j, context="augmented information")
-    return p_next, psd_inverse(p_next[:r_dim, :r_dim], context="augmented state bound")
+    j = psd_factor(predicted, context="augmented prediction")[2] + info_meas
+    # One factorization of j, with its states in reverse order so that x
+    # comes last, gives p_next = inv(j) and, as the factor's last block
+    # times its transpose, x's information: the inverse of p_next's x block.
+    lower, _, p_reversed = psd_factor(j[::-1, ::-1], context="augmented information")
+    last = lower[-r_dim:, -r_dim:]
+    return p_reversed[::-1, ::-1], (last @ last.T)[::-1, ::-1]
 
 
 def pcrb_augmented(model: SystemModel, horizon: int) -> PCRBTrace:
@@ -141,9 +143,10 @@ def pcrb_augmented(model: SystemModel, horizon: int) -> PCRBTrace:
     """
     require_int(horizon, "horizon", 1)
     f_aug, q_aug, h_aug, r_inv, p = augmented_system(model)
+    info_meas = symmetrize(h_aug.T @ r_inv @ h_aug)
 
     def compute(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _augmented_step(p, f_aug, q_aug, h_aug, r_inv, model.state_dim)
+        return _augmented_step(p, f_aug, q_aug, info_meas, model.state_dim)
 
     rows, index = _distinct_steps(p, [()] * horizon, compute)
     return PCRBTrace(rows, index, model.start_time)

@@ -178,7 +178,7 @@ def _trace_csv(trace: PCRBTrace, r: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _trace_json(trace: PCRBTrace, model: SystemModel, horizon: int, seed: int) -> str:
+def _trace_json(trace: PCRBTrace, model: SystemModel, horizon: int, seed: int | None) -> str:
     rows = [{"info": info.tolist(), "bound": bound.tolist(), "sqrt_bound": root.tolist()}
             for info, bound, root in trace.rows]
     payload = {
@@ -197,7 +197,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if values["format"] == "csv":
         _write_text(values["path"], _trace_csv(trace, model.state_dim))
     else:
-        _write_text(values["path"], _trace_json(trace, model, values["horizon"], est.seed))
+        _write_text(values["path"], _trace_json(trace, model, values["horizon"], values["seed"]))
     if trace.mc_resampled:
         print(f"note: {trace.mc_resampled} sample(s) redrawn near a "
               "measurement singularity", file=sys.stderr)

@@ -1,26 +1,28 @@
-"""Small dense linear-algebra helpers with symmetric-PSD safety rails."""
+"""Small dense linear-algebra helpers with symmetric-PSD safety rails.
+
+Only numpy is used.  A matrix is inverted through its Cholesky factor ``L``
+and ``inv(L)``.  It counts as singular, rather than being silently
+pseudo-inverted, when its 2-norm reciprocal condition number is below
+``RCOND_FLOOR``.  That decision starts from the exact 1-norm reciprocal
+condition, formed from the matrix and its inverse.  For a symmetric
+``n x n`` matrix, ``rcond_1 <= rcond_2 <= n * rcond_1``.  So a value at or
+above the floor accepts and one below ``RCOND_FLOOR / n`` rejects; an SVD
+decides only inside the band ``[RCOND_FLOOR / n, RCOND_FLOOR)``, or when the
+factorization fails.
+"""
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvariantViolationError, SingularMatrixError
 
-# A solve is treated as singular, rather than silently pseudo-inverted, when
-# the 2-norm reciprocal condition number of the matrix is below this floor.
-# ``psd_solve`` reaches that decision from the LAPACK 1-norm estimate of the
-# Cholesky factor and runs an SVD only when the estimate is too close to the
-# floor to decide, or when the factorization fails.
 RCOND_FLOOR = 1e-13
-
-_POTRF, _POCON, _POTRS, _LANGE, _SYEVD = scipy.linalg.get_lapack_funcs(
-    ("potrf", "pocon", "potrs", "lange", "syevd"), (np.empty((1, 1)),)
-)
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+    """``(a + a^T) / 2`` of a matrix, or of each matrix of a stack."""
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def reciprocal_condition(a: np.ndarray) -> float:
@@ -32,57 +34,94 @@ def reciprocal_condition(a: np.ndarray) -> float:
     return 1.0 / c
 
 
-def psd_solve(a: np.ndarray, b: np.ndarray, *, context: str = "matrix") -> np.ndarray:
-    """Solve ``a @ x = b`` for symmetric positive-definite ``a``.
+def _norm1(a: np.ndarray):
+    """1-norm of ``a`` (each matrix of a stack): its largest absolute column sum."""
+    return np.maximum.reduce(np.add.reduce(np.abs(a), -2), -1)
 
-    Raises SingularMatrixError with a condition estimate instead of returning
-    a pseudo-inverse when ``a`` is singular or nearly so.
 
-    The gate is ``reciprocal_condition(a) < RCOND_FLOOR``.  For a symmetric
-    ``n x n`` matrix the 1-norm and 2-norm reciprocal conditions satisfy
-    ``rcond_1 <= rcond_2 <= n * rcond_1``, and the LAPACK estimate of
-    ``rcond_1`` is not below its true value (up to rounding).  So an
-    estimate under ``RCOND_FLOOR / n`` rejects outright; one at or above
-    ``n * RCOND_FLOOR`` accepts unless the estimate is off by more than a
-    factor ``n``; anything in between, or a failed factorization, is decided
-    by the SVD.
+def inverse_rcond(a: np.ndarray, inverse: np.ndarray):
+    """Exact 1-norm reciprocal condition of ``a`` (each matrix of a stack),
+    given its inverse: ``1 / (|a|_1 |inverse|_1)``."""
+    return 1.0 / (_norm1(a) * _norm1(inverse))
+
+
+def cholesky_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Lower Cholesky factor ``L`` of ``a = L L^T`` (each matrix of a stack)
+    and ``inv(L)``, or None when either fails."""
+    try:
+        lower = np.linalg.cholesky(a)
+        return lower, np.linalg.inv(lower)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def psd_factor(a: np.ndarray, *, context: str = "matrix"
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(L, inv(L), inv(a))`` for symmetric positive-definite ``a = L L^T``,
+    or for each matrix of a stack ``(..., n, n)``; ``inv(a)`` is
+    ``inv(L)^T inv(L)``.
+
+    Raises :class:`SingularMatrixError` with a condition estimate instead of
+    returning a pseudo-inverse when a matrix is not finite, not positive
+    definite or numerically singular; in a stack, the first such matrix
+    raises.  A matrix whose exact 1-norm reciprocal condition is at least
+    ``RCOND_FLOOR`` passes at once and one below ``RCOND_FLOOR / n`` is
+    refused; an SVD decides the rest, and a failed factorization.
     """
-    a = symmetrize(np.asarray(a, dtype=float))
+    # A non-finite matrix is not factored, so that nothing warns before the
+    # check below names it.
+    factors = cholesky_inverse(a) if np.isfinite(a).all() else None
+    if factors is not None:
+        lower, lower_inv = factors
+        inverse = lower_inv.swapaxes(-1, -2) @ lower_inv
+        rcond = inverse_rcond(a, inverse)
+        if (rcond >= RCOND_FLOOR).all():
+            return lower, lower_inv, inverse
+    if a.ndim > 2:  # one matrix at a time, so the first to fail raises
+        return tuple(map(np.stack, zip(*(psd_factor(m, context=context) for m in a))))
     if not np.isfinite(a).all():
         raise SingularMatrixError(f"{context} contains non-finite entries")
-    b = np.asarray(b, dtype=float)
-    n = a.shape[0]
-    if n == 0:
-        return b.copy()
-    factor, info = _POTRF(a, lower=1)
-    if info == 0:
-        rcond, _ = _POCON(factor, _LANGE("1", a), uplo="L")
-        if rcond < RCOND_FLOOR / n:
-            raise SingularMatrixError(f"{context} is numerically singular", rcond=rcond)
-        if rcond >= n * RCOND_FLOOR:
-            return _POTRS(factor, b, lower=1)[0]
-    rcond = reciprocal_condition(a)
-    if rcond < RCOND_FLOOR:
-        raise SingularMatrixError(f"{context} is numerically singular", rcond=rcond)
-    if info != 0:
-        raise SingularMatrixError(
-            f"{context} is not positive definite: "
-            f"{info}-th leading minor of the array is not positive definite",
-            rcond=rcond,
-        )
-    return _POTRS(factor, b, lower=1)[0]
+    if factors is not None and rcond < RCOND_FLOOR / a.shape[0]:
+        raise SingularMatrixError(f"{context} is numerically singular", rcond=float(rcond))
+    svd_rcond = reciprocal_condition(a)
+    if svd_rcond < RCOND_FLOOR:
+        raise SingularMatrixError(f"{context} is numerically singular", rcond=svd_rcond)
+    if factors is None:
+        raise SingularMatrixError(f"{context} is not positive definite", rcond=svd_rcond)
+    return lower, lower_inv, inverse
 
 
 def psd_inverse(a: np.ndarray, *, context: str = "matrix") -> np.ndarray:
-    eye = np.eye(a.shape[0])
-    return symmetrize(psd_solve(a, eye, context=context))
+    """Inverse of symmetric positive-definite ``a``, or of each matrix of a
+    stack, after :func:`psd_factor`'s gate; ``a`` is symmetrized first."""
+    a = symmetrize(np.asarray(a, dtype=float))
+    if a.shape[-1] == 0:
+        return a.copy()
+    return psd_factor(a, context=context)[2]
+
+
+def psd_solve(a: np.ndarray, b: np.ndarray, *, context: str = "matrix") -> np.ndarray:
+    """Solve ``a @ x = b`` for symmetric positive-definite ``a``.
+
+    ``x`` is ``inv(L)^T (inv(L) b)`` from :func:`psd_factor`, whose gate
+    raises :class:`SingularMatrixError` instead of returning a
+    pseudo-inverse.  It decides on the exact 1-norm reciprocal condition, and
+    an SVD runs only inside the band ``[RCOND_FLOOR / n, RCOND_FLOOR)`` or
+    when the factorization fails.  Applying the two triangular factors in
+    turn keeps the solve as accurate as triangular solves; multiplying by
+    the formed ``inv(a)`` would not be, for an ill-conditioned ``a``.
+    """
+    a = symmetrize(np.asarray(a, dtype=float))
+    b = np.asarray(b, dtype=float)
+    if a.shape[0] == 0:
+        return b.copy()
+    lower_inv = psd_factor(a, context=context)[1]
+    return lower_inv.T @ (lower_inv @ b)
 
 
 def check_psd(a: np.ndarray, *, rel_tol: float = 1e-10, context: str = "matrix") -> None:
     """Raise unless ``a`` is PSD up to ``-rel_tol * max_eigenvalue``."""
-    eigs, _, info = _SYEVD(symmetrize(a), compute_v=0, lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"{context}: eigenvalues did not converge")
+    eigs = np.linalg.eigvalsh(symmetrize(a))
     scale = max(float(eigs[-1]), 0.0)
     floor = -rel_tol * max(scale, 1.0)
     if eigs[0] < floor:

@@ -27,7 +27,6 @@ independent of the step.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky_banded
 
 from .blocks import BlockProvider, ExpectationEstimator
 from .errors import SingularMatrixError, require_int
@@ -91,8 +90,11 @@ def last_state_information(prefix: np.ndarray, r: int, t: int) -> np.ndarray:
     """Information of ``x[t]`` from the band-stored joint over ``x[0] .. x[t]``.
 
     Raises :class:`SingularMatrixError` naming ``t`` when LAPACK ``pbtrf``
-    finds the joint not positive definite.
+    finds the joint not positive definite.  scipy is imported here, so that
+    only the oracle loads it.
     """
+    from scipy.linalg import LinAlgError, cholesky_banded
+
     try:
         factor = cholesky_banded(prefix)
     except LinAlgError as exc:

@@ -17,7 +17,10 @@ import numpy as np
 from .blocks import BlockProvider, ExpectationEstimator, factor_frame
 from .errors import require_int
 from .linalg import (
+    RCOND_FLOOR,
     check_psd,
+    cholesky_inverse,
+    inverse_rcond,
     psd_inverse,
     schur_complement_keep_last,
     schur_complement_remove_first,
@@ -76,13 +79,18 @@ class PCRBTrace:
         return np.array([row[2][component] for row in self.rows])[self.index]
 
 
-def trace_row(info: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``info``, the bound it implies and the bound's root diagonal, read-only."""
+def trace_rows(infos: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Each of ``infos``, the bound it implies and the bound's root
+    diagonal, read-only.  All bounds come from one stacked inversion, and
+    the first submatrix that cannot be inverted raises."""
+    if not infos:
+        return []
+    info = np.array(infos)
     bound = psd_inverse(info, context="information submatrix")
-    row = (info, bound, np.sqrt(np.maximum(np.diag(bound), 0.0)))
-    for a in row:
+    root = np.sqrt(np.maximum(np.diagonal(bound, axis1=-2, axis2=-1), 0.0))
+    for a in (info, bound, root):
         a.setflags(write=False)
-    return row
+    return list(zip(info, bound, root))
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +104,10 @@ def _distinct_steps(carry: np.ndarray, blocks_seq, compute
     of each step.
 
     ``compute(carry, *blocks)`` returns the next carry and the step's
-    information submatrix, and must be a pure function of its arguments.  A
+    information submatrix, and must be a pure function of its arguments.
+    The rows are formed after the loop, every bound in one stacked
+    inversion (:func:`trace_rows`); if a step raises, the rows before it
+    are formed first, so the earliest failure is the one raised.  A
     time-invariant model's recursion settles, in floating point, into a
     fixed point or a short cycle, after which its carry repeats byte for
     byte; such a step takes the stored next carry and row of the earlier
@@ -113,27 +124,31 @@ def _distinct_steps(carry: np.ndarray, blocks_seq, compute
     already passed, because an input that failed raised and stored nothing.
     Stored carries and rows are read-only, since later steps share them.
     """
-    rows: list[tuple[np.ndarray, ...]] = []
+    infos: list[np.ndarray] = []
     index: list[int] = []
     seen: dict[bytes, tuple[int, np.ndarray, bytes]] = {}
     last = None  # the previous step's blocks, if all read-only and data-owning
     key = carry.tobytes()
-    for blocks in blocks_seq:
-        if blocks is not last:
-            if (last is None or len(blocks) != len(last)
-                    or any(a is not b for a, b in zip(blocks, last))):
-                seen.clear()
-            frozen = all(a.flags.owndata and not a.flags.writeable for a in blocks)
-            last = tuple(blocks) if frozen else None
-        found = seen.get(key)
-        if found is None:
-            carry_next, info = compute(carry, *blocks)
-            carry_next.setflags(write=False)
-            found = seen[key] = (len(rows), carry_next, carry_next.tobytes())
-            rows.append(trace_row(info))
-        row, carry, key = found
-        index.append(row)
-    return rows, index
+    try:
+        for blocks in blocks_seq:
+            if blocks is not last:
+                if (last is None or len(blocks) != len(last)
+                        or any(a is not b for a, b in zip(blocks, last))):
+                    seen.clear()
+                frozen = all(a.flags.owndata and not a.flags.writeable for a in blocks)
+                last = tuple(blocks) if frozen else None
+            found = seen.get(key)
+            if found is None:
+                carry_next, info = compute(carry, *blocks)
+                carry_next.setflags(write=False)
+                found = seen[key] = (len(infos), carry_next, carry_next.tobytes())
+                infos.append(info)
+            row, carry, key = found
+            index.append(row)
+    except Exception:
+        trace_rows(infos)  # an earlier step's uninvertible submatrix raises first
+        raise
+    return trace_rows(infos), index
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +189,47 @@ def step(profile: CorrelationProfile, carry: np.ndarray, b: np.ndarray, c: np.nd
     x[k+1]``; by the quotient property of Schur complements, the information
     submatrix of ``x[k+1]`` is then the Schur complement of the new carry's
     last block.  At window 1 the new carry is that submatrix.
+
+    One Cholesky factorization per step gives both.  With ``frame = L L^T``
+    and the leaving state first, as :func:`corrbound.blocks.factor_frame`
+    lays it out, the new carry is ``L``'s trailing block ``L2`` times
+    ``L2^T``, and the submatrix is ``L``'s last ``r x r`` block times its
+    transpose.  The diagonal blocks of the one ``inv(L)`` are the inverse
+    factors of both pivots, the leaving state's block of the frame and the
+    new carry less its last block, so they give each pivot's exact 1-norm
+    reciprocal condition.  A pivot passes when that is at least
+    ``RCOND_FLOOR``.  When the factorization fails or a pivot does not
+    pass, the step falls back to explicit Schur complements, which decide
+    as :func:`corrbound.linalg.psd_solve` does and name the pivot or the
+    submatrix that fails.
     """
     m = profile.window
     r = carry.shape[0] // m
     frame = factor_frame(b, c, profile)
     frame[:-r, :-r] += carry
+    factors = cholesky_inverse(frame)
+    if factors is None:
+        return _schur_step(frame, m, r)
+    lower, lower_inv = factors
+    tail = lower[r:, r:]
+    carry_next = tail @ tail.T
+    # Each pivot's inverse is G^T G, with G its diagonal block of inv(L).
+    pivots = [(frame[:r, :r], lower_inv[:r, :r])]
+    if m > 1:
+        pivots.append((carry_next[:-r, :-r], lower_inv[r:-r, r:-r]))
+    for pivot, g in pivots:
+        if not inverse_rcond(pivot, g.T @ g) >= RCOND_FLOOR:
+            return _schur_step(frame, m, r)
+    # No PSD check here; _schur_step's comment says why none is needed.
+    last = lower[-r:, -r:]
+    return carry_next, carry_next if m == 1 else last @ last.T
+
+
+def _schur_step(frame: np.ndarray, m: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`step` by explicit Schur complements, for a frame whose
+    factorization failed or whose pivot did not pass: it raises naming the
+    carry pivot, the information pivot or the information submatrix, or
+    returns what their checks accept."""
     carry_next = schur_complement_remove_first(frame, r, context="carry pivot")
     if m == 1:
         j_next = carry_next
@@ -192,6 +243,10 @@ def step(profile: CorrelationProfile, carry: np.ndarray, b: np.ndarray, c: np.nd
     #   if C has a negative eigenvalue, lambda_min(J) <= lambda_min(C);
     # * J <= D, the trailing block of C, so lambda_max(J) <= lambda_max(C),
     #   and J's floor, -rel_tol * max(lambda_max, 1), is no looser than C's.
+    # On step's one-factorization path J's check cannot fire either, so it
+    # is not made: J (like C) is a block of the computed factor times its
+    # own transpose, so a negative eigenvalue can only be that product's
+    # rounding, about machine epsilon times lambda_max, far inside the floor.
     check_psd(j_next, rel_tol=PSD_REL_TOL, context="information submatrix")
     return carry_next, j_next
 

@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from corrbound.baselines import augmented_system
+from corrbound.baselines import _augmented_step, augmented_system
 from corrbound import blocks as _blocks
 from corrbound.blocks import (
     _PURPOSE_SAMPLE,
@@ -30,17 +30,18 @@ from corrbound.blocks import (
     ExpectationEstimator,
     _split,
     _substream,
+    factor_frame,
 )
 from corrbound.linalg import (
     check_psd,
-    psd_inverse,
     psd_solve,
     schur_complement_keep_last,
+    schur_complement_remove_first,
     symmetrize,
 )
 from corrbound.models import SystemModel, TrajectoryBatch
 from corrbound.profiles import CorrelationProfile
-from corrbound.recursion import PSD_REL_TOL, PCRBTrace, init_state, step, trace_row
+from corrbound.recursion import PSD_REL_TOL, PCRBTrace, init_state, step, trace_rows
 
 
 class CaseTag(Enum):
@@ -256,27 +257,40 @@ def run_plain(model: SystemModel, est: ExpectationEstimator, horizon: int,
     start = model.start_time
     if provider is None:
         provider = BlockProvider(model, est, start, start + horizon)
-    rows = []
+    infos = []
     for k in range(start, start + horizon):
         b, c = provider.blocks(k)
         carry, info = stepper(model.profile, carry, b, c)
-        rows.append(trace_row(info))
-    return PCRBTrace(rows, range(horizon), start, provider.report.resampled)
+        infos.append(info)
+    return PCRBTrace(trace_rows(infos), range(horizon), start, provider.report.resampled)
 
 
 def pcrb_augmented_plain(model: SystemModel, horizon: int) -> PCRBTrace:
     """``corrbound.pcrb_augmented`` without reuse of repeated steps."""
     f_aug, q_aug, h_aug, r_inv, p = augmented_system(model)
-    r_dim = model.state_dim
-    rows = []
-    for s in range(1, horizon + 1):
-        predicted = symmetrize(q_aug + f_aug @ p @ f_aug.T)
-        j = symmetrize(psd_inverse(predicted, context="augmented prediction")
-                       + h_aug.T @ r_inv @ h_aug)
-        p = psd_inverse(j, context="augmented information")
-        info_x = psd_inverse(p[:r_dim, :r_dim], context="augmented state bound")
-        rows.append(trace_row(info_x))
-    return PCRBTrace(rows, range(horizon), model.start_time)
+    info_meas = symmetrize(h_aug.T @ r_inv @ h_aug)
+    infos = []
+    for _ in range(horizon):
+        p, info_x = _augmented_step(p, f_aug, q_aug, info_meas, model.state_dim)
+        infos.append(info_x)
+    return PCRBTrace(trace_rows(infos), range(horizon), model.start_time)
+
+
+def schur_form_step(profile: CorrelationProfile, carry: np.ndarray, b: np.ndarray,
+                    c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``corrbound.step`` as two explicit Schur complements on the frame, with
+    a PSD check of J: the carry pivot solve eliminates the leaving state, the
+    information pivot solve reduces the new carry to its last block."""
+    m = profile.window
+    r = carry.shape[0] // m
+    frame = factor_frame(b, c, profile)
+    frame[:-r, :-r] += carry
+    carry_next = schur_complement_remove_first(frame, r, context="carry pivot")
+    j_next = carry_next
+    if m > 1:
+        j_next = schur_complement_keep_last(carry_next, r, context="information pivot")
+    check_psd(j_next, rel_tol=PSD_REL_TOL, context="information submatrix")
+    return carry_next, j_next
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 import dataclasses
 import gzip
 import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -138,7 +142,7 @@ def _plain_json(plain: cb.PCRBTrace, name: str, horizon: int) -> str:
     entries = [{"k": step, "time_index": plain.start + step, "info": info.tolist(),
                 "bound": bound.tolist(), "sqrt_bound": root.tolist()}
                for step, (info, bound, root) in enumerate(plain.rows, 1)]
-    payload = {"model": name, "horizon": horizon, "seed": 0, "entries": entries}
+    payload = {"model": name, "horizon": horizon, "seed": None, "entries": entries}
     return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
@@ -476,11 +480,11 @@ def test_ma_coeff_limit_is_largest_with_finite_fourth_power():
 
 
 def test_compare_matches_reference_prefix(tmp_path):
-    # The whole reference, so every row the compare emits from a repeated
-    # step is checked byte for byte.
-    reference = Path(__file__).resolve().parents[1] / "benchmarks" / "reference" \
-        / "e1_compare_h3000.csv.gz"
-    with gzip.open(reference, "rb") as fh:
+    # The whole tests-side reference, so every row the compare emits from a
+    # repeated step is checked byte for byte.  The benchmark's reference may
+    # differ from it by rounding only, within the benchmark's own 1e-12.
+    data = Path(__file__).resolve().parent / "data" / "e1_compare_h3000.csv.gz"
+    with gzip.open(data, "rb") as fh:
         expected = fh.read()
     assert expected.count(b"\n") == 3001
     out = tmp_path / "cmp.csv"
@@ -488,6 +492,17 @@ def test_compare_matches_reference_prefix(tmp_path):
                     "--out", str(out)]) == 0
     # Line lists, so a failure names its first row instead of diffing 3000.
     assert out.read_bytes().splitlines(True) == expected.splitlines(True)
+
+    bench = Path(__file__).resolve().parents[1] / "benchmarks" / "reference" \
+        / "e1_compare_h3000.csv.gz"
+    with gzip.open(bench, "rt", encoding="utf-8") as fh:
+        bench_lines = fh.read().splitlines()
+    got_lines = out.read_text().splitlines()
+    assert got_lines[0] == bench_lines[0]
+    got = np.loadtxt(got_lines[1:], delimiter=",")
+    want = np.loadtxt(bench_lines[1:], delimiter=",")
+    assert got.shape == want.shape == (3000, 5)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
 def test_compare_columns(tmp_path):
@@ -643,3 +658,34 @@ def test_unwritable_output_fails_before_the_work(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: cannot write output file")
     assert str(out) in err
+
+
+def _fresh_interpreter(code: str) -> str:
+    """Standard output of ``code`` run by a new interpreter on this package."""
+    src = str(Path(cb.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_only_the_oracle_loads_scipy(tmp_path):
+    # scipy costs about as much start-up time as numpy itself, so the
+    # recursion, the baselines and the sweep stay numpy-only.
+    loaded = _fresh_interpreter(f"""
+        import sys
+        from corrbound import cli
+        out = {str(tmp_path / "out.csv")!r}
+        for argv in (["run", "--horizon", "5"], ["compare", "--horizon", "5"],
+                     ["sensors", "--horizon", "5", "--max-m", "2"]):
+            assert cli.main(argv + ["--model", "example1", "--out", out]) == 0, argv
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    assert loaded.strip() == "[]"
+    verified = _fresh_interpreter("""
+        from corrbound import cli
+        assert cli.main(["oracle-verify", "--model", "example1", "--horizon", "24"]) == 0
+    """)
+    assert "worst deviation" in verified

@@ -19,8 +19,8 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 import corrbound as cb
 from corrbound import cli
-from corrbound.errors import SingularMatrixError
-from reference_steps import CaseTag, select_case
+from corrbound.errors import CorrboundError, SingularMatrixError
+from reference_steps import CaseTag, schur_form_step, select_case
 
 # Hypothesis still caches the constants it parses from source files; keep that
 # cache out of the working tree.
@@ -75,6 +75,69 @@ def linear_configs(draw, case: CaseTag, min_log_cond: float, max_log_cond: float
         "measurement_cov": _spd(rng, n, log_conds[1]),
         "prior": {"mean": [0.0] * r, "cov": _spd(rng, r, log_conds[2])},
     }
+
+
+def _block(rng: np.random.Generator, dim: int, kind: str) -> np.ndarray:
+    """Symmetric ``dim x dim`` block with largest eigenvalue about 1: well
+    conditioned, near-singular (smallest eigenvalue 1e-17 to 1e-11, across
+    the pivot gate's floor) or with one negative eigenvalue."""
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    eigs = 10.0 ** rng.uniform(-3.0, 0.0, size=dim)
+    eigs[0] = 1.0
+    if kind == "near":
+        eigs[-1] = 10.0 ** rng.uniform(-17.0, -11.0)
+    elif kind == "indefinite":
+        eigs[-1] = -(10.0 ** rng.uniform(-9.0, 0.0))
+    out = (q * eigs) @ q.T
+    return 0.5 * (out + out.T)
+
+
+def _coupled(pivot: np.ndarray, rest: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``[[P, P W], [W' P, W' P W + S]]``, whose Schur complement of ``P``
+    is ``S`` however close ``P`` is to singular."""
+    pw = pivot @ w
+    out = np.block([[pivot, pw], [pw.T, w.T @ pw + rest]])
+    return 0.5 * (out + out.T)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(window=st.integers(1, 3), dim=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       kinds=st.lists(st.sampled_from(["well", "near", "indefinite"]), min_size=3,
+                      max_size=3))
+def test_step_matches_schur_form(window, dim, seed, kinds):
+    # The frame's carry pivot P, the new carry's information pivot A and J
+    # each draw their own conditioning.  Both forms must return the same
+    # carry and J, or raise the same class naming the same matrix.  The
+    # values are compared on the frame's scale: a near-singular J is a
+    # cancellation, known only to rounding of the frame's entries.
+    rng = np.random.default_rng(seed)
+    r = dim
+    j0 = _block(rng, r, kinds[2])
+    carry_next = j0
+    if window > 1:
+        a = _block(rng, (window - 1) * r, kinds[1])
+        carry_next = _coupled(a, j0, rng.normal(size=((window - 1) * r, r)))
+    frame = _coupled(_block(rng, r, kinds[0]), carry_next, rng.normal(size=(r, window * r)))
+    # Split the frame so that factor_frame rebuilds it exactly.
+    profile = cb.CorrelationProfile(0, window, 0, 0)
+    carry, c = frame[:-r, :-r].copy(), frame[-r:, -r:].copy()
+    b = frame.copy()
+    b[:-r, :-r] = 0.0
+    b[-r:, -r:] = 0.0
+
+    def outcome(stepper):
+        try:
+            return stepper(profile, carry, b, c), None
+        except CorrboundError as exc:
+            names = ("carry pivot", "information pivot", "information submatrix")
+            return None, (type(exc), [n for n in names if str(exc).startswith(n)])
+
+    got, got_error = outcome(cb.step)
+    want, want_error = outcome(schur_form_step)
+    assert got_error == want_error
+    if want is not None:
+        for g, w in zip(got, want, strict=True):
+            assert np.max(np.abs(g - w)) <= 1e-10 * np.max(np.abs(frame))
 
 
 def _run_cli(config: dict, capsys) -> tuple[int, str, str]:

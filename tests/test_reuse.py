@@ -212,17 +212,20 @@ def test_example1_computes_few_steps(example1):
 
 def test_augmented_computes_few_steps(example1, monkeypatch):
     calls = 0
-    inverse = baselines.psd_inverse
 
-    def counting(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return inverse(*args, **kwargs)
+    def counting(fn):
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return fn(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(baselines, "psd_inverse", counting)
-    monkeypatch.setattr(recursion, "psd_inverse", counting)
+    monkeypatch.setattr(baselines, "psd_inverse", counting(baselines.psd_inverse))
+    monkeypatch.setattr(baselines, "psd_factor", counting(baselines.psd_factor))
+    monkeypatch.setattr(recursion, "psd_inverse", counting(recursion.psd_inverse))
     trace = cb.pcrb_augmented(example1, 3000)
     assert len(trace) == 3000
-    # Five inversions build the augmented prior; each computed step makes four.
-    assert calls <= 5 + 4 * 64
+    # Five inversions build the augmented prior, each computed step makes
+    # two factorizations, and the trace's bounds are one stacked inversion.
+    assert calls <= 5 + 2 * 64 + 1
     _assert_read_only(trace)
