@@ -4,7 +4,8 @@ recursion frame.
 Each factor's curvature is a dense square array made of ``state_dim``-sized
 blocks, one block row and column per state the factor touches;
 :func:`factor_frame` states which states those are.  Expectations are taken
-over the joint trajectory distribution induced by the model sampler.
+over the model sampler's trajectories, at each time over that time's states,
+and a closed form is time-invariant (:class:`BlockProvider`).
 Monte-Carlo estimation splits the samples into fixed units, each drawn from
 an RNG substream of its own and reduced in unit order, so results are
 bit-identical whatever the worker count.  Each unit is also one task of a
@@ -396,28 +397,26 @@ def factor_frame(b: np.ndarray, c: np.ndarray, profile: CorrelationProfile) -> n
 class BlockProvider:
     """Factor blocks over ``[start, stop)``, all computed on construction;
     several runs may share one.  This is the one place that picks a block's
-    source:
+    source, by one rule for each factor:
 
-    * Transition: one grid for every time.  The closed form ``analytic_b``
-      unless the mode is ``finite_difference_mc``; under ``analytic`` with no
-      closed form, a :class:`ModelBuildError`; otherwise a finite-difference
-      Monte-Carlo (FD-MC) mean at ``start``.
-    * Measurement: under ``monte_carlo`` with a ``meas_jacobian``, the sample
-      mean of ``J' Lambda J`` at every time from one draw of states (the only
-      blocks with standard errors).  Otherwise the closed form ``analytic_c``
-      unless the mode is ``finite_difference_mc``; under
-      ``analytic`` with no closed form, a :class:`ModelBuildError`; otherwise
-      FD-MC, at every time for a model with a ``meas_jacobian`` and once at
-      ``start`` for one without.
+    1. The closed form, ``analytic_b`` or ``analytic_c``, if the model has
+       one, unless the mode is ``finite_difference_mc``.  A closed form is
+       the mean that sampling would estimate, and one grid serves every time.
+    2. Under ``analytic`` with no closed form, a :class:`ModelBuildError`.
+    3. Under ``monte_carlo``, the measurement factor of a model with a
+       ``meas_jacobian``: the sample mean of ``J' Lambda J`` at every time
+       from one draw of states (the only blocks with standard errors).
+    4. Otherwise a finite-difference Monte-Carlo (FD-MC) mean.  A factor
+       with a closed form gets one grid, at ``start``, a cross-check of
+       that closed form; a factor without one gets a grid at every time,
+       since its curvature follows that time's state distribution.
 
     Every FD-MC grid of the provider comes from one draw of trajectories,
-    up to ``start + 1``, or up to ``stop`` for a measurement grid at every
-    time.  A closed form is the mean that sampling would estimate, so
-    ``monte_carlo`` takes it wherever the model has one.  ``report.samples``
-    counts every trajectory drawn, once per draw.  The blocks are
-    read-only arrays that own their data, so a run can tell a repeated block
-    by identity; a closed form is the model's own array, which every
-    provider of the model shares.
+    up to ``start + 1``, or up to ``stop`` when a factor is sampled at every
+    time.  ``report.samples`` counts every trajectory drawn, once per draw.
+    The blocks are read-only arrays that own their data, so a run can tell
+    a repeated block by identity; a closed form is the model's own array,
+    which every provider of the model shares.
     """
 
     def __init__(self, model: SystemModel, est: ExpectationEstimator,
@@ -429,41 +428,38 @@ class BlockProvider:
                 f"time index {start} precedes the first fully conditioned factor "
                 f"(start_time={model.start_time})"
             )
-        self.start = start
-        self.stop = stop
-        self.report = McReport()
-        self._c_se: dict[int, np.ndarray] = {}
-        if est.mode == "analytic":
-            for grid, what in ((model.analytic_b, "transition"),
-                               (model.analytic_c, "measurement")):
-                if grid is None:
-                    raise ModelBuildError(
-                        f"model '{model.name}' has no closed-form {what} blocks"
-                    )
-        fd = est.mode == "finite_difference_mc"
+        self.start, self.stop = start, stop
+        self.report, self._c_se = McReport(), {}
         times = range(start, stop)
-        per_time = model.meas_jacobian is not None and est.mode != "analytic"
-        # The FD-MC grids, as (time, transition?) pairs, all from one draw.
-        keys = [(start, True)] if fd or model.analytic_b is None else []
-        if per_time and not fd:
-            c, self._c_se, self.report = _sampled_measurement_info(model, times, stop, est)
-        elif fd or model.analytic_c is None:
-            keys += [(k, False) for k in (times if per_time else times[:1])]
-        grids = {}
-        if keys:
-            grids = _fd_mc_grids(model, keys, est)
+        # Each factor's grid, keyed by `transition`: one array for every time
+        # or a dict by time.  fd_each: is an FD-MC factor sampled per time?
+        grids, fd_each = {}, {}
+        for transition, closed in ((True, model.analytic_b), (False, model.analytic_c)):
+            if closed is not None and est.mode != "finite_difference_mc":
+                grids[transition] = closed
+            elif est.mode == "analytic":
+                raise ModelBuildError(f"model '{model.name}' has no closed-form "
+                                      f"{'transition' if transition else 'measurement'} blocks")
+            elif not transition and est.mode == "monte_carlo" and model.meas_jacobian is not None:
+                grids[False], self._c_se, self.report = _sampled_measurement_info(
+                    model, times, stop, est)
+            else:
+                fd_each[transition] = closed is None
+        if fd_each:
+            drawn = _fd_mc_grids(model, [(k, t) for t, each in fd_each.items()
+                                         for k in (times if each else [start])], est)
             self.report.samples += est.sample_count
-        b = grids.get((start, True), model.analytic_b)
+            for t, each in fd_each.items():
+                grids[t] = {k: drawn[k, t] for k in times} if each else drawn[start, t]
 
-        # Each time's (b, c) pair.  Times that share a measurement grid share
-        # one pair object, so a run can tell repeated blocks at a glance.
-        if per_time:
-            if fd:
-                c = {k: grids[k, False] for k in times}
-            self._blocks = {k: (b, c[k]) for k in times}
+        # Times whose grids are all time-invariant share one (b, c) pair
+        # object, so a run can tell repeated blocks at a glance.
+        pair = grids[True], grids[False]
+        if any(isinstance(g, dict) for g in pair):
+            self._blocks = {k: tuple(g[k] if isinstance(g, dict) else g for g in pair)
+                            for k in times}
         else:
-            self._blocks = dict.fromkeys(times, (b, grids.get((start, False),
-                                                              model.analytic_c)))
+            self._blocks = dict.fromkeys(times, pair)
 
     def blocks(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         try:

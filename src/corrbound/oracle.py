@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .blocks import BlockProvider, ExpectationEstimator
-from .errors import SingularMatrixError, require_int
+from .errors import ConfigError, SingularMatrixError, require_int
 from .models import SystemModel
 
 
@@ -91,9 +91,13 @@ def last_state_information(prefix: np.ndarray, r: int, t: int) -> np.ndarray:
 
     Raises :class:`SingularMatrixError` naming ``t`` when LAPACK ``pbtrf``
     finds the joint not positive definite.  scipy is imported here, so that
-    only the oracle loads it.
+    only the oracle loads it; without it, a :class:`ConfigError` names the
+    ``oracle`` extra, which installs it.
     """
-    from scipy.linalg import LinAlgError, cholesky_banded
+    try:
+        from scipy.linalg import LinAlgError, cholesky_banded
+    except ImportError:
+        raise ConfigError("the oracle needs scipy: pip install 'corrbound[oracle]'") from None
 
     try:
         factor = cholesky_banded(prefix)

@@ -21,6 +21,7 @@ from corrbound.linalg import symmetrize
 from conftest import (
     CASE_SPANNING_PROFILES,
     blocks_at,
+    nonlinear_scalar_model,
     random_linear_model,
     random_spd,
     simple_scalar_model,
@@ -46,7 +47,8 @@ def test_analytic_mode_requires_closed_form(example2):
 
 # (mode, model) -> (transition source, measurement source, trajectory
 # draws).  "fd_once" is one finite-difference Monte-Carlo evaluation at
-# ``start`` that serves every time, "fd_each" one per time; "error" is a
+# ``start`` that serves every time, the cross-check of a closed form;
+# "fd_each" one per time, for a factor without a closed form; "error" is a
 # ModelBuildError.  Every FD-MC grid of a provider comes from one draw, so a
 # provider draws once for its FD-MC grids and once for its sampled ones.
 RESOLVER_TABLE = {
@@ -54,57 +56,81 @@ RESOLVER_TABLE = {
     ("analytic", "example2"): ("closed", "error", 0),
     ("analytic", "scalar"): ("closed", "closed", 0),
     ("analytic", "example2_no_jacobian"): ("closed", "error", 0),
+    ("analytic", "nonlinear"): ("error", "error", 0),
     ("monte_carlo", "example1"): ("closed", "closed", 0),
     ("monte_carlo", "example2"): ("closed", "sampled", 1),
     ("monte_carlo", "scalar"): ("closed", "closed", 0),
-    ("monte_carlo", "example2_no_jacobian"): ("closed", "fd_once", 1),
-    ("monte_carlo", "example2_no_closed_b"): ("fd", "sampled", 2),
-    ("finite_difference_mc", "example1"): ("fd", "fd_once", 1),
-    ("finite_difference_mc", "example2"): ("fd", "fd_each", 1),
-    ("finite_difference_mc", "scalar"): ("fd", "fd_once", 1),
-    ("finite_difference_mc", "example2_no_jacobian"): ("fd", "fd_once", 1),
+    ("monte_carlo", "scalar_with_jacobian"): ("closed", "closed", 0),
+    ("monte_carlo", "example2_no_jacobian"): ("closed", "fd_each", 1),
+    ("monte_carlo", "example2_no_closed_b"): ("fd_each", "sampled", 2),
+    ("monte_carlo", "nonlinear"): ("fd_each", "fd_each", 1),
+    ("finite_difference_mc", "example1"): ("fd_once", "fd_once", 1),
+    ("finite_difference_mc", "example2"): ("fd_once", "fd_each", 1),
+    ("finite_difference_mc", "scalar"): ("fd_once", "fd_once", 1),
+    ("finite_difference_mc", "scalar_with_jacobian"): ("fd_once", "fd_once", 1),
+    ("finite_difference_mc", "example2_no_jacobian"): ("fd_once", "fd_each", 1),
+    ("finite_difference_mc", "nonlinear"): ("fd_each", "fd_each", 1),
+}
+
+
+def _scalar_with_jacobian() -> cb.SystemModel:
+    """The scalar random walk with a measurement Jacobian next to its
+    closed forms.  It has no state sampler, so the Jacobian path would
+    raise: the closed form must serve it."""
+    return dataclasses.replace(simple_scalar_model(),
+                               meas_jacobian=lambda x: np.ones((1, 1, len(x))),
+                               meas_noise_information=np.eye(1))
+
+
+RESOLVER_MODELS = {
+    "example1": cb.build_example1,
+    "example2": cb.build_example2,
+    "scalar": simple_scalar_model,
+    "scalar_with_jacobian": _scalar_with_jacobian,
+    "example2_no_jacobian": lambda: dataclasses.replace(cb.build_example2(),
+                                                        meas_jacobian=None),
+    "example2_no_closed_b": lambda: dataclasses.replace(cb.build_example2(),
+                                                        analytic_b=None),
+    "nonlinear": nonlinear_scalar_model,
 }
 
 
 @pytest.mark.parametrize("mode, name", sorted(RESOLVER_TABLE))
 def test_provider_resolver_table(mode, name):
-    model = {
-        "example1": cb.build_example1,
-        "example2": cb.build_example2,
-        "scalar": simple_scalar_model,
-        "example2_no_jacobian": lambda: dataclasses.replace(cb.build_example2(),
-                                                            meas_jacobian=None),
-        "example2_no_closed_b": lambda: dataclasses.replace(cb.build_example2(),
-                                                            analytic_b=None),
-    }[name]()
+    model = RESOLVER_MODELS[name]()
     b_source, c_source, draws = RESOLVER_TABLE[mode, name]
     est = cb.ExpectationEstimator(mode=mode, sample_count=3, seed=0)
     start = model.start_time
     times = (start, start + 1)
-    if c_source == "error":
-        with pytest.raises(ModelBuildError, match="no closed-form measurement blocks"):
+    if "error" in (b_source, c_source):
+        what = "transition" if b_source == "error" else "measurement"
+        with pytest.raises(ModelBuildError, match=f"no closed-form {what} blocks"):
             cb.BlockProvider(model, est, start, start + 2)
         return
     provider = cb.BlockProvider(model, est, start, start + 2)
-    (b0, c0), (b1, c1) = (provider.blocks(k) for k in times)
+    pairs = [provider.blocks(k) for k in times]
+    (b0, c0), (b1, c1) = pairs
 
-    assert b0 is b1
     assert (b0 is model.analytic_b) == (b_source == "closed")
     assert (c0 is model.analytic_c) == (c_source == "closed")
-    assert (c1 is c0) == (c_source in ("closed", "fd_once"))
+    once = ("closed", "fd_once")
+    assert (b1 is b0) == (b_source in once)
+    assert (c1 is c0) == (c_source in once)
+    # Times with time-invariant grids share one pair object.
+    assert (pairs[0] is pairs[1]) == (b_source in once and c_source in once)
     stderrs = [provider.measurement_stderr(k) for k in times]
     assert all((se is not None) == (c_source == "sampled") for se in stderrs)
     assert provider.report.samples == est.sample_count * draws
 
 
 @pytest.mark.parametrize("name, per_time", [("example1", False), ("example2", True),
-                                            ("example2_no_jacobian", False)])
+                                            ("example2_no_jacobian", True),
+                                            ("nonlinear", True)])
 def test_finite_difference_mc_simulates_once_per_chunk(name, per_time, monkeypatch):
-    # One simulate call per chunk serves the transition grid and every
-    # measurement grid, up to the last time that needs one.
-    model = cb.build_example1() if name == "example1" else cb.build_example2()
-    if name == "example2_no_jacobian":
-        model = dataclasses.replace(model, meas_jacobian=None)
+    # One simulate call per chunk serves every FD-MC grid, up to the last
+    # time that needs one: the first time plus one when every factor has a
+    # closed form, else the provider's last time.
+    model = RESOLVER_MODELS[name]()
     calls = []
 
     def recorded(horizon, count, rng):
@@ -180,21 +206,60 @@ def test_finite_difference_mc_matches_closed_forms_on_every_layout(lags):
         assert np.max(np.abs(fd - ref)) / np.max(np.abs(ref)) < 1e-6
 
 
-@pytest.mark.parametrize("name", ["example1", "example2"])
-def test_finite_difference_mc_matches_per_sample_loop(name, request, monkeypatch):
+@pytest.mark.parametrize("lags", CASE_SPANNING_PROFILES)
+def test_finite_difference_mc_without_closed_forms_matches_analytic_run(lags):
+    # Stripped of its closed forms, a linear-Gaussian model gets an FD-MC
+    # grid of each factor at every time, each its own array; the run then
+    # matches the closed forms' run, so each time's grids land in that
+    # time's frame slots, for every layout.
+    model = random_linear_model(cb.CorrelationProfile(*lags), 2, 2, seed=100 + sum(lags))
+    stripped = dataclasses.replace(model, analytic_b=None, analytic_c=None)
+    est = cb.ExpectationEstimator(mode="finite_difference_mc", sample_count=20, seed=6)
+    start, horizon = model.start_time, 4
+    provider = cb.BlockProvider(stripped, est, start, start + horizon)
+    grids = [provider.blocks(k) for k in range(start, start + horizon)]
+    for i in (0, 1):
+        assert len({id(pair[i]) for pair in grids}) == horizon
+    fd = cb.run(stripped, est, horizon, provider=provider)
+    exact = cb.run(model, cb.ExpectationEstimator(), horizon)
+    for a, b in zip(fd.entries, exact.entries):
+        assert np.max(np.abs(a.info - b.info)) <= 1e-6 * np.max(np.abs(b.info))
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example2_no_jacobian"])
+def test_finite_difference_mc_matches_per_sample_loop(name, monkeypatch):
     # Two chunks, so the chunk streams and their sum are covered too, and
     # the grids at the first and the last time of the shared draw.
-    model = request.getfixturevalue(name)
+    model = RESOLVER_MODELS[name]()
     monkeypatch.setattr(blocks_mod, "CHUNK_SIZE", 16)
     est = cb.ExpectationEstimator(mode="finite_difference_mc", sample_count=30, seed=4)
     start, stop = model.start_time, model.start_time + 3
     provider = cb.BlockProvider(model, est, start, stop)
-    horizon = stop if model.meas_jacobian is not None else start + 1
+    closed = (model.analytic_b, model.analytic_c)
+    horizon = start + 1 if all(g is not None for g in closed) else stop
     for k in (start, stop - 1):
-        for grid, transition in zip(provider.blocks(k), (True, False)):
-            at = start if transition or model.meas_jacobian is None else k
+        for grid, transition, closed_form in zip(provider.blocks(k), (True, False), closed):
+            at = start if closed_form is not None else k
             ref = fd_mc_grid_per_sample(model, start, horizon, at, est, transition)
             assert np.max(np.abs(grid - ref)) <= 1e-6 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("mode", ["monte_carlo", "finite_difference_mc"])
+def test_nonlinear_dynamics_sampled_at_every_time(mode):
+    # Factors without closed forms are sampled over each time's own states:
+    # the run matches a loop with a provider of its own per time within 2%
+    # at 20k samples, where seeds spread by 0.3%.  One grid sampled at the
+    # first time and used at every time reads 21% low from step 2 on.
+    model = nonlinear_scalar_model()
+    est = cb.ExpectationEstimator(mode=mode, sample_count=20_000, seed=0)
+    start, horizon = model.start_time, 20
+    bound = cb.run(model, est, horizon).component_bound_sqrt(0)
+    carry, per_time = cb.init_state(model), []
+    for k in range(start, start + horizon):
+        b, c = cb.BlockProvider(model, est, k, k + 1).blocks(k)
+        carry, info = cb.step(model.profile, carry, b, c)
+        per_time.append(np.sqrt(1.0 / info[0, 0]))
+    assert np.max(np.abs(bound / np.array(per_time) - 1.0)) < 0.02
 
 
 def test_finite_difference_log_density_calls_do_not_grow_with_samples(example1):

@@ -85,13 +85,19 @@ def test_run_with_one_sample_block_deterministic_across_workers(tmp_path):
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
-@pytest.mark.parametrize("model", ["example1", "example2"])
+@pytest.mark.parametrize("model", ["example1", "example2", "nonlinear"])
 def test_finite_difference_mc_deterministic_across_workers(tmp_path, monkeypatch, model):
     # 40 samples in chunks of 16: three chunks, spread over up to three
-    # threads and summed in chunk order.
+    # threads and summed in chunk order.  The nonlinear model has no closed
+    # forms, so both of its factors are sampled at every time.
     monkeypatch.setattr(blocks, "CHUNK_SIZE", 16)
     monkeypatch.setattr(blocks.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    base = ["run", "--model", model, "--mode", "finite_difference_mc", "--horizon", "6",
+    source = ["--model", model]
+    if model == "nonlinear":
+        source = ["--config", str(tmp_path / "nonlinear.json")]
+        Path(source[1]).write_text(json.dumps({
+            "model": {"kind": "custom", "factory": "conftest:nonlinear_scalar_model"}}))
+    base = ["run", *source, "--mode", "finite_difference_mc", "--horizon", "6",
             "--samples", "40", "--seed", "5"]
     outs = []
     for workers in (1, 2, 3):
@@ -689,3 +695,18 @@ def test_only_the_oracle_loads_scipy(tmp_path):
         assert cli.main(["oracle-verify", "--model", "example1", "--horizon", "24"]) == 0
     """)
     assert "worst deviation" in verified
+
+
+def test_oracle_without_scipy_names_the_extra(monkeypatch, capsys):
+    # scipy is the optional 'oracle' extra: without it, the oracle stops
+    # with a configuration error (exit 1) that names the extra, not with an
+    # ImportError.  The joint's assembly itself is numpy-only.
+    monkeypatch.setitem(sys.modules, "scipy.linalg", None)
+    model = cb.build_example1()
+    assert cli.main(["oracle-verify", "--model", "example1", "--horizon", "5"]) == 1
+    assert "corrbound[oracle]" in capsys.readouterr().err
+    with pytest.raises(cb.ConfigError, match=r"corrbound\[oracle\]"):
+        cb.information_sequence(model, cb.ExpectationEstimator(), model.start_time + 2)
+    joint = cb.build_joint(model, cb.ExpectationEstimator(), model.start_time + 2)
+    assert joint.shape[1] == (model.start_time + 3) * model.state_dim
+    assert np.all(np.isfinite(joint))
