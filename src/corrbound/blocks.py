@@ -373,14 +373,20 @@ def factor_frame(b: np.ndarray, c: np.ndarray, profile: CorrelationProfile) -> n
     has ``l3'`` and the frame has ``window + 1``, the carried states and
     then ``x[k+1]``; with ``l2' = max(l2, 1)`` and ``l3' = max(l3, 1)``.  So
     each grid fills the frame's trailing corner of its own size.
+
+    ``c`` may carry leading stack axes, one grid per member; the frame then
+    has the same stack axes, ``(..., S, S)``, and every member shares ``b``.
     """
     r = b.shape[0] // (profile.l2_eff + 1)
     _require_shape(b, profile.l2_eff + 1, r, "transition blocks")
-    _require_shape(c, profile.l3_eff, r, "measurement blocks")
+    stack = c.shape[:-2]
+    _require_shape(c[(0,) * len(stack)] if stack else c, profile.l3_eff, r,
+                   "measurement blocks")
     size = (profile.window + 1) * r
-    frame = np.zeros((size, size))
-    frame[-len(b):, -len(b):] += b
-    frame[-len(c):, -len(c):] += c
+    frame = np.zeros((*stack, size, size))
+    frame[..., -len(b):, -len(b):] += b
+    n = c.shape[-1]
+    frame[..., -n:, -n:] += c
     if not np.isfinite(frame).all():
         # One check covers both grids; name the one that failed.
         _require_finite(b, "transition blocks")

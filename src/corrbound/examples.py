@@ -219,7 +219,9 @@ def build_example2(prior: GaussianPrior | None = None) -> SystemModel:
         r2 = states[:, 0] ** 2 + states[:, 2] ** 2
         return r2 < AZIMUTH_SINGULAR_RADIUS_SQ
 
-    chol_q = np.linalg.cholesky(symmetrize(q))
+    # Row-major transposes: a product with an F-ordered operand is slower.
+    chol_q_t = np.linalg.cholesky(symmetrize(q)).T.copy()
+    f_t = f.T.copy()
     chol_s2 = np.linalg.cholesky(sigma2)
     w = prior.window_len
 
@@ -235,14 +237,15 @@ def build_example2(prior: GaussianPrior | None = None) -> SystemModel:
         states[:min(w, length)] = prior.sample(count, rng).transpose(1, 0, 2)[:length]
         # One product over every row, so a one-sample draw rounds as a row
         # of a larger one does.
-        seeds = (rng.standard_normal(((length + 1) * count, 4)) @ chol_q.T).reshape(
+        seeds = (rng.standard_normal(((length + 1) * count, 4)) @ chol_q_t).reshape(
             length + 1, count, 4)
-        # The model checks that the prior window is 3, so k - 2 >= 0 below.
+        # The model checks that the prior window is 3, so k - 2 >= 0 below:
+        # noise[k + 1 - w] = seeds[k + 1] + seeds[k] + seeds[k - 1] is w[k].
+        noise = seeds[w:length] + seeds[w - 1:length - 1]
+        noise += seeds[w - 2:length - 2]
         for k in range(w - 1, length - 1):
-            nxt = np.matmul(states[k], f.T, out=states[k + 1])
-            nxt += seeds[k + 1]
-            nxt += seeds[k]
-            nxt += seeds[k - 1]
+            np.matmul(states[k], f_t, out=states[k + 1])
+            states[k + 1] += noise[k + 1 - w]
         return states, seeds
 
     def simulate(horizon: int, count: int, rng: np.random.Generator) -> TrajectoryBatch:

@@ -86,22 +86,27 @@ def build_joint(model: SystemModel, est: ExpectationEstimator, k: int,
     return prefix
 
 
+def _scipy_linalg():
+    """``scipy.linalg``, which only the oracle loads; without it, a
+    :class:`ConfigError` names the ``oracle`` extra, which installs it."""
+    try:
+        import scipy.linalg
+    except ImportError:
+        raise ConfigError("the oracle needs scipy: pip install 'corrbound[oracle]'") from None
+    return scipy.linalg
+
+
 def last_state_information(prefix: np.ndarray, r: int, t: int) -> np.ndarray:
     """Information of ``x[t]`` from the band-stored joint over ``x[0] .. x[t]``.
 
     Raises :class:`SingularMatrixError` naming ``t`` when LAPACK ``pbtrf``
-    finds the joint not positive definite.  scipy is imported here, so that
-    only the oracle loads it; without it, a :class:`ConfigError` names the
-    ``oracle`` extra, which installs it.
+    finds the joint not positive definite.  scipy is imported here (see
+    :func:`_scipy_linalg`).
     """
+    linalg = _scipy_linalg()
     try:
-        from scipy.linalg import LinAlgError, cholesky_banded
-    except ImportError:
-        raise ConfigError("the oracle needs scipy: pip install 'corrbound[oracle]'") from None
-
-    try:
-        factor = cholesky_banded(prefix)
-    except LinAlgError as exc:
+        factor = linalg.cholesky_banded(prefix)
+    except linalg.LinAlgError as exc:
         raise SingularMatrixError(
             f"joint information over x[0] .. x[{t}] is not positive definite ({exc})"
         ) from exc
@@ -118,8 +123,10 @@ def information_sequence(model: SystemModel, est: ExpectationEstimator, k_max: i
 
     One assembly serves every time: each prefix of it is factored on its own.
     ``k_max`` is at least the prior window end, ``model.start_time``.
+    Without scipy it raises before any block is built.
     """
     require_int(k_max, "k_max", model.start_time)
+    _scipy_linalg()
     r = model.state_dim
     return {t: last_state_information(prefix, r, t)
             for t, prefix in _prefixes(model, est, k_max, provider)}
@@ -141,12 +148,14 @@ def verify_recursion(model: SystemModel, est: ExpectationEstimator, k_max: int
 
     Both sides consume the same block provider, so the check isolates the
     assembly and marginalization algebra from Monte-Carlo noise.  ``k_max``
-    is past the prior window end, ``model.start_time``.
+    is past the prior window end, ``model.start_time``.  Without scipy it
+    raises before any block is built.
     """
     from . import recursion
 
     start = model.start_time
     require_int(k_max, "k_max", start + 1)
+    _scipy_linalg()
     provider = BlockProvider(model, est, start, k_max)
     oracle_seq = information_sequence(model, est, k_max, provider=provider)
     trace = recursion.run(model, est, k_max - start, provider=provider)

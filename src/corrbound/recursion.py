@@ -76,7 +76,9 @@ class PCRBTrace:
         return self.rows[self.index[step - 1]][0]
 
     def component_bound_sqrt(self, component: int) -> np.ndarray:
-        return np.array([row[2][component] for row in self.rows])[self.index]
+        """Root bound of ``component`` at every step, ``(steps, *stack)``
+        for a trace of stacked recursions."""
+        return np.array([row[2][..., component] for row in self.rows])[self.index]
 
 
 def trace_rows(infos: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -114,7 +116,9 @@ def _distinct_steps(carry: np.ndarray, blocks_seq, compute
     step instead of calling ``compute``.
 
     The carry is keyed by its exact bytes (it keeps one dtype and shape from
-    step to step).  A stored result is reused only while every block is the
+    step to step, except that an unstacked first carry may be shared by a
+    stack; its bytes can match only a one-member stack's carry, which steps
+    to the same values).  A stored result is reused only while every block is the
     very array (``is``) of the previous step, read-only and owning its data,
     as a :class:`BlockProvider`'s blocks are; any other blocks clear the
     store, so blocks that change at every step (Monte-Carlo curvature) keep
@@ -202,27 +206,49 @@ def step(profile: CorrelationProfile, carry: np.ndarray, b: np.ndarray, c: np.nd
     pass, the step falls back to explicit Schur complements, which decide
     as :func:`corrbound.linalg.psd_solve` does and name the pivot or the
     submatrix that fails.
+
+    ``c`` may carry leading stack axes, one recursion per member, and
+    ``carry`` then has the same stack axes or none (one carry shared by
+    every member); both results have the stack axes.  Only a member whose
+    factorization or pivot fails takes the Schur path, and the first such
+    member in stack order that fails there raises.
     """
     m = profile.window
-    r = carry.shape[0] // m
+    r = carry.shape[-1] // m
     frame = factor_frame(b, c, profile)
-    frame[:-r, :-r] += carry
+    frame[..., :-r, :-r] += carry
+    return _frame_step(frame, m, r)
+
+
+def _frame_step(frame: np.ndarray, m: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`step` on an overlaid frame or a stack of them."""
     factors = cholesky_inverse(frame)
-    if factors is None:
+    if factors is not None:
+        lower, lower_inv = factors
+        tail = lower[..., r:, r:]
+        carry_next = tail @ tail.mT
+        # Each pivot's inverse is G^T G, with G its diagonal block of inv(L).
+        g = lower_inv[..., :r, :r]
+        passed = inverse_rcond(frame[..., :r, :r], g.mT @ g) >= RCOND_FLOOR
+        if m == 1:
+            info = carry_next
+        else:
+            g = lower_inv[..., r:-r, r:-r]
+            passed &= inverse_rcond(carry_next[..., :-r, :-r],
+                                    g.mT @ g) >= RCOND_FLOOR
+            last = lower[..., -r:, -r:]
+            info = last @ last.mT
+        # No PSD check here; _schur_step's comment says why none is needed.
+        if passed if frame.ndim == 2 else passed.all():
+            return carry_next, info
+    if frame.ndim == 2:
         return _schur_step(frame, m, r)
-    lower, lower_inv = factors
-    tail = lower[r:, r:]
-    carry_next = tail @ tail.T
-    # Each pivot's inverse is G^T G, with G its diagonal block of inv(L).
-    pivots = [(frame[:r, :r], lower_inv[:r, :r])]
-    if m > 1:
-        pivots.append((carry_next[:-r, :-r], lower_inv[r:-r, r:-r]))
-    for pivot, g in pivots:
-        if not inverse_rcond(pivot, g.T @ g) >= RCOND_FLOOR:
-            return _schur_step(frame, m, r)
-    # No PSD check here; _schur_step's comment says why none is needed.
-    last = lower[-r:, -r:]
-    return carry_next, carry_next if m == 1 else last @ last.T
+    # A stack: members that passed keep their results, and the others step
+    # alone, in stack order, so the first of them to fail raises.  A failed
+    # stacked factorization does not say which member failed.
+    results = [(carry_next[i], info[i]) if factors is not None and passed[i].all()
+               else _frame_step(member, m, r) for i, member in enumerate(frame)]
+    return np.stack([a for a, _ in results]), np.stack([j for _, j in results])
 
 
 def _schur_step(frame: np.ndarray, m: int, r: int) -> tuple[np.ndarray, np.ndarray]:

@@ -3,8 +3,9 @@
 A count of ``m`` means ``m`` independent replicas of the model's single
 sensor, each with its own measurement-noise process, so measurement
 information scales linearly in ``m``.  The sweep samples the single-sensor
-blocks once and states that rule in one place: its stepper multiplies the
-measurement blocks by ``m``.
+blocks once and states that rule in one place: it runs the recursion once
+over a stack of carries, one member per sensor count, and its stepper
+passes member ``m - 1`` the measurement blocks times ``m``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ def sweep(model: SystemModel, m_max: int, horizon: int = DEFAULT_AVERAGE_WINDOW,
     the bound for ``m`` sensors.  The average runs over all recursion steps
     of the horizon.  The averaged bound must decrease strictly with the
     sensor count (information adds across independent sensors); a violation
-    indicates a model whose sensor carries no information.
+    indicates a model whose sensor carries no information.  When several
+    counts fail a check of the recursion, the earliest step raises, and
+    within that step the smallest ``m``.
     """
     require_int(m_max, "m_max", 1)
     require_int(horizon, "horizon", 1)
@@ -39,11 +42,12 @@ def sweep(model: SystemModel, m_max: int, horizon: int = DEFAULT_AVERAGE_WINDOW,
     est = est or ExpectationEstimator()
     provider = BlockProvider(model, est, model.start_time, model.start_time + horizon)
 
-    avg = np.empty(m_max)
-    for m in range(1, m_max + 1):
-        trace = run(model, est, horizon, provider=provider,
-                    stepper=lambda profile, carry, b, c: step(profile, carry, b, m * c))
-        avg[m - 1] = trace.component_bound_sqrt(component).mean()
+    # Member m - 1 of the stack is the recursion of m sensors.
+    scale = np.arange(1, m_max + 1)[:, None, None]
+    trace = run(model, est, horizon, provider=provider,
+                stepper=lambda profile, carry, b, c: step(profile, carry, b, scale * c))
+    # One contiguous row per member, so each mean sums as a lone run's does.
+    avg = trace.component_bound_sqrt(component).T.copy().mean(axis=1)
 
     for m in range(1, m_max):
         if not avg[m] < avg[m - 1]:

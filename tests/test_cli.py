@@ -705,6 +705,19 @@ def test_oracle_without_scipy_names_the_extra(monkeypatch, capsys):
     model = cb.build_example1()
     assert cli.main(["oracle-verify", "--model", "example1", "--horizon", "5"]) == 1
     assert "corrbound[oracle]" in capsys.readouterr().err
+    # The missing extra is found before any block is built: not one state
+    # is sampled for a Monte-Carlo model.
+    sampled = []
+
+    def counted(*args, **kwargs):
+        sampled.append(args)
+        raise AssertionError("sampled before the missing extra was found")
+
+    monkeypatch.setattr(blocks, "_sample_states", counted)
+    assert cli.main(["oracle-verify", "--model", "example2", "--horizon", "5",
+                     "--samples", "2000", "--seed", "1"]) == 1
+    assert "corrbound[oracle]" in capsys.readouterr().err
+    assert sampled == []
     with pytest.raises(cb.ConfigError, match=r"corrbound\[oracle\]"):
         cb.information_sequence(model, cb.ExpectationEstimator(), model.start_time + 2)
     joint = cb.build_joint(model, cb.ExpectationEstimator(), model.start_time + 2)

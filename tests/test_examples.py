@@ -122,8 +122,9 @@ def sample_major_example2_simulator(prior: cb.GaussianPrior):
         states = np.zeros((count, length, 4))
         states[:, : min(w, length)] = window[:, :length]
         for k in range(w - 1, length - 1):
+            # x[k + 1] = F x[k] + w[k], the process noise summed first.
             states[:, k + 1] = (
-                states[:, k] @ f.T + w_seed(k) + w_seed(k - 1) + w_seed(k - 2)
+                states[:, k] @ f.T + (w_seed(k) + w_seed(k - 1) + w_seed(k - 2))
             )
         vnoise = rng.standard_normal((count, length, 2)) @ chol_s2.T
         meas = range_azimuth(states) + vnoise

@@ -100,10 +100,23 @@ def _coupled(pivot: np.ndarray, rest: np.ndarray, w: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
+def _frame(rng: np.random.Generator, window: int, r: int, kinds: list[str]) -> np.ndarray:
+    """Step frame whose carry pivot P, new carry's information pivot A and
+    information submatrix J have the conditioning ``kinds`` names, in turn."""
+    j0 = _block(rng, r, kinds[2])
+    carry_next = j0
+    if window > 1:
+        a = _block(rng, (window - 1) * r, kinds[1])
+        carry_next = _coupled(a, j0, rng.normal(size=((window - 1) * r, r)))
+    return _coupled(_block(rng, r, kinds[0]), carry_next, rng.normal(size=(r, window * r)))
+
+
+BLOCK_KINDS = st.lists(st.sampled_from(["well", "near", "indefinite"]), min_size=3, max_size=3)
+
+
 @settings(PROPERTY_SETTINGS, max_examples=300)
 @given(window=st.integers(1, 3), dim=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
-       kinds=st.lists(st.sampled_from(["well", "near", "indefinite"]), min_size=3,
-                      max_size=3))
+       kinds=BLOCK_KINDS)
 def test_step_matches_schur_form(window, dim, seed, kinds):
     # The frame's carry pivot P, the new carry's information pivot A and J
     # each draw their own conditioning.  Both forms must return the same
@@ -112,12 +125,7 @@ def test_step_matches_schur_form(window, dim, seed, kinds):
     # cancellation, known only to rounding of the frame's entries.
     rng = np.random.default_rng(seed)
     r = dim
-    j0 = _block(rng, r, kinds[2])
-    carry_next = j0
-    if window > 1:
-        a = _block(rng, (window - 1) * r, kinds[1])
-        carry_next = _coupled(a, j0, rng.normal(size=((window - 1) * r, r)))
-    frame = _coupled(_block(rng, r, kinds[0]), carry_next, rng.normal(size=(r, window * r)))
+    frame = _frame(rng, window, r, kinds)
     # Split the frame so that factor_frame rebuilds it exactly.
     profile = cb.CorrelationProfile(0, window, 0, 0)
     carry, c = frame[:-r, :-r].copy(), frame[-r:, -r:].copy()
@@ -138,6 +146,50 @@ def test_step_matches_schur_form(window, dim, seed, kinds):
     if want is not None:
         for g, w in zip(got, want, strict=True):
             assert np.max(np.abs(g - w)) <= 1e-10 * np.max(np.abs(frame))
+
+
+def _step_outcome(*args):
+    """``cb.step(*args)``, or the class and message of what it raises."""
+    try:
+        return cb.step(*args), None
+    except CorrboundError as exc:
+        return None, (type(exc), str(exc))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(window=st.integers(1, 3), dim=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       kinds=st.lists(BLOCK_KINDS, min_size=1, max_size=4), shared=st.booleans())
+def test_stacked_step_matches_each_member(window, dim, seed, kinds, shared):
+    # A stack of frames, each member with its own conditioning, steps as
+    # its members do one at a time: fast path, Schur path or error.  With
+    # l3 = window + 1 the measurement grid covers the whole frame, so the
+    # members share a zero transition grid and differ in c (and in the
+    # carry, unless one carry is shared).
+    rng = np.random.default_rng(seed)
+    r = dim
+    frames = np.array([_frame(rng, window, r, k) for k in kinds])
+    profile = cb.CorrelationProfile(0, 1, window + 1, 0)
+    assert profile.window == window
+    b = np.zeros((2 * r, 2 * r))
+    if shared:
+        carry = _block(rng, window * r, "well")
+    else:
+        carry = np.array([_block(rng, window * r, "well") for _ in kinds])
+    c = frames.copy()
+    c[..., :-r, :-r] -= carry
+    got, got_error = _step_outcome(profile, carry, b, c)
+    alone = [_step_outcome(profile, carry if shared else carry[i], b, c[i])
+             for i in range(len(kinds))]
+    errors = [error for _, error in alone if error is not None]
+    if errors:
+        assert got_error == errors[0]
+        return
+    assert got_error is None
+    for i, (want, _) in enumerate(alone):
+        scale = np.max(np.abs(frames[i]))
+        for g, w in zip(got, want, strict=True):
+            assert g.shape == (len(kinds),) + w.shape
+            assert np.max(np.abs(g[i] - w)) <= 1e-12 * scale
 
 
 def _run_cli(config: dict, capsys) -> tuple[int, str, str]:

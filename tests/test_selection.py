@@ -69,6 +69,8 @@ def test_two_sensor_stack_matches_full_horizon_reference():
 
 
 def test_replica_and_stack_traces_agree(example1, analytic_est, monkeypatch):
+    # Member m - 1 of the sweep's one stacked trace is the recursion of an
+    # explicitly stacked m-sensor model.
     traces = []
 
     def recording_run(*args, **kwargs):
@@ -77,11 +79,30 @@ def test_replica_and_stack_traces_agree(example1, analytic_est, monkeypatch):
 
     monkeypatch.setattr(selection, "run", recording_run)
     cb.sweep(example1, 4, horizon=15, est=analytic_est)
-    assert len(traces) == 4
-    for m, t_rep in enumerate(traces, start=1):
+    [t_rep] = traces
+    for m in range(1, 5):
         t_stk = cb.run(build_example1_stacked(m), analytic_est, 15)
         for a, b in zip(t_rep.entries, t_stk.entries, strict=True):
-            assert np.max(np.abs(a.info - b.info)) / np.max(np.abs(a.info)) < 1e-12
+            info = a.info[m - 1]
+            assert np.max(np.abs(info - b.info)) / np.max(np.abs(info)) < 1e-12
+
+
+def test_sweep_steps_once_per_time(example2, monkeypatch):
+    # Every sensor count advances in the same step call: one per time, not
+    # one per time and count.
+    calls = 0
+    step = selection.step
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return step(*args)
+
+    monkeypatch.setattr(selection, "step", counting)
+    est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=1_000, seed=5)
+    avg = cb.sweep(example2, 8, horizon=5, est=est)
+    assert avg.shape == (8,)
+    assert calls == 5
 
 
 def test_sweep_component_bounds(example1, analytic_est):
