@@ -57,11 +57,12 @@ CHUNK_SIZE = 32_768
 
 @dataclass(frozen=True)
 class ExpectationEstimator:
-    """How expectations over trajectories are evaluated."""
+    """How expectations over trajectories are evaluated.  ``seed=None`` is
+    no seed, which serves only a run that samples nothing (:class:`BlockProvider`)."""
 
     mode: str = "analytic"
     sample_count: int = 10_000
-    seed: int = 0
+    seed: int | None = None
     workers: int = 1
 
     def __post_init__(self):
@@ -69,8 +70,10 @@ class ExpectationEstimator:
             raise ConfigError(
                 f"estimator mode {self.mode!r} not one of {ESTIMATOR_MODES}"
             )
-        for field, minimum in (("sample_count", 1), ("seed", 0), ("workers", 1)):
+        for field, minimum in (("sample_count", 1), ("workers", 1)):
             require_int(getattr(self, field), f"estimator {field}", minimum)
+        if self.seed is not None:
+            require_int(self.seed, "estimator seed", 0)
 
 
 @dataclass
@@ -409,6 +412,8 @@ class BlockProvider:
        one, unless the mode is ``finite_difference_mc``.  A closed form is
        the mean that sampling would estimate, and one grid serves every time.
     2. Under ``analytic`` with no closed form, a :class:`ModelBuildError`.
+       Any other source samples, and without a seed it is a
+       :class:`ConfigError` that names the factor, raised before any draw.
     3. Under ``monte_carlo``, the measurement factor of a model with a
        ``meas_jacobian``: the sample mean of ``J' Lambda J`` at every time
        from one draw of states (the only blocks with standard errors).
@@ -440,12 +445,15 @@ class BlockProvider:
         # Each factor's grid, keyed by `transition`: one array for every time
         # or a dict by time.  fd_each: is an FD-MC factor sampled per time?
         grids, fd_each = {}, {}
-        for transition, closed in ((True, model.analytic_b), (False, model.analytic_c)):
+        for transition, factor, closed in ((True, "transition", model.analytic_b),
+                                           (False, "measurement", model.analytic_c)):
             if closed is not None and est.mode != "finite_difference_mc":
                 grids[transition] = closed
             elif est.mode == "analytic":
-                raise ModelBuildError(f"model '{model.name}' has no closed-form "
-                                      f"{'transition' if transition else 'measurement'} blocks")
+                raise ModelBuildError(f"model '{model.name}' has no closed-form {factor} blocks")
+            elif est.seed is None:
+                raise ConfigError(f"estimator.seed: required, since the {factor} blocks of "
+                                  f"model '{model.name}' are sampled under {est.mode}")
             elif not transition and est.mode == "monte_carlo" and model.meas_jacobian is not None:
                 grids[False], self._c_se, self.report = _sampled_measurement_info(
                     model, times, stop, est)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -35,7 +34,7 @@ _SETTINGS = (
     (None, "horizon", "horizon", 40),
     (None, "component", "component", 0),
     (None, "baselines", "baselines", []),
-    ("estimator", "mode", "mode", None),
+    ("estimator", "mode", "mode", "monte_carlo"),
     ("estimator", "samples", "samples", 10_000),
     ("estimator", "seed", "seed", None),
     ("estimator", "workers", "workers", 1),
@@ -117,9 +116,6 @@ def _build_config(args: argparse.Namespace
         raise ConfigError(f"output.format: expected {' or '.join(map(repr, formats))} "
                           f"for {args.command}, got {values['format']!r}")
     _require_writable(values["path"])
-    tolerance = getattr(args, "tolerance", None)
-    if tolerance is not None and not 0.0 <= tolerance < math.inf:
-        raise ConfigError(f"--tolerance: expected a finite number >= 0, got {tolerance!r}")
 
     baselines = values["baselines"]
     if not isinstance(baselines, list):
@@ -143,16 +139,8 @@ def _build_config(args: argparse.Namespace
         raise ConfigError(
             f"component {component} out of range for state dim {model.state_dim}"
         )
-    mode, seed = values["mode"], values["seed"]
-    if mode is None:
-        # Without closed forms for both factors the provider has to sample.
-        closed = model.analytic_b is not None and model.analytic_c is not None
-        mode = "analytic" if closed else "monte_carlo"
-    estimator = ExpectationEstimator(mode=mode, sample_count=values["samples"],
-                                     seed=0 if seed is None else seed,
-                                     workers=values["workers"])
-    if mode != "analytic" and seed is None:
-        raise ConfigError("estimator.seed: required whenever sampling is active")
+    estimator = ExpectationEstimator(mode=values["mode"], sample_count=values["samples"],
+                                     seed=values["seed"], workers=values["workers"])
     return values, model, estimator
 
 
@@ -233,7 +221,7 @@ def cmd_oracle_verify(args: argparse.Namespace) -> int:
     for k in sorted(deviations):
         print(f"k={k} max_rel_dev={deviations[k]:.3e}")
         worst = max(worst, deviations[k])
-    tolerance = args.tolerance
+    tolerance = 1e-8  # the fixed gate on the largest relative deviation
     print(f"worst deviation {worst:.3e} (tolerance {tolerance:.1e})")
     if worst > tolerance:
         print("FAIL: recursion deviates from the full-horizon reference",
@@ -317,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("oracle-verify",
                            help="check the recursion against the full-horizon reference")
     common(p_ver, output=False)
-    p_ver.add_argument("--tolerance", type=float, default=1e-8)
     p_ver.set_defaults(func=cmd_oracle_verify)
 
     p_sen = sub.add_parser("sensors", help="averaged bound versus sensor count")

@@ -166,13 +166,12 @@ def init_state(model: SystemModel) -> np.ndarray:
     The joint information of the prior window is reduced to the trailing
     ``window`` states by marginalizing the leading ones, which is exactly
     what the full-horizon construction would produce before any dynamics
-    factor is applied.  The carry spans ``x[start + 1 - window] ..
+    factor is applied: the prior's blocks are independent, so that is the
+    joint's trailing blocks.  The carry spans ``x[start + 1 - window] ..
     x[start]``, with ``start = model.start_time``.
     """
-    m = model.profile.window
-    r = model.state_dim
-    joint = model.prior.information()
-    carry = schur_complement_keep_last(joint, m * r, context="prior window")
+    n = model.profile.window * model.state_dim
+    carry = model.prior.information()[-n:, -n:].copy()
     check_psd(carry, rel_tol=PSD_REL_TOL, context="carry matrix")
     return carry
 

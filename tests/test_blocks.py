@@ -123,6 +123,32 @@ def test_provider_resolver_table(mode, name):
     assert provider.report.samples == est.sample_count * draws
 
 
+@pytest.mark.parametrize("mode, name, factor", [
+    ("monte_carlo", "example2", "measurement"),
+    ("finite_difference_mc", "example1", "transition"),
+])
+def test_sampled_factor_without_seed_is_config_error(monkeypatch, mode, name, factor):
+    # The provider's source rule alone decides that a run samples, so it
+    # alone asks for the seed, and it does so before a single draw.
+    draws = []
+    for wrapper in ("_sample_states", "_simulate"):
+        monkeypatch.setattr(blocks_mod, wrapper, lambda *a, **k: draws.append(a))
+    model = RESOLVER_MODELS[name]()
+    est = cb.ExpectationEstimator(mode=mode, sample_count=3)
+    with pytest.raises(ConfigError, match=f"seed.*{factor} blocks"):
+        cb.BlockProvider(model, est, model.start_time, model.start_time + 2)
+    assert draws == []
+
+
+def test_closed_forms_need_no_seed(example1):
+    # Under monte_carlo every factor with a closed form takes it, so a model
+    # with both closed forms draws nothing and reads no seed.
+    est = cb.ExpectationEstimator(mode="monte_carlo")
+    assert est.seed is None
+    provider = cb.BlockProvider(example1, est, example1.start_time, example1.start_time + 2)
+    assert provider.report.samples == 0
+
+
 @pytest.mark.parametrize("name, per_time", [("example1", False), ("example2", True),
                                             ("example2_no_jacobian", True),
                                             ("nonlinear", True)])

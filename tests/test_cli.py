@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import gzip
 import json
@@ -120,6 +121,35 @@ def test_readme_config_example_serves_its_commands(tmp_path):
         assert run_cli([command, "--config", str(path)]) == 0, command
 
 
+def test_readme_settings_table_matches_the_cli():
+    # The table under "Configuration files" documents cli._SETTINGS: each
+    # setting's entry and flag, the commands whose parser takes that flag,
+    # and its default.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Configuration files", 1)[1].split("```json", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            rows[re.match(r"`([a-z_.]+)`", cells[0])[1]] = cells[1:]
+    subparsers = next(action.choices for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    for section_name, key, dest, default in cli._SETTINGS:
+        entry = key if section_name is None else f"{section_name}.{key}"
+        flag_cell, commands_cell, default_cell = rows.pop(entry)
+        flag = "--" + dest.replace("_", "-")
+        assert re.match(rf"`{flag}`", flag_cell), entry
+        taking = {name for name, sub in subparsers.items()
+                  if flag in sub._option_string_actions}
+        documented = (set(subparsers) if commands_cell == "all"
+                      else set(re.findall(r"`([a-z-]+)`", commands_cell)))
+        assert documented == taking, entry
+        # Literal scalar defaults; the empty baselines list means every one.
+        if isinstance(default, (int, str)):
+            assert str(default) in default_cell, entry
+    assert rows == {}
+
+
 def test_json_output(tmp_path):
     out = tmp_path / "trace.json"
     run_cli(["run", "--model", "example1", "--horizon", "3",
@@ -168,6 +198,25 @@ def test_missing_seed_for_sampling_is_config_error(capsys):
     code = run_cli(["run", "--model", "example2", "--horizon", "2"])
     assert code == 1
     assert "seed" in capsys.readouterr().err
+
+
+def test_missing_seed_is_found_before_any_draw(monkeypatch, capsys):
+    monkeypatch.setattr(blocks, "_sample_states", lambda *a, **k: pytest.fail("drew states"))
+    assert run_cli(["run", "--model", "example2", "--horizon", "3"]) == 1
+    assert "estimator.seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--model", "example1", "--horizon", "40"],
+    ["sensors", "--model", "example1", "--max-m", "3", "--horizon", "5"],
+], ids=["run", "sensors"])
+def test_monte_carlo_with_closed_forms_needs_no_seed(tmp_path, args):
+    # Under monte_carlo, the default mode, every factor with a closed form
+    # takes it; example1 samples nothing, so it needs no seed.
+    explicit, default = tmp_path / "explicit.csv", tmp_path / "default.csv"
+    assert run_cli(args + ["--mode", "monte_carlo", "--out", str(explicit)]) == 0
+    assert run_cli(args + ["--out", str(default)]) == 0
+    assert explicit.read_bytes() == default.read_bytes()
 
 
 def test_default_mode_follows_closed_forms(tmp_path):
@@ -229,9 +278,9 @@ LINEAR_1D = {
     ("sensors", ["--target", "nan"], None, "sweep.target"),
     ("sensors", [], {"sweep": {"target": float("inf")}}, "sweep.target"),
     ("sensors", [], {"sweep": {"target": 10**400}}, "sweep.target"),
-    ("oracle-verify", ["--tolerance", "nan"], None, "--tolerance"),
-    ("oracle-verify", ["--tolerance", "-1"], None, "--tolerance"),
-    ("oracle-verify", ["--tolerance", "inf"], None, "--tolerance"),
+    ("oracle-verify", ["--tolerance", "1e-3"], None, "unrecognized arguments: --tolerance"),
+    ("run", [], {"estimator": {"seed": True}}, "estimator.seed"),
+    ("oracle-verify", [], {"estimator": {"samples": 0}}, "estimator.samples"),
     ("run", [], {"model": {**LINEAR_1D, "state_dim": True}}, "model.state_dim"),
     ("run", [], {"model": {**LINEAR_1D, "transition_coeffs": -1.5}},
      "model.transition_coeffs"),

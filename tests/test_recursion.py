@@ -43,6 +43,17 @@ def test_init_state_matches_prior_reduction(example1):
     assert np.max(np.abs(carry - expected)) < 1e-10
 
 
+def test_init_state_takes_mixed_scale_prior_blocks():
+    # Leading prior blocks of very different scales: their joint solve has a
+    # reciprocal condition near 1e-14, but the prior's blocks are
+    # independent, so the carry is the last block's information alone.
+    cov = [1e-7 * np.eye(2), 1e7 * np.eye(2), np.diag([100.0, 10.0])]
+    model = cb.build_example1(prior=cb.GaussianPrior(np.zeros((3, 2)), cov))
+    assert np.allclose(cb.init_state(model), np.diag([0.01, 0.1]), rtol=1e-14, atol=0)
+    deviations = cb.verify_recursion(model, cb.ExpectationEstimator(), 12)
+    assert max(deviations.values()) < 1e-8
+
+
 def test_init_state_example2_shape(example2):
     carry = cb.init_state(example2)
     assert carry.shape == (8, 8)  # two carried 4-state blocks
