@@ -37,7 +37,7 @@ from .models import (
 )
 from .profiles import CorrelationProfile
 
-ESTIMATOR_MODES = ("analytic", "monte_carlo", "finite_difference_mc")
+ESTIMATOR_MODES = ("monte_carlo", "finite_difference_mc")
 
 # Substream namespaces for seed derivation.
 _PURPOSE_SAMPLE = 1
@@ -57,23 +57,23 @@ CHUNK_SIZE = 32_768
 
 @dataclass(frozen=True)
 class ExpectationEstimator:
-    """How expectations over trajectories are evaluated.  ``seed=None`` is
-    no seed, which serves only a run that samples nothing (:class:`BlockProvider`)."""
+    """How expectations over trajectories are evaluated: the ``estimator``
+    entries of a configuration file.  ``seed=None`` is no seed, which serves
+    only a run that samples nothing (:class:`BlockProvider`).  Each field is
+    checked here, and an error names its entry, ``estimator.<field>``."""
 
-    mode: str = "analytic"
-    sample_count: int = 10_000
+    mode: str = "monte_carlo"
+    samples: int = 10_000
     seed: int | None = None
     workers: int = 1
 
     def __post_init__(self):
         if self.mode not in ESTIMATOR_MODES:
-            raise ConfigError(
-                f"estimator mode {self.mode!r} not one of {ESTIMATOR_MODES}"
-            )
-        for field, minimum in (("sample_count", 1), ("workers", 1)):
-            require_int(getattr(self, field), f"estimator {field}", minimum)
+            raise ConfigError(f"estimator.mode {self.mode!r} not one of {ESTIMATOR_MODES}")
+        for field, minimum in (("samples", 1), ("workers", 1)):
+            require_int(getattr(self, field), f"estimator.{field}", minimum)
         if self.seed is not None:
-            require_int(self.seed, "estimator seed", 0)
+            require_int(self.seed, "estimator.seed", 0)
 
 
 @dataclass
@@ -142,7 +142,7 @@ def _fd_mc_grids(model: SystemModel, keys: list[tuple[int, bool]],
     pool; every grid is summed from that batch, and the per-chunk sums are
     combined in chunk order.
     """
-    sizes = _split(est.sample_count, CHUNK_SIZE)
+    sizes = _split(est.samples, CHUNK_SIZE)
     horizon = max(k for k, _ in keys) + 1
 
     def run_chunk(c: int) -> list[np.ndarray]:
@@ -152,7 +152,7 @@ def _fd_mc_grids(model: SystemModel, keys: list[tuple[int, bool]],
 
     grids = {}
     for key, parts in zip(keys, zip(*_map_units(run_chunk, len(sizes), est.workers))):
-        grids[key] = _read_only(symmetrize(sum(parts) / est.sample_count))
+        grids[key] = _read_only(symmetrize(sum(parts) / est.samples))
         _require_finite(grids[key], f"curvature sampled at time {key[0]}")
     return grids
 
@@ -217,7 +217,7 @@ def _sampled_measurement_info(
                 f"model '{model.name}' provides a measurement Jacobian but no {what}")
     r = model.state_dim
     noise_info = model.meas_noise_information
-    sizes = _split(est.sample_count, BLOCK_SIZE)
+    sizes = _split(est.samples, BLOCK_SIZE)
     local = threading.local()
 
     def run_block(b: int):
@@ -240,13 +240,13 @@ def _sampled_measurement_info(
 
     partials = _map_units(run_block, len(sizes), est.workers)
     # Fixed reduction order: block order, independent of worker count.
-    report = McReport(samples=est.sample_count,
+    report = McReport(samples=est.samples,
                       resampled=sum(part[3] for part in partials))
     sums = np.zeros((len(ks), r, r))
     for _, part_sums, _, _ in partials:
         sums += part_sums
 
-    n = est.sample_count
+    n = est.samples
     mean = sums / n
     blocks = {}
     for k, grid in zip(ks, mean):
@@ -411,9 +411,9 @@ class BlockProvider:
     1. The closed form, ``analytic_b`` or ``analytic_c``, if the model has
        one, unless the mode is ``finite_difference_mc``.  A closed form is
        the mean that sampling would estimate, and one grid serves every time.
-    2. Under ``analytic`` with no closed form, a :class:`ModelBuildError`.
-       Any other source samples, and without a seed it is a
+    2. Any other source samples, and without a seed it is a
        :class:`ConfigError` that names the factor, raised before any draw.
+       So a seedless run takes every factor in closed form or refuses.
     3. Under ``monte_carlo``, the measurement factor of a model with a
        ``meas_jacobian``: the sample mean of ``J' Lambda J`` at every time
        from one draw of states (the only blocks with standard errors).
@@ -449,8 +449,6 @@ class BlockProvider:
                                            (False, "measurement", model.analytic_c)):
             if closed is not None and est.mode != "finite_difference_mc":
                 grids[transition] = closed
-            elif est.mode == "analytic":
-                raise ModelBuildError(f"model '{model.name}' has no closed-form {factor} blocks")
             elif est.seed is None:
                 raise ConfigError(f"estimator.seed: required, since the {factor} blocks of "
                                   f"model '{model.name}' are sampled under {est.mode}")
@@ -462,7 +460,7 @@ class BlockProvider:
         if fd_each:
             drawn = _fd_mc_grids(model, [(k, t) for t, each in fd_each.items()
                                          for k in (times if each else [start])], est)
-            self.report.samples += est.sample_count
+            self.report.samples += est.samples
             for t, each in fd_each.items():
                 grids[t] = {k: drawn[k, t] for k in times} if each else drawn[start, t]
 

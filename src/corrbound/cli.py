@@ -26,22 +26,49 @@ EXIT_NUMERICAL = 3
 
 _BUILTINS = ("example1", "example2")  # --model NAME is model kind builtin_NAME
 
+
+def _builtin_model(name: str) -> dict:
+    if name not in _BUILTINS:
+        raise argparse.ArgumentTypeError(
+            f"unknown builtin {name!r} (choose from {list(_BUILTINS)})")
+    return {"kind": f"builtin_{name}"}
+
+
+def _name_list(text: str) -> list[str]:
+    return [name.strip() for name in text.split(",") if name.strip()]
+
+
 # Every setting, once: (config section, None at the top level; key; the flag
-# that overrides it; default).  A flag on the command line always wins over
-# the config file's entry.
+# that overrides it; default; the commands whose parser takes the flag, None
+# for every command; the flag's argparse options).  A flag on the command
+# line always wins over the config file's entry.
 _SETTINGS = (
-    (None, "model", "model", None),
-    (None, "horizon", "horizon", 40),
-    (None, "component", "component", 0),
-    (None, "baselines", "baselines", []),
-    ("estimator", "mode", "mode", "monte_carlo"),
-    ("estimator", "samples", "samples", 10_000),
-    ("estimator", "seed", "seed", None),
-    ("estimator", "workers", "workers", 1),
-    ("output", "path", "out", None),
-    ("output", "format", "format", "csv"),
-    ("sweep", "max_sensors", "max_m", 16),
-    ("sweep", "target", "target", None),
+    (None, "model", "model", None, None,
+     {"type": _builtin_model, "help": f"builtin model name ({', '.join(_BUILTINS)})"}),
+    (None, "horizon", "horizon", 40, None,
+     {"type": int, "help": "number of recursion steps"}),
+    ("estimator", "mode", "mode", ExpectationEstimator.mode, None,
+     {"choices": ESTIMATOR_MODES, "help": "expectation estimator mode"}),
+    ("estimator", "samples", "samples", ExpectationEstimator.samples, None,
+     {"type": int, "help": "Monte-Carlo sample count"}),
+    ("estimator", "seed", "seed", ExpectationEstimator.seed, None,
+     {"type": int, "help": "Monte-Carlo seed"}),
+    ("estimator", "workers", "workers", ExpectationEstimator.workers, None,
+     {"type": int, "help": f"worker threads for sampling, one task per {BLOCK_SIZE}-sample "
+                           f"Jacobian block or {CHUNK_SIZE}-sample FD-MC chunk; at most "
+                           "one per task and per CPU"}),
+    ("output", "path", "out", None, ("run", "compare", "sensors"),
+     {"help": "output path ('-' for stdout)"}),
+    (None, "component", "component", 0, ("compare", "sensors"),
+     {"type": int, "help": "state component for scalar summaries"}),
+    ("output", "format", "format", "csv", ("run",),
+     {"choices": ("csv", "json"), "help": "output format"}),
+    (None, "baselines", "baselines", [], ("compare",),
+     {"type": _name_list, "help": "comma list from {i,a,p}"}),
+    ("sweep", "max_sensors", "max_m", 16, ("sensors",),
+     {"type": int, "help": "largest sensor count"}),
+    ("sweep", "target", "target", None, ("sensors",),
+     {"type": float, "help": "desired average bound"}),
 )
 
 
@@ -67,14 +94,14 @@ def _settings(args: argparse.Namespace, data: dict) -> dict:
     """Each setting's value by key: its flag if given, else the config
     file's entry, else its default."""
     keys: dict[str | None, set[str]] = {}
-    for section, key, _, _ in _SETTINGS:
+    for section, key, *_ in _SETTINGS:
         keys.setdefault(section, set()).add(key)
     require_keys(data, keys[None] | set(keys) - {None}, "config")
     for section, allowed in keys.items():
         if section is not None:
             require_keys(data.get(section, {}), allowed, f"config.{section}")
     values = {}
-    for section, key, flag, default in _SETTINGS:
+    for section, key, flag, default, *_ in _SETTINGS:
         value = getattr(args, flag, None)
         if value is None:
             value = (data if section is None else data.get(section, {})).get(key, default)
@@ -101,11 +128,9 @@ def _build_config(args: argparse.Namespace
     values = _settings(args, data)
     if values["model"] is None:
         raise ConfigError("no model given: pass --model or a config file with a 'model' entry")
+    estimator = ExpectationEstimator(mode=values["mode"], samples=values["samples"],
+                                     seed=values["seed"], workers=values["workers"])
 
-    require_int(values["samples"], "estimator.samples", 1)
-    if values["seed"] is not None:
-        require_int(values["seed"], "estimator.seed", 0)
-    require_int(values["workers"], "estimator.workers", 1)
     require_int(values["horizon"], "horizon", 1)
     require_int(values["component"], "component", 0)
     require_int(values["max_sensors"], "sweep.max_sensors (--max-m)", 1)
@@ -139,8 +164,6 @@ def _build_config(args: argparse.Namespace
         raise ConfigError(
             f"component {component} out of range for state dim {model.state_dim}"
         )
-    estimator = ExpectationEstimator(mode=values["mode"], sample_count=values["samples"],
-                                     seed=values["seed"], workers=values["workers"])
     return values, model, estimator
 
 
@@ -247,15 +270,13 @@ def cmd_sensors(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _builtin_model(name: str) -> dict:
-    if name not in _BUILTINS:
-        raise argparse.ArgumentTypeError(
-            f"unknown builtin {name!r} (choose from {list(_BUILTINS)})")
-    return {"kind": f"builtin_{name}"}
-
-
-def _name_list(text: str) -> list[str]:
-    return [name.strip() for name in text.split(",") if name.strip()]
+_COMMANDS = {  # name: (function, help)
+    "run": (cmd_run, "compute a bound trace"),
+    "compare": (cmd_compare, "unified bound next to baselines"),
+    "oracle-verify": (cmd_oracle_verify,
+                      "check the recursion against the full-horizon reference"),
+    "sensors": (cmd_sensors, "averaged bound versus sensor count"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -273,45 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "temporally correlated noise.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, output: bool = True, component: bool = False):
-        p.add_argument("--model", type=_builtin_model,
-                       help=f"builtin model name ({', '.join(_BUILTINS)})")
+    for name, (func, text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
         p.add_argument("--config", help="JSON configuration file")
-        p.add_argument("--horizon", type=int, help="number of recursion steps")
-        p.add_argument("--mode", choices=ESTIMATOR_MODES, help="expectation estimator mode")
-        p.add_argument("--samples", type=int, help="Monte-Carlo sample count")
-        p.add_argument("--seed", type=int, help="Monte-Carlo seed")
-        p.add_argument("--workers", type=int,
-                       help=f"worker threads for sampling, one task per {BLOCK_SIZE}-sample "
-                            f"Jacobian block or {CHUNK_SIZE}-sample FD-MC chunk; at most "
-                            "one per task and per CPU")
-        if output:
-            p.add_argument("--out", help="output path ('-' for stdout)")
-        if component:
-            p.add_argument("--component", type=int,
-                           help="state component for scalar summaries")
-
-    p_run = sub.add_parser("run", help="compute a bound trace")
-    common(p_run)
-    p_run.add_argument("--format", choices=("csv", "json"), help="output format")
-    p_run.set_defaults(func=cmd_run)
-
-    p_cmp = sub.add_parser("compare", help="unified bound next to baselines")
-    common(p_cmp, component=True)
-    p_cmp.add_argument("--baselines", type=_name_list, help="comma list from {i,a,p}")
-    p_cmp.set_defaults(func=cmd_compare)
-
-    p_ver = sub.add_parser("oracle-verify",
-                           help="check the recursion against the full-horizon reference")
-    common(p_ver, output=False)
-    p_ver.set_defaults(func=cmd_oracle_verify)
-
-    p_sen = sub.add_parser("sensors", help="averaged bound versus sensor count")
-    common(p_sen, component=True)
-    p_sen.add_argument("--max-m", type=int, help="largest sensor count")
-    p_sen.add_argument("--target", type=float, help="desired average bound")
-    p_sen.set_defaults(func=cmd_sensors)
+        for _, _, flag, _, commands, options in _SETTINGS:
+            if commands is None or name in commands:
+                p.add_argument(f"--{flag.replace('_', '-')}", **options)
     return parser
 
 

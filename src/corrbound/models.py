@@ -503,6 +503,18 @@ def _as_matrix(value, rows: int, cols: int, path: str) -> Array:
     return arr
 
 
+def _as_cov(value, dim: int, path: str) -> Array:
+    """A ``dim x dim`` covariance at config path ``path``; an entry more
+    than 1e-12 of the largest one away from its mirror is rejected, not
+    averaged with it."""
+    arr = _as_matrix(value, dim, dim, path)
+    gap = float(np.max(np.abs(arr - arr.T)))
+    if gap > 1e-12 * np.max(np.abs(arr)):
+        raise ConfigError(f"{path}: expected a symmetric matrix, but an entry "
+                          f"differs from its mirror by {gap!r}")
+    return arr
+
+
 def _parse_lags(obj, path: str) -> CorrelationProfile:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object with keys l1..l4")
@@ -518,8 +530,7 @@ def _parse_prior(obj, profile: CorrelationProfile, state_dim: int, path: str) ->
         raise ConfigError(f"{path}: expected an object with keys mean, cov")
     require_keys(obj, {"mean", "cov"}, path)
     mean = _as_matrix(obj.get("mean", [0.0] * state_dim), 1, state_dim, f"{path}.mean")[0]
-    cov = _as_matrix(obj["cov"], state_dim, state_dim, f"{path}.cov") if "cov" in obj \
-        else None
+    cov = _as_cov(obj["cov"], state_dim, f"{path}.cov") if "cov" in obj else None
     return default_prior(profile, state_dim, mean=mean, cov=cov)
 
 
@@ -593,11 +604,11 @@ def model_from_config(config: dict) -> SystemModel:
         state_coeffs=matrices("transition_coeffs", profile.l2_eff, r, r, True),
         trans_meas_coeffs=matrices("transition_meas_coeffs", profile.l4, r, n,
                                    profile.l4 > 0),
-        process_cov=_as_matrix(config["process_cov"], r, r, "model.process_cov"),
+        process_cov=_as_cov(config["process_cov"], r, "model.process_cov"),
         meas_state_coeffs=matrices("measurement_state_coeffs", profile.l3_eff, n, r, True),
         meas_meas_coeffs=matrices("measurement_meas_coeffs", profile.l1, n, n,
                                   profile.l1 > 0),
-        meas_cov=_as_matrix(config["measurement_cov"], n, n, "model.measurement_cov"),
+        meas_cov=_as_cov(config["measurement_cov"], n, "model.measurement_cov"),
     )
     prior = None
     if "prior" in config:

@@ -31,6 +31,7 @@ import numpy as np
 from .blocks import BlockProvider, ExpectationEstimator
 from .errors import ConfigError, SingularMatrixError, require_int
 from .models import SystemModel
+from .recursion import run
 
 
 def _place(ab: np.ndarray, grid: np.ndarray) -> None:
@@ -151,14 +152,12 @@ def verify_recursion(model: SystemModel, est: ExpectationEstimator, k_max: int
     is past the prior window end, ``model.start_time``.  Without scipy it
     raises before any block is built.
     """
-    from . import recursion
-
     start = model.start_time
     require_int(k_max, "k_max", start + 1)
     _scipy_linalg()
     provider = BlockProvider(model, est, start, k_max)
     oracle_seq = information_sequence(model, est, k_max, provider=provider)
-    trace = recursion.run(model, est, k_max - start, provider=provider)
+    trace = run(model, est, k_max - start, provider=provider)
     deviations: dict[int, float] = {}
     for entry in trace.entries:
         deviations[entry.time_index] = max_relative_deviation(

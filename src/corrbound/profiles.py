@@ -65,7 +65,7 @@ def required_prior_window(profile: CorrelationProfile) -> int:
     """Number of leading states whose joint prior the recursion needs.
 
     Large enough that every conditioning lag of the first transition and
-    measurement factors stays inside the window, and that the carried matrix
-    fits.
+    measurement factors stays inside the window.  The carried matrix then
+    fits too: ``window = max(l2', l3' - 1)`` is at most ``max(lags) + 1``.
     """
-    return max(max(profile.as_dict().values()) + 1, profile.window)
+    return max(profile.as_dict().values()) + 1

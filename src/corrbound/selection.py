@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blocks import BlockProvider, ExpectationEstimator
+from .blocks import ExpectationEstimator
 from .errors import InvariantViolationError, require_int
 from .models import SystemModel
 from .recursion import run, step
@@ -39,12 +39,9 @@ def sweep(model: SystemModel, m_max: int, horizon: int = DEFAULT_AVERAGE_WINDOW,
         raise ValueError(
             f"component {component} out of range for state dim {model.state_dim}"
         )
-    est = est or ExpectationEstimator()
-    provider = BlockProvider(model, est, model.start_time, model.start_time + horizon)
-
     # Member m - 1 of the stack is the recursion of m sensors.
     scale = np.arange(1, m_max + 1)[:, None, None]
-    trace = run(model, est, horizon, provider=provider,
+    trace = run(model, est or ExpectationEstimator(), horizon,
                 stepper=lambda profile, carry, b, c: step(profile, carry, b, scale * c))
     # One contiguous row per member, so each mean sums as a lone run's does.
     avg = trace.component_bound_sqrt(component).T.copy().mean(axis=1)

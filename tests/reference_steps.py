@@ -496,10 +496,10 @@ def fd_mc_grid_per_sample(model: SystemModel, start: int, horizon: int, k: int,
     order."""
     point_hessian_of = _transition_point_hessian if transition else _measurement_point_hessian
     total = 0.0
-    for c, size in enumerate(_split(est.sample_count, _blocks.CHUNK_SIZE)):
+    for c, size in enumerate(_split(est.samples, _blocks.CHUNK_SIZE)):
         batch = model.simulate(horizon, size, _substream(est.seed, _PURPOSE_SAMPLE, start, c))
         for s in range(size):
             h = point_hessian_of(model, batch, s, k)
             assert np.all(np.isfinite(h)), f"non-finite curvature at sample {s}"
             total = total + h
-    return symmetrize(total / est.sample_count)
+    return symmetrize(total / est.samples)

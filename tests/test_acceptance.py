@@ -153,7 +153,7 @@ def test_criterion_6_monte_carlo_soundness(example2):
     estimates = [
         blocks_at(
             example2, k,
-            cb.ExpectationEstimator(mode="monte_carlo", sample_count=100_000, seed=s),
+            cb.ExpectationEstimator(mode="monte_carlo", samples=100_000, seed=s),
         )[1]
         for s in range(20)
     ]
@@ -164,8 +164,8 @@ def test_criterion_6_monte_carlo_soundness(example2):
     cov_max = float((sd[nonzero] / np.abs(mean[nonzero])).max())
     zeros_silent = float(sd[~nonzero].max(initial=0.0)) == 0.0
 
-    est_small = cb.ExpectationEstimator(mode="monte_carlo", sample_count=100_000, seed=0)
-    est_big = cb.ExpectationEstimator(mode="monte_carlo", sample_count=1_000_000, seed=77)
+    est_small = cb.ExpectationEstimator(mode="monte_carlo", samples=100_000, seed=0)
+    est_big = cb.ExpectationEstimator(mode="monte_carlo", samples=1_000_000, seed=77)
     small = cb.BlockProvider(example2, est_small, k, k + 1)
     big = cb.BlockProvider(example2, est_big, k, k + 1)
     c_small, se_small = small.measurement(k), small.measurement_stderr(k)
@@ -223,7 +223,7 @@ def test_criterion_8_sensor_sweep_monotonicity(example1, example2):
     sweep1 = cb.sweep(example1, 16, horizon=40, component=0, est=est1)
     mono1 = bool(np.all(np.diff(sweep1) < -1e-12))
 
-    est2 = cb.ExpectationEstimator(mode="monte_carlo", sample_count=20_000, seed=13)
+    est2 = cb.ExpectationEstimator(mode="monte_carlo", samples=20_000, seed=13)
     sweep2 = cb.sweep(example2, 16, horizon=40, component=0, est=est2)
     mono2 = bool(np.all(np.diff(sweep2) < -1e-12))
 

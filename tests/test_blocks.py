@@ -40,23 +40,13 @@ def test_scalar_measurement_block():
     assert np.allclose(c, np.array([[1.0]]))
 
 
-def test_analytic_mode_requires_closed_form(example2):
-    with pytest.raises(ModelBuildError, match="no closed-form measurement blocks"):
-        blocks_at(example2, 2, cb.ExpectationEstimator(mode="analytic"))
-
-
 # (mode, model) -> (transition source, measurement source, trajectory
 # draws).  "fd_once" is one finite-difference Monte-Carlo evaluation at
 # ``start`` that serves every time, the cross-check of a closed form;
-# "fd_each" one per time, for a factor without a closed form; "error" is a
-# ModelBuildError.  Every FD-MC grid of a provider comes from one draw, so a
-# provider draws once for its FD-MC grids and once for its sampled ones.
+# "fd_each" one per time, for a factor without a closed form.  Every FD-MC
+# grid of a provider comes from one draw, so a provider draws once for its
+# FD-MC grids and once for its sampled ones.
 RESOLVER_TABLE = {
-    ("analytic", "example1"): ("closed", "closed", 0),
-    ("analytic", "example2"): ("closed", "error", 0),
-    ("analytic", "scalar"): ("closed", "closed", 0),
-    ("analytic", "example2_no_jacobian"): ("closed", "error", 0),
-    ("analytic", "nonlinear"): ("error", "error", 0),
     ("monte_carlo", "example1"): ("closed", "closed", 0),
     ("monte_carlo", "example2"): ("closed", "sampled", 1),
     ("monte_carlo", "scalar"): ("closed", "closed", 0),
@@ -99,14 +89,9 @@ RESOLVER_MODELS = {
 def test_provider_resolver_table(mode, name):
     model = RESOLVER_MODELS[name]()
     b_source, c_source, draws = RESOLVER_TABLE[mode, name]
-    est = cb.ExpectationEstimator(mode=mode, sample_count=3, seed=0)
+    est = cb.ExpectationEstimator(mode=mode, samples=3, seed=0)
     start = model.start_time
     times = (start, start + 1)
-    if "error" in (b_source, c_source):
-        what = "transition" if b_source == "error" else "measurement"
-        with pytest.raises(ModelBuildError, match=f"no closed-form {what} blocks"):
-            cb.BlockProvider(model, est, start, start + 2)
-        return
     provider = cb.BlockProvider(model, est, start, start + 2)
     pairs = [provider.blocks(k) for k in times]
     (b0, c0), (b1, c1) = pairs
@@ -120,12 +105,14 @@ def test_provider_resolver_table(mode, name):
     assert (pairs[0] is pairs[1]) == (b_source in once and c_source in once)
     stderrs = [provider.measurement_stderr(k) for k in times]
     assert all((se is not None) == (c_source == "sampled") for se in stderrs)
-    assert provider.report.samples == est.sample_count * draws
+    assert provider.report.samples == est.samples * draws
 
 
 @pytest.mark.parametrize("mode, name, factor", [
     ("monte_carlo", "example2", "measurement"),
     ("finite_difference_mc", "example1", "transition"),
+    ("monte_carlo", "example2_no_jacobian", "measurement"),
+    ("monte_carlo", "nonlinear", "transition"),
 ])
 def test_sampled_factor_without_seed_is_config_error(monkeypatch, mode, name, factor):
     # The provider's source rule alone decides that a run samples, so it
@@ -134,8 +121,8 @@ def test_sampled_factor_without_seed_is_config_error(monkeypatch, mode, name, fa
     for wrapper in ("_sample_states", "_simulate"):
         monkeypatch.setattr(blocks_mod, wrapper, lambda *a, **k: draws.append(a))
     model = RESOLVER_MODELS[name]()
-    est = cb.ExpectationEstimator(mode=mode, sample_count=3)
-    with pytest.raises(ConfigError, match=f"seed.*{factor} blocks"):
+    est = cb.ExpectationEstimator(mode=mode, samples=3)
+    with pytest.raises(ConfigError, match=f"^estimator.seed: .* {factor} blocks"):
         cb.BlockProvider(model, est, model.start_time, model.start_time + 2)
     assert draws == []
 
@@ -146,6 +133,8 @@ def test_closed_forms_need_no_seed(example1):
     est = cb.ExpectationEstimator(mode="monte_carlo")
     assert est.seed is None
     provider = cb.BlockProvider(example1, est, example1.start_time, example1.start_time + 2)
+    b, c = provider.blocks(example1.start_time)
+    assert b is example1.analytic_b and c is example1.analytic_c
     assert provider.report.samples == 0
 
 
@@ -165,24 +154,28 @@ def test_finite_difference_mc_simulates_once_per_chunk(name, per_time, monkeypat
 
     monkeypatch.setattr(blocks_mod, "CHUNK_SIZE", 16)
     traced = dataclasses.replace(model, simulate=recorded)
-    est = cb.ExpectationEstimator(mode="finite_difference_mc", sample_count=40, seed=2)
+    est = cb.ExpectationEstimator(mode="finite_difference_mc", samples=40, seed=2)
     start = model.start_time
     provider = cb.BlockProvider(traced, est, start, start + 4)
     horizon = start + 4 if per_time else start + 1
     assert calls == [(horizon, 16), (horizon, 16), (horizon, 8)]
-    assert provider.report.samples == est.sample_count
+    assert provider.report.samples == est.samples
 
 
-@pytest.mark.parametrize("mode", ["analytic", "monte_carlo", "finite_difference_mc"])
-def test_provider_blocks_are_read_only_copies(example1, example2, mode):
+@pytest.mark.parametrize("mode, seed", [
+    pytest.param("monte_carlo", None, id="seedless"),
+    pytest.param("monte_carlo", 2, id="monte_carlo"),
+    pytest.param("finite_difference_mc", 2, id="finite_difference_mc"),
+])
+def test_provider_blocks_are_read_only_copies(example1, example2, mode, seed):
     # The model keeps read-only copies of the caller's closed forms, and
     # every provider of the model hands out those same arrays.
     b_grid = np.array(example1.analytic_b)
     c_grid = np.array(example1.analytic_c)
-    model = example2 if mode == "monte_carlo" else dataclasses.replace(
+    model = example2 if seed is not None and mode == "monte_carlo" else dataclasses.replace(
         example1, analytic_b=b_grid, analytic_c=c_grid)
     start = model.start_time
-    est = cb.ExpectationEstimator(mode=mode, sample_count=20, seed=2)
+    est = cb.ExpectationEstimator(mode=mode, samples=20, seed=seed)
     first, second = (cb.BlockProvider(model, est, start, start + 2) for _ in range(2))
     for k in (start, start + 1):
         for grid in first.blocks(k):
@@ -190,7 +183,7 @@ def test_provider_blocks_are_read_only_copies(example1, example2, mode):
                 grid[0, 0] = 1.0
     (b1, c1), (b2, c2) = first.blocks(start), second.blocks(start)
     assert (b1 is b2) == (mode != "finite_difference_mc")  # example2's b is closed form
-    assert (c1 is c2) == (mode == "analytic")
+    assert (c1 is c2) == (seed is None)
     assert b_grid.flags.writeable and c_grid.flags.writeable
     b_grid[0, 0] += 0.0  # the caller's own arrays stay writable
 
@@ -206,14 +199,14 @@ def test_analytic_blocks_are_psd(example1, analytic_est):
 def test_monte_carlo_matches_analytic_for_linear(example1):
     # Per-sample curvature of a linear-Gaussian factor is constant, so the
     # sample mean reproduces the closed form.
-    est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=100_000, seed=1)
+    est = cb.ExpectationEstimator(mode="monte_carlo", samples=100_000, seed=1)
     b_mc, _ = blocks_at(example1, 2, est)
     b, _ = blocks_at(example1, 2, cb.ExpectationEstimator())
     assert np.max(np.abs(b_mc - b)) / np.max(np.abs(b)) < 1e-2
 
 
 def test_finite_difference_mc_matches_analytic(example1):
-    est = cb.ExpectationEstimator(mode="finite_difference_mc", sample_count=40, seed=3)
+    est = cb.ExpectationEstimator(mode="finite_difference_mc", samples=40, seed=3)
     b_fd, c_fd = blocks_at(example1, 2, est)
     b, c = blocks_at(example1, 2, cb.ExpectationEstimator())
     assert np.max(np.abs(b_fd - b)) / np.max(np.abs(b)) < 1e-6
@@ -226,7 +219,7 @@ def test_finite_difference_mc_matches_closed_forms_on_every_layout(lags):
     # the FD-MC mean is its closed form up to central-difference rounding,
     # at every slot count and measurement-history depth.
     model = random_linear_model(cb.CorrelationProfile(*lags), 3, 2, seed=sum(lags))
-    est = cb.ExpectationEstimator(mode="finite_difference_mc", sample_count=200, seed=5)
+    est = cb.ExpectationEstimator(mode="finite_difference_mc", samples=200, seed=5)
     b_fd, c_fd = blocks_at(model, model.start_time, est)
     for fd, ref in ((b_fd, model.analytic_b), (c_fd, model.analytic_c)):
         assert np.max(np.abs(fd - ref)) / np.max(np.abs(ref)) < 1e-6
@@ -240,7 +233,7 @@ def test_finite_difference_mc_without_closed_forms_matches_analytic_run(lags):
     # time's frame slots, for every layout.
     model = random_linear_model(cb.CorrelationProfile(*lags), 2, 2, seed=100 + sum(lags))
     stripped = dataclasses.replace(model, analytic_b=None, analytic_c=None)
-    est = cb.ExpectationEstimator(mode="finite_difference_mc", sample_count=20, seed=6)
+    est = cb.ExpectationEstimator(mode="finite_difference_mc", samples=20, seed=6)
     start, horizon = model.start_time, 4
     provider = cb.BlockProvider(stripped, est, start, start + horizon)
     grids = [provider.blocks(k) for k in range(start, start + horizon)]
@@ -258,7 +251,7 @@ def test_finite_difference_mc_matches_per_sample_loop(name, monkeypatch):
     # the grids at the first and the last time of the shared draw.
     model = RESOLVER_MODELS[name]()
     monkeypatch.setattr(blocks_mod, "CHUNK_SIZE", 16)
-    est = cb.ExpectationEstimator(mode="finite_difference_mc", sample_count=30, seed=4)
+    est = cb.ExpectationEstimator(mode="finite_difference_mc", samples=30, seed=4)
     start, stop = model.start_time, model.start_time + 3
     provider = cb.BlockProvider(model, est, start, stop)
     closed = (model.analytic_b, model.analytic_c)
@@ -277,7 +270,7 @@ def test_nonlinear_dynamics_sampled_at_every_time(mode):
     # at 20k samples, where seeds spread by 0.3%.  One grid sampled at the
     # first time and used at every time reads 21% low from step 2 on.
     model = nonlinear_scalar_model()
-    est = cb.ExpectationEstimator(mode=mode, sample_count=20_000, seed=0)
+    est = cb.ExpectationEstimator(mode=mode, samples=20_000, seed=0)
     start, horizon = model.start_time, 20
     bound = cb.run(model, est, horizon).component_bound_sqrt(0)
     carry, per_time = cb.init_state(model), []
@@ -302,7 +295,7 @@ def test_finite_difference_log_density_calls_do_not_grow_with_samples(example1):
     calls = []
     for n in (10, 1000):
         sizes.clear()
-        est = cb.ExpectationEstimator(mode="finite_difference_mc", sample_count=n, seed=0)
+        est = cb.ExpectationEstimator(mode="finite_difference_mc", samples=n, seed=0)
         blocks_at(model, model.start_time, est)
         assert set(sizes) == {n}  # every call takes all samples at once
         calls.append(len(sizes))
@@ -329,7 +322,7 @@ def test_finite_difference_log_density_arguments():
     traced = dataclasses.replace(model, simulate=simulate, trans_logpdf=recorded("trans_logpdf"),
                                  meas_logpdf=recorded("meas_logpdf"))
     k = model.start_time
-    blocks_at(traced, k, cb.ExpectationEstimator(mode="finite_difference_mc", sample_count=5,
+    blocks_at(traced, k, cb.ExpectationEstimator(mode="finite_difference_mc", samples=5,
                                                  seed=1))
     p = model.profile
     [batch] = batches  # one draw serves both factors
@@ -353,7 +346,7 @@ def test_finite_difference_log_density_arguments():
 
 
 def test_non_finite_curvature_is_an_error():
-    est = cb.ExpectationEstimator(mode="finite_difference_mc", sample_count=2, seed=0)
+    est = cb.ExpectationEstimator(mode="finite_difference_mc", samples=2, seed=0)
     for bad in (np.nan, np.inf):
         broken = dataclasses.replace(
             simple_scalar_model(), trans_logpdf=lambda x_next, *a: np.full(len(x_next), bad))
@@ -379,12 +372,12 @@ def test_non_finite_grid_is_rejected(example1, analytic_est):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("sample_count", 100.5), ("sample_count", True), ("sample_count", 0),
+    ("samples", 100.5), ("samples", True), ("samples", 0),
     ("seed", -1), ("seed", 1.5), ("seed", False), ("seed", "7"),
     ("workers", 0), ("workers", 2.0),
 ])
 def test_estimator_rejects_bad_integer_fields(field, value):
-    with pytest.raises(ConfigError, match=f"estimator {field} must be an integer"):
+    with pytest.raises(ConfigError, match=f"estimator.{field} must be an integer"):
         cb.ExpectationEstimator(mode="monte_carlo", **{field: value})
     # numpy integers are integers.
     est = cb.ExpectationEstimator(mode="monte_carlo", **{field: np.int64(3)})
@@ -393,7 +386,7 @@ def test_estimator_rejects_bad_integer_fields(field, value):
 
 def test_mc_seed_determinism_and_sensitivity(example2):
     est = lambda seed, workers=1: cb.ExpectationEstimator(  # noqa: E731
-        mode="monte_carlo", sample_count=50_000, seed=seed, workers=workers,
+        mode="monte_carlo", samples=50_000, seed=seed, workers=workers,
     )
     a = blocks_at(example2, 5, est(7))[1]
     b = blocks_at(example2, 5, est(7))[1]
@@ -416,7 +409,7 @@ def test_mc_error_scales_as_root_n(example2):
     k = 10
     ref = blocks_at(
         example2, k,
-        cb.ExpectationEstimator(mode="monte_carlo", sample_count=400_000, seed=999),
+        cb.ExpectationEstimator(mode="monte_carlo", samples=400_000, seed=999),
     )[1]
 
     def mean_error(n, seeds):
@@ -424,7 +417,7 @@ def test_mc_error_scales_as_root_n(example2):
         for s in seeds:
             _, c = blocks_at(
                 example2, k,
-                cb.ExpectationEstimator(mode="monte_carlo", sample_count=n, seed=s),
+                cb.ExpectationEstimator(mode="monte_carlo", samples=n, seed=s),
             )
             errs.append(np.linalg.norm(c - ref))
         return float(np.mean(errs))
@@ -442,7 +435,7 @@ def _per_sample_reference(model, ks, horizon, est):
     lam = np.asarray(model.meas_noise_information)
     per = {k: [] for k in ks}
     replaced = 0
-    for b, size in enumerate(_split(est.sample_count, blocks_mod.BLOCK_SIZE)):
+    for b, size in enumerate(_split(est.samples, blocks_mod.BLOCK_SIZE)):
         batch = model.simulate(horizon, size, _substream(est.seed, _PURPOSE_SAMPLE, b))
         for k in ks:
             states = batch.states[:, k + 1, :].copy()
@@ -476,7 +469,7 @@ def test_sampled_information_matches_per_sample_loop(example2, workers, resample
     # a last one of one sample.
     for samples, block_size in ((200, 64), (2 * BLOCK_SIZE + 1, BLOCK_SIZE)):
         monkeypatch.setattr(blocks_mod, "BLOCK_SIZE", block_size)
-        est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=samples, seed=5,
+        est = cb.ExpectationEstimator(mode="monte_carlo", samples=samples, seed=5,
                                       workers=workers)
         blocks, ses, report = _sampled_measurement_info(model, ks, horizon, est)
 
@@ -523,7 +516,7 @@ def test_sampled_information_generic_jacobian(example2, workers, meas_dim, parti
         meas_jacobian=_generic_jacobian(meas_dim, partial),
     )
     monkeypatch.setattr(blocks_mod, "BLOCK_SIZE", 64)
-    est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=200, seed=5,
+    est = cb.ExpectationEstimator(mode="monte_carlo", samples=200, seed=5,
                                   workers=workers)
     horizon = 8
     ks = range(model.start_time, horizon)
@@ -573,7 +566,7 @@ def test_column_dead_at_one_time_stays_positive_zero(example2, workers):
         sample_states=sample_states, simulate=simulate,
     )
     # Four sample blocks, the last of 100 samples.
-    est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=3 * BLOCK_SIZE + 100,
+    est = cb.ExpectationEstimator(mode="monte_carlo", samples=3 * BLOCK_SIZE + 100,
                                   seed=6, workers=workers)
     horizon = pinned + 2
     ks = range(model.start_time, horizon)
@@ -605,7 +598,7 @@ def test_non_finite_sampled_jacobian_is_rejected(example2, bad, column):
         return out
 
     model = dataclasses.replace(example2, meas_jacobian=jac)
-    est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=100, seed=1)
+    est = cb.ExpectationEstimator(mode="monte_carlo", samples=100, seed=1)
     with pytest.raises(InvariantViolationError):
         _sampled_measurement_info(model, range(3, 4), 4, est)
 
@@ -618,7 +611,7 @@ def test_sample_major_states_are_rejected(example2):
         sample_states=lambda h, n, rng, out=None: example2.sample_states(
             h, n, rng).transpose(1, 0, 2),
     )
-    est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=100, seed=1)
+    est = cb.ExpectationEstimator(mode="monte_carlo", samples=100, seed=1)
     with pytest.raises(ModelBuildError,
                        match=r"sample_states .* \(horizon \+ 1, count, state_dim\) = \(5, 100, 4\)"):
         _sampled_measurement_info(model, range(3, 4), 4, est)
@@ -631,7 +624,7 @@ def test_state_blocks_must_hold_every_sample(example2):
         example2,
         sample_states=lambda h, n, rng, out=None: example2.sample_states(h, n - 1, rng),
     )
-    est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=2100, seed=1)
+    est = cb.ExpectationEstimator(mode="monte_carlo", samples=2100, seed=1)
     with pytest.raises(ModelBuildError,
                        match=r"sample_states returned shape \(5, 511, 4\), expected "
                              r"\(horizon \+ 1, count, state_dim\) = \(5, 512, 4\)"):
@@ -660,7 +653,7 @@ def test_singularity_resampling_reported():
         return states
 
     model = dataclasses.replace(base, sample_states=tainted)
-    est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=64, seed=0)
+    est = cb.ExpectationEstimator(mode="monte_carlo", samples=64, seed=0)
     provider = cb.BlockProvider(model, est, model.start_time, model.start_time + 1)
     assert provider.report.resampled >= 1
     assert np.all(np.isfinite(provider.measurement(model.start_time)))
@@ -689,7 +682,7 @@ def test_singular_states_redrawn_per_block(example2):
     for workers in (1, 2):
         redraws.clear()
         # Three full blocks and one of 100 samples.
-        est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=3 * BLOCK_SIZE + 100,
+        est = cb.ExpectationEstimator(mode="monte_carlo", samples=3 * BLOCK_SIZE + 100,
                                       seed=4, workers=workers)
         provider = cb.BlockProvider(model, est, k - 1, k + 2)
         assert provider.report.resampled == 3
@@ -722,7 +715,7 @@ def test_thread_pool_is_capped(example2, monkeypatch, workers, samples, cpus, th
 
     monkeypatch.setattr(blocks_mod, "ThreadPoolExecutor", pool)
     monkeypatch.setattr(blocks_mod.os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=samples, seed=1,
+    est = cb.ExpectationEstimator(mode="monte_carlo", samples=samples, seed=1,
                                   workers=workers)
     if threads is None:
         _sampled_measurement_info(example2, range(3, 4), 4, est)
@@ -743,7 +736,7 @@ def test_sample_blocks_spread_over_workers(example2, monkeypatch):
 
     monkeypatch.setattr(blocks_mod.os, "sched_getaffinity", lambda pid: {0, 1})
     model = dataclasses.replace(example2, sample_states=recorded)
-    est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=10_000, seed=7, workers=2)
+    est = cb.ExpectationEstimator(mode="monte_carlo", samples=10_000, seed=7, workers=2)
     provider = cb.BlockProvider(model, est, model.start_time, model.start_time + 10)
     assert provider.report.resampled == 0
     assert sorted(count for _, count in calls) == sorted(_split(10_000, BLOCK_SIZE))
@@ -766,7 +759,7 @@ def test_assembly_equal_case_layout(example1, analytic_est):
 def test_assembly_less_case_layout(example2):
     b, c = blocks_at(
         example2, 2,
-        cb.ExpectationEstimator(mode="monte_carlo", sample_count=2_000, seed=0),
+        cb.ExpectationEstimator(mode="monte_carlo", samples=2_000, seed=0),
     )
     frame = factor_frame(b, c, example2.profile)
     assert np.allclose(frame[8:, 8:], block(b, 3, 3, 4) + block(c, 1, 1, 4))

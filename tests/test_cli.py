@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import corrbound as cb
-from corrbound import blocks, cli, examples, selection
+from corrbound import blocks, cli, examples, recursion
 from corrbound.examples import MA_COEFF_MAX
 from reference_steps import run_plain
 
@@ -134,7 +134,7 @@ def test_readme_settings_table_matches_the_cli():
             rows[re.match(r"`([a-z_.]+)`", cells[0])[1]] = cells[1:]
     subparsers = next(action.choices for action in cli.build_parser()._actions
                       if isinstance(action, argparse._SubParsersAction))
-    for section_name, key, dest, default in cli._SETTINGS:
+    for section_name, key, dest, default, *_ in cli._SETTINGS:
         entry = key if section_name is None else f"{section_name}.{key}"
         flag_cell, commands_cell, default_cell = rows.pop(entry)
         flag = "--" + dest.replace("_", "-")
@@ -148,6 +148,14 @@ def test_readme_settings_table_matches_the_cli():
         if isinstance(default, (int, str)):
             assert str(default) in default_cell, entry
     assert rows == {}
+
+
+def test_readme_mode_list_matches_the_estimator():
+    # The bullets under "Estimator modes and their cost" name every mode.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Estimator modes and their cost", 1)[1].split("\n#", 1)[0]
+    documented = re.findall(r"^\* `([a-z_]+)` [–-]", section, flags=re.M)
+    assert documented == list(blocks.ESTIMATOR_MODES)
 
 
 def test_json_output(tmp_path):
@@ -233,12 +241,6 @@ def test_default_mode_follows_closed_forms(tmp_path):
     assert custom.read_bytes() == builtin.read_bytes()
 
 
-def test_explicit_analytic_mode_without_closed_form_is_model_error(capsys):
-    code = run_cli(["run", "--model", "example2", "--mode", "analytic", "--horizon", "3"])
-    assert code == 2
-    assert "no closed-form measurement blocks" in capsys.readouterr().err
-
-
 def test_malformed_config_names_field(tmp_path, capsys):
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({"model": {"kind": "builtin_example1"},
@@ -253,6 +255,14 @@ LINEAR_1D = {
     "lags": {"l1": 0, "l2": 1, "l3": 0, "l4": 0},
     "transition_coeffs": [[[1.0]]], "process_cov": [[1.0]],
     "measurement_state_coeffs": [[[1.0]]], "measurement_cov": [[1.0]],
+}
+
+LINEAR_2D = {
+    "kind": "linear_gaussian_ma", "state_dim": 2, "meas_dim": 2,
+    "lags": {"l1": 0, "l2": 1, "l3": 0, "l4": 0},
+    "transition_coeffs": [[[1.0, 0.0], [0.0, 1.0]]], "process_cov": [[1.0, 0.0], [0.0, 1.0]],
+    "measurement_state_coeffs": [[[1.0, 0.0], [0.0, 1.0]]],
+    "measurement_cov": [[1.0, 0.0], [0.0, 1.0]],
 }
 
 
@@ -296,6 +306,14 @@ LINEAR_1D = {
     ("compare", ["--format", "json"], None, "--format"),
     ("sensors", [], {"output": {"format": "json"}}, "output.format"),
     ("run", ["--component", "0"], None, "--component"),
+    # A covariance must be symmetric; it is not averaged with its transpose.
+    ("run", [], {"model": {**LINEAR_2D, "process_cov": [[1.0, 0.5], [0.0, 1.0]]}},
+     "model.process_cov"),
+    ("run", [], {"model": {**LINEAR_2D, "measurement_cov": [[4.0, 3.0], [-3.0, 4.0]]}},
+     "model.measurement_cov"),
+    ("run", [], {"model": {**LINEAR_2D, "prior": {"cov": [[1.0, 1e-9], [0.0, 1.0]]}}},
+     "model.prior.cov"),
+    ("run", [], {"estimator": {"mode": "analytic"}}, "estimator.mode 'analytic'"),
 ])
 def test_bad_field_is_config_error(tmp_path, capsys, command, extra, config, field):
     args = [command, *extra, "--horizon", "3"]
@@ -394,8 +412,7 @@ def _run_custom(tmp_path, monkeypatch, build, *, mode="monte_carlo", command=("r
 @pytest.mark.parametrize("build, mode, field, message", [
     (cb.build_example2, "monte_carlo", "meas_noise_information",
      "no measurement noise information"),
-    (cb.build_example1, "analytic", "analytic_b", "no closed-form transition blocks"),
-], ids=["jacobian_without_noise_information", "analytic_without_closed_form_b"])
+], ids=["jacobian_without_noise_information"])
 def test_missing_capability_is_model_error(tmp_path, capsys, monkeypatch,
                                            build, mode, field, message):
     assert _run_custom(tmp_path, monkeypatch, build, mode=mode, **{field: None}) == 2
@@ -677,6 +694,7 @@ def test_unknown_builtin_is_config_error(capsys):
     (["--horizon", "abc"], "--horizon"),
     (["--bogus", "1"], "--bogus"),
     (["--mode", "foo"], "--mode"),
+    (["--mode", "analytic"], "--mode"),  # closed forms need no mode, only no seed
 ])
 def test_usage_error_is_config_error(capsys, extra, flag):
     assert run_cli(["run", "--model", "example1"] + extra) == 1
@@ -706,7 +724,7 @@ def test_unwritable_output_fails_before_the_work(tmp_path, capsys, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("sampling started before the output path was checked")
 
-    monkeypatch.setattr(selection, "BlockProvider", no_work)
+    monkeypatch.setattr(recursion, "BlockProvider", no_work)
     out = tmp_path / "missing" / "x.csv"
     assert run_cli(["sensors", "--model", "example2", "--max-m", "8", "--samples", "1000",
                     "--horizon", "40", "--seed", "7", "--out", str(out)]) == 1

@@ -178,7 +178,7 @@ def test_example2_state_sampler_peak_memory(example2):
     # buffer it keeps: 32768 samples over 40 steps peaked at 3.8 MB of
     # allocations on one worker (numpy 2.4), where one array of all their
     # states alone takes 45 MB.
-    est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=32768, seed=0)
+    est = cb.ExpectationEstimator(mode="monte_carlo", samples=32768, seed=0)
     tracemalloc.start()
     try:
         cb.BlockProvider(example2, est, example2.start_time, example2.start_time + 40)
@@ -226,13 +226,13 @@ def test_example2_single_point_measurement_curvature(example2):
         sample_states=lambda horizon, count, rng, out=None: np.repeat(
             state[None, :, :], horizon + 1, axis=0),
     )
-    est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=1, seed=0)
+    est = cb.ExpectationEstimator(mode="monte_carlo", samples=1, seed=0)
     _, c = blocks_at(frozen, 2, est)
     assert np.allclose(c, expected, atol=1e-15)
 
 
 def test_example2_trace_psd_with_moderate_samples(example2):
-    est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=10_000, seed=11)
+    est = cb.ExpectationEstimator(mode="monte_carlo", samples=10_000, seed=11)
     trace = cb.run(example2, est, 40)
     for e in trace.entries:
         assert np.linalg.eigvalsh(e.info)[0] > 0

@@ -187,8 +187,8 @@ def test_recursion_matches_oracle_with_sampled_blocks(example2):
     # Different seeds on the two sides: agreement within 3 combined standard
     # errors of the sampled measurement curvature, propagated loosely through
     # the bound (the information is linear in the measurement term).
-    est_a = cb.ExpectationEstimator(mode="monte_carlo", sample_count=40_000, seed=21)
-    est_b = cb.ExpectationEstimator(mode="monte_carlo", sample_count=40_000, seed=22)
+    est_a = cb.ExpectationEstimator(mode="monte_carlo", samples=40_000, seed=21)
+    est_b = cb.ExpectationEstimator(mode="monte_carlo", samples=40_000, seed=22)
     k_max = example2.start_time + 6
     trace = cb.run(example2, est_a, 6)
     seq = oracle.information_sequence(example2, est_b, k_max)
@@ -212,7 +212,7 @@ def test_banded_oracle_matches_dense_reference(example1, example2):
     assert _worst(cb.information_sequence(example1, est, 24),
                   dense_information_sequence(example1, est, 24)) < 1e-13
 
-    mc = cb.ExpectationEstimator(mode="monte_carlo", sample_count=2_000, seed=5)
+    mc = cb.ExpectationEstimator(mode="monte_carlo", samples=2_000, seed=5)
     k_max = example2.start_time + 10
     provider = cb.BlockProvider(example2, mc, example2.start_time, k_max)
     assert _worst(cb.information_sequence(example2, mc, k_max, provider=provider),
@@ -227,3 +227,61 @@ def test_banded_oracle_matches_dense_reference(example1, example2):
                       dense_information_sequence(model, est, k_max)) < 1e-13
         cases.add(select_case(profile))
     assert cases == {CaseTag.GREATER, CaseTag.LESS, CaseTag.EQUAL}
+
+
+def _flat_prior_model(flat: float) -> cb.SystemModel:
+    """A 2-D random walk whose one measurement reads the first component,
+    with prior variance ``flat`` on the unobserved second one."""
+    return cb.model_from_config({
+        "kind": "linear_gaussian_ma", "state_dim": 2, "meas_dim": 1,
+        "lags": {"l1": 0, "l2": 0, "l3": 0, "l4": 0},
+        "transition_coeffs": [[[1.0, 0.0], [0.0, 1.0]]],
+        "process_cov": [[1.0, 0.0], [0.0, 1.0]],
+        "measurement_state_coeffs": [[[1.0, 0.0]]], "measurement_cov": [[1.0]],
+        "prior": {"cov": [[1.0, 0.0], [0.0, flat]]},
+    })
+
+
+def _raised_in(excinfo) -> list[str]:
+    return [entry.name for entry in excinfo.traceback]
+
+
+def test_near_singular_joint_refused_at_bound_inversion():
+    # Which side refuses a nearly flat joint is recorded, not aligned: at
+    # prior variance 1e13 the informations are finite and agree, and only
+    # the recursion's bound inversion refuses, whether run alone or under
+    # verify_recursion after the oracle side has passed.
+    model = _flat_prior_model(1e13)
+    est = cb.ExpectationEstimator()
+    start, k_max = model.start_time, model.start_time + 5
+    for call in (lambda: cb.run(model, est, 5),
+                 lambda: cb.verify_recursion(model, est, k_max)):
+        with pytest.raises(SingularMatrixError,
+                           match="^information submatrix is numerically singular") as excinfo:
+            call()
+        frames = _raised_in(excinfo)
+        assert "trace_rows" in frames and "_schur_step" not in frames
+    seq = oracle.information_sequence(model, est, k_max)
+    provider = cb.BlockProvider(model, est, start, k_max)
+    carry = cb.init_state(model)
+    for k in range(start, k_max):
+        carry, info = cb.step(model.profile, carry, *provider.blocks(k))
+        assert np.all(np.isfinite(seq[k + 1]))
+        assert oracle.max_relative_deviation(info, seq[k + 1]) < 1e-20
+
+
+@pytest.mark.parametrize("flat", [1e15, 1e16])
+def test_flatter_prior_refused_by_both_sides_at_the_prior(flat):
+    # From prior variance 1e15 both sides refuse the prior itself, each in
+    # its own set-up: the recursion's init_state and the oracle's assembly.
+    model = _flat_prior_model(flat)
+    est = cb.ExpectationEstimator()
+    k_max = model.start_time + 5
+    for call, where in ((lambda: cb.run(model, est, 5), "init_state"),
+                        (lambda: cb.verify_recursion(model, est, k_max),
+                         "information_sequence")):
+        with pytest.raises(SingularMatrixError,
+                           match="^prior covariance of window state 0 is numerically "
+                                 "singular") as excinfo:
+            call()
+        assert where in _raised_in(excinfo)

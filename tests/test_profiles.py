@@ -33,6 +33,7 @@ def test_case_assignment_is_a_partition():
         assert select_case(p) is expected
         assert l2e >= 1 and l3e >= 1
         assert p.window == max(l2e, l3e - 1)
+        assert cb.required_prior_window(p) >= p.window  # the carry fits in the prior
 
 
 def test_lag_validation():

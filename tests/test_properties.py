@@ -279,7 +279,7 @@ def test_malformed_config_is_config_error_naming_the_field(data, capsys):
     config = {
         "model": data.draw(linear_configs(case, 0.0, 2.0)),
         "horizon": 5,
-        "estimator": {"mode": "analytic", "samples": 100, "workers": 1},
+        "estimator": {"mode": "monte_carlo", "samples": 100, "workers": 1},
         "output": {"format": "csv"},
         "baselines": [],
         "component": 0,

@@ -276,7 +276,7 @@ def test_measurement_only_step_raw_form():
 
 
 def test_simplified_two_lag_path_matches_general(example2):
-    est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=5_000, seed=4)
+    est = cb.ExpectationEstimator(mode="monte_carlo", samples=5_000, seed=4)
     general = cb.run(example2, est, 12, stepper=step_autocorrelated_process)
     simplified = cb.run(example2, est, 12, stepper=step_process_lag2)
     unified = cb.run(example2, est, 12)
@@ -285,7 +285,7 @@ def test_simplified_two_lag_path_matches_general(example2):
 
 
 def test_measurement_quality_monotonicity(example2):
-    est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=10_000, seed=3)
+    est = cb.ExpectationEstimator(mode="monte_carlo", samples=10_000, seed=3)
     base = cb.run(example2, est, 12)
     sharp = cb.run(scale_measurement_noise(example2, 0.5), est, 12)
     for good, ref in zip(sharp.entries, base.entries):

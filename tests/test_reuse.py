@@ -80,7 +80,7 @@ def test_random_linear_models_match_plain_loop(profile, seed):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_example2_monte_carlo_matches_plain_loop(example2, workers):
-    est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=2000, seed=7,
+    est = cb.ExpectationEstimator(mode="monte_carlo", samples=2000, seed=7,
                                   workers=workers)
     start = example2.start_time
     provider = cb.BlockProvider(example2, est, start, start + 40)

@@ -46,7 +46,7 @@ def test_sweep_samples_once(example2, monkeypatch):
 
     model = dataclasses.replace(example2, sample_states=counted, simulate=full_batch)
     monkeypatch.setattr(blocks, "BLOCK_SIZE", 1_000)
-    est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=2_000, seed=3)
+    est = cb.ExpectationEstimator(mode="monte_carlo", samples=2_000, seed=3)
     cb.run(model, est, 5)
     per_run = len(calls)
     assert per_run == 2  # one draw per sample block
@@ -99,7 +99,7 @@ def test_sweep_steps_once_per_time(example2, monkeypatch):
         return step(*args)
 
     monkeypatch.setattr(selection, "step", counting)
-    est = cb.ExpectationEstimator(mode="monte_carlo", sample_count=1_000, seed=5)
+    est = cb.ExpectationEstimator(mode="monte_carlo", samples=1_000, seed=5)
     avg = cb.sweep(example2, 8, horizon=5, est=est)
     assert avg.shape == (8,)
     assert calls == 5
