@@ -40,13 +40,33 @@ def test_scalar_measurement_block():
     assert np.allclose(c, np.array([[1.0]]))
 
 
+def test_analytic_mode_requires_closed_form(example2, monkeypatch):
+    # A closed-form-only run is a run without a seed; there is no mode for
+    # it.  It refuses a factor without a closed form before any draw.
+    with pytest.raises(ConfigError, match="^estimator.mode 'analytic' not one of"):
+        cb.ExpectationEstimator(mode="analytic")
+    draws = []
+    for wrapper in ("_sample_states", "_simulate"):
+        monkeypatch.setattr(blocks_mod, wrapper, lambda *a, **k: draws.append(a))
+    with pytest.raises(ConfigError, match="^estimator.seed: .* measurement blocks"):
+        blocks_at(example2, 2, cb.ExpectationEstimator())
+    assert draws == []
+
+
 # (mode, model) -> (transition source, measurement source, trajectory
-# draws).  "fd_once" is one finite-difference Monte-Carlo evaluation at
-# ``start`` that serves every time, the cross-check of a closed form;
-# "fd_each" one per time, for a factor without a closed form.  Every FD-MC
-# grid of a provider comes from one draw, so a provider draws once for its
-# FD-MC grids and once for its sampled ones.
+# draws).  "analytic" is a closed-form-only run: monte_carlo without a seed.
+# "fd_once" is one finite-difference Monte-Carlo evaluation at ``start``
+# that serves every time, the cross-check of a closed form; "fd_each" one
+# per time, for a factor without a closed form; "error" is a ConfigError
+# naming estimator.seed, raised before any draw.  Every FD-MC grid of a
+# provider comes from one draw, so a provider draws once for its FD-MC
+# grids and once for its sampled ones.
 RESOLVER_TABLE = {
+    ("analytic", "example1"): ("closed", "closed", 0),
+    ("analytic", "example2"): ("closed", "error", 0),
+    ("analytic", "scalar"): ("closed", "closed", 0),
+    ("analytic", "example2_no_jacobian"): ("closed", "error", 0),
+    ("analytic", "nonlinear"): ("error", "error", 0),
     ("monte_carlo", "example1"): ("closed", "closed", 0),
     ("monte_carlo", "example2"): ("closed", "sampled", 1),
     ("monte_carlo", "scalar"): ("closed", "closed", 0),
@@ -86,12 +106,22 @@ RESOLVER_MODELS = {
 
 
 @pytest.mark.parametrize("mode, name", sorted(RESOLVER_TABLE))
-def test_provider_resolver_table(mode, name):
+def test_provider_resolver_table(monkeypatch, mode, name):
     model = RESOLVER_MODELS[name]()
     b_source, c_source, draws = RESOLVER_TABLE[mode, name]
-    est = cb.ExpectationEstimator(mode=mode, samples=3, seed=0)
+    est = (cb.ExpectationEstimator(samples=3) if mode == "analytic"
+           else cb.ExpectationEstimator(mode=mode, samples=3, seed=0))
     start = model.start_time
     times = (start, start + 1)
+    if "error" in (b_source, c_source):
+        what = "transition" if b_source == "error" else "measurement"
+        drawn = []
+        for wrapper in ("_sample_states", "_simulate"):
+            monkeypatch.setattr(blocks_mod, wrapper, lambda *a, **k: drawn.append(a))
+        with pytest.raises(ConfigError, match=f"^estimator.seed: .* {what} blocks"):
+            cb.BlockProvider(model, est, start, start + 2)
+        assert drawn == []
+        return
     provider = cb.BlockProvider(model, est, start, start + 2)
     pairs = [provider.blocks(k) for k in times]
     (b0, c0), (b1, c1) = pairs
@@ -111,8 +141,6 @@ def test_provider_resolver_table(mode, name):
 @pytest.mark.parametrize("mode, name, factor", [
     ("monte_carlo", "example2", "measurement"),
     ("finite_difference_mc", "example1", "transition"),
-    ("monte_carlo", "example2_no_jacobian", "measurement"),
-    ("monte_carlo", "nonlinear", "transition"),
 ])
 def test_sampled_factor_without_seed_is_config_error(monkeypatch, mode, name, factor):
     # The provider's source rule alone decides that a run samples, so it
@@ -163,7 +191,7 @@ def test_finite_difference_mc_simulates_once_per_chunk(name, per_time, monkeypat
 
 
 @pytest.mark.parametrize("mode, seed", [
-    pytest.param("monte_carlo", None, id="seedless"),
+    pytest.param("monte_carlo", None, id="analytic"),
     pytest.param("monte_carlo", 2, id="monte_carlo"),
     pytest.param("finite_difference_mc", 2, id="finite_difference_mc"),
 ])
