@@ -137,9 +137,9 @@ def pcrb_augmented(model: SystemModel, horizon: int) -> PCRBTrace:
     The bound is reported in the original coordinates (leading block of the
     augmented bound, re-inverted).  The step reads only the augmented
     covariance ``p``, so it runs in ``run``'s loop helper
-    (``recursion._distinct_steps``) on empty block tuples: a step whose
-    ``p`` repeats an earlier one byte for byte reuses its result, and the
-    trace stores each distinct row once.
+    (``recursion._distinct_steps``) on one empty block tuple for every step:
+    once ``p`` repeats an earlier one byte for byte, the remaining steps
+    tile the cycle from there, and the trace stores each distinct row once.
     """
     require_int(horizon, "horizon", 1)
     f_aug, q_aug, h_aug, r_inv, p = augmented_system(model)
@@ -148,7 +148,7 @@ def pcrb_augmented(model: SystemModel, horizon: int) -> PCRBTrace:
     def compute(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _augmented_step(p, f_aug, q_aug, info_meas, model.state_dim)
 
-    rows, index = _distinct_steps(p, [()] * horizon, compute)
+    rows, index = _distinct_steps(p, (), compute, horizon)
     return PCRBTrace(rows, index, model.start_time)
 
 

@@ -46,8 +46,13 @@ _PURPOSE_RESAMPLE = 2
 _MAX_RESAMPLE_ROUNDS = 100
 
 # Samples per block of the sampled Jacobian path: its unit of RNG substreams
-# and of worker tasks.  At the default horizon a block's seeds take 0.7 MB
-# and its Jacobians at every step 1.3 MB, which fit a 2 MB L2 cache, and
+# and of worker tasks, so changing it changes every sampled result.  512 was
+# the fastest size measured: example2's 50k-sample, 40-step `run` on one
+# worker (x86-64, 2 vCPUs; the range of two medians of 9 runs) took
+# 293-327 ms at 128, 256-273 ms at 256, 234-252 ms at 512, 240-263 ms at
+# 1024 and 269-286 ms at 2048.
+# While a 512-sample block's Jacobian is contracted about 2.7 MB is live
+# (states 0.7 MB, Jacobians 1.3 MB, contraction scratch 0.66 MB), and
 # 10k samples make 20 tasks.
 BLOCK_SIZE = 512
 
@@ -425,9 +430,11 @@ class BlockProvider:
     Every FD-MC grid of the provider comes from one draw of trajectories,
     up to ``start + 1``, or up to ``stop`` when a factor is sampled at every
     time.  ``report.samples`` counts every trajectory drawn, once per draw.
-    The blocks are read-only arrays that own their data, so a run can tell
-    a repeated block by identity; a closed form is the model's own array,
-    which every provider of the model shares.
+    The blocks are read-only arrays that own their data; a closed form is
+    the model's own array, which every provider of the model shares.  When
+    both factors are time invariant, ``pair`` is the one ``(b, c)`` tuple
+    that ``blocks`` returns at every time, and :func:`corrbound.run` steps
+    it only until the carry repeats; otherwise ``pair`` is None.
     """
 
     def __init__(self, model: SystemModel, est: ExpectationEstimator,
@@ -464,21 +471,21 @@ class BlockProvider:
             for t, each in fd_each.items():
                 grids[t] = {k: drawn[k, t] for k in times} if each else drawn[start, t]
 
-        # Times whose grids are all time-invariant share one (b, c) pair
-        # object, so a run can tell repeated blocks at a glance.
+        # pair: the one (b, c) pair object of every time when both grids are
+        # time-invariant, which tells a run that its blocks repeat.
         pair = grids[True], grids[False]
         if any(isinstance(g, dict) for g in pair):
+            self.pair = None
             self._blocks = {k: tuple(g[k] if isinstance(g, dict) else g for g in pair)
                             for k in times}
         else:
-            self._blocks = dict.fromkeys(times, pair)
+            self.pair = pair
 
     def blocks(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        try:
-            return self._blocks[k]
-        except KeyError:
+        if k not in range(self.start, self.stop):
             raise ValueError(f"time index {k} outside the provider's range "
-                             f"[{self.start}, {self.stop})") from None
+                             f"[{self.start}, {self.stop})")
+        return self.pair or self._blocks[k]
 
     def measurement(self, k: int) -> np.ndarray:
         return self.blocks(k)[1]

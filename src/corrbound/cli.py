@@ -11,6 +11,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import baselines as _baselines
 from . import oracle as _oracle
 from .blocks import BLOCK_SIZE, CHUNK_SIZE, ESTIMATOR_MODES, ExpectationEstimator
@@ -223,15 +225,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
     traces += [_baselines.BASELINES[name](model, values["horizon"]) for name in names]
     header = ["k", "pcrb_t"] + [_baselines.BASELINE_LABELS[name] for name in names]
     # A step's values are fixed by its traces' row indices, so each distinct
-    # tuple of rows is formatted once.
-    texts: dict[tuple[int, ...], str] = {}
+    # tuple of rows is formatted once.  The tuple is keyed in mixed radix,
+    # one trace at a time, renumbered after each so the key stays small.
+    key = np.zeros(values["horizon"], dtype=np.intp)
+    for t in traces:
+        _, first, key = np.unique(key * len(t.rows) + t.index,
+                                  return_index=True, return_inverse=True)
+    texts = [",".join(_fmt(t.rows[t.index[s]][2][component]) for t in traces)
+             for s in first.tolist()]
     lines = [",".join(header)]
-    for k, rows in enumerate(zip(*(t.index.tolist() for t in traces)), 1):
-        text = texts.get(rows)
-        if text is None:
-            text = texts[rows] = ",".join(
-                _fmt(t.rows[i][2][component]) for t, i in zip(traces, rows))
-        lines.append(f"{k},{text}")
+    lines += [f"{k},{texts[i]}" for k, i in enumerate(key.tolist(), 1)]
     _write_text(values["path"], "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -325,6 +325,16 @@ class SystemModel:
 # ---------------------------------------------------------------------------
 
 
+def _require_symmetric(cov: Array, path: str, error: type[Exception]) -> None:
+    """Raise ``error`` naming ``path`` when an entry of the square ``cov``
+    is more than 1e-12 of the largest entry away from its mirror: a
+    covariance is rejected, not averaged with its transpose."""
+    gap = float(np.max(np.abs(cov - cov.T)))
+    if gap > 1e-12 * np.max(np.abs(cov)):
+        raise error(f"{path}: expected a symmetric matrix, but an entry "
+                    f"differs from its mirror by {gap!r}")
+
+
 @dataclass(frozen=True)
 class LinearConditionalSpec:
     """Linear-Gaussian conditionals written directly in factorized form.
@@ -354,6 +364,11 @@ class LinearConditionalSpec:
             if len(coeffs) != count:
                 raise ModelBuildError(
                     f"expected {count} {what} coefficients, got {len(coeffs)}")
+        for field in ("process_cov", "meas_cov"):
+            cov = np.asarray(getattr(self, field), dtype=float)
+            if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+                raise ModelBuildError(f"{field}: expected a square matrix, got shape {cov.shape}")
+            _require_symmetric(cov, field, ModelBuildError)
 
     @property
     def state_dim(self) -> int:
@@ -504,14 +519,10 @@ def _as_matrix(value, rows: int, cols: int, path: str) -> Array:
 
 
 def _as_cov(value, dim: int, path: str) -> Array:
-    """A ``dim x dim`` covariance at config path ``path``; an entry more
-    than 1e-12 of the largest one away from its mirror is rejected, not
-    averaged with it."""
+    """A ``dim x dim`` covariance at config path ``path``, symmetric as
+    :func:`_require_symmetric` checks."""
     arr = _as_matrix(value, dim, dim, path)
-    gap = float(np.max(np.abs(arr - arr.T)))
-    if gap > 1e-12 * np.max(np.abs(arr)):
-        raise ConfigError(f"{path}: expected a symmetric matrix, but an entry "
-                          f"differs from its mirror by {gap!r}")
+    _require_symmetric(arr, path, ConfigError)
     return arr
 
 

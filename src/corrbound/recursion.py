@@ -96,63 +96,68 @@ def trace_rows(infos: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray, np
 
 
 # ---------------------------------------------------------------------------
-# Reuse of repeated steps
+# Step loops
 # ---------------------------------------------------------------------------
 
 
-def _distinct_steps(carry: np.ndarray, blocks_seq, compute
-                    ) -> tuple[list[tuple[np.ndarray, ...]], list[int]]:
-    """Trace rows of one step per block tuple of ``blocks_seq``, and the row
-    of each step.
+def _distinct_steps(carry: np.ndarray, blocks: tuple, compute, steps: int
+                    ) -> tuple[list[tuple[np.ndarray, ...]], np.ndarray]:
+    """Trace rows of the distinct steps of ``steps`` steps on the one block
+    tuple ``blocks``, and the row of each step.
 
     ``compute(carry, *blocks)`` returns the next carry and the step's
-    information submatrix, and must be a pure function of its arguments.
-    The rows are formed after the loop, every bound in one stacked
-    inversion (:func:`trace_rows`); if a step raises, the rows before it
-    are formed first, so the earliest failure is the one raised.  A
-    time-invariant model's recursion settles, in floating point, into a
-    fixed point or a short cycle, after which its carry repeats byte for
-    byte; such a step takes the stored next carry and row of the earlier
-    step instead of calling ``compute``.
-
-    The carry is keyed by its exact bytes (it keeps one dtype and shape from
-    step to step, except that an unstacked first carry may be shared by a
-    stack; its bytes can match only a one-member stack's carry, which steps
-    to the same values).  A stored result is reused only while every block is the
-    very array (``is``) of the previous step, read-only and owning its data,
-    as a :class:`BlockProvider`'s blocks are; any other blocks clear the
-    store, so blocks that change at every step (Monte-Carlo curvature) keep
-    at most one stored result, and writable blocks get none.  Every check
+    information submatrix, and must be a pure function of its arguments;
+    each block is read-only and owns its data, as a :class:`BlockProvider`'s
+    ``pair`` is.  A time-invariant model's recursion settles, in floating
+    point, into a fixed point or a short cycle, after which its carry
+    repeats byte for byte.  The carry is keyed by its exact bytes (it keeps
+    one dtype and shape from step to step, except that an unstacked first
+    carry may be shared by a stack; its bytes can match only a one-member
+    stack's carry, which steps to the same values).  Once a carry repeats,
+    the remaining steps are the cycle that began at that carry's first
+    step: the loop stops there and the index tiles that cycle, so the
+    settled tail is not stepped, looked up or hashed.  Every check
     ``compute`` makes (PSD, pivot rcond, finiteness, shape) runs once on
-    each distinct input; a repeat returns only what an identical input
-    already passed, because an input that failed raised and stored nothing.
-    Stored carries and rows are read-only, since later steps share them.
+    each distinct input, and a tiled step repeats an input that passed.
+    The rows are formed as in :func:`_every_step`.
     """
     infos: list[np.ndarray] = []
-    index: list[int] = []
-    seen: dict[bytes, tuple[int, np.ndarray, bytes]] = {}
-    last = None  # the previous step's blocks, if all read-only and data-owning
+    first: dict[bytes, int] = {}  # carry bytes -> the step that had them
     key = carry.tobytes()
     try:
-        for blocks in blocks_seq:
-            if blocks is not last:
-                if (last is None or len(blocks) != len(last)
-                        or any(a is not b for a, b in zip(blocks, last))):
-                    seen.clear()
-                frozen = all(a.flags.owndata and not a.flags.writeable for a in blocks)
-                last = tuple(blocks) if frozen else None
-            found = seen.get(key)
-            if found is None:
-                carry_next, info = compute(carry, *blocks)
-                carry_next.setflags(write=False)
-                found = seen[key] = (len(infos), carry_next, carry_next.tobytes())
-                infos.append(info)
-            row, carry, key = found
-            index.append(row)
+        while len(infos) < steps and key not in first:
+            first[key] = len(infos)
+            carry, info = compute(carry, *blocks)
+            key = carry.tobytes()
+            infos.append(info)
     except Exception:
         trace_rows(infos)  # an earlier step's uninvertible submatrix raises first
         raise
-    return trace_rows(infos), index
+    stepped = len(infos)
+    cycle = first.get(key, 0)  # where the cycle begins; unused if none repeated
+    tail = cycle + np.arange(steps - stepped) % (stepped - cycle)
+    return trace_rows(infos), np.concatenate([np.arange(stepped), tail])
+
+
+def _every_step(carry: np.ndarray, blocks_seq, compute
+                ) -> tuple[list[tuple[np.ndarray, ...]], np.ndarray]:
+    """Trace rows of one computed step per block tuple of ``blocks_seq``,
+    and the row of each step.
+
+    ``compute`` is as in :func:`_distinct_steps`.  The rows are formed
+    after the loop, every bound in one stacked inversion
+    (:func:`trace_rows`); if a step raises, the rows before it are formed
+    first, so the earliest failure is the one raised.
+    """
+    infos: list[np.ndarray] = []
+    try:
+        for blocks in blocks_seq:
+            carry, info = compute(carry, *blocks)
+            infos.append(info)
+    except Exception:
+        trace_rows(infos)  # an earlier step's uninvertible submatrix raises first
+        raise
+    return trace_rows(infos), np.arange(len(infos))
 
 
 # ---------------------------------------------------------------------------
@@ -287,18 +292,26 @@ def run(model: SystemModel, est: ExpectationEstimator, horizon: int,
 
     ``stepper`` (default :func:`step`) is called as ``stepper(profile,
     carry, b, c)``, returns ``(carry_next, J)`` as :func:`step` does, and
-    must be a pure function of its arguments: a step whose carry repeats an
-    earlier step's byte for byte, on the very same read-only blocks, reuses
-    that step's new carry and trace row instead of calling it (see
-    :func:`_distinct_steps`).  Every check still runs once on every distinct
-    input.  The trace stores each distinct row once, with read-only arrays,
-    and an index of the row of every step.
+    must be a pure function of its arguments.  When ``provider`` is a
+    :class:`BlockProvider` whose blocks are one pair at every time of the
+    run, the loop gets that pair and stops at the first repeated carry,
+    tiling its cycle over the remaining steps (see :func:`_distinct_steps`);
+    every check still runs once on every distinct input.  Any other
+    provider is asked for the blocks of every step, and every step is
+    computed (:func:`_every_step`), so a time it does not cover raises
+    where the loop reaches it.  The trace stores each distinct row once,
+    with read-only arrays, and an index of the row of every step.
     """
     require_int(horizon, "horizon", 1)
     start = model.start_time
     carry = init_state(model)
     if provider is None:
         provider = BlockProvider(model, est, start, start + horizon)
-    rows, index = _distinct_steps(carry, map(provider.blocks, range(start, start + horizon)),
-                                  partial(stepper or step, model.profile))
+    compute = partial(stepper or step, model.profile)
+    if (isinstance(provider, BlockProvider) and provider.pair is not None
+            and provider.start <= start and start + horizon <= provider.stop):
+        rows, index = _distinct_steps(carry, provider.pair, compute, horizon)
+    else:
+        rows, index = _every_step(
+            carry, map(provider.blocks, range(start, start + horizon)), compute)
     return PCRBTrace(rows, index, start, provider.report.resampled)

@@ -205,3 +205,28 @@ def test_model_from_config_custom_factory():
         cb.model_from_config({"kind": "custom", "factory": "corrbound.examples:missing"})
     with pytest.raises(ConfigError):
         cb.model_from_config({"kind": "custom", "factory": "not-a-path"})
+
+
+def _spec_2d(process_cov, meas_cov=np.eye(2)) -> cb.LinearConditionalSpec:
+    return cb.LinearConditionalSpec(
+        profile=cb.CorrelationProfile(), state_coeffs=(np.eye(2),),
+        process_cov=np.asarray(process_cov, dtype=float),
+        meas_state_coeffs=(np.eye(2),), meas_cov=np.asarray(meas_cov, dtype=float))
+
+
+@pytest.mark.parametrize("field", ["process_cov", "meas_cov"])
+def test_spec_rejects_asymmetric_covariance(field):
+    # Averaged with its mirror, this would be [[1, 0.25], [0.25, 1]].
+    asymmetric = [[1.0, 0.5], [0.0, 1.0]]
+    covs = {"process_cov": np.eye(2), "meas_cov": np.eye(2), field: asymmetric}
+    with pytest.raises(ModelBuildError, match=rf"^{field}: expected a symmetric matrix, "
+                                              r"but an entry differs from its mirror by 0\.5$"):
+        _spec_2d(**covs)
+    # Its symmetric mean builds, as does a gap within 1e-12 of the largest entry.
+    _spec_2d(**{**covs, field: [[1.0, 0.25], [0.25, 1.0]]})
+    _spec_2d(**{**covs, field: [[1.0, 0.25], [0.25 + 5e-13, 1.0]]})
+
+
+def test_spec_rejects_non_square_covariance():
+    with pytest.raises(ModelBuildError, match=r"^process_cov: expected a square matrix"):
+        _spec_2d(np.ones((2, 3)))

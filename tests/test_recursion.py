@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,24 @@ def test_run_names_a_provider_that_falls_short(example1, analytic_est):
         cb.run(example1, analytic_est, 8, provider=provider)
     with pytest.raises(ValueError, match=miss):
         provider.measurement(start + 5)
+
+
+@pytest.mark.parametrize("offset", [-1, 5, 0.5, 4.5])
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_provider_rejects_a_time_outside_its_range(request, name, offset):
+    # example1's blocks are one pair for every time, example2's sampled
+    # measurement blocks one per time; a non-integer time is in neither.
+    model = request.getfixturevalue(name)
+    start = model.start_time
+    provider = BlockProvider(model, cb.ExpectationEstimator(samples=64, seed=3),
+                             start, start + 5)
+    assert (provider.pair is None) == (name == "example2")
+    miss = (rf"^time index {re.escape(str(start + offset))} outside the provider's "
+            rf"range \[{start}, {start + 5}\)$")
+    with pytest.raises(ValueError, match=miss):
+        provider.blocks(start + offset)
+    with pytest.raises(ValueError, match=miss):
+        provider.measurement(start + offset)
 
 
 # Entry point -> (call with the count, argument name, least valid value).

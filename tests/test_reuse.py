@@ -1,9 +1,10 @@
 """Reuse of steps whose inputs repeat.
 
-``corrbound.run`` and ``corrbound.pcrb_augmented`` return a stored result
-for a step whose carry an earlier step already had, byte for byte, on the
-very same read-only blocks.  Every output must be byte-identical to the
-plain loops in ``reference_steps``, which compute every step.
+On one block pair for every step, ``corrbound.run`` and
+``corrbound.pcrb_augmented`` stop at the first carry that an earlier step
+already had, byte for byte, and tile the cycle from there.  Every output
+must be byte-identical to the plain loops in ``reference_steps``, which
+compute every step.
 """
 
 import numpy as np
@@ -229,3 +230,50 @@ def test_augmented_computes_few_steps(example1, monkeypatch):
     # two factorizations, and the trace's bounds are one stacked inversion.
     assert calls <= 5 + 2 * 64 + 1
     _assert_read_only(trace)
+
+
+def _counting_step():
+    calls = []
+
+    def counting(profile, carry, b, c):
+        calls.append(None)
+        return cb.step(profile, carry, b, c)
+
+    return counting, calls
+
+
+def test_settled_tail_is_tiled_not_stepped(example1):
+    counting, calls = _counting_step()
+    short = cb.run(example1, EXACT, 3000, stepper=counting)
+    assert len(calls) == 43
+    counting, calls = _counting_step()
+    long = cb.run(example1, EXACT, 10**6, stepper=counting)
+    assert len(calls) == 43
+    assert len(long) == 10**6
+    assert len(long.rows) == len(short.rows)
+    for got, want in zip(long.rows, short.rows, strict=True):
+        assert all(same_array(a, b) for a, b in zip(got, want))
+    # Past the 3000 steps, the index continues the cycle that the first
+    # repeated carry began: step s >= cycle takes row cycle + (s - cycle) % period.
+    stepped = len(short.rows)
+    cycle = int(short.index[stepped])
+    period = stepped - cycle
+    assert np.array_equal(long.index[:3000], short.index)
+    steps = np.arange(3000, 10**6)
+    assert np.array_equal(long.index[3000:], cycle + (steps - cycle) % period)
+
+
+@pytest.mark.parametrize("horizon", [301, 300])
+def test_augmented_period_two_tail(example1, horizon):
+    trace = cb.pcrb_augmented(example1, horizon)
+    tail = trace.index[-4:]
+    assert tail[0] != tail[1] and np.array_equal(tail[:2], tail[2:])  # period 2
+    assert_same_bytes(trace, pcrb_augmented_plain(example1, horizon))
+
+
+def test_provider_short_of_the_horizon_raises_after_settling(example1):
+    start = example1.start_time
+    provider = cb.BlockProvider(example1, EXACT, start, start + 100)
+    with pytest.raises(ValueError, match=rf"^time index {start + 100} outside the "
+                                         rf"provider's range \[{start}, {start + 100}\)$"):
+        cb.run(example1, EXACT, 3000, provider=provider)
