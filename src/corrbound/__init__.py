@@ -14,10 +14,8 @@ from .errors import (
 )
 from .examples import build_example1, build_example2
 from .models import (
-    ArApproximation,
     GaussianPrior,
     LinearConditionalSpec,
-    LinearModelInfo,
     SystemModel,
     TrajectoryBatch,
     build_linear_model,
@@ -26,13 +24,12 @@ from .models import (
 )
 from .oracle import build_joint, information_sequence, verify_recursion
 from .profiles import CorrelationProfile, required_prior_window
-from .recursion import PCRBTrace, TraceEntry, init_state, run, step
+from .recursion import PCRBTrace, init_state, run, step
 from .selection import min_sensors, sweep
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArApproximation",
     "BlockProvider",
     "ConfigError",
     "CorrboundError",
@@ -41,13 +38,11 @@ __all__ = [
     "GaussianPrior",
     "InvariantViolationError",
     "LinearConditionalSpec",
-    "LinearModelInfo",
     "ModelBuildError",
     "NumericalError",
     "PCRBTrace",
     "SingularMatrixError",
     "SystemModel",
-    "TraceEntry",
     "TrajectoryBatch",
     "build_example1",
     "build_example2",

@@ -19,6 +19,8 @@ as the unified trace's does.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .blocks import ExpectationEstimator
@@ -31,7 +33,7 @@ from .models import (
     build_linear_model,
 )
 from .profiles import CorrelationProfile
-from .recursion import PCRBTrace, _distinct_steps, run
+from .recursion import PCRBTrace, _distinct_steps, run, trace_rows
 
 
 def _require_linear(model: SystemModel):
@@ -53,8 +55,8 @@ def _white_noise_trace(model: SystemModel, f: np.ndarray, q: np.ndarray,
     )
     prior = GaussianPrior(model.prior.means[-1:], model.prior.covariances[-1:])
     white = build_linear_model(spec, prior=prior, name=f"{model.name}_white")
-    trace = run(white, ExpectationEstimator(), horizon)
-    return PCRBTrace(trace.rows, trace.index, model.start_time)
+    return dataclasses.replace(run(white, ExpectationEstimator(), horizon),
+                               start=model.start_time)
 
 
 def pcrb_ignore_correlation(model: SystemModel, horizon: int) -> PCRBTrace:
@@ -148,8 +150,8 @@ def pcrb_augmented(model: SystemModel, horizon: int) -> PCRBTrace:
     def compute(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _augmented_step(p, f_aug, q_aug, info_meas, model.state_dim)
 
-    rows, index = _distinct_steps(p, (), compute, horizon)
-    return PCRBTrace(rows, index, model.start_time)
+    infos, index = _distinct_steps(p, (), compute, horizon)
+    return PCRBTrace(*trace_rows(infos), index, model.start_time)
 
 
 def pcrb_prewhiten(model: SystemModel, horizon: int) -> PCRBTrace:

@@ -481,14 +481,18 @@ class BlockProvider:
         else:
             self.pair = pair
 
-    def blocks(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+    def _require_time(self, k: int) -> None:
         if k not in range(self.start, self.stop):
             raise ValueError(f"time index {k} outside the provider's range "
                              f"[{self.start}, {self.stop})")
+
+    def blocks(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        self._require_time(k)
         return self.pair or self._blocks[k]
 
     def measurement(self, k: int) -> np.ndarray:
         return self.blocks(k)[1]
 
     def measurement_stderr(self, k: int) -> np.ndarray | None:
+        self._require_time(k)
         return self._c_se.get(k)

@@ -7,6 +7,7 @@ output files contain full-precision decimal values that round-trip exactly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -185,15 +186,18 @@ def _trace_csv(trace: PCRBTrace, r: int) -> str:
     header += [f"bound_{i}{j}" for i in range(r) for j in range(r)]
     header += [f"sqrt_bound_{i}" for i in range(r)]
     # Repeated steps share a row, so each distinct row is formatted once.
-    texts = [",".join([_fmt(v) for a in row for v in a.reshape(-1)]) for row in trace.rows]
+    n = len(trace.info)
+    values = np.concatenate([trace.info.reshape(n, -1), trace.bound.reshape(n, -1),
+                             trace.root], axis=1)
+    texts = [",".join(map(_fmt, row)) for row in values.tolist()]
     lines = [",".join(header)]
     lines += [f"{s},{texts[i]}" for s, i in enumerate(trace.index.tolist(), 1)]
     return "\n".join(lines) + "\n"
 
 
 def _trace_json(trace: PCRBTrace, model: SystemModel, horizon: int, seed: int | None) -> str:
-    rows = [{"info": info.tolist(), "bound": bound.tolist(), "sqrt_bound": root.tolist()}
-            for info, bound, root in trace.rows]
+    rows = [{"info": info, "bound": bound, "sqrt_bound": root} for info, bound, root
+            in zip(trace.info.tolist(), trace.bound.tolist(), trace.root.tolist())]
     payload = {
         "model": model.name,
         "horizon": horizon,
@@ -229,9 +233,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     # one trace at a time, renumbered after each so the key stays small.
     key = np.zeros(values["horizon"], dtype=np.intp)
     for t in traces:
-        _, first, key = np.unique(key * len(t.rows) + t.index,
+        _, first, key = np.unique(key * len(t.root) + t.index,
                                   return_index=True, return_inverse=True)
-    texts = [",".join(_fmt(t.rows[t.index[s]][2][component]) for t in traces)
+    texts = [",".join(_fmt(t.root[t.index[s], component]) for t in traces)
              for s in first.tolist()]
     lines = [",".join(header)]
     lines += [f"{k},{texts[i]}" for k, i in enumerate(key.tolist(), 1)]
@@ -290,7 +294,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: every :func:`main`
+    call parses with the same one."""
     parser = _Parser(
         prog="corrbound",
         description="Recursive estimation-error lower bounds under "

@@ -158,9 +158,5 @@ def verify_recursion(model: SystemModel, est: ExpectationEstimator, k_max: int
     provider = BlockProvider(model, est, start, k_max)
     oracle_seq = information_sequence(model, est, k_max, provider=provider)
     trace = run(model, est, k_max - start, provider=provider)
-    deviations: dict[int, float] = {}
-    for entry in trace.entries:
-        deviations[entry.time_index] = max_relative_deviation(
-            entry.info, oracle_seq[entry.time_index]
-        )
-    return deviations
+    return {start + s: max_relative_deviation(trace.info[i], oracle_seq[start + s])
+            for s, i in enumerate(trace.index.tolist(), 1)}

@@ -10,7 +10,7 @@ information submatrix for the new state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -31,26 +31,20 @@ from .profiles import CorrelationProfile
 PSD_REL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class TraceEntry:
-    step: int
-    time_index: int
-    info: np.ndarray
-    bound: np.ndarray
-    bound_sqrt_diag: np.ndarray
-
-
 @dataclass(eq=False)
 class PCRBTrace:
     """Per-step information submatrices and the bounds they imply.
 
-    Steps that repeat share one stored result: ``rows`` holds each distinct
-    ``(info, bound, bound_sqrt_diag)`` once, with read-only arrays, and
+    Steps that repeat share one stored result.  ``info`` and ``bound``,
+    ``(rows, *stack, r, r)``, and the bound's root diagonal ``root``,
+    ``(rows, *stack, r)``, hold each distinct result once, read-only, and
     ``index[s - 1]`` is the row of recursion step ``s`` (1-based), which
     reaches time index ``start + s``.
     """
 
-    rows: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    info: np.ndarray
+    bound: np.ndarray
+    root: np.ndarray
     index: np.ndarray
     start: int = 0
     mc_resampled: int = 0
@@ -62,37 +56,28 @@ class PCRBTrace:
     def __len__(self) -> int:
         return len(self.index)
 
-    @cached_property
-    def entries(self) -> list[TraceEntry]:
-        """One entry per step; repeated steps share their arrays."""
-        rows, start = self.rows, self.start
-        return [TraceEntry(s, start + s, *rows[i])
-                for s, i in enumerate(self.index.tolist(), 1)]
-
     def info_at(self, step: int) -> np.ndarray:
         """Information submatrix of recursion step ``step`` (1-based)."""
         if not 1 <= step <= len(self):
             raise IndexError(f"step {step} outside the trace's steps 1..{len(self)}")
-        return self.rows[self.index[step - 1]][0]
+        return self.info[self.index[step - 1]]
 
     def component_bound_sqrt(self, component: int) -> np.ndarray:
         """Root bound of ``component`` at every step, ``(steps, *stack)``
         for a trace of stacked recursions."""
-        return np.array([row[2][..., component] for row in self.rows])[self.index]
+        return self.root[self.index, ..., component]
 
 
-def trace_rows(infos: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Each of ``infos``, the bound it implies and the bound's root
-    diagonal, read-only.  All bounds come from one stacked inversion, and
+def trace_rows(infos: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``infos`` stacked, the bounds they imply and the bounds' root
+    diagonals, read-only.  All bounds come from one stacked inversion, and
     the first submatrix that cannot be inverted raises."""
-    if not infos:
-        return []
     info = np.array(infos)
     bound = psd_inverse(info, context="information submatrix")
     root = np.sqrt(np.maximum(np.diagonal(bound, axis1=-2, axis2=-1), 0.0))
     for a in (info, bound, root):
         a.setflags(write=False)
-    return list(zip(info, bound, root))
+    return info, bound, root
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +86,9 @@ def trace_rows(infos: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray, np
 
 
 def _distinct_steps(carry: np.ndarray, blocks: tuple, compute, steps: int
-                    ) -> tuple[list[tuple[np.ndarray, ...]], np.ndarray]:
-    """Trace rows of the distinct steps of ``steps`` steps on the one block
-    tuple ``blocks``, and the row of each step.
+                    ) -> tuple[list[np.ndarray], np.ndarray]:
+    """Information submatrices of the distinct steps of ``steps`` steps on
+    the one block tuple ``blocks``, and the row of each step.
 
     ``compute(carry, *blocks)`` returns the next carry and the step's
     information submatrix, and must be a pure function of its arguments;
@@ -119,7 +104,7 @@ def _distinct_steps(carry: np.ndarray, blocks: tuple, compute, steps: int
     settled tail is not stepped, looked up or hashed.  Every check
     ``compute`` makes (PSD, pivot rcond, finiteness, shape) runs once on
     each distinct input, and a tiled step repeats an input that passed.
-    The rows are formed as in :func:`_every_step`.
+    A failing step raises as in :func:`_every_step`.
     """
     infos: list[np.ndarray] = []
     first: dict[bytes, int] = {}  # carry bytes -> the step that had them
@@ -131,23 +116,24 @@ def _distinct_steps(carry: np.ndarray, blocks: tuple, compute, steps: int
             key = carry.tobytes()
             infos.append(info)
     except Exception:
-        trace_rows(infos)  # an earlier step's uninvertible submatrix raises first
+        if infos:
+            trace_rows(infos)  # an earlier step's uninvertible submatrix raises first
         raise
     stepped = len(infos)
     cycle = first.get(key, 0)  # where the cycle begins; unused if none repeated
     tail = cycle + np.arange(steps - stepped) % (stepped - cycle)
-    return trace_rows(infos), np.concatenate([np.arange(stepped), tail])
+    return infos, np.concatenate([np.arange(stepped), tail])
 
 
 def _every_step(carry: np.ndarray, blocks_seq, compute
-                ) -> tuple[list[tuple[np.ndarray, ...]], np.ndarray]:
-    """Trace rows of one computed step per block tuple of ``blocks_seq``,
-    and the row of each step.
+                ) -> tuple[list[np.ndarray], np.ndarray]:
+    """Information submatrices of one computed step per block tuple of
+    ``blocks_seq``, and the row of each step.
 
-    ``compute`` is as in :func:`_distinct_steps`.  The rows are formed
-    after the loop, every bound in one stacked inversion
-    (:func:`trace_rows`); if a step raises, the rows before it are formed
-    first, so the earliest failure is the one raised.
+    ``compute`` is as in :func:`_distinct_steps`.  The bounds are formed
+    after the loop, in one stacked inversion (:func:`trace_rows`); if a
+    step raises, the bounds before it are formed first, so the earliest
+    failure is the one raised.
     """
     infos: list[np.ndarray] = []
     try:
@@ -155,9 +141,10 @@ def _every_step(carry: np.ndarray, blocks_seq, compute
             carry, info = compute(carry, *blocks)
             infos.append(info)
     except Exception:
-        trace_rows(infos)  # an earlier step's uninvertible submatrix raises first
+        if infos:
+            trace_rows(infos)  # an earlier step's uninvertible submatrix raises first
         raise
-    return trace_rows(infos), np.arange(len(infos))
+    return infos, np.arange(len(infos))
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +286,8 @@ def run(model: SystemModel, est: ExpectationEstimator, horizon: int,
     every check still runs once on every distinct input.  Any other
     provider is asked for the blocks of every step, and every step is
     computed (:func:`_every_step`), so a time it does not cover raises
-    where the loop reaches it.  The trace stores each distinct row once,
-    with read-only arrays, and an index of the row of every step.
+    where the loop reaches it.  The trace stacks each distinct step's
+    results once, read-only, with an index of the row of every step.
     """
     require_int(horizon, "horizon", 1)
     start = model.start_time
@@ -310,8 +297,8 @@ def run(model: SystemModel, est: ExpectationEstimator, horizon: int,
     compute = partial(stepper or step, model.profile)
     if (isinstance(provider, BlockProvider) and provider.pair is not None
             and provider.start <= start and start + horizon <= provider.stop):
-        rows, index = _distinct_steps(carry, provider.pair, compute, horizon)
+        infos, index = _distinct_steps(carry, provider.pair, compute, horizon)
     else:
-        rows, index = _every_step(
+        infos, index = _every_step(
             carry, map(provider.blocks, range(start, start + horizon)), compute)
-    return PCRBTrace(rows, index, start, provider.report.resampled)
+    return PCRBTrace(*trace_rows(infos), index, start, provider.report.resampled)

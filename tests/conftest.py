@@ -153,9 +153,9 @@ def psd_dominates(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> bool:
 def max_trace_deviation(a: cb.PCRBTrace, b: cb.PCRBTrace) -> float:
     assert len(a) == len(b)
     worst = 0.0
-    for ea, eb in zip(a.entries, b.entries):
-        scale = max(float(np.max(np.abs(ea.info))), 1.0)
-        worst = max(worst, float(np.max(np.abs(ea.info - eb.info))) / scale)
+    for ia, ib in zip(a.info[a.index], b.info[b.index]):
+        scale = max(float(np.max(np.abs(ia))), 1.0)
+        worst = max(worst, float(np.max(np.abs(ia - ib))) / scale)
     return worst
 
 

@@ -262,7 +262,7 @@ def run_plain(model: SystemModel, est: ExpectationEstimator, horizon: int,
         b, c = provider.blocks(k)
         carry, info = stepper(model.profile, carry, b, c)
         infos.append(info)
-    return PCRBTrace(trace_rows(infos), range(horizon), start, provider.report.resampled)
+    return PCRBTrace(*trace_rows(infos), range(horizon), start, provider.report.resampled)
 
 
 def pcrb_augmented_plain(model: SystemModel, horizon: int) -> PCRBTrace:
@@ -273,7 +273,7 @@ def pcrb_augmented_plain(model: SystemModel, horizon: int) -> PCRBTrace:
     for _ in range(horizon):
         p, info_x = _augmented_step(p, f_aug, q_aug, info_meas, model.state_dim)
         infos.append(info_x)
-    return PCRBTrace(trace_rows(infos), range(horizon), model.start_time)
+    return PCRBTrace(*trace_rows(infos), range(horizon), model.start_time)
 
 
 def schur_form_step(profile: CorrelationProfile, carry: np.ndarray, b: np.ndarray,

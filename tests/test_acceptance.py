@@ -76,10 +76,10 @@ def test_criterion_2_reduction_to_classical():
         worst = max(worst, max_trace_deviation(unified, special))
         b, c = blocks_at(model, 0, est)
         j = np.linalg.inv(model.prior.covariances[0])
-        for entry in unified.entries:
+        for info in unified.info[unified.index]:
             j = classical_step(j, b, c)
-            scale = max(np.max(np.abs(entry.info)), 1.0)
-            worst = max(worst, float(np.max(np.abs(j - entry.info))) / scale)
+            scale = max(np.max(np.abs(info)), 1.0)
+            worst = max(worst, float(np.max(np.abs(j - info))) / scale)
     _verdict("criterion 2: reduction to the classical recursion",
              worst < 1e-12, f"worst rel dev {worst:.2e}")
 
@@ -128,7 +128,7 @@ def test_criterion_5_example1_convergence_and_gaps(example1):
     }
     converged = True
     for trace in traces.values():
-        last, prev = trace.entries[-1].info, trace.entries[-2].info
+        last, prev = trace.info_at(len(trace)), trace.info_at(len(trace) - 1)
         converged &= np.linalg.norm(last - prev) / np.linalg.norm(last) < 1e-6
     reference = traces["unified"].component_bound_sqrt(0)[-1]
     gaps = {
@@ -175,7 +175,7 @@ def test_criterion_6_monte_carlo_soundness(example2):
     within_se = bool(np.all(diff[combined > 0] <= 3.0 * combined[combined > 0]))
 
     trace = cb.run(example2, est_small, 40)
-    psd = all(np.linalg.eigvalsh(e.info)[0] > 0 for e in trace.entries)
+    psd = all(np.linalg.eigvalsh(info)[0] > 0 for info in trace.info[trace.index])
 
     elapsed = time.perf_counter() - started
     ok = cov_max < 0.02 and zeros_silent and within_se and psd and elapsed < 120.0

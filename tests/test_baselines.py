@@ -60,7 +60,7 @@ def test_baseline_traces_share_the_model_time_axis(example1):
     traces += [baseline(example1, 5) for baseline in baselines]
     start = example1.start_time
     for trace in traces:
-        assert [e.time_index for e in trace.entries] == list(range(start + 1, start + 6))
+        assert [trace.start + s for s in range(1, len(trace) + 1)] == list(range(start + 1, start + 6))
 
 
 def _classical_reference(f, q, h, r, prior_cov, horizon):
@@ -95,9 +95,9 @@ def test_white_noise_baselines_match_classical_recursion(example1, which):
               "prewhiten": cb.pcrb_prewhiten(model, 300)}
     for name, trace in traces.items():
         assert len(trace) == 300
-        for entry, j in zip(trace.entries, expected[name]):
+        for info, j in zip(trace.info[trace.index], expected[name]):
             scale = max(float(np.max(np.abs(j))), 1.0)
-            assert np.max(np.abs(entry.info - j)) / scale < 1e-12, name
+            assert np.max(np.abs(info - j)) / scale < 1e-12, name
 
 
 def test_augmented_reduces_to_ignore_without_ma():
@@ -128,8 +128,8 @@ def test_prewhiten_produces_distinct_psd_trace(example1):
     est = cb.ExpectationEstimator()
     unified = cb.run(example1, est, 40)
     prewhite = cb.pcrb_prewhiten(example1, 40)
-    for e in prewhite.entries:
-        assert np.linalg.eigvalsh(e.info)[0] > 0
+    for info in prewhite.info[prewhite.index]:
+        assert np.linalg.eigvalsh(info)[0] > 0
     gap = abs(
         prewhite.component_bound_sqrt(0)[-1] - unified.component_bound_sqrt(0)[-1]
     ) / unified.component_bound_sqrt(0)[-1]
@@ -167,7 +167,7 @@ def test_all_baselines_converge_and_differ(example1):
         "prewhitened": cb.pcrb_prewhiten(example1, 40),
     }
     for name, trace in traces.items():
-        last, prev = trace.entries[-1].info, trace.entries[-2].info
+        last, prev = trace.info_at(len(trace)), trace.info_at(len(trace) - 1)
         rel_step = np.linalg.norm(last - prev) / np.linalg.norm(last)
         assert rel_step < 1e-6, name
     reference = unified.component_bound_sqrt(0)[-1]

@@ -10,6 +10,7 @@ from corrbound.blocks import (
     _PURPOSE_RESAMPLE,
     _PURPOSE_SAMPLE,
     BLOCK_SIZE,
+    McReport,
     _resample_singular,
     _sampled_measurement_info,
     _split,
@@ -269,8 +270,8 @@ def test_finite_difference_mc_without_closed_forms_matches_analytic_run(lags):
         assert len({id(pair[i]) for pair in grids}) == horizon
     fd = cb.run(stripped, est, horizon, provider=provider)
     exact = cb.run(model, cb.ExpectationEstimator(), horizon)
-    for a, b in zip(fd.entries, exact.entries):
-        assert np.max(np.abs(a.info - b.info)) <= 1e-6 * np.max(np.abs(b.info))
+    for a, b in zip(fd.info[fd.index], exact.info[exact.index]):
+        assert np.max(np.abs(a - b)) <= 1e-6 * np.max(np.abs(b))
 
 
 @pytest.mark.parametrize("name", ["example1", "example2", "example2_no_jacobian"])
@@ -397,6 +398,46 @@ def test_non_finite_grid_is_rejected(example1, analytic_est):
             grids[which][-1, 0] = bad
             with pytest.raises(InvariantViolationError, match=f"{what} contains non-finite"):
                 cb.step(example1.profile, carry, grids["b"], grids["c"])
+    # Finite grids whose sum overflows name the overlay.
+    grids = {"b": b.copy(), "c": c.copy()}
+    for grid in grids.values():
+        grid[-1, -1] = 1e308
+    with np.errstate(over="ignore"), pytest.raises(
+            InvariantViolationError, match="overlaid factor blocks contains non-finite"):
+        cb.step(example1.profile, carry, grids["b"], grids["c"])
+
+
+def test_jacobian_path_refuses_multi_state_measurements(example1, example2):
+    # example1's measurement noise spans two states (l3' = 2); the sampled
+    # Jacobian curvature covers one.
+    model = dataclasses.replace(
+        example1, analytic_c=None, meas_jacobian=lambda s: np.ones((2, 2, len(s))),
+        meas_noise_information=np.eye(2), sample_states=example2.sample_states)
+    est = cb.ExpectationEstimator(mode="monte_carlo", samples=20, seed=5)
+    with pytest.raises(ModelBuildError, match="single-state measurements only"):
+        cb.BlockProvider(model, est, model.start_time, model.start_time + 2)
+
+
+def test_jacobian_model_without_singular_states_redraws_nothing(example2):
+    # These draws hit no singularity of example2, so both providers read
+    # the same states.
+    est = cb.ExpectationEstimator(mode="monte_carlo", samples=200, seed=5)
+    start = example2.start_time
+    plain = cb.BlockProvider(dataclasses.replace(example2, singular_states=None),
+                             est, start, start + 3)
+    checked = cb.BlockProvider(example2, est, start, start + 3)
+    assert plain.report == checked.report == McReport(samples=200, resampled=0)
+    for k in range(start, start + 3):
+        assert plain.measurement(k).tobytes() == checked.measurement(k).tobytes()
+
+
+def test_resampling_that_never_leaves_the_singularity_names_the_time(example2):
+    model = dataclasses.replace(example2, singular_states=lambda s: np.ones(len(s), bool))
+    est = cb.ExpectationEstimator(mode="monte_carlo", samples=20, seed=5)
+    start = example2.start_time
+    with pytest.raises(InvariantViolationError,
+                       match=f"after {blocks_mod._MAX_RESAMPLE_ROUNDS} rounds at time {start}$"):
+        cb.BlockProvider(model, est, start, start + 2)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -39,10 +39,10 @@ def test_run_csv_roundtrips_exactly(tmp_path):
     model = cb.build_example1()
     trace = cb.run(model, cb.ExpectationEstimator(), 7)
     lines = out.read_text().strip().splitlines()
-    for entry, line in zip(trace.entries, lines[1:]):
+    for info, line in zip(trace.info[trace.index], lines[1:]):
         fields = line.split(",")
         parsed = np.array([float(v) for v in fields[1:5]]).reshape(2, 2)
-        assert np.array_equal(parsed, entry.info)
+        assert np.array_equal(parsed, info)
 
 
 def test_run_deterministic_bytes(tmp_path):
@@ -167,7 +167,7 @@ def test_json_output(tmp_path):
     assert len(payload["entries"]) == 3
     model = cb.build_example1()
     trace = cb.run(model, cb.ExpectationEstimator(), 3)
-    assert payload["entries"][0]["info"] == trace.entries[0].info.tolist()
+    assert payload["entries"][0]["info"] == trace.info_at(1).tolist()
 
 
 def _plain_csv(plain: cb.PCRBTrace, r: int) -> str:
@@ -175,7 +175,7 @@ def _plain_csv(plain: cb.PCRBTrace, r: int) -> str:
     lines = [",".join(["k"] + [f"J_{i}{j}" for i in range(r) for j in range(r)]
                       + [f"bound_{i}{j}" for i in range(r) for j in range(r)]
                       + [f"sqrt_bound_{i}" for i in range(r)])]
-    for step, (info, bound, root) in enumerate(plain.rows, 1):
+    for step, (info, bound, root) in enumerate(zip(plain.info, plain.bound, plain.root), 1):
         values = [*info.reshape(-1), *bound.reshape(-1), *root]
         lines.append(",".join([str(step)] + [repr(float(v)) for v in values]))
     return "\n".join(lines) + "\n"
@@ -185,7 +185,8 @@ def _plain_json(plain: cb.PCRBTrace, name: str, horizon: int) -> str:
     """The run JSON of a trace with one row per step, built row by row."""
     entries = [{"k": step, "time_index": plain.start + step, "info": info.tolist(),
                 "bound": bound.tolist(), "sqrt_bound": root.tolist()}
-               for step, (info, bound, root) in enumerate(plain.rows, 1)]
+               for step, (info, bound, root)
+               in enumerate(zip(plain.info, plain.bound, plain.root), 1)]
     payload = {"model": name, "horizon": horizon, "seed": None, "entries": entries}
     return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
@@ -314,6 +315,10 @@ LINEAR_2D = {
     ("run", [], {"model": {**LINEAR_2D, "prior": {"cov": [[1.0, 1e-9], [0.0, 1.0]]}}},
      "model.prior.cov"),
     ("run", [], {"estimator": {"mode": "analytic"}}, "estimator.mode 'analytic'"),
+    ("run", [], {"estimator": 5}, "config.estimator: expected an object"),
+    ("run", [], {"model": {**LINEAR_2D, "process_cov": [[1.0, 0.0, 0.0]]}},
+     "model.process_cov: expected a 2x2 matrix (row-major)"),
+    ("run", [], {"model": {**LINEAR_1D, "lags": 5}}, "model.lags: expected an object"),
 ])
 def test_bad_field_is_config_error(tmp_path, capsys, command, extra, config, field):
     args = [command, *extra, "--horizon", "3"]
@@ -351,6 +356,30 @@ def test_model_error_exit_code(tmp_path, capsys):
     code = run_cli(["run", "--config", str(config)])
     assert code == 2
     assert "factory" in capsys.readouterr().err
+
+
+def test_custom_factory_of_no_model_is_model_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(examples, "not_a_model", lambda: 5, raising=False)
+    config = tmp_path / "custom.json"
+    config.write_text(json.dumps({
+        "model": {"kind": "custom", "factory": "corrbound.examples:not_a_model"}
+    }))
+    assert run_cli(["run", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        "model error: custom factory did not return a SystemModel\n")
+
+
+def test_run_notes_redrawn_samples(tmp_path, capsys, monkeypatch):
+    # Flags about 30% of all states, redraws included, at every step.
+    singular = lambda s: s[:, 0] % 1.0 < 0.3  # noqa: E731
+    assert _run_custom(tmp_path, monkeypatch, cb.build_example2,
+                       singular_states=singular) == 0
+    model = dataclasses.replace(cb.build_example2(), singular_states=singular)
+    est = cb.ExpectationEstimator(mode="monte_carlo", samples=100, seed=0)
+    redrawn = cb.run(model, est, 3).mc_resampled
+    assert redrawn > 0
+    assert capsys.readouterr().err == (
+        f"note: {redrawn} sample(s) redrawn near a measurement singularity\n")
 
 
 def test_jacobian_model_without_state_sampler_is_model_error(tmp_path, capsys, monkeypatch):
@@ -425,7 +454,8 @@ def test_missing_capability_is_model_error(tmp_path, capsys, monkeypatch,
     ("analytic_b", np.eye(4)),
     ("analytic_b", lambda k: np.eye(12)),  # a closed form of a time index
     ("analytic_b", "12x12"),
-], ids=["lambda_3x3", "lambda_nan", "b_shape", "b_callable", "b_text"])
+    ("meas_noise_information", [[1.0], [1.0, 2.0]]),
+], ids=["lambda_3x3", "lambda_nan", "b_shape", "b_callable", "b_text", "lambda_ragged"])
 def test_malformed_model_data_is_model_error(tmp_path, capsys, monkeypatch, field, value):
     # Checked once, when the model is built, before any block is made.
     assert _run_custom(tmp_path, monkeypatch, cb.build_example2, **{field: value}) == 2

@@ -234,8 +234,8 @@ def test_example2_single_point_measurement_curvature(example2):
 def test_example2_trace_psd_with_moderate_samples(example2):
     est = cb.ExpectationEstimator(mode="monte_carlo", samples=10_000, seed=11)
     trace = cb.run(example2, est, 40)
-    for e in trace.entries:
-        assert np.linalg.eigvalsh(e.info)[0] > 0
+    for info in trace.info[trace.index]:
+        assert np.linalg.eigvalsh(info)[0] > 0
 
 
 def test_stacked_sensors_scale_measurement_information(example1, analytic_est):

@@ -31,6 +31,12 @@ def test_psd_solve_rejects_indefinite():
         linalg.psd_solve(np.diag([1.0, -1.0]), np.eye(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_psd_inverse_rejects_non_finite(bad):
+    with pytest.raises(SingularMatrixError, match="^block contains non-finite entries$"):
+        linalg.psd_inverse(np.array([[1.0, bad], [bad, 1.0]]), context="block")
+
+
 def test_psd_solve_gate_matches_svd_rule(monkeypatch):
     # Near the floor the Cholesky-based estimate must reach the same
     # accept/reject decision as the 2-norm condition number from the SVD.

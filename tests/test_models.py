@@ -51,6 +51,9 @@ def test_model_window_size_enforced():
     bad_prior = cb.GaussianPrior(means=np.zeros((2, 1)), covariances=np.ones((2, 1, 1)))
     with pytest.raises(ModelBuildError):
         dataclasses.replace(model, prior=bad_prior)
+    wide_prior = cb.GaussianPrior(means=np.zeros((1, 2)), covariances=np.eye(2)[None])
+    with pytest.raises(ModelBuildError, match="prior state dim 2 != state_dim 1$"):
+        dataclasses.replace(model, prior=wide_prior)
 
 
 def test_sampler_dimensions():
@@ -230,3 +233,12 @@ def test_spec_rejects_asymmetric_covariance(field):
 def test_spec_rejects_non_square_covariance():
     with pytest.raises(ModelBuildError, match=r"^process_cov: expected a square matrix"):
         _spec_2d(np.ones((2, 3)))
+
+
+def test_spec_rejects_a_wrong_coefficient_count():
+    # Lags all zero: one transition state coefficient, l2' = 1.
+    with pytest.raises(ModelBuildError,
+                       match="^expected 1 transition state coefficients, got 2$"):
+        cb.LinearConditionalSpec(
+            profile=cb.CorrelationProfile(), state_coeffs=(np.eye(2), np.eye(2)),
+            process_cov=np.eye(2), meas_state_coeffs=(np.eye(2),), meas_cov=np.eye(2))

@@ -194,8 +194,8 @@ def test_recursion_matches_oracle_with_sampled_blocks(example2):
     seq = oracle.information_sequence(example2, est_b, k_max)
     se = cb.BlockProvider(example2, est_a, k_max - 1, k_max).measurement_stderr(k_max - 1)
     tol = 3.0 * np.sqrt(2.0) * np.max(se) * (k_max + 1)
-    for entry in trace.entries:
-        assert np.max(np.abs(entry.info - seq[entry.time_index])) < tol
+    for s in range(1, len(trace) + 1):
+        assert np.max(np.abs(trace.info_at(s) - seq[trace.start + s])) < tol
 
 
 def _worst(seq, ref):
@@ -268,6 +268,29 @@ def test_near_singular_joint_refused_at_bound_inversion():
         carry, info = cb.step(model.profile, carry, *provider.blocks(k))
         assert np.all(np.isfinite(seq[k + 1]))
         assert oracle.max_relative_deviation(info, seq[k + 1]) < 1e-20
+
+
+def test_earliest_failure_wins_on_the_tiled_path():
+    # The flat-prior model's blocks are one pair, so run takes the tiled
+    # loop.  A step that raises after two passing steps must not hide the
+    # earlier steps' uninvertible submatrices: their bounds are formed
+    # first, and that refusal is the one raised.
+    model = _flat_prior_model(1e13)
+    calls = 0
+
+    def failing_third(*args):
+        nonlocal calls
+        calls += 1
+        if calls == 3:
+            raise RuntimeError("third step fails")
+        return cb.step(*args)
+
+    with pytest.raises(SingularMatrixError,
+                       match="^information submatrix is numerically singular") as excinfo:
+        cb.run(model, cb.ExpectationEstimator(), 5, stepper=failing_third)
+    assert calls == 3
+    frames = _raised_in(excinfo)
+    assert "_distinct_steps" in frames and "trace_rows" in frames
 
 
 @pytest.mark.parametrize("flat", [1e15, 1e16])

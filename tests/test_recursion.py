@@ -82,7 +82,7 @@ def test_information_shrinks_without_measurements():
     )
     model = cb.build_linear_model(spec, name="deaf")
     trace = cb.run(model, cb.ExpectationEstimator(), 10)
-    values = [e.info[0, 0] for e in trace.entries]
+    values = [info[0, 0] for info in trace.info[trace.index]]
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
@@ -170,10 +170,10 @@ def test_step_symmetry_exact(example1, analytic_est):
 def test_trace_invariants(example1, analytic_est):
     trace = cb.run(example1, analytic_est, 15)
     assert len(trace) == 15
-    for e in trace.entries:
-        eigs = np.linalg.eigvalsh(e.info)
+    for info, bound in zip(trace.info[trace.index], trace.bound[trace.index]):
+        eigs = np.linalg.eigvalsh(info)
         assert eigs[0] > 0
-        ident = e.bound @ e.info
+        ident = bound @ info
         assert np.max(np.abs(ident - np.eye(2))) < 1e-8
 
 
@@ -182,6 +182,19 @@ def test_run_single_step(example1, analytic_est):
     assert len(trace) == 1
     with pytest.raises(ValueError):
         cb.run(example1, analytic_est, 0)
+
+
+@pytest.mark.parametrize("name", ["example1", "example2"])
+def test_failing_first_step_raises_its_own_error(request, name):
+    # example1's blocks are one pair (the tiled loop), example2's one per
+    # time (every step computed); with no earlier step, nothing else raises.
+    model = request.getfixturevalue(name)
+
+    def failing(*args):
+        raise RuntimeError("first step fails")
+
+    with pytest.raises(RuntimeError, match="^first step fails$"):
+        cb.run(model, cb.ExpectationEstimator(samples=64, seed=3), 5, stepper=failing)
 
 
 def test_run_names_a_provider_that_falls_short(example1, analytic_est):
@@ -210,6 +223,18 @@ def test_provider_rejects_a_time_outside_its_range(request, name, offset):
         provider.blocks(start + offset)
     with pytest.raises(ValueError, match=miss):
         provider.measurement(start + offset)
+    with pytest.raises(ValueError, match=miss):
+        provider.measurement_stderr(start + offset)
+
+
+@pytest.mark.parametrize("start, stop, message", [
+    (3, 3, "^empty block range$"),
+    (4, 3, "^empty block range$"),
+    (1, 3, r"^time index 1 precedes the first fully conditioned factor \(start_time=2\)$"),
+], ids=["empty", "reversed", "before_start_time"])
+def test_provider_rejects_a_bad_range(example1, analytic_est, start, stop, message):
+    with pytest.raises(ValueError, match=message):
+        BlockProvider(example1, analytic_est, start, stop)
 
 
 # Entry point -> (call with the count, argument name, least valid value).
@@ -254,10 +279,10 @@ def test_uncorrelated_paths_coincide():
 
         b, c = blocks_at(model, 0, est)
         j = np.linalg.inv(model.prior.covariances[0])
-        for entry in unified.entries:
+        for info in unified.info[unified.index]:
             j = classical_step(j, b, c)
-            scale = max(np.max(np.abs(entry.info)), 1.0)
-            assert np.max(np.abs(j - entry.info)) / scale < 1e-12
+            scale = max(np.max(np.abs(info)), 1.0)
+            assert np.max(np.abs(j - info)) / scale < 1e-12
 
 
 @pytest.mark.parametrize("lag", [0, 1, 2, 3])
@@ -308,13 +333,13 @@ def test_measurement_quality_monotonicity(example2):
     est = cb.ExpectationEstimator(mode="monte_carlo", samples=10_000, seed=3)
     base = cb.run(example2, est, 12)
     sharp = cb.run(scale_measurement_noise(example2, 0.5), est, 12)
-    for good, ref in zip(sharp.entries, base.entries):
-        assert psd_dominates(good.info, ref.info, tol=1e-10)
+    for good, ref in zip(sharp.info[sharp.index], base.info[base.index]):
+        assert psd_dominates(good, ref, tol=1e-10)
 
 
 @pytest.mark.parametrize("step", [0, -1, 41])
 def test_info_at_rejects_steps_outside_trace(step):
     trace = cb.run(simple_scalar_model(), cb.ExpectationEstimator(), 40)
-    assert trace.info_at(40) is trace.entries[-1].info
+    assert np.shares_memory(trace.info_at(40), trace.info[trace.index[-1]])
     with pytest.raises(IndexError, match=r"1\.\.40"):
         trace.info_at(step)

@@ -25,34 +25,32 @@ def same_array(a: np.ndarray, b: np.ndarray) -> bool:
 
 def assert_same_bytes(trace: cb.PCRBTrace, plain: cb.PCRBTrace) -> None:
     """``trace`` equals ``plain`` byte for byte.  ``plain`` holds one row per
-    step, in order, so its rows are read directly, not through the views
+    step, in order, so its stacks are read directly, not through the views
     under test."""
-    assert len(trace) == len(plain.rows)
-    assert trace.mc_resampled == plain.mc_resampled
-    for step, (got, want) in enumerate(zip(trace.entries, plain.rows, strict=True), 1):
-        assert (got.step, got.time_index) == (step, plain.start + step)
-        for name, b in zip(("info", "bound", "bound_sqrt_diag"), want):
-            a = getattr(got, name)
+    assert len(trace) == len(plain.info)
+    assert (trace.start, trace.mc_resampled) == (plain.start, plain.mc_resampled)
+    for step, i in enumerate(trace.index.tolist(), 1):
+        for name in ("info", "bound", "root"):
+            a, b = getattr(trace, name)[i], getattr(plain, name)[step - 1]
             assert (a.dtype, a.shape) == (b.dtype, b.shape), (step, name)
             assert a.tobytes() == b.tobytes(), (step, name)
     assert_same_views(trace, plain)
 
 
 def assert_same_views(trace: cb.PCRBTrace, plain: cb.PCRBTrace) -> None:
-    """The trace's other views agree with the plain loop's rows, and every
-    entry array is read-only."""
-    n = len(plain.rows)
+    """The trace's other views agree with the plain loop's stacks, and every
+    stack is read-only."""
+    n = len(plain.info)
     for step in range(1, n + 1):
-        assert same_array(trace.info_at(step), plain.rows[step - 1][0]), step
+        assert same_array(trace.info_at(step), plain.info[step - 1]), step
     for step in (0, -1, n + 1):
         with pytest.raises(IndexError, match=f"1..{n}"):
             trace.info_at(step)
-    for component in range(plain.rows[0][0].shape[0]):
-        want = np.array([row[2][component] for row in plain.rows])
-        assert same_array(trace.component_bound_sqrt(component), want), component
-    for entry in trace.entries:
-        for a in (entry.info, entry.bound, entry.bound_sqrt_diag):
-            assert not a.flags.writeable, entry.step
+    for component in range(plain.info.shape[-1]):
+        assert same_array(trace.component_bound_sqrt(component),
+                          plain.root[:, component]), component
+    for a in (trace.info, trace.bound, trace.root):
+        assert not a.flags.writeable
 
 
 def test_example1_unified_matches_plain_loop(example1):
@@ -191,8 +189,8 @@ def test_writable_blocks_changed_in_place(example1, grid):
 
 
 def _assert_read_only(trace: cb.PCRBTrace) -> None:
-    for entry in (trace.entries[0], trace.entries[-1]):
-        for a in (entry.info, entry.bound, entry.bound_sqrt_diag):
+    for i in (trace.index[0], trace.index[-1]):
+        for a in (trace.info[i], trace.bound[i], trace.root[i]):
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 0.0
 
@@ -250,12 +248,11 @@ def test_settled_tail_is_tiled_not_stepped(example1):
     long = cb.run(example1, EXACT, 10**6, stepper=counting)
     assert len(calls) == 43
     assert len(long) == 10**6
-    assert len(long.rows) == len(short.rows)
-    for got, want in zip(long.rows, short.rows, strict=True):
-        assert all(same_array(a, b) for a, b in zip(got, want))
+    for name in ("info", "bound", "root"):
+        assert same_array(getattr(long, name), getattr(short, name)), name
     # Past the 3000 steps, the index continues the cycle that the first
     # repeated carry began: step s >= cycle takes row cycle + (s - cycle) % period.
-    stepped = len(short.rows)
+    stepped = len(short.info)
     cycle = int(short.index[stepped])
     period = stepped - cycle
     assert np.array_equal(long.index[:3000], short.index)

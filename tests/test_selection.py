@@ -82,9 +82,9 @@ def test_replica_and_stack_traces_agree(example1, analytic_est, monkeypatch):
     [t_rep] = traces
     for m in range(1, 5):
         t_stk = cb.run(build_example1_stacked(m), analytic_est, 15)
-        for a, b in zip(t_rep.entries, t_stk.entries, strict=True):
-            info = a.info[m - 1]
-            assert np.max(np.abs(info - b.info)) / np.max(np.abs(info)) < 1e-12
+        for a, b in zip(t_rep.info[t_rep.index], t_stk.info[t_stk.index], strict=True):
+            info = a[m - 1]
+            assert np.max(np.abs(info - b)) / np.max(np.abs(info)) < 1e-12
 
 
 def test_sweep_steps_once_per_time(example2, monkeypatch):
