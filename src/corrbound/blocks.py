@@ -372,6 +372,8 @@ def _resample_singular(model: SystemModel, states: np.ndarray, ks: range,
 # ---------------------------------------------------------------------------
 
 
+# An overflow of the overlay is named by the finiteness check, not warned.
+@np.errstate(over="ignore")
 def factor_frame(b: np.ndarray, c: np.ndarray, profile: CorrelationProfile) -> np.ndarray:
     """Dense overlay of both time-``k`` factor grids on the recursion frame.
 

@@ -19,17 +19,24 @@ placed.
 Reduction.  Partition the upper Cholesky factor ``A = U^T U`` of that prefix
 at its last ``r`` columns, ``U = [[U11, U12], [0, U22]]``.  Then
 ``A22 - A21 A11^-1 A12 = U22^T U22``: the information of ``x[t]`` is the
-trailing block of the factor, squared, with no solve and no inverse.  None of
-this goes through the recursion's linear-algebra helpers, so the check stays
-independent of the step.
+trailing block of the factor, squared, with no solve and no inverse.
+
+Factorization.  Every prefix is factored from scratch: unlike the
+recursion, the oracle carries nothing from one time to the next.  The band
+Cholesky is written here in numpy: it factors up to ``_STACK`` prefixes in
+lockstep, one column at a time, so each numpy call serves the whole stack.
+None of this goes through the recursion's linear-algebra helpers, so the
+check stays independent of the step.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .blocks import BlockProvider, ExpectationEstimator
-from .errors import ConfigError, SingularMatrixError, require_int
+from .errors import SingularMatrixError, require_int
 from .models import SystemModel
 from .recursion import run
 
@@ -87,50 +94,121 @@ def build_joint(model: SystemModel, est: ExpectationEstimator, k: int,
     return prefix
 
 
-def _scipy_linalg():
-    """``scipy.linalg``, which only the oracle loads; without it, a
-    :class:`ConfigError` names the ``oracle`` extra, which installs it."""
-    try:
-        import scipy.linalg
-    except ImportError:
-        raise ConfigError("the oracle needs scipy: pip install 'corrbound[oracle]'") from None
-    return scipy.linalg
+# Prefixes factored together: enough that each per-column numpy call serves
+# many prefixes, few enough that the memory in flight stays small.
+_STACK = 256
+
+
+def _factor_column(win: np.ndarray, low: np.ndarray, out: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Factor the first column of the stacked symmetric window ``win``,
+    shape ``(n, n, members)``: return the upper Cholesky factor's diagonal
+    entry and the rest of its row, and write the Schur complement of the
+    other columns to ``out[:-1, :-1]``, which may be ``win`` itself.
+    ``low`` keeps each member's smallest pivot."""
+    pivot = win[0, 0]
+    np.minimum(low, pivot, out=low)
+    root = np.sqrt(pivot)
+    row = win[0, 1:] / root
+    np.subtract(win[1:, 1:], row[:, None] * row, out=out[:-1, :-1])
+    return root, row
+
+
+def _factor_stack(head: np.ndarray, tails: np.ndarray, r: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Information of the last state of every member of a stack of band-stored
+    prefixes, shape ``(members, r, r)``, and each member's smallest pivot.
+
+    Member ``i`` of ``members`` is the columns of ``head`` but its last
+    ``(members - 1 - i) * r``, then its own columns ``tails[:, :, i]``.  The
+    members are factored together, one column at a time: each is padded in
+    front with identity columns to the longest's length, which leaves its
+    factor unchanged, and so every member reads its next column from one
+    strided slice.  A window of the last ``m`` columns, ``m`` the band's
+    rows, holds what the factorization has left of them: the column that
+    comes in fills its last row and column, and factoring its first column
+    moves the rest up and left, into a second window.  A pivot that is not
+    positive, or NaN, marks a joint that is not positive definite.
+    """
+    m, _, members = tails.shape
+    pad = (members - 1) * r
+    cols = np.zeros((m, pad + head.shape[1]))
+    cols[-1, :pad] = 1.0
+    cols[:, pad:] = head
+    win = np.zeros((m, m, members))
+    win[range(m), range(m)] = 1.0
+    spare = np.empty_like(win)
+    low = np.ones(members)
+    columns = chain((cols[:, c:c + pad + 1:r] for c in range(head.shape[1])),
+                    tails.transpose(1, 0, 2))
+    # A member whose pivot fails goes NaN, silently; the others are untouched.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for col in columns:
+            win[:, -1] = col
+            win[-1, :] = col
+            _factor_column(win, low, spare)
+            win, spare = spare, win
+        # win[:m - 1, :m - 1] is what is left of the last m - 1 columns;
+        # factor all but the last state's r of them, then those r.
+        for n in range(m - 1, r, -1):
+            _factor_column(win[:n, :n], low, win[:n, :n])
+        u22 = np.zeros((r, r, members))
+        for i in range(r):
+            left = win[:r - i, :r - i]
+            u22[i, i], u22[i, i + 1:] = _factor_column(left, low, left)
+        return np.einsum("iam,ibm->mab", u22, u22), low
+
+
+def _refuse(times: list[int], low: np.ndarray) -> None:
+    """Raise :class:`SingularMatrixError` naming the earliest of ``times``
+    whose smallest pivot is not positive."""
+    bad = np.flatnonzero(~(low > 0))
+    if bad.size:
+        i = bad[0]
+        raise SingularMatrixError(
+            f"joint information over x[0] .. x[{times[i]}] is not positive definite "
+            f"(smallest Cholesky pivot {low[i]:.3e})")
 
 
 def last_state_information(prefix: np.ndarray, r: int, t: int) -> np.ndarray:
     """Information of ``x[t]`` from the band-stored joint over ``x[0] .. x[t]``.
 
-    Raises :class:`SingularMatrixError` naming ``t`` when LAPACK ``pbtrf``
-    finds the joint not positive definite.  scipy is imported here (see
-    :func:`_scipy_linalg`).
+    The one-member case of :func:`information_sequence`'s factorization, for
+    a band of more than ``r`` rows, as every joint's is.  Raises
+    :class:`SingularMatrixError` naming ``t`` when the joint is not positive
+    definite.
     """
-    linalg = _scipy_linalg()
-    try:
-        factor = linalg.cholesky_banded(prefix)
-    except linalg.LinAlgError as exc:
-        raise SingularMatrixError(
-            f"joint information over x[0] .. x[{t}] is not positive definite ({exc})"
-        ) from exc
-    u = prefix.shape[0] - 1
-    u22 = np.zeros((r, r))
-    for j in range(r):
-        u22[: j + 1, j] = factor[u - j:, j - r]
-    return u22.T @ u22
+    # One member, with no columns of its own.
+    info, low = _factor_stack(prefix, np.empty((len(prefix), 0, 1)), r)
+    _refuse([t], low)
+    return info[0]
 
 
 def information_sequence(model: SystemModel, est: ExpectationEstimator, k_max: int,
                          provider: BlockProvider | None = None) -> dict[int, np.ndarray]:
     """Oracle information submatrices for every time from the window end to ``k_max``.
 
-    One assembly serves every time: each prefix of it is factored on its own.
-    ``k_max`` is at least the prior window end, ``model.start_time``.
-    Without scipy it raises before any block is built.
+    One assembly serves every time, and each prefix of it is factored from
+    scratch, up to ``_STACK`` prefixes at a time.  The last ``window`` states'
+    columns of a prefix still change as later factors are placed, so they
+    are copied when the prefix is reached; its other columns are final by
+    then, and the stack reads them from the longest prefix.  ``k_max`` is at
+    least the prior window end, ``model.start_time``.
     """
     require_int(k_max, "k_max", model.start_time)
-    _scipy_linalg()
     r = model.state_dim
-    return {t: last_state_information(prefix, r, t)
-            for t, prefix in _prefixes(model, est, k_max, provider)}
+    own = model.profile.window * r
+    seq: dict[int, np.ndarray] = {}
+    times, tails = [], []
+    for t, prefix in _prefixes(model, est, k_max, provider):
+        times.append(t)
+        tails.append(prefix[:, -own:].copy())
+        if len(times) == _STACK or t == k_max:
+            info, low = _factor_stack(prefix[:, :-own], np.stack(tails, axis=-1), r)
+            _refuse(times, low)
+            seq.update(zip(times, info))
+            times, tails = [], []
+    return seq
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +227,10 @@ def verify_recursion(model: SystemModel, est: ExpectationEstimator, k_max: int
 
     Both sides consume the same block provider, so the check isolates the
     assembly and marginalization algebra from Monte-Carlo noise.  ``k_max``
-    is past the prior window end, ``model.start_time``.  Without scipy it
-    raises before any block is built.
+    is past the prior window end, ``model.start_time``.
     """
     start = model.start_time
     require_int(k_max, "k_max", start + 1)
-    _scipy_linalg()
     provider = BlockProvider(model, est, start, k_max)
     oracle_seq = information_sequence(model, est, k_max, provider=provider)
     trace = run(model, est, k_max - start, provider=provider)

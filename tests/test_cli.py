@@ -774,9 +774,10 @@ def _fresh_interpreter(code: str) -> str:
     return proc.stdout
 
 
-def test_only_the_oracle_loads_scipy(tmp_path):
-    # scipy costs about as much start-up time as numpy itself, so the
-    # recursion, the baselines and the sweep stay numpy-only.
+def test_no_command_loads_scipy(tmp_path):
+    # scipy costs about as much start-up time as numpy itself, and its own
+    # OpenBLAS about 21 MB of peak memory, so every command stays
+    # numpy-only, the oracle included.
     loaded = _fresh_interpreter(f"""
         import sys
         from corrbound import cli
@@ -784,39 +785,26 @@ def test_only_the_oracle_loads_scipy(tmp_path):
         for argv in (["run", "--horizon", "5"], ["compare", "--horizon", "5"],
                      ["sensors", "--horizon", "5", "--max-m", "2"]):
             assert cli.main(argv + ["--model", "example1", "--out", out]) == 0, argv
+        assert cli.main(["oracle-verify", "--model", "example1", "--horizon", "24"]) == 0
         print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     """)
-    assert loaded.strip() == "[]"
-    verified = _fresh_interpreter("""
-        from corrbound import cli
-        assert cli.main(["oracle-verify", "--model", "example1", "--horizon", "24"]) == 0
-    """)
-    assert "worst deviation" in verified
+    assert "worst deviation" in loaded
+    assert loaded.splitlines()[-1] == "[]"
 
 
-def test_oracle_without_scipy_names_the_extra(monkeypatch, capsys):
-    # scipy is the optional 'oracle' extra: without it, the oracle stops
-    # with a configuration error (exit 1) that names the extra, not with an
-    # ImportError.  The joint's assembly itself is numpy-only.
+def test_oracle_runs_with_scipy_blocked(monkeypatch, capsys):
+    # With scipy unimportable, the oracle still verifies: its factorization
+    # and the joint's assembly are numpy-only.
+    monkeypatch.setitem(sys.modules, "scipy", None)
     monkeypatch.setitem(sys.modules, "scipy.linalg", None)
     model = cb.build_example1()
-    assert cli.main(["oracle-verify", "--model", "example1", "--horizon", "5"]) == 1
-    assert "corrbound[oracle]" in capsys.readouterr().err
-    # The missing extra is found before any block is built: not one state
-    # is sampled for a Monte-Carlo model.
-    sampled = []
-
-    def counted(*args, **kwargs):
-        sampled.append(args)
-        raise AssertionError("sampled before the missing extra was found")
-
-    monkeypatch.setattr(blocks, "_sample_states", counted)
-    assert cli.main(["oracle-verify", "--model", "example2", "--horizon", "5",
-                     "--samples", "2000", "--seed", "1"]) == 1
-    assert "corrbound[oracle]" in capsys.readouterr().err
-    assert sampled == []
-    with pytest.raises(cb.ConfigError, match=r"corrbound\[oracle\]"):
-        cb.information_sequence(model, cb.ExpectationEstimator(), model.start_time + 2)
-    joint = cb.build_joint(model, cb.ExpectationEstimator(), model.start_time + 2)
-    assert joint.shape[1] == (model.start_time + 3) * model.state_dim
+    assert cli.main(["oracle-verify", "--model", "example1", "--horizon", "5"]) == 0
+    assert "OK: recursion matches" in capsys.readouterr().out
+    est = cb.ExpectationEstimator()
+    k = model.start_time + 2
+    seq = cb.information_sequence(model, est, k)
+    assert sorted(seq) == list(range(model.start_time, k + 1))
+    assert all(np.all(np.isfinite(info)) for info in seq.values())
+    joint = cb.build_joint(model, est, k)
+    assert joint.shape[1] == (k + 1) * model.state_dim
     assert np.all(np.isfinite(joint))

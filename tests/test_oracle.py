@@ -106,6 +106,42 @@ def test_joint_validation_rejects_indefinite(example1, monkeypatch, capsys):
     assert err.startswith("numerical error:") and "x[6]" in err
 
 
+@pytest.mark.parametrize("stack", [1, 2, 3, None])
+def test_earliest_refusal_wins_across_stacks(example1, monkeypatch, stack):
+    # Prefixes are factored up to oracle._STACK at a time, in time order.
+    # Whether the first joint that is not positive definite opens a stack,
+    # sits inside one among later failures, or comes after a whole stack
+    # that passes, it is the one named.
+    if stack is not None:
+        monkeypatch.setattr(oracle, "_STACK", stack)
+    bad = example1.start_time + oracle._STACK + 3
+    est = cb.ExpectationEstimator()
+    provider = _IndefiniteAt(cb.BlockProvider(example1, est, example1.start_time, bad + 6), bad)
+    with pytest.raises(SingularMatrixError,
+                       match=rf"x\[0\] \.\. x\[{bad + 1}\] is not positive definite"):
+        cb.information_sequence(example1, est, bad + 6, provider=provider)
+    assert max(cb.information_sequence(example1, est, bad, provider=provider)) == bad
+
+
+def test_stacks_factor_each_prefix_as_alone(example1):
+    # A horizon past one stack: each prefix's information is bit for bit
+    # the one-member factorization of that prefix, and a few times match
+    # the dense reference.
+    est = cb.ExpectationEstimator()
+    start, r = example1.start_time, example1.state_dim
+    k_max = start + oracle._STACK + 5
+    provider = cb.BlockProvider(example1, est, start, k_max)
+    seq = cb.information_sequence(example1, est, k_max, provider=provider)
+    assert sorted(seq) == list(range(start, k_max + 1))
+    edges = {start, start + 1, start + oracle._STACK - 1, start + oracle._STACK, k_max}
+    for t, prefix in oracle._prefixes(example1, est, k_max, provider):
+        if t in edges:
+            assert np.array_equal(seq[t], oracle.last_state_information(prefix, r, t))
+    for t in edges:
+        ref = schur_submatrix(dense_joint(example1, provider, t), r)
+        assert oracle.max_relative_deviation(seq[t], ref) < 1e-13
+
+
 def test_factor_sparsity_pattern():
     # The joint is block-banded with the recursion window as bandwidth, and
     # every factor grid lands on the states it covers: a grid one slot off
@@ -203,11 +239,11 @@ def _worst(seq, ref):
     return max(oracle.max_relative_deviation(seq[t], ref[t]) for t in seq)
 
 
-def test_banded_oracle_matches_dense_reference(example1, example2):
-    # Measured worst relative deviations: 1.1e-15 for example1 to k = 24;
-    # 4.8e-14 for example2 to k = 12 on one Monte-Carlo provider (6.1e-14 and
-    # 7.6e-14 at seeds 6 and 7); 3.4e-15 over the random linear models.  The
-    # bounds leave a factor of at least 13 above those.
+def test_banded_oracle_matches_dense_reference(example1, example2, monkeypatch):
+    # Measured worst relative deviations: 1.9e-15 for example1 to k = 24;
+    # 5.4e-14 for example2 to k = 12 on one Monte-Carlo provider (9.7e-14 and
+    # 7.2e-14 at seeds 6 and 7); 6.9e-15 over the random linear models.  The
+    # bounds leave a factor of at least 10 above those.
     est = cb.ExpectationEstimator()
     assert _worst(cb.information_sequence(example1, est, 24),
                   dense_information_sequence(example1, est, 24)) < 1e-13
@@ -218,13 +254,19 @@ def test_banded_oracle_matches_dense_reference(example1, example2):
     assert _worst(cb.information_sequence(example2, mc, k_max, provider=provider),
                   dense_information_sequence(example2, mc, k_max, provider=provider)) < 1e-12
 
-    cases = set()
+    # Every profile at state dimensions 1 to 3, factored in stacks of the
+    # oracle's size and of 1, 3 and 7 prefixes, so that these horizons also
+    # span several stacks.
+    cases, full = set(), oracle._STACK
     for i, lags in enumerate(CASE_SPANNING_PROFILES):
         profile = cb.CorrelationProfile(*lags)
-        model = random_linear_model(profile, 1 + i % 3, 2, 5000 + i)
-        k_max = min(24, model.start_time + 12)
-        assert _worst(cb.information_sequence(model, est, k_max),
-                      dense_information_sequence(model, est, k_max)) < 1e-13
+        for r in (1, 2, 3):
+            model = random_linear_model(profile, r, 2, 5000 + 3 * i + r)
+            k_max = min(24, model.start_time + 12)
+            ref = dense_information_sequence(model, est, k_max)
+            for stack in (full, 1, 3, 7):
+                monkeypatch.setattr(oracle, "_STACK", stack)
+                assert _worst(cb.information_sequence(model, est, k_max), ref) < 1e-13
         cases.add(select_case(profile))
     assert cases == {CaseTag.GREATER, CaseTag.LESS, CaseTag.EQUAL}
 
