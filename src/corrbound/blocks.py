@@ -11,7 +11,10 @@ an RNG substream of its own and reduced in unit order, so results are
 bit-identical whatever the worker count.  Each unit is also one task of a
 thread pool of at most ``workers`` threads, so the model callables run
 concurrently on worker threads and must not share mutable scratch.  The
-sampled Jacobian path's unit is a block of ``BLOCK_SIZE`` samples.
+units' substreams are made in the calling thread before the pool starts,
+so ``numpy.random`` is first imported there, and only by a run that
+samples.  The sampled Jacobian path's unit is a block of ``BLOCK_SIZE``
+samples.
 Finite-difference Monte Carlo (FD-MC) draws chunks of ``CHUNK_SIZE``
 samples, one ``simulate`` call each, and sums every FD-MC grid of a
 provider from that one batch.
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,10 +151,10 @@ def _fd_mc_grids(model: SystemModel, keys: list[tuple[int, bool]],
     """
     sizes = _split(est.samples, CHUNK_SIZE)
     horizon = max(k for k, _ in keys) + 1
+    rngs = [_substream(est.seed, _PURPOSE_SAMPLE, keys[0][0], c) for c in range(len(sizes))]
 
     def run_chunk(c: int) -> list[np.ndarray]:
-        rng = _substream(est.seed, _PURPOSE_SAMPLE, keys[0][0], c)
-        batch = _simulate(model, horizon, sizes[c], rng)
+        batch = _simulate(model, horizon, sizes[c], rngs[c])
         return [_factor_hessian(model, batch, k, transition) for k, transition in keys]
 
     grids = {}
@@ -182,10 +184,13 @@ def _simulate(model: SystemModel, horizon: int, count: int,
 def _map_units(run, count: int, workers: int) -> list:
     """``[run(0), ..., run(count - 1)]``, spread over a pool of at most
     ``workers`` threads, and no more than there are units or CPUs this
-    process may run on."""
+    process may run on.  The pool's module is imported only here, so a
+    run on one thread never loads it."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(workers, count, cpus or 1)
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run, range(count)))
     return [run(u) for u in range(count)]
@@ -223,6 +228,7 @@ def _sampled_measurement_info(
     r = model.state_dim
     noise_info = model.meas_noise_information
     sizes = _split(est.samples, BLOCK_SIZE)
+    rngs = [_substream(est.seed, _PURPOSE_SAMPLE, b) for b in range(len(sizes))]
     local = threading.local()
 
     def run_block(b: int):
@@ -234,7 +240,7 @@ def _sampled_measurement_info(
         if not hasattr(local, "buffer"):
             local.buffer = np.empty((horizon + 1) * sizes[0] * r)
         out = local.buffer[:(horizon + 1) * n * r].reshape(horizon + 1, n, r)
-        block = _sample_states(model, horizon, n, _substream(est.seed, _PURPOSE_SAMPLE, b), out)
+        block = _sample_states(model, horizon, n, rngs[b], out)
         states = block[ks.start + 1:ks.stop + 1].reshape(-1, r)
         resampled = _resample_singular(model, states, ks, est.seed, b)
         jac = np.asarray(model.meas_jacobian(states))

@@ -225,8 +225,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     values, model, est = _build_config(args)
     names = dict.fromkeys(values["baselines"] or ("i", "a", "p"))  # one column per name
     component = values["component"]
-    traces = [run(model, est, values["horizon"])]
-    traces += [_baselines.BASELINES[name](model, values["horizon"]) for name in names]
+    # The baselines are closed-form and refuse a model without the view they
+    # need, so they run first: a refusal comes before the unified run samples.
+    baselines = [_baselines.BASELINES[name](model, values["horizon"]) for name in names]
+    traces = [run(model, est, values["horizon"]), *baselines]
     header = ["k", "pcrb_t"] + [_baselines.BASELINE_LABELS[name] for name in names]
     # A step's values are fixed by its traces' row indices, so each distinct
     # tuple of rows is formatted once.  The tuple is keyed in mixed radix,

@@ -155,8 +155,10 @@ class TrajectoryBatch:
 # newest first, z_hist (n, l4, meas_dim) newest first, shift (n, r)) -> (n,),
 # and the measurement analog with z_next, l3' states and l1 measurements.
 LogDensity = Callable[[Array, Array, Array, Array], Array]
-Simulator = Callable[[int, int, np.random.Generator], TrajectoryBatch]
-StateSampler = Callable[[int, int, np.random.Generator, Array | None], Array]
+# The generator is a forward reference: evaluating it would import
+# numpy.random, which only a run that samples needs.
+Simulator = Callable[[int, int, "np.random.Generator"], TrajectoryBatch]
+StateSampler = Callable[[int, int, "np.random.Generator", Array | None], Array]
 
 
 @dataclass(frozen=True)

@@ -45,14 +45,16 @@ def _place(ab: np.ndarray, grid: np.ndarray) -> None:
     """Add ``grid`` into the band storage ``ab`` so that it ends at ``ab``'s
     last state, one diagonal at a time.
 
-    Each entry is the mean of the grid's two mirror entries, so the joint is
-    symmetric by construction.  Diagonals past the band are not read: the
-    factor grids fit inside it, and the prior information is block-diagonal.
+    Each entry is the mean of the grid's two mirror entries, formed once for
+    the whole grid, so the joint is symmetric by construction.  Diagonals
+    past the band are not read: the factor grids fit inside it, and the
+    prior information is block-diagonal.
     """
     u = ab.shape[0] - 1
     m = grid.shape[0]
+    mean = 0.5 * (grid + grid.T)
     for d in range(min(m, u + 1)):
-        ab[u - d, d - m:] += 0.5 * (np.diagonal(grid, d) + np.diagonal(grid, -d))
+        ab[u - d, d - m:] += np.diagonal(mean, d)
 
 
 def _prefixes(model: SystemModel, est: ExpectationEstimator, k: int,

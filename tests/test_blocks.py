@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import threading
 
@@ -782,7 +783,8 @@ def test_thread_pool_is_capped(example2, monkeypatch, workers, samples, cpus, th
         started.append(max_workers)
         raise _PoolStarted
 
-    monkeypatch.setattr(blocks_mod, "ThreadPoolExecutor", pool)
+    # The pool is imported where it is made, so it is patched at its source.
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", pool)
     monkeypatch.setattr(blocks_mod.os, "sched_getaffinity", lambda pid: set(range(cpus)))
     est = cb.ExpectationEstimator(mode="monte_carlo", samples=samples, seed=1,
                                   workers=workers)

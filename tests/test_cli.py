@@ -575,6 +575,21 @@ def test_nonstationary_ar_coeff_is_model_error(tmp_path, capsys, ma_coeff):
                     "--out", str(tmp_path / "run.csv")]) == 0
 
 
+def test_compare_refuses_a_baseline_before_sampling(tmp_path, capsys, monkeypatch):
+    # example2 has no linear view, so every baseline refuses it; the
+    # closed-form baselines run first, and the unified run never draws.
+    draws = []
+    for wrapper in ("_sample_states", "_simulate"):
+        monkeypatch.setattr(blocks, wrapper, lambda *a, **k: draws.append(a))
+    out = tmp_path / "cmp.csv"
+    for seed in (["--seed", "1"], []):
+        assert run_cli(["compare", "--model", "example2", "--horizon", "5",
+                        "--samples", "2000", *seed, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("model error:")
+    assert draws == []
+    assert not out.exists()
+
+
 def test_ma_coeff_limit_is_largest_with_finite_fourth_power():
     assert np.isfinite(MA_COEFF_MAX**4)
     with pytest.raises(OverflowError):
@@ -790,6 +805,36 @@ def test_no_command_loads_scipy(tmp_path):
     """)
     assert "worst deviation" in loaded
     assert loaded.splitlines()[-1] == "[]"
+
+
+def test_only_sampling_loads_numpy_random_and_the_pool(tmp_path):
+    # numpy.random (which imports hashlib and OpenSSL) and the thread pool's
+    # concurrent.futures (with logging) cost about 7 MB of peak memory.  A
+    # seedless example1 command samples nothing and loads neither; a run
+    # that samples loads numpy.random, and the pool only on two workers.
+    out = str(tmp_path / "out.csv")
+    loaded = _fresh_interpreter(f"""
+        import sys
+        from corrbound import cli
+        for argv in (["run", "--horizon", "5"], ["compare", "--horizon", "5"],
+                     ["sensors", "--horizon", "5", "--max-m", "2"]):
+            assert cli.main(argv + ["--model", "example1", "--out", {out!r}]) == 0, argv
+        assert cli.main(["oracle-verify", "--model", "example1", "--horizon", "24"]) == 0
+        print(["numpy.random" in sys.modules, "concurrent.futures" in sys.modules])
+    """)
+    assert "worst deviation" in loaded
+    assert loaded.splitlines()[-1] == "[False, False]"
+    for workers, pool in (("1", False), ("2", True)):
+        loaded = _fresh_interpreter(f"""
+            import os, sys
+            os.sched_getaffinity = lambda pid: {{0, 1}}  # two CPUs on any host
+            from corrbound import cli
+            assert cli.main(["run", "--model", "example2", "--horizon", "5",
+                             "--samples", "2000", "--seed", "1", "--workers", {workers!r},
+                             "--out", {out!r}]) == 0
+            print(["numpy.random" in sys.modules, "concurrent.futures" in sys.modules])
+        """)
+        assert loaded.splitlines()[-1] == str([True, pool])
 
 
 def test_oracle_runs_with_scipy_blocked(monkeypatch, capsys):
