@@ -216,15 +216,6 @@ def _sampled_measurement_info(
     one ``meas_jacobian`` call.  The per-time partial sums of all blocks are
     then combined in block order.
     """
-    if model.profile.l3_eff != 1:
-        raise ModelBuildError(
-            "Jacobian-based measurement sampling supports single-state measurements only"
-        )
-    for field, what in (("meas_noise_information", "measurement noise information matrix"),
-                        ("sample_states", "state sampler (sample_states)")):
-        if getattr(model, field) is None:
-            raise ModelBuildError(
-                f"model '{model.name}' provides a measurement Jacobian but no {what}")
     r = model.state_dim
     noise_info = model.meas_noise_information
     sizes = _split(est.samples, BLOCK_SIZE)
@@ -416,6 +407,28 @@ def factor_frame(b: np.ndarray, c: np.ndarray, profile: CorrelationProfile) -> n
 # ---------------------------------------------------------------------------
 
 
+def _source(model: SystemModel, mode: str, transition: bool) -> str:
+    """One factor's source by :class:`BlockProvider`'s rule, ``"closed"``,
+    ``"jacobian"`` or ``"fd"``, checked to have the model fields it reads."""
+    closed, factor, logpdf = (("analytic_b", "transition", "trans_logpdf") if transition
+                              else ("analytic_c", "measurement", "meas_logpdf"))
+    if mode != "finite_difference_mc" and getattr(model, closed) is not None:
+        return "closed"
+    if not transition and mode == "monte_carlo" and model.meas_jacobian is not None:
+        if model.profile.l3_eff != 1:
+            raise ModelBuildError(f"model '{model.name}': Jacobian-based measurement "
+                                  "sampling supports single-state measurements only")
+        source, what, fields = "jacobian", "the Jacobian path", ("meas_noise_information",
+                                                                 "sample_states")
+    else:
+        source, what, fields = "fd", "finite-difference Monte Carlo", ("simulate", logpdf)
+    for field in fields:
+        if getattr(model, field) is None:
+            raise ModelBuildError(f"model '{model.name}': {field} is required, since the "
+                                  f"{factor} blocks are sampled by {what} under {mode}")
+    return source
+
+
 class BlockProvider:
     """Factor blocks over ``[start, stop)``, all computed on construction;
     several runs may share one.  This is the one place that picks a block's
@@ -424,16 +437,20 @@ class BlockProvider:
     1. The closed form, ``analytic_b`` or ``analytic_c``, if the model has
        one, unless the mode is ``finite_difference_mc``.  A closed form is
        the mean that sampling would estimate, and one grid serves every time.
-    2. Any other source samples, and without a seed it is a
-       :class:`ConfigError` that names the factor, raised before any draw.
-       So a seedless run takes every factor in closed form or refuses.
-    3. Under ``monte_carlo``, the measurement factor of a model with a
+    2. Under ``monte_carlo``, the measurement factor of a model with a
        ``meas_jacobian``: the sample mean of ``J' Lambda J`` at every time
-       from one draw of states (the only blocks with standard errors).
-    4. Otherwise a finite-difference Monte-Carlo (FD-MC) mean.  A factor
-       with a closed form gets one grid, at ``start``, a cross-check of
-       that closed form; a factor without one gets a grid at every time,
-       since its curvature follows that time's state distribution.
+       from one draw of states (the only blocks with standard errors).  It
+       also reads ``meas_noise_information`` and ``sample_states``.
+    3. Otherwise a finite-difference Monte-Carlo (FD-MC) mean, which reads
+       ``simulate`` and the factor's log-density.  A factor with a closed
+       form gets one grid, at ``start``, a cross-check of that closed form;
+       a factor without one gets a grid at every time, since its curvature
+       follows that time's state distribution.
+
+    Once both sources are picked, a missing field of either is a
+    :class:`ModelBuildError`, and then a source that samples without a
+    seed a :class:`ConfigError`, both before any draw.  So a seedless run
+    takes every factor in closed form or refuses.
 
     Every FD-MC grid of the provider comes from one draw of trajectories,
     up to ``start + 1``, or up to ``stop`` when a factor is sampled at every
@@ -457,17 +474,20 @@ class BlockProvider:
         self.start, self.stop = start, stop
         self.report, self._c_se = McReport(), {}
         times = range(start, stop)
+        sources = {t: _source(model, est.mode, t) for t in (True, False)}
+        for transition, source in sources.items():
+            if source != "closed" and est.seed is None:
+                factor = "transition" if transition else "measurement"
+                raise ConfigError(f"estimator.seed: required, since the {factor} blocks of "
+                                  f"model '{model.name}' are sampled under {est.mode}")
         # Each factor's grid, keyed by `transition`: one array for every time
         # or a dict by time.  fd_each: is an FD-MC factor sampled per time?
         grids, fd_each = {}, {}
-        for transition, factor, closed in ((True, "transition", model.analytic_b),
-                                           (False, "measurement", model.analytic_c)):
-            if closed is not None and est.mode != "finite_difference_mc":
+        for transition, source in sources.items():
+            closed = model.analytic_b if transition else model.analytic_c
+            if source == "closed":
                 grids[transition] = closed
-            elif est.seed is None:
-                raise ConfigError(f"estimator.seed: required, since the {factor} blocks of "
-                                  f"model '{model.name}' are sampled under {est.mode}")
-            elif not transition and est.mode == "monte_carlo" and model.meas_jacobian is not None:
+            elif source == "jacobian":
                 grids[False], self._c_se, self.report = _sampled_measurement_info(
                     model, times, stop, est)
             else:

@@ -28,8 +28,6 @@ from .models import (
     LinearModelInfo,
     SystemModel,
     TrajectoryBatch,
-    _gaussian_logpdf,
-    _linear_factor,
     build_linear_model,
     default_prior,
 )
@@ -102,10 +100,9 @@ def build_example1(ma_coeff: float = 0.2, prior: GaussianPrior | None = None) ->
         meas_white_cov=ar_factor * (q + r) if stationary else None,
     )
 
-    base = build_linear_model(spec, prior=prior, name="example1",
-                              linear_info=linear_info)
+    base = build_linear_model(spec, prior=prior, name="example1")
     simulate = _example1_simulator(f, q, r, a, prior)
-    return replace(base, simulate=simulate, ar_model=ar_model)
+    return replace(base, simulate=simulate, linear=linear_info, ar_model=ar_model)
 
 
 def _example1_simulator(f: np.ndarray, q: np.ndarray, r: np.ndarray, a: float,
@@ -205,15 +202,12 @@ def build_example2(prior: GaussianPrior | None = None) -> SystemModel:
             transition=f,
         )
 
-    # The transition is linear; only the measurement is not.
-    trans_logpdf, analytic_b = _linear_factor((np.eye(4) + f, -f), (), q,
-                                              "process covariance", next_state=True)
-    log_norm_r = -0.5 * (2 * np.log(2.0 * np.pi) + np.linalg.slogdet(sigma2)[1])
-
-    def meas_logpdf(z_next, x_hist, z_hist, shift):
-        del z_hist
-        mean = range_azimuth(x_hist[:, 0]) + shift
-        return _gaussian_logpdf(z_next - mean, sigma2_inv, log_norm_r)
+    # The transition is linear; only the measurement is not.  With
+    # G = [F, -(I + F), I] the residual's gradient in (x[k-1], x[k], x[k+1]),
+    # the curvature is G' Q^-1 G.
+    q_inv = psd_inverse(q, context="process covariance")
+    g = np.hstack([f, -(np.eye(4) + f), np.eye(4)])
+    analytic_b = g.T @ q_inv @ g
 
     def singular_states(states: np.ndarray) -> np.ndarray:
         r2 = states[:, 0] ** 2 + states[:, 2] ** 2
@@ -222,16 +216,14 @@ def build_example2(prior: GaussianPrior | None = None) -> SystemModel:
     # Row-major transposes: a product with an F-ordered operand is slower.
     chol_q_t = np.linalg.cholesky(symmetrize(q)).T.copy()
     f_t = f.T.copy()
-    chol_s2 = np.linalg.cholesky(sigma2)
     w = prior.window_len
 
-    def draw(horizon: int, count: int, rng: np.random.Generator,
-             out: np.ndarray | None = None):
-        """States ``(horizon + 1, count, 4)``, written into ``out`` if given,
-        and white seeds ``(horizon + 2, count, 4)``, both time-major, with
-        ``seeds[j + 1]`` holding ws[j].
-
-        The prior window of every sample is drawn first, then the seeds."""
+    def sample_states(horizon: int, count: int, rng: np.random.Generator,
+                      out: np.ndarray | None = None) -> np.ndarray:
+        """States ``(horizon + 1, count, 4)``, time-major, written into
+        ``out`` if given.  The prior window of every sample is drawn first,
+        then the white seeds ``(horizon + 2, count, 4)``, with ``seeds[j + 1]``
+        holding ws[j]."""
         length = horizon + 1
         states = np.empty((length, count, 4)) if out is None else out
         states[:min(w, length)] = prior.sample(count, rng).transpose(1, 0, 2)[:length]
@@ -246,20 +238,7 @@ def build_example2(prior: GaussianPrior | None = None) -> SystemModel:
         for k in range(w - 1, length - 1):
             np.matmul(states[k], f_t, out=states[k + 1])
             states[k + 1] += noise[k + 1 - w]
-        return states, seeds
-
-    def simulate(horizon: int, count: int, rng: np.random.Generator) -> TrajectoryBatch:
-        length = horizon + 1
-        states, seeds = draw(horizon, count, rng)
-        # trans_shift[k] = -ws[k-3] = -seeds[k-2]; zero while k - 3 < -1.
-        trans_shift = np.zeros((length, count, 4))
-        np.negative(seeds[:-3], out=trans_shift[2:])
-        del seeds
-
-        states = states.transpose(1, 0, 2)  # (count, time, r) views from here on
-        meas = range_azimuth(states) + rng.standard_normal((count, length, 2)) @ chol_s2.T
-        meas_shift = np.zeros((count, length, 2))
-        return TrajectoryBatch(states, meas, trans_shift.transpose(1, 0, 2), meas_shift)
+        return states
 
     return SystemModel(
         name="example2",
@@ -267,14 +246,9 @@ def build_example2(prior: GaussianPrior | None = None) -> SystemModel:
         meas_dim=2,
         profile=profile,
         prior=prior,
-        trans_logpdf=trans_logpdf,
-        meas_logpdf=meas_logpdf,
-        simulate=simulate,
         analytic_b=analytic_b,
-        analytic_c=None,
         meas_jacobian=range_azimuth_jacobian,
         meas_noise_information=sigma2_inv,
-        sample_states=lambda horizon, count, rng, out=None: draw(horizon, count, rng, out)[0],
+        sample_states=sample_states,
         singular_states=singular_states,
-        linear=None,
     )

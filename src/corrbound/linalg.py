@@ -91,6 +91,8 @@ def psd_factor(a: np.ndarray, *, context: str = "matrix"
     return lower, lower_inv, inverse
 
 
+# An overflow is named by psd_factor's gate, not warned.
+@np.errstate(over="ignore", invalid="ignore")
 def psd_inverse(a: np.ndarray, *, context: str = "matrix") -> np.ndarray:
     """Inverse of symmetric positive-definite ``a``, or of each matrix of a
     stack, after :func:`psd_factor`'s gate; ``a`` is symmetrized first."""

@@ -1,14 +1,11 @@
 """Dynamic-system contract consumed by the bound machinery.
 
-A :class:`SystemModel` supplies, for a fixed correlation profile:
-
-* conditional log-densities of the transition and measurement factors,
-* a vectorized trajectory sampler (used for Monte-Carlo expectations) and,
-  for models with a measurement Jacobian, a states-only sampler, both
-  called concurrently from worker threads,
-* a Gaussian prior over the initial window of states,
-* optionally time-invariant closed-form curvature blocks and a measurement
-  Jacobian.
+A :class:`SystemModel` supplies, for a fixed correlation profile, a
+Gaussian prior over the initial window of states and, for each factor, what
+its curvature source reads: a closed-form curvature grid, a measurement
+Jacobian with its noise information and a states-only sampler, or, for
+finite-difference Monte Carlo, conditional log-densities and a vectorized
+trajectory sampler.
 
 The log-density evaluators take the factor's state arguments explicitly so
 they can be differentiated block by block; any residual terms that the
@@ -190,29 +187,29 @@ class ArApproximation:
 class SystemModel:
     """One dynamic system with a fixed correlation profile.
 
-    ``simulate(horizon, count, rng)`` returns a full :class:`TrajectoryBatch`.
-    The Jacobian curvature path (``monte_carlo`` mode with a
-    ``meas_jacobian``) reads two fields in layouts of its own, both checked:
+    A model needs ``name``, the dimensions, ``profile`` and ``prior``, and
+    of the callables only those that each factor's curvature source reads,
+    as :class:`corrbound.blocks.BlockProvider` lists them.  They take and
+    return these layouts, all checked:
 
-    * ``sample_states(horizon, count, rng, out=None)``, which only models
-      with a ``meas_jacobian`` need, returns the states alone as one
-      time-major array ``(horizon + 1, count, state_dim)``: the values that
-      ``simulate(horizon, count, rng).states`` holds at ``[:, t]`` for the
-      same generator state, drawn without measurements or shifts.  Given
+    * ``sample_states(horizon, count, rng, out=None)`` draws ``count``
+      state trajectories from ``rng`` and returns them as one time-major
+      array ``(horizon + 1, count, state_dim)``.  Given
       ``out``, an array of that shape, it writes the states there and
       returns ``out``.  The caller owns the states and may overwrite them.
     * ``meas_jacobian(states)`` takes ``(n, state_dim)`` states and returns
       the Jacobians entry-major, ``(meas_dim, state_dim, n)``.
+    * ``simulate(horizon, count, rng)`` returns a :class:`TrajectoryBatch`
+      of fields ``(count, horizon + 1, dim)``, ``dim`` the state or the
+      measurement dimension.
 
     Every model callable may run on worker threads, concurrently with
     itself and the others: the Jacobian path calls ``sample_states``,
     ``singular_states`` and ``meas_jacobian`` once per sample block of
     :data:`corrbound.blocks.BLOCK_SIZE`, and finite-difference Monte Carlo
     calls ``simulate`` and the log-densities once per chunk of
-    :data:`corrbound.blocks.CHUNK_SIZE`.  So none of them may share mutable
-    scratch.  ``simulate``'s batch is checked: a :class:`TrajectoryBatch`
-    whose fields are ``(count, horizon + 1, dim)``, ``dim`` the state or
-    the measurement dimension.
+    :data:`corrbound.blocks.CHUNK_SIZE`.
+    So none of them may share mutable scratch.
 
     The array fields are checked once, here, and stored as read-only float
     copies, so the caller's arrays stay writable:
@@ -237,9 +234,9 @@ class SystemModel:
     meas_dim: int
     profile: CorrelationProfile
     prior: GaussianPrior
-    trans_logpdf: LogDensity
-    meas_logpdf: LogDensity
-    simulate: Simulator
+    trans_logpdf: LogDensity | None = None
+    meas_logpdf: LogDensity | None = None
+    simulate: Simulator | None = None
     analytic_b: Array | None = None
     analytic_c: Array | None = None
     meas_jacobian: Callable[[Array], Array] | None = None
@@ -327,10 +324,14 @@ class SystemModel:
 # ---------------------------------------------------------------------------
 
 
+# An overflowing gap is infinite, and so rejected, not warned.
+@np.errstate(over="ignore")
 def _require_symmetric(cov: Array, path: str, error: type[Exception]) -> None:
     """Raise ``error`` naming ``path`` when an entry of the square ``cov``
-    is more than 1e-12 of the largest entry away from its mirror: a
-    covariance is rejected, not averaged with its transpose."""
+    is not finite, or is more than 1e-12 of the largest entry away from its
+    mirror: a covariance is rejected, not averaged with its transpose."""
+    if not np.isfinite(cov).all():
+        raise error(f"{path}: expected a matrix of finite numbers")
     gap = float(np.max(np.abs(cov - cov.T)))
     if gap > 1e-12 * np.max(np.abs(cov)):
         raise error(f"{path}: expected a symmetric matrix, but an entry "
@@ -386,6 +387,8 @@ def _gaussian_logpdf(residual: Array, cov_inv: Array, log_norm: float) -> Array:
     return log_norm - 0.5 * np.sum((residual @ cov_inv) * residual, axis=1)
 
 
+# An overflow is named by the model's finiteness check, not warned.
+@np.errstate(over="ignore", invalid="ignore")
 def _linear_factor(state_coeffs, meas_coeffs, cov, context: str, next_state: bool
                    ) -> tuple[LogDensity, Array]:
     """Log-density and curvature grid of one linear-Gaussian factor.
@@ -457,9 +460,9 @@ def build_linear_model(
     spec: LinearConditionalSpec,
     prior: GaussianPrior | None = None,
     name: str = "linear",
-    linear_info: LinearModelInfo | None = None,
 ) -> SystemModel:
-    """Assemble a :class:`SystemModel` from linear conditional coefficients."""
+    """Assemble a :class:`SystemModel` from linear conditional coefficients.
+    An uncorrelated ``spec`` also gets its one-step linear view."""
     if prior is None:
         prior = default_prior(spec.profile, spec.state_dim)
     trans_logpdf, analytic_b = _linear_factor(
@@ -468,14 +471,12 @@ def build_linear_model(
     meas_logpdf, analytic_c = _linear_factor(
         spec.meas_state_coeffs, spec.meas_meas_coeffs, spec.meas_cov,
         "measurement covariance", next_state=False)
-    if linear_info is None and spec.profile.uncorrelated:
-        linear_info = LinearModelInfo(
-            transition=np.asarray(spec.state_coeffs[0], dtype=float),
-            measurement=np.asarray(spec.meas_state_coeffs[0], dtype=float),
-            process_marginal=np.asarray(spec.process_cov, dtype=float),
-            measurement_marginal=np.asarray(spec.meas_cov, dtype=float),
-            cross_lag1=None,
-        )
+    linear = LinearModelInfo(
+        transition=np.asarray(spec.state_coeffs[0], dtype=float),
+        measurement=np.asarray(spec.meas_state_coeffs[0], dtype=float),
+        process_marginal=np.asarray(spec.process_cov, dtype=float),
+        measurement_marginal=np.asarray(spec.meas_cov, dtype=float),
+    ) if spec.profile.uncorrelated else None
     return SystemModel(
         name=name,
         state_dim=spec.state_dim,
@@ -487,7 +488,7 @@ def build_linear_model(
         simulate=_linear_simulator(spec, prior),
         analytic_b=analytic_b,
         analytic_c=analytic_c,
-        linear=linear_info,
+        linear=linear,
     )
 
 
@@ -517,6 +518,8 @@ def _as_matrix(value, rows: int, cols: int, path: str) -> Array:
         arr = arr.reshape(rows, cols)
     if arr.shape != (rows, cols):
         raise ConfigError(f"{path}: expected a {rows}x{cols} matrix (row-major)")
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{path}: expected a matrix of finite numbers")
     return arr
 
 

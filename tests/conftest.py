@@ -31,13 +31,14 @@ def simple_scalar_model(q: float = 1.0, r: float = 1.0, p0: float = 1.0) -> cb.S
     return cb.build_linear_model(spec, prior=prior, name="scalar_random_walk")
 
 
-def nonlinear_scalar_model() -> cb.SystemModel:
+def nonlinear_scalar_model(jacobian: bool = False) -> cb.SystemModel:
     """Scalar model with nonlinear dynamics and sensor and white noises,
     ``x' = x/2 + 25x/(1+x^2) + w`` with ``w ~ N(0, 10)`` and
     ``z = x^2/20 + v`` with ``v ~ N(0, 1)``, from the prior ``N(0.1, 2)``.
-    It has no closed forms and no measurement Jacobian, so every block is
-    sampled, and both factors' curvature follows the state distribution of
-    its time."""
+    It has no closed forms, so every block is sampled, and both factors'
+    curvature follows the state distribution of its time.  With
+    ``jacobian``, the measurement factor takes the Jacobian path: its
+    Jacobian ``x/10``, noise information 1 and a state sampler."""
     q, r = 10.0, 1.0
 
     def f(x):
@@ -51,19 +52,27 @@ def nonlinear_scalar_model() -> cb.SystemModel:
 
     prior = cb.GaussianPrior(means=np.array([[0.1]]), covariances=np.array([[[2.0]]]))
 
-    def simulate(horizon, count, rng):
-        states = np.empty((count, horizon + 1, 1))
-        states[:, 0] = prior.sample(count, rng)[:, 0]
+    def sample_states(horizon, count, rng, out=None):
+        states = np.empty((horizon + 1, count, 1)) if out is None else out
+        states[0] = prior.sample(count, rng)[:, 0]
         for k in range(horizon):
-            states[:, k + 1] = f(states[:, k]) + np.sqrt(q) * rng.standard_normal((count, 1))
+            states[k + 1] = f(states[k]) + np.sqrt(q) * rng.standard_normal((count, 1))
+        return states
+
+    def simulate(horizon, count, rng):
+        states = sample_states(horizon, count, rng).transpose(1, 0, 2)
         meas = states ** 2 / 20 + np.sqrt(r) * rng.standard_normal(states.shape)
         zeros = np.zeros_like(states)
         return cb.TrajectoryBatch(states, meas, zeros, zeros)
 
-    return cb.SystemModel(name="nonlinear_scalar", state_dim=1, meas_dim=1,
-                          profile=cb.CorrelationProfile(), prior=prior,
-                          trans_logpdf=trans_logpdf, meas_logpdf=meas_logpdf,
-                          simulate=simulate)
+    model = cb.SystemModel(name="nonlinear_scalar", state_dim=1, meas_dim=1,
+                           profile=cb.CorrelationProfile(), prior=prior,
+                           trans_logpdf=trans_logpdf, meas_logpdf=meas_logpdf,
+                           simulate=simulate)
+    if jacobian:
+        model = replace(model, meas_jacobian=lambda x: (x / 10).T[None],
+                        meas_noise_information=np.eye(1), sample_states=sample_states)
+    return model
 
 
 def build_example1_stacked(sensors: int, ma_coeff: float = 0.2) -> cb.SystemModel:

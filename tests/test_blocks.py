@@ -60,28 +60,36 @@ def test_analytic_mode_requires_closed_form(example2, monkeypatch):
 # "fd_once" is one finite-difference Monte-Carlo evaluation at ``start``
 # that serves every time, the cross-check of a closed form; "fd_each" one
 # per time, for a factor without a closed form; "error" is a ConfigError
-# naming estimator.seed, raised before any draw.  Every FD-MC grid of a
-# provider comes from one draw, so a provider draws once for its FD-MC
-# grids and once for its sampled ones.
+# naming estimator.seed, and "missing" a ModelBuildError naming the FD-MC
+# simulator, which example2 does not have; the first factor's error is
+# raised, before any draw.  Every FD-MC grid of a provider comes from one
+# draw, so a provider draws once for its FD-MC grids and once for its
+# sampled ones.
 RESOLVER_TABLE = {
     ("analytic", "example1"): ("closed", "closed", 0),
     ("analytic", "example2"): ("closed", "error", 0),
     ("analytic", "scalar"): ("closed", "closed", 0),
-    ("analytic", "example2_no_jacobian"): ("closed", "error", 0),
+    ("analytic", "scalar_no_closed_c"): ("closed", "error", 0),
+    ("analytic", "example2_no_jacobian"): ("closed", "missing", 0),
     ("analytic", "nonlinear"): ("error", "error", 0),
+    ("analytic", "nonlinear_jacobian"): ("error", "error", 0),
     ("monte_carlo", "example1"): ("closed", "closed", 0),
     ("monte_carlo", "example2"): ("closed", "sampled", 1),
     ("monte_carlo", "scalar"): ("closed", "closed", 0),
     ("monte_carlo", "scalar_with_jacobian"): ("closed", "closed", 0),
-    ("monte_carlo", "example2_no_jacobian"): ("closed", "fd_each", 1),
-    ("monte_carlo", "example2_no_closed_b"): ("fd_each", "sampled", 2),
+    ("monte_carlo", "scalar_no_closed_c"): ("closed", "fd_each", 1),
+    ("monte_carlo", "example2_no_jacobian"): ("closed", "missing", 0),
+    ("monte_carlo", "example2_no_closed_b"): ("missing", "sampled", 0),
     ("monte_carlo", "nonlinear"): ("fd_each", "fd_each", 1),
+    ("monte_carlo", "nonlinear_jacobian"): ("fd_each", "sampled", 2),
     ("finite_difference_mc", "example1"): ("fd_once", "fd_once", 1),
-    ("finite_difference_mc", "example2"): ("fd_once", "fd_each", 1),
+    ("finite_difference_mc", "example2"): ("missing", "missing", 0),
+    ("finite_difference_mc", "example2_no_jacobian"): ("missing", "missing", 0),
     ("finite_difference_mc", "scalar"): ("fd_once", "fd_once", 1),
     ("finite_difference_mc", "scalar_with_jacobian"): ("fd_once", "fd_once", 1),
-    ("finite_difference_mc", "example2_no_jacobian"): ("fd_once", "fd_each", 1),
+    ("finite_difference_mc", "scalar_no_closed_c"): ("fd_once", "fd_each", 1),
     ("finite_difference_mc", "nonlinear"): ("fd_each", "fd_each", 1),
+    ("finite_difference_mc", "nonlinear_jacobian"): ("fd_each", "fd_each", 1),
 }
 
 
@@ -99,11 +107,14 @@ RESOLVER_MODELS = {
     "example2": cb.build_example2,
     "scalar": simple_scalar_model,
     "scalar_with_jacobian": _scalar_with_jacobian,
+    "scalar_no_closed_c": lambda: dataclasses.replace(simple_scalar_model(),
+                                                      analytic_c=None),
     "example2_no_jacobian": lambda: dataclasses.replace(cb.build_example2(),
                                                         meas_jacobian=None),
     "example2_no_closed_b": lambda: dataclasses.replace(cb.build_example2(),
                                                         analytic_b=None),
     "nonlinear": nonlinear_scalar_model,
+    "nonlinear_jacobian": lambda: nonlinear_scalar_model(jacobian=True),
 }
 
 
@@ -115,15 +126,18 @@ def test_provider_resolver_table(monkeypatch, mode, name):
            else cb.ExpectationEstimator(mode=mode, samples=3, seed=0))
     start = model.start_time
     times = (start, start + 1)
-    if "error" in (b_source, c_source):
-        what = "transition" if b_source == "error" else "measurement"
-        drawn = []
-        for wrapper in ("_sample_states", "_simulate"):
-            monkeypatch.setattr(blocks_mod, wrapper, lambda *a, **k: drawn.append(a))
-        with pytest.raises(ConfigError, match=f"^estimator.seed: .* {what} blocks"):
-            cb.BlockProvider(model, est, start, start + 2)
-        assert drawn == []
-        return
+    for error, kind, message in (
+            ("missing", ModelBuildError, "^model '.*': simulate is required, since the"),
+            ("error", ConfigError, "^estimator.seed: .*")):
+        if error in (b_source, c_source):
+            what = "transition" if b_source == error else "measurement"
+            drawn = []
+            for wrapper in ("_sample_states", "_simulate"):
+                monkeypatch.setattr(blocks_mod, wrapper, lambda *a, **k: drawn.append(a))
+            with pytest.raises(kind, match=f"{message} {what} blocks"):
+                cb.BlockProvider(model, est, start, start + 2)
+            assert drawn == []
+            return
     provider = cb.BlockProvider(model, est, start, start + 2)
     pairs = [provider.blocks(k) for k in times]
     (b0, c0), (b1, c1) = pairs
@@ -168,8 +182,8 @@ def test_closed_forms_need_no_seed(example1):
     assert provider.report.samples == 0
 
 
-@pytest.mark.parametrize("name, per_time", [("example1", False), ("example2", True),
-                                            ("example2_no_jacobian", True),
+@pytest.mark.parametrize("name, per_time", [("example1", False),
+                                            ("scalar_no_closed_c", True),
                                             ("nonlinear", True)])
 def test_finite_difference_mc_simulates_once_per_chunk(name, per_time, monkeypatch):
     # One simulate call per chunk serves every FD-MC grid, up to the last
@@ -275,7 +289,7 @@ def test_finite_difference_mc_without_closed_forms_matches_analytic_run(lags):
         assert np.max(np.abs(a - b)) <= 1e-6 * np.max(np.abs(b))
 
 
-@pytest.mark.parametrize("name", ["example1", "example2", "example2_no_jacobian"])
+@pytest.mark.parametrize("name", ["example1", "scalar_no_closed_c", "nonlinear"])
 def test_finite_difference_mc_matches_per_sample_loop(name, monkeypatch):
     # Two chunks, so the chunk streams and their sum are covered too, and
     # the grids at the first and the last time of the shared draw.
@@ -506,9 +520,9 @@ def _per_sample_reference(model, ks, horizon, est):
     per = {k: [] for k in ks}
     replaced = 0
     for b, size in enumerate(_split(est.samples, blocks_mod.BLOCK_SIZE)):
-        batch = model.simulate(horizon, size, _substream(est.seed, _PURPOSE_SAMPLE, b))
+        drawn = model.sample_states(horizon, size, _substream(est.seed, _PURPOSE_SAMPLE, b))
         for k in ks:
-            states = batch.states[:, k + 1, :].copy()
+            states = drawn[k + 1].copy()
             replaced += _resample_singular(model, states, range(k, k + 1), est.seed, b)
             jac = model.meas_jacobian(states)
             per[k] += [jac[:, :, s].T @ lam @ jac[:, :, s] for s in range(size)]
@@ -624,16 +638,10 @@ def test_column_dead_at_one_time_stays_positive_zero(example2, workers):
             states[pinned, :, 1] = 0.0
         return states
 
-    def simulate(horizon, count, rng):
-        batch = example2.simulate(horizon, count, rng)
-        states = batch.states.copy()
-        states[:, pinned, 1] = 0.0
-        return dataclasses.replace(batch, states=states)
-
     noise_info = random_spd(np.random.default_rng(13), 3)
     model = dataclasses.replace(
         example2, meas_dim=3, meas_noise_information=noise_info, meas_jacobian=jac,
-        sample_states=sample_states, simulate=simulate,
+        sample_states=sample_states,
     )
     # Four sample blocks, the last of 100 samples.
     est = cb.ExpectationEstimator(mode="monte_carlo", samples=3 * BLOCK_SIZE + 100,
@@ -652,7 +660,7 @@ def test_column_dead_at_one_time_stays_positive_zero(example2, workers):
                 assert not np.signbit(m[2]).any() and not np.signbit(m[:, 2]).any()
     # The column is -0.0 at the dead time, so products with a positive
     # entry of another column are -0.0 there: the test sees the sign.
-    states = model.simulate(horizon, 64, np.random.default_rng(0)).states[:, pinned]
+    states = model.sample_states(horizon, 64, np.random.default_rng(0))[pinned]
     j = model.meas_jacobian(states)
     assert np.signbit(j[:, 2]).all() and np.signbit(j[:, 2] * j[:, 0]).any()
 
@@ -702,12 +710,32 @@ def test_state_blocks_must_hold_every_sample(example2):
 
 
 def test_singularity_resampling_counted(example2):
-    states = example2.simulate(3, 8, np.random.default_rng(0)).states[:, 3, :].copy()
+    states = example2.sample_states(3, 8, np.random.default_rng(0))[3].copy()
     states[2, 0] = 0.0
     states[2, 2] = 0.0
     replaced = _resample_singular(example2, states, range(2, 3), seed=0, block=0)
     assert replaced == 1
     assert not example2.singular_states(states).any()
+
+
+def test_singularity_redraw_is_the_next_state_on_its_substream(example2):
+    # Block 3's states at times k = 2, 3, 4 are x[k + 1]; rows put on the
+    # sensor are redrawn as x[k + 1] of a fresh draw on the substream
+    # (k, block, attempt), in row order, and no other row moves.
+    ks, n, block, seed = range(2, 5), 8, 3, 11
+    states = np.concatenate([example2.sample_states(k + 1, n, np.random.default_rng(k))[k + 1]
+                             for k in ks])
+    flagged = {3: [2, 5], 4: [0]}
+    for k, rows in flagged.items():
+        states[(k - ks.start) * n + np.array(rows)] = [0.0, 10.0, 0.0, 10.0]
+    before = states.copy()
+    assert _resample_singular(example2, states, ks, seed, block) == 3
+    want = before.copy()
+    for k, rows in flagged.items():
+        rng = _substream(seed, _PURPOSE_RESAMPLE, k, block, 0)
+        want[(k - ks.start) * n + np.array(rows)] = example2.sample_states(
+            k + 1, len(rows), rng)[k + 1]
+    assert np.array_equal(states, want)
 
 
 def test_singularity_resampling_reported():

@@ -15,6 +15,7 @@ import pytest
 import corrbound as cb
 from corrbound import blocks, cli, examples, recursion
 from corrbound.examples import MA_COEFF_MAX
+from conftest import simple_scalar_model
 from reference_steps import run_plain
 
 
@@ -86,18 +87,23 @@ def test_run_with_one_sample_block_deterministic_across_workers(tmp_path):
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
-@pytest.mark.parametrize("model", ["example1", "example2", "nonlinear"])
+@pytest.mark.parametrize("model", ["example1", "scalar_no_closed_c", "nonlinear"])
 def test_finite_difference_mc_deterministic_across_workers(tmp_path, monkeypatch, model):
     # 40 samples in chunks of 16: three chunks, spread over up to three
-    # threads and summed in chunk order.  The nonlinear model has no closed
-    # forms, so both of its factors are sampled at every time.
+    # threads and summed in chunk order.  The scalar random walk without its
+    # measurement closed form samples that factor at every time and its
+    # transition once; the nonlinear model has no closed forms, so both of
+    # its factors are sampled at every time.
     monkeypatch.setattr(blocks, "CHUNK_SIZE", 16)
     monkeypatch.setattr(blocks.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     source = ["--model", model]
-    if model == "nonlinear":
-        source = ["--config", str(tmp_path / "nonlinear.json")]
-        Path(source[1]).write_text(json.dumps({
-            "model": {"kind": "custom", "factory": "conftest:nonlinear_scalar_model"}}))
+    if model != "example1":
+        monkeypatch.setattr(examples, "scalar_no_closed_c", lambda: dataclasses.replace(
+            simple_scalar_model(), analytic_c=None), raising=False)
+        factory = {"nonlinear": "conftest:nonlinear_scalar_model",
+                   "scalar_no_closed_c": "corrbound.examples:scalar_no_closed_c"}[model]
+        source = ["--config", str(tmp_path / "custom.json")]
+        Path(source[1]).write_text(json.dumps({"model": {"kind": "custom", "factory": factory}}))
     base = ["run", *source, "--mode", "finite_difference_mc", "--horizon", "6",
             "--samples", "40", "--seed", "5"]
     outs = []
@@ -382,6 +388,29 @@ def test_run_notes_redrawn_samples(tmp_path, capsys, monkeypatch):
         f"note: {redrawn} sample(s) redrawn near a measurement singularity\n")
 
 
+def test_closed_form_model_needs_no_sampling_callables(tmp_path, capsys, monkeypatch):
+    # A model of the required fields and its closed forms, with no
+    # simulator, log-density or state sampler, serves every command that
+    # reads only closed forms, byte for byte as the builtin it copies.
+    def factory():
+        full = cb.build_example1()
+        return cb.SystemModel(
+            name=full.name, state_dim=full.state_dim, meas_dim=full.meas_dim,
+            profile=full.profile, prior=full.prior, analytic_b=full.analytic_b,
+            analytic_c=full.analytic_c, linear=full.linear, ar_model=full.ar_model)
+
+    monkeypatch.setattr(examples, "closed_form_only", factory, raising=False)
+    config = tmp_path / "custom.json"
+    config.write_text(json.dumps({
+        "model": {"kind": "custom", "factory": "corrbound.examples:closed_form_only"}}))
+    for command in ("run", "compare", "oracle-verify"):
+        outputs = []
+        for source in (["--config", str(config)], ["--model", "example1"]):
+            assert run_cli([command, *source, "--horizon", "24"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] and outputs[0] == outputs[1], command
+
+
 def test_jacobian_model_without_state_sampler_is_model_error(tmp_path, capsys, monkeypatch):
     # The Jacobian curvature path draws states through sample_states; a
     # custom model with a measurement Jacobian but no state sampler is a
@@ -424,28 +453,58 @@ def test_sample_major_jacobian_is_model_error(tmp_path, capsys, monkeypatch):
 
 
 def _run_custom(tmp_path, monkeypatch, build, *, mode="monte_carlo", command=("run",),
-                **changes):
+                seed=0, **changes):
     """``command`` on ``build()`` with ``changes`` applied, through a custom
-    factory, sampling under ``mode``."""
+    factory, sampling under ``mode`` with ``seed`` (None: no seed)."""
     monkeypatch.setattr(examples, "malformed_model",
                         lambda: dataclasses.replace(build(), **changes), raising=False)
     config = tmp_path / "custom.json"
+    estimator = {"mode": mode, "samples": 100}
+    if seed is not None:
+        estimator["seed"] = seed
     config.write_text(json.dumps({
         "model": {"kind": "custom", "factory": "corrbound.examples:malformed_model"},
-        "estimator": {"mode": mode, "samples": 100, "seed": 0},
+        "estimator": estimator,
     }))
     return run_cli([*command, "--config", str(config), "--horizon", "3",
                     "--out", str(tmp_path / "out.csv")])
 
 
-@pytest.mark.parametrize("build, mode, field, message", [
-    (cb.build_example2, "monte_carlo", "meas_noise_information",
-     "no measurement noise information"),
-], ids=["jacobian_without_noise_information"])
-def test_missing_capability_is_model_error(tmp_path, capsys, monkeypatch,
-                                           build, mode, field, message):
-    assert _run_custom(tmp_path, monkeypatch, build, mode=mode, **{field: None}) == 2
-    assert message in capsys.readouterr().err
+# (model builder, mode, fields set to None, the field the error names).  A
+# factor's curvature source needs its own callables: the Jacobian path its
+# noise information and state sampler, FD-MC the simulator and that
+# factor's log-density.  example2 has neither FD-MC callable, so every
+# factor that falls to FD-MC (under finite_difference_mc, or without a
+# Jacobian or a closed form) names the simulator.  Each case runs with a
+# seed, and again as "<case>_no_seed" without one.
+MISSING_CAPABILITIES = {
+    "jacobian_without_noise_information": (
+        cb.build_example2, "monte_carlo", ("meas_noise_information",),
+        "meas_noise_information"),
+    "example2_fdmc": (cb.build_example2, "finite_difference_mc", (), "simulate"),
+    "example2_no_jacobian": (cb.build_example2, "monte_carlo", ("meas_jacobian",), "simulate"),
+    "example2_no_closed_b": (cb.build_example2, "monte_carlo", ("analytic_b",), "simulate"),
+    "fdmc_without_transition_density": (
+        cb.build_example1, "finite_difference_mc", ("trans_logpdf",), "trans_logpdf"),
+    "fdmc_without_measurement_density": (
+        cb.build_example1, "finite_difference_mc", ("meas_logpdf",), "meas_logpdf"),
+}
+
+
+@pytest.mark.parametrize("case", [*MISSING_CAPABILITIES,
+                                  *(f"{case}_no_seed" for case in MISSING_CAPABILITIES)])
+def test_missing_capability_is_model_error(tmp_path, capsys, monkeypatch, case):
+    # Checked when the provider picks each factor's source, before the seed
+    # check and before any draw.
+    seed = None if case.endswith("_no_seed") else 0
+    build, mode, missing, field = MISSING_CAPABILITIES[case.removesuffix("_no_seed")]
+    drawn = []
+    monkeypatch.setattr(blocks, "_substream", lambda *a: drawn.append(a))
+    assert _run_custom(tmp_path, monkeypatch, build, mode=mode, seed=seed,
+                       **dict.fromkeys(missing)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"model error: model '{build().name}': {field} is required")
+    assert drawn == []
 
 
 @pytest.mark.parametrize("field, value", [

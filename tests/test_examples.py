@@ -101,16 +101,15 @@ def test_example2_analytic_transition_blocks(example2):
     assert np.allclose(block(b, 1, 2, 4), -f.T @ q_inv @ (eye + f))
 
 
-def sample_major_example2_simulator(prior: cb.GaussianPrior):
-    """The default example2 sampler written sample-major, one step at a time,
-    from the same draws: the prior window, the white seeds drawn time-major,
-    then the measurement noise."""
+def sample_major_example2_states(prior: cb.GaussianPrior):
+    """The default example2 state sampler written sample-major, one step at
+    a time, from the same draws: the prior window, then the white seeds
+    drawn time-major."""
     f, q = planar_cv_matrices()
     chol_q = np.linalg.cholesky(symmetrize(q))
-    chol_s2 = np.linalg.cholesky(np.diag([50.0 ** 2, 0.01 ** 2]))
     w = prior.window_len
 
-    def simulate(horizon, count, rng):
+    def sample(horizon, count, rng):
         length = horizon + 1
         window = prior.sample(count, rng)
         normal = rng.standard_normal((length + 1, count, 4)).transpose(1, 0, 2)
@@ -126,15 +125,9 @@ def sample_major_example2_simulator(prior: cb.GaussianPrior):
             states[:, k + 1] = (
                 states[:, k] @ f.T + (w_seed(k) + w_seed(k - 1) + w_seed(k - 2))
             )
-        vnoise = rng.standard_normal((count, length, 2)) @ chol_s2.T
-        meas = range_azimuth(states) + vnoise
-        trans_shift = np.zeros((count, length, 4))
-        for k in range(length):
-            trans_shift[:, k] = -w_seed(k - 3)
-        meas_shift = np.zeros((count, length, 2))
-        return cb.TrajectoryBatch(states, meas, trans_shift, meas_shift)
+        return states
 
-    return simulate
+    return sample
 
 
 @pytest.mark.parametrize("horizon, count, substream", [
@@ -146,7 +139,7 @@ def sample_major_example2_simulator(prior: cb.GaussianPrior):
     (0, 4, (4,)),  # the first prior state alone
     (40, 1000, (_PURPOSE_SAMPLE, 0)),
     # Around multiples of the sampled path's block, which draws a block at a
-    # time, and the two FD-MC chunks of a 50k-sample run.
+    # time, and two large draws.
     (5, 2 * BLOCK_SIZE - 1, (5,)),
     (5, 2 * BLOCK_SIZE, (6,)),
     (5, 2 * BLOCK_SIZE + 1, (7,)),
@@ -156,18 +149,14 @@ def sample_major_example2_simulator(prior: cb.GaussianPrior):
     (40, 32768, (_PURPOSE_SAMPLE, 0, 0)),
 ])
 def test_example2_sampler_matches_sample_major_reference(example2, horizon, count, substream):
-    reference = sample_major_example2_simulator(example2.prior)
+    # The Jacobian path's sampler: the reference's states, byte for byte, as
+    # one time-major array, written into ``out`` when one is given.
+    reference = sample_major_example2_states(example2.prior)
     rng = lambda: _substream(11, *substream)  # noqa: E731
-    got = example2.simulate(horizon, count, rng())
     want = reference(horizon, count, rng())
-    for name in ("states", "measurements", "trans_shift", "meas_shift"):
-        assert getattr(got, name).shape == getattr(want, name).shape
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    # The Jacobian path's sampler: the same states, byte for byte, as one
-    # time-major array, written into ``out`` when one is given.
     states = example2.sample_states(horizon, count, rng())
     assert states.shape == (horizon + 1, count, 4) and states.flags.c_contiguous
-    assert states.transpose(1, 0, 2).tobytes() == want.states.tobytes()
+    assert states.transpose(1, 0, 2).tobytes() == want.tobytes()
     out = np.full((horizon + 1, count, 4), np.nan)
     assert example2.sample_states(horizon, count, rng(), out) is out
     assert out.tobytes() == states.tobytes()

@@ -1,8 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import corrbound as cb
-from corrbound.errors import ConfigError, ModelBuildError
+from corrbound.errors import (
+    ConfigError,
+    InvariantViolationError,
+    ModelBuildError,
+    SingularMatrixError,
+)
 from corrbound.linalg import finite_difference_hessian
 from conftest import blocks_at, random_linear_model, simple_scalar_model
 
@@ -67,10 +74,9 @@ def test_sampler_dimensions():
 
 
 def test_sampler_deterministic_given_seed(example2):
-    a = example2.simulate(5, 16, np.random.default_rng(42))
-    b = example2.simulate(5, 16, np.random.default_rng(42))
-    assert np.array_equal(a.states, b.states)
-    assert np.array_equal(a.measurements, b.measurements)
+    a = example2.sample_states(5, 16, np.random.default_rng(42))
+    b = example2.sample_states(5, 16, np.random.default_rng(42))
+    assert np.array_equal(a, b)
 
 
 def _fd_rel_dev(f, stacked0, ref):
@@ -112,37 +118,15 @@ def test_fd_matches_analytic_measurement_example1(example1):
     assert _fd_rel_dev(f, stk0, ref) < 1e-5
 
 
-def _planar_transition_fd(model, batch, k):
-    """The transition log-density of a planar model as a function of the
-    stacked slot states ``x[k-1], x[k], x[k+1]``, and those states."""
-    shift = batch.trans_shift[:, k]
-    no_meas = np.zeros((len(shift), 0, 2))
-
-    def f(stk):
-        return model.trans_logpdf(stk[:, 8:12], stk[:, :8].reshape(-1, 2, 4)[:, ::-1],
-                                  no_meas, shift)
-
-    return f, batch.states[:, k - 1:k + 2].reshape(len(shift), -1)
-
-
-def test_fd_matches_analytic_transition_planar_cv():
-    # Moderate coordinate scale: at the default 1e4-meter geometry the
-    # spec'd relative step drives the central differences to their float64
-    # cancellation floor (~1e-4), so the tight agreement is checked here
-    # and only a loose sanity bound at the default scale below.
-    profile = cb.CorrelationProfile(0, 2, 0, 0)
+def test_planar_cv_transition_is_exact_quadratic_form(example2):
+    # The transition residual x[k+1] - (I + F) x[k] + F x[k-1] has gradient
+    # G = [F, -(I + F), I] in the slots (x[k-1], x[k], x[k+1]), so the
+    # closed form is G' Q^-1 G, here formed through a solve.
     from corrbound.examples import planar_cv_matrices
-    f_mat, _ = planar_cv_matrices()
-    prior = cb.default_prior(profile, 4, mean=np.array([100.0, 5.0, 80.0, 4.0]),
-                             transition=f_mat)
-    model = cb.build_example2(prior=prior)
-    batch = model.simulate(8, 10, np.random.default_rng(2))
-    assert _fd_rel_dev(*_planar_transition_fd(model, batch, 3), model.analytic_b) < 1e-5
-
-
-def test_fd_default_scale_sanity(example2):
-    batch = example2.simulate(6, 3, np.random.default_rng(3))
-    assert _fd_rel_dev(*_planar_transition_fd(example2, batch, 3), example2.analytic_b) < 1e-3
+    f_mat, q = planar_cv_matrices()
+    g = np.hstack([f_mat, -(np.eye(4) + f_mat), np.eye(4)])
+    want = g.T @ np.linalg.solve(q, g)
+    assert np.max(np.abs(example2.analytic_b - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +212,28 @@ def test_spec_rejects_asymmetric_covariance(field):
     # Its symmetric mean builds, as does a gap within 1e-12 of the largest entry.
     _spec_2d(**{**covs, field: [[1.0, 0.25], [0.25, 1.0]]})
     _spec_2d(**{**covs, field: [[1.0, 0.25], [0.25 + 5e-13, 1.0]]})
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["process_cov", "meas_cov"])
+def test_spec_rejects_non_finite_covariance(field, value):
+    # Checked before the symmetry gap, whose inf - inf would be NaN.
+    cov = np.eye(2)
+    cov[0, 1] = cov[1, 0] = value
+    covs = {"process_cov": np.eye(2), "meas_cov": np.eye(2), field: cov}
+    with pytest.raises(ModelBuildError, match=rf"^{field}: expected a matrix of finite numbers$"):
+        _spec_2d(**covs)
+
+
+def test_overflowing_spec_is_named_without_a_warning():
+    # Finite inputs whose products overflow: the named errors come first,
+    # with no RuntimeWarning (which this suite raises as an error).
+    with pytest.raises(SingularMatrixError, match="^process covariance contains non-finite"):
+        cb.build_linear_model(_spec_2d(np.full((2, 2), 1e308) + np.eye(2)))
+    spec = dataclasses.replace(_spec_2d(np.eye(2)), state_coeffs=(np.full((2, 2), 1e200),))
+    with pytest.raises(InvariantViolationError, match=r"analytic_b \(transition blocks\) "
+                                                      "contains non-finite"):
+        cb.build_linear_model(spec)
 
 
 def test_spec_rejects_non_square_covariance():

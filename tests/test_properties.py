@@ -9,6 +9,7 @@ and no example database is kept.
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -192,13 +193,14 @@ def test_stacked_step_matches_each_member(window, dim, seed, kinds, shared):
             assert np.max(np.abs(g[i] - w)) <= 1e-12 * scale
 
 
-def _run_cli(config: dict, capsys) -> tuple[int, str, str]:
-    """``corrbound run --config`` on ``config``: exit code, stdout, stderr."""
+def _run_cli(config: dict, capsys, command: str = "run") -> tuple[int, str, str]:
+    """``corrbound <command> --config`` on ``config``: exit code, stdout,
+    stderr."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config), encoding="utf-8")
         capsys.readouterr()
-        code = cli.main(["run", "--config", str(path)])
+        code = cli.main([command, "--config", str(path)])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -293,3 +295,52 @@ def test_malformed_config_is_config_error_naming_the_field(data, capsys):
     code, _, err = _run_cli(config, capsys)
     assert code == 1, err
     assert err.startswith("configuration error:") and field in err, err
+
+
+# Matrix leaves of a linear_gaussian_ma config and the field an error
+# names; a coefficient list is indexed by its first matrix.
+MATRIX_LEAVES = [
+    (("process_cov",), "model.process_cov"),
+    (("measurement_cov",), "model.measurement_cov"),
+    (("prior", "cov"), "model.prior.cov"),
+    (("transition_coeffs", 0), "model.transition_coeffs[0]"),
+    (("measurement_state_coeffs", 0), "model.measurement_state_coeffs[0]"),
+    (("transition_meas_coeffs", 0), "model.transition_meas_coeffs[0]"),
+    (("measurement_meas_coeffs", 0), "model.measurement_meas_coeffs[0]"),
+]
+# Well-typed numbers that are not finite, overflow or underflow.
+EXTREME_VALUES = [math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, 1e200]
+ERROR_LABELS = ("configuration error:", "model error:", "numerical error:")
+
+
+@settings(PROPERTY_SETTINGS, max_examples=80)
+@given(data=st.data())
+def test_extreme_config_number_ends_in_a_named_error_or_output(data, capsys):
+    # JSON reads NaN and Infinity, so a config can hold any double.  Each
+    # ends in output or in a labelled error, never in a traceback, and no
+    # numpy warning comes first: every warning raises here.  A non-finite
+    # entry is a configuration error naming its field.
+    case = data.draw(st.sampled_from(list(CaseTag)))
+    model = data.draw(linear_configs(case, 0.0, 2.0))
+    path, field = data.draw(st.sampled_from(
+        [leaf for leaf in MATRIX_LEAVES if model[leaf[0][0]]]))
+    matrix = model
+    for key in path:
+        matrix = matrix[key]
+    i = data.draw(st.integers(0, len(matrix) - 1))
+    j = data.draw(st.integers(0, len(matrix[i]) - 1))
+    value = data.draw(st.sampled_from(EXTREME_VALUES))
+    matrix[i][j] = value
+    command = data.draw(st.sampled_from(["run", "compare", "oracle-verify", "sensors"]))
+    config = {"model": model, "horizon": 5, "sweep": {"max_sensors": 2}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = _run_cli(config, capsys, command)
+    assert code in (0, 1, 2, 3), err
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith(ERROR_LABELS), err
+    else:
+        assert err == ""
+    if not math.isfinite(value):
+        assert code == 1 and err.startswith(f"configuration error: {field}:"), err
