@@ -33,7 +33,7 @@ from .models import (
     build_linear_model,
 )
 from .profiles import CorrelationProfile
-from .recursion import PCRBTrace, _distinct_steps, run, trace_rows
+from .recursion import MAX_HORIZON, PCRBTrace, _distinct_steps, run, trace_rows
 
 
 def _require_linear(model: SystemModel):
@@ -143,7 +143,7 @@ def pcrb_augmented(model: SystemModel, horizon: int) -> PCRBTrace:
     once ``p`` repeats an earlier one byte for byte, the remaining steps
     tile the cycle from there, and the trace stores each distinct row once.
     """
-    require_int(horizon, "horizon", 1)
+    require_int(horizon, "horizon", 1, MAX_HORIZON)
     f_aug, q_aug, h_aug, r_inv, p = augmented_system(model)
     info_meas = symmetrize(h_aug.T @ r_inv @ h_aug)
 

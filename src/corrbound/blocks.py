@@ -8,13 +8,13 @@ over the model sampler's trajectories, at each time over that time's states,
 and a closed form is time-invariant (:class:`BlockProvider`).
 Monte-Carlo estimation splits the samples into fixed units, each drawn from
 an RNG substream of its own and reduced in unit order, so results are
-bit-identical whatever the worker count.  Each unit is also one task of a
-thread pool of at most ``workers`` threads, so the model callables run
-concurrently on worker threads and must not share mutable scratch.  The
-units' substreams are made in the calling thread before the pool starts,
-so ``numpy.random`` is first imported there, and only by a run that
-samples.  The sampled Jacobian path's unit is a block of ``BLOCK_SIZE``
-samples.
+bit-identical whatever the worker count.  With several workers, the calling
+thread and up to ``workers - 1`` threads it starts claim the units in turn
+(:func:`_map_units`), so the model callables run concurrently and must not
+share mutable scratch.  The units' substreams are made in the calling
+thread before any other thread starts, so ``numpy.random`` is first
+imported there, and only by a run that samples.  The sampled Jacobian
+path's unit is a block of ``BLOCK_SIZE`` samples.
 Finite-difference Monte Carlo (FD-MC) draws chunks of ``CHUNK_SIZE``
 samples, one ``simulate`` call each, and sums every FD-MC grid of a
 provider from that one batch.
@@ -48,18 +48,23 @@ _PURPOSE_RESAMPLE = 2
 _MAX_RESAMPLE_ROUNDS = 100
 
 # Samples per block of the sampled Jacobian path: its unit of RNG substreams
-# and of worker tasks, so changing it changes every sampled result.  512 was
-# the fastest size measured: example2's 50k-sample, 40-step `run` on one
-# worker (x86-64, 2 vCPUs; the range of two medians of 9 runs) took
+# and of the work that threads claim, so changing it changes every sampled
+# result.  512 was the fastest size measured: example2's 50k-sample, 40-step
+# `run` on one worker (x86-64, 2 vCPUs; the range of two medians of 9 runs) took
 # 293-327 ms at 128, 256-273 ms at 256, 234-252 ms at 512, 240-263 ms at
 # 1024 and 269-286 ms at 2048.
 # While a 512-sample block's Jacobian is contracted about 2.7 MB is live
 # (states 0.7 MB, Jacobians 1.3 MB, contraction scratch 0.66 MB), and
-# 10k samples make 20 tasks.
+# 10k samples make 20 units.
 BLOCK_SIZE = 512
 
 # Samples per FD-MC chunk: its unit of RNG substreams.
 CHUNK_SIZE = 32_768
+
+# The largest ``estimator.samples``, checked before anything is allocated:
+# far above any sample count in use (10**6 at most), and a run at the cap
+# holds its 195k blocks' substreams in about 0.2 GB.
+MAX_SAMPLES = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -77,8 +82,8 @@ class ExpectationEstimator:
     def __post_init__(self):
         if self.mode not in ESTIMATOR_MODES:
             raise ConfigError(f"estimator.mode {self.mode!r} not one of {ESTIMATOR_MODES}")
-        for field, minimum in (("samples", 1), ("workers", 1)):
-            require_int(getattr(self, field), f"estimator.{field}", minimum)
+        require_int(self.samples, "estimator.samples", 1, MAX_SAMPLES)
+        require_int(self.workers, "estimator.workers", 1)
         if self.seed is not None:
             require_int(self.seed, "estimator.seed", 0)
 
@@ -145,9 +150,9 @@ def _fd_mc_grids(model: SystemModel, keys: list[tuple[int, bool]],
 
     Chunk ``c`` of ``CHUNK_SIZE`` samples (the last one short) is one
     ``simulate`` call up to the last key's time plus one, on the substream
-    ``(start, c)`` with ``start`` the first key's time, and one task of the
-    pool; every grid is summed from that batch, and the per-chunk sums are
-    combined in chunk order.
+    ``(start, c)`` with ``start`` the first key's time, and one unit of
+    :func:`_map_units`; every grid is summed from that batch, and the
+    per-chunk sums are combined in chunk order.
     """
     sizes = _split(est.samples, CHUNK_SIZE)
     horizon = max(k for k, _ in keys) + 1
@@ -182,18 +187,51 @@ def _simulate(model: SystemModel, horizon: int, count: int,
 
 
 def _map_units(run, count: int, workers: int) -> list:
-    """``[run(0), ..., run(count - 1)]``, spread over a pool of at most
-    ``workers`` threads, and no more than there are units or CPUs this
-    process may run on.  The pool's module is imported only here, so a
-    run on one thread never loads it."""
+    """``[run(0), ..., run(count - 1)]``, run by ``k`` threads, the calling
+    one and ``k - 1`` that it starts, with ``k`` the least of ``workers``,
+    ``count`` and the CPUs this process may run on.  Each thread claims the
+    next unit from one counter and stores its result at the unit's index.
+    After a unit fails no unit is claimed, the threads are joined, and the
+    lowest failing unit's exception is raised: the one a loop over the
+    units would raise first, since every lower unit was claimed and runs to
+    its end."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(workers, count, cpus or 1)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    k = min(workers, count, cpus or 1)
+    if k == 1:
+        return [run(u) for u in range(count)]
+    results, failures = [None] * count, {}
+    lock = threading.Lock()
+    claimed = 0
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, range(count)))
-    return [run(u) for u in range(count)]
+    def work():
+        nonlocal claimed
+        while True:
+            with lock:
+                if claimed == count:
+                    return
+                u, claimed = claimed, claimed + 1
+            try:
+                results[u] = run(u)
+            except BaseException as exc:
+                with lock:
+                    failures[u], claimed = exc, count
+                return
+
+    threads = []
+    try:
+        for i in range(1, k):
+            thread = threading.Thread(target=work, name=f"corrbound-units-{i}")
+            thread.start()
+            threads.append(thread)
+        work()
+    finally:
+        with lock:
+            claimed = count
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +249,9 @@ def _sampled_measurement_info(
     over the measurement equals the full curvature).  Block ``b`` of
     ``BLOCK_SIZE`` samples (the last one short) is drawn by one
     ``model.sample_states`` call on the substream ``(b,)`` and reduced as
-    one task: its states at the consecutive times of ``ks`` form one
-    ``(len(ks) * n, state_dim)`` view, which gets one ``singular_states`` and
-    one ``meas_jacobian`` call.  The per-time partial sums of all blocks are
+    one unit of :func:`_map_units`: its states at the consecutive times of
+    ``ks`` form one ``(len(ks) * n, state_dim)`` view, which gets one
+    ``singular_states`` and one ``meas_jacobian`` call.  The per-time partial sums of all blocks are
     then combined in block order.
     """
     r = model.state_dim

@@ -19,7 +19,7 @@ from . import oracle as _oracle
 from .blocks import BLOCK_SIZE, CHUNK_SIZE, ESTIMATOR_MODES, ExpectationEstimator
 from .errors import ConfigError, ModelBuildError, NumericalError, require_int
 from .models import SystemModel, model_from_config, require_keys
-from .recursion import PCRBTrace, run
+from .recursion import MAX_HORIZON, PCRBTrace, run
 from .selection import min_sensors, sweep
 
 EXIT_OK = 0
@@ -57,9 +57,10 @@ _SETTINGS = (
     ("estimator", "seed", "seed", ExpectationEstimator.seed, None,
      {"type": int, "help": "Monte-Carlo seed"}),
     ("estimator", "workers", "workers", ExpectationEstimator.workers, None,
-     {"type": int, "help": f"worker threads for sampling, one task per {BLOCK_SIZE}-sample "
-                           f"Jacobian block or {CHUNK_SIZE}-sample FD-MC chunk; at most "
-                           "one per task and per CPU"}),
+     {"type": int, "help": f"threads that sample, the calling one included, claiming "
+                           f"{BLOCK_SIZE}-sample Jacobian blocks or {CHUNK_SIZE}-sample "
+                           "FD-MC chunks in turn; at most one per block or chunk and per "
+                           "CPU"}),
     ("output", "path", "out", None, ("run", "compare", "sensors"),
      {"help": "output path ('-' for stdout)"}),
     (None, "component", "component", 0, ("compare", "sensors"),
@@ -134,7 +135,7 @@ def _build_config(args: argparse.Namespace
     estimator = ExpectationEstimator(mode=values["mode"], samples=values["samples"],
                                      seed=values["seed"], workers=values["workers"])
 
-    require_int(values["horizon"], "horizon", 1)
+    require_int(values["horizon"], "horizon", 1, MAX_HORIZON)
     require_int(values["component"], "component", 0)
     require_int(values["max_sensors"], "sweep.max_sensors (--max-m)", 1)
 

@@ -37,10 +37,14 @@ class InvariantViolationError(NumericalError):
     """A quantity left its mathematically guaranteed region (e.g. lost PSD-ness)."""
 
 
-def require_int(value, name: str, minimum: int | None = None) -> None:
+def require_int(value, name: str, minimum: int | None = None,
+                maximum: int | None = None) -> None:
     """Reject a ``value`` of ``name`` that is a bool, not an integer, or
-    below ``minimum``, with a :class:`ConfigError` naming ``name``."""
+    outside ``[minimum, maximum]``, with a :class:`ConfigError` naming
+    ``name``."""
     if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
-            or minimum is not None and value < minimum):
-        bound = "" if minimum is None else f" >= {minimum}"
+            or minimum is not None and value < minimum
+            or maximum is not None and value > maximum):
+        limits = ((">=", minimum), ("<=", maximum))
+        bound = " and".join(f" {op} {limit}" for op, limit in limits if limit is not None)
         raise ConfigError(f"{name} must be an integer{bound}, got {value!r}")

@@ -222,15 +222,17 @@ def build_example2(prior: GaussianPrior | None = None) -> SystemModel:
                       out: np.ndarray | None = None) -> np.ndarray:
         """States ``(horizon + 1, count, 4)``, time-major, written into
         ``out`` if given.  The prior window of every sample is drawn first,
-        then the white seeds ``(horizon + 2, count, 4)``, with ``seeds[j + 1]``
-        holding ws[j]."""
+        then the white seeds ``(horizon + 1, count, 4)``, with ``seeds[j + 1]``
+        holding ws[j] for ``j = -1 .. horizon - 1``, the last one that
+        x[horizon] reads."""
         length = horizon + 1
         states = np.empty((length, count, 4)) if out is None else out
         states[:min(w, length)] = prior.sample(count, rng).transpose(1, 0, 2)[:length]
         # One product over every row, so a one-sample draw rounds as a row
-        # of a larger one does.
-        seeds = (rng.standard_normal(((length + 1) * count, 4)) @ chol_q_t).reshape(
-            length + 1, count, 4)
+        # of a larger one does; the seeds are read only when length > w, so
+        # that product has at least w + 1 rows.
+        seeds = (rng.standard_normal((length * count, 4)) @ chol_q_t).reshape(
+            length, count, 4)
         # The model checks that the prior window is 3, so k - 2 >= 0 below:
         # noise[k + 1 - w] = seeds[k + 1] + seeds[k] + seeds[k - 1] is w[k].
         noise = seeds[w:length] + seeds[w - 1:length - 1]

@@ -29,6 +29,10 @@ from .models import SystemModel
 from .profiles import CorrelationProfile
 
 PSD_REL_TOL = 1e-10
+# The largest horizon a run takes, checked before anything is allocated: 10
+# times the longest run in use, a settled example1 tiled over 10**6 steps,
+# whose step index costs 8 bytes a step.
+MAX_HORIZON = 10_000_000
 
 
 @dataclass(eq=False)
@@ -289,7 +293,7 @@ def run(model: SystemModel, est: ExpectationEstimator, horizon: int,
     where the loop reaches it.  The trace stacks each distinct step's
     results once, read-only, with an index of the row of every step.
     """
-    require_int(horizon, "horizon", 1)
+    require_int(horizon, "horizon", 1, MAX_HORIZON)
     start = model.start_time
     carry = init_state(model)
     if provider is None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -181,6 +182,17 @@ CASE_SPANNING_PROFILES = [
     (1, 0, 3, 1),
     (3, 3, 1, 3),
 ]
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_behind():
+    """Fail a test that ends with a thread it did not start with, naming
+    it: a thread left running keeps the interpreter from exiting."""
+    before = set(threading.enumerate())
+    yield
+    left = [thread.name for thread in threading.enumerate() if thread not in before]
+    if left:
+        pytest.fail(f"test left threads running: {left}", pytrace=False)
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,6 @@
-import concurrent.futures
 import dataclasses
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from corrbound.blocks import (
     _PURPOSE_SAMPLE,
     BLOCK_SIZE,
     McReport,
+    _map_units,
     _resample_singular,
     _sampled_measurement_info,
     _split,
@@ -791,7 +792,7 @@ def test_singular_states_redrawn_per_block(example2):
     assert results[0] == results[1]
 
 
-class _PoolStarted(Exception):
+class _Drawn(Exception):
     pass
 
 
@@ -800,28 +801,94 @@ class _PoolStarted(Exception):
     (100_000, 1_000, 64, 2),  # no more threads than sample blocks
     (3, 10_000, 64, 3),
     (3, 10_000, 2, 2),
-    (4, BLOCK_SIZE, 64, None),  # one block: no pool
+    (4, BLOCK_SIZE, 64, None),  # one block: the calling thread alone
     (1, 10_000, 64, None),
 ])
 def test_thread_pool_is_capped(example2, monkeypatch, workers, samples, cpus, threads):
-    started = []
+    # `threads` threads sample, the calling one included, so it starts
+    # `threads - 1` more; None is the calling thread alone.  The stand-in
+    # thread class records each start and join and runs nothing: the
+    # calling thread claims block 0, whose draw ends the run.
+    started, joined, drawn = [], [], []
 
-    def pool(max_workers):
-        # Records the pool's size and starts no thread.
-        started.append(max_workers)
-        raise _PoolStarted
+    class Thread:
+        def __init__(self, target, name):
+            self.name = name
 
-    # The pool is imported where it is made, so it is patched at its source.
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", pool)
+        def start(self):
+            started.append(self.name)
+
+        def join(self):
+            joined.append(self.name)
+
+    def draw(*args):
+        drawn.append(threading.current_thread())
+        raise _Drawn
+
+    monkeypatch.setattr(blocks_mod.threading, "Thread", Thread)
     monkeypatch.setattr(blocks_mod.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    model = dataclasses.replace(example2, sample_states=draw)
     est = cb.ExpectationEstimator(mode="monte_carlo", samples=samples, seed=1,
                                   workers=workers)
-    if threads is None:
-        _sampled_measurement_info(example2, range(3, 4), 4, est)
-    else:
-        with pytest.raises(_PoolStarted):
-            _sampled_measurement_info(example2, range(3, 4), 4, est)
-    assert started == ([] if threads is None else [threads])
+    with pytest.raises(_Drawn):
+        _sampled_measurement_info(model, range(3, 4), 4, est)
+    extra = 0 if threads is None else threads - 1
+    assert len(started) == extra and len(set(started)) == extra
+    assert joined == started
+    assert drawn == [threading.current_thread()]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_lowest_failing_unit_raises_and_every_thread_ends(monkeypatch, workers):
+    # Units 2 and 4 fail.  On several threads unit 2 fails only once unit 4
+    # has begun to, yet unit 2's error is raised, the one a loop over the
+    # units raises first.  The later units take a millisecond each, and few
+    # are claimed before the failure stops the claims: none on one thread.
+    # No thread that the map started is left.
+    monkeypatch.setattr(blocks_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    before = set(threading.enumerate())
+    fourth_failing, later = threading.Event(), []
+
+    def run(u):
+        if u == 2:
+            assert workers == 1 or fourth_failing.wait(timeout=60)
+            raise KeyError(u)
+        if u == 4:
+            fourth_failing.set()
+            raise KeyError(u)
+        if u > 4:
+            later.append(u)
+            time.sleep(0.001)
+        return u
+
+    with pytest.raises(KeyError) as failure:
+        _map_units(run, 1000, workers)
+    assert failure.value.args == (2,)
+    assert len(later) < (1 if workers == 1 else 100)
+    assert set(threading.enumerate()) == before
+    assert _map_units(lambda u: u * u, 10, workers) == [u * u for u in range(10)]
+    assert set(threading.enumerate()) == before
+
+
+def test_interrupt_on_the_calling_thread_joins_every_thread(monkeypatch):
+    # Ctrl-C lands in the calling thread: no unit is claimed after it, the
+    # started threads finish their units and are joined, and the interrupt
+    # is raised.
+    monkeypatch.setattr(blocks_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    before = set(threading.enumerate())
+    caller, ran = threading.current_thread(), []
+
+    def run(u):
+        if threading.current_thread() is caller:
+            raise KeyboardInterrupt
+        ran.append(u)
+        time.sleep(0.001)
+        return u
+
+    with pytest.raises(KeyboardInterrupt):
+        _map_units(run, 10_000, 3)
+    assert set(threading.enumerate()) == before
+    assert len(ran) < 10_000
 
 
 def test_sample_blocks_spread_over_workers(example2, monkeypatch):

@@ -20,7 +20,9 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 import corrbound as cb
 from corrbound import cli
+from corrbound.blocks import ESTIMATOR_MODES, MAX_SAMPLES
 from corrbound.errors import CorrboundError, SingularMatrixError
+from corrbound.recursion import MAX_HORIZON
 from reference_steps import CaseTag, schur_form_step, select_case
 
 # Hypothesis still caches the constants it parses from source files; keep that
@@ -344,3 +346,31 @@ def test_extreme_config_number_ends_in_a_named_error_or_output(data, capsys):
         assert err == ""
     if not math.isfinite(value):
         assert code == 1 and err.startswith(f"configuration error: {field}:"), err
+
+
+# Oversized horizons and sample counts: one past the cap, and sizes whose
+# arrays could not be made.  Each is refused before anything is allocated.
+OVERSIZED = {"horizon": [MAX_HORIZON + 1, 10**12, 2**70],
+             "estimator.samples": [MAX_SAMPLES + 1, 10**12, 2**70]}
+
+
+@settings(PROPERTY_SETTINGS, max_examples=40)
+@given(data=st.data())
+def test_oversized_horizon_or_samples_is_a_config_error_naming_the_field(data, capsys):
+    case = data.draw(st.sampled_from(list(CaseTag)))
+    model = data.draw(st.one_of(
+        st.sampled_from([{"kind": "builtin_example1"}, {"kind": "builtin_example2"}]),
+        linear_configs(case, 0.0, 2.0)))
+    field = data.draw(st.sampled_from(sorted(OVERSIZED)))
+    value = data.draw(st.sampled_from(OVERSIZED[field]))
+    estimator = {"mode": data.draw(st.sampled_from(ESTIMATOR_MODES)), "seed": 1}
+    config = {"model": model, "horizon": 5, "estimator": estimator,
+              "sweep": {"max_sensors": 2}}
+    if field == "horizon":
+        config["horizon"] = value
+    else:
+        estimator["samples"] = value
+    command = data.draw(st.sampled_from(["run", "compare", "oracle-verify", "sensors"]))
+    code, out, err = _run_cli(config, capsys, command)
+    assert code == 1 and out == "", err
+    assert err.startswith(f"configuration error: {field} must be an integer >= 1 and <= "), err
